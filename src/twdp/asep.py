@@ -23,14 +23,20 @@ Three routes:
 * asep_asymptotic: the large-g0 closed form
   (1+K)/(2 pi g0) (pi - pi/M + sin(2 pi/M)/2)/sin^2(pi/M) e^{-K} I_0(2 Gamma K/(1+Gamma^2)).
 
-asep_exact follows the same long-double-then-mpmath escalation as the other
-alternating series; when even the escalated path would need more than
-_MAX_DPS digits it raises CancellationLossError so callers (the CLI does
-this) can substitute asep_quadrature.
+asep_exact follows the same long-double-then-escalate pattern as the other
+alternating series, in three tiers.  The first pass runs on long doubles.
+When its cancellation calls for more digits, the outer sum reruns in
+mpmath at the escalated precision; up to 34 digits the bracket family for
+that rerun is built in double-longdouble numpy arithmetic (20-40x cheaper
+than mpmath lists; each factor within 1e-34 relative, measured near
+1e-37), beyond that in mpmath.  When even the escalated path would need more than _MAX_DPS digits
+it raises CancellationLossError so callers (the CLI does this) can
+substitute asep_quadrature.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,11 +53,20 @@ from .specfun import (
     SeriesResult,
     _ARITH_LD,
     _arith_mp,
+    _dd_add,
+    _dd_div,
+    _dd_mul,
+    _dd_row_sums,
+    _dd_sqrt,
     _hyp2f1_neg_mm_seq,
     _ive_ladder,
+    _ld_sums_to_mpf,
     _run_series,
+    _split,
+    _two_sum,
     run_with_rescue,
     tanh_sinh_rule,
+    tanh_sinh_rule_dd,
     term_hump_guard,
 )
 
@@ -60,6 +75,8 @@ _REL_TARGET = 1e-11
 _MAX_DPS = 120
 _TS_LEVEL_LD = 8
 _TS_LEVEL_MP = 7
+# relative size below which a node term is dropped from the dd bracket sums
+_DD_DROP = _LD(2) ** -140
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,45 @@ def _bracket_family_mp(x0: float, lam: float, y0_abs: float):
         p2 = [a * g for a, g in zip(p2, g2)]
 
 
+def _bracket_family_dd(x0: float, lam: float, y0_abs: float, orders: int):
+    """_bracket_family_mp in double-longdouble arithmetic, yielding mpf values.
+
+    Row 0 of the node arrays carries the 2F1 integrand, row 1 the F1 one.
+    Every node term is positive, so an order costs one dd product per node
+    and an exact-extraction row sum, and each of the first `orders` factors
+    keeps the digits that specfun's double-longdouble error bound states.
+
+    Nodes whose term stays below 2^-140 of its row sum at every order are
+    dropped, which costs under 2^-129 over all 1,457 nodes.  Since g <= 1, a
+    node's first term bounds all its later ones, and sum_k p_k g_k^orders
+    bounds the row sums from below, which drops the far tails up front.  As
+    the orders go on, a node dominated by a node of smaller t (larger g)
+    stays dominated, which drops the large-t side of the peak.
+    """
+    t, omt, w = tanh_sinh_rule_dd(_TS_LEVEL_MP)
+    one = (_LD(1), _LD(0))
+    # rows 1 - t and 1 - x0 t = (1 - t) + (1 - x0) t, exact near t = 1 even for x0 = 1
+    one_minus_x0t = _dd_add(omt, _dd_mul(_two_sum(_LD(1), -_LD(x0)), t))
+    den = tuple(np.stack(rows) for rows in zip(omt, one_minus_x0t))
+    p = _dd_div(_dd_mul(w, _dd_sqrt(t)), _dd_sqrt(den))
+    y = np.array([[lam], [y0_abs]], dtype=_LD)
+    g = _dd_div(one, _dd_add(one, _dd_mul((y, _LD(0)), t)))
+    p = _dd_mul(p, g)
+    floor = _DD_DROP * (p[0] * g[0] ** orders).sum(axis=-1, keepdims=True)
+    live = np.flatnonzero((p[0] > floor).any(axis=0))
+    keep = slice(live[0], live[-1] + 1)
+    p, g, g_split = ((a[:, keep], b[:, keep]) for a, b in (p, g, _split(g[0])))
+    c1, c2 = 2 / mp.pi, mp.mpf(3) / 2
+    for m in itertools.count(1):
+        s1, s2 = _ld_sums_to_mpf(_dd_row_sums(p))
+        yield c1 * s1, c2 * s2
+        p = _dd_mul(p, g, g_split)
+        if m % 8 == 0:
+            live = (p[0] > _DD_DROP * np.maximum.accumulate(p[0], axis=-1)).any(axis=0)
+            keep = slice(0, np.flatnonzero(live)[-1] + 1)
+            p, g, g_split = ((a[:, keep], b[:, keep]) for a, b in (p, g, g_split))
+
+
 def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0: float, ctl: SeriesControl, be):
     K = be.cast(p.k)
     g2 = be.cast(p.gamma) ** 2
@@ -129,11 +185,12 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0: float, ctl: SeriesCon
     y0_abs = float((1 + K) / g0)
     c_bracket = 3 * be.pi / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
-    fam = (
-        _bracket_family_ld(mod.sin2_pim, lam, y0_abs)
-        if be.name == "longdouble"
-        else _bracket_family_mp(mod.sin2_pim, lam, y0_abs)
-    )
+    if be.name == "longdouble":
+        fam = _bracket_family_ld(mod.sin2_pim, lam, y0_abs)
+    elif be.dd:
+        fam = _bracket_family_dd(mod.sin2_pim, lam, y0_abs, ctl.max_terms)
+    else:
+        fam = _bracket_family_mp(mod.sin2_pim, lam, y0_abs)
 
     def terms():
         h2_seq = _hyp2f1_neg_mm_seq(g2, be)
@@ -168,6 +225,7 @@ def asep_exact(
         _REL_TARGET,
         max_dps=_MAX_DPS,
         what=f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={gamma0}",
+        dd_kernels=True,
     )
     return SeriesResult(value, n, trunc, ratio)
 

@@ -6,7 +6,8 @@ ordered by ascending x.  Average SNR is accepted in dB on every flag and
 converted once (gamma0 = 10^(dB/10)).
 
 Exit codes: 0 success, 2 usage error, 3 series convergence/cancellation
-failure, 4 quadrature failure, 5 I/O failure.
+failure, 4 quadrature failure, 5 I/O failure, 1 stdout closed early (as by
+`| head`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +36,7 @@ from .params import TwdpParams
 from .specfun import SeriesControl
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_SERIES = 3
 EXIT_QUADRATURE = 4
@@ -481,24 +484,56 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# a value such as -10:10:5 or -1e6, which argparse would take for an option
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_values(argv):
+    """Rewrite `--flag -1e6` as `--flag=-1e6`.
+
+    argparse reads a separate token that starts with `-` as a value only when
+    it is a plain negative number, so ranges and exponents need the `=` form.
+    """
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        is_flag = len(prev) > 2 and prev.startswith("--") and "=" not in prev
+        if is_flag and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _run_command(ap, args, out) -> int:
+    if args.command in ("pdf", "cdf"):
+        return _cmd_pdf_cdf(args, args.command, out)
+    if args.command == "mgf":
+        return _cmd_mgf(args, out)
+    if args.command == "asep":
+        return _cmd_asep(args, out)
+    if args.command == "simulate":
+        return _cmd_simulate(args, out)
+    if args.command == "convert":
+        return _cmd_convert(args, out)
+    if args.command == "figures":
+        return _cmd_figures(args, out)
+    ap.error(f"unknown command {args.command}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     out = sys.stdout
     try:
-        if args.command in ("pdf", "cdf"):
-            return _cmd_pdf_cdf(args, args.command, out)
-        if args.command == "mgf":
-            return _cmd_mgf(args, out)
-        if args.command == "asep":
-            return _cmd_asep(args, out)
-        if args.command == "simulate":
-            return _cmd_simulate(args, out)
-        if args.command == "convert":
-            return _cmd_convert(args, out)
-        if args.command == "figures":
-            return _cmd_figures(args, out)
-        ap.error(f"unknown command {args.command}")
+        code = _run_command(ap, args, out)
+        out.flush()  # a closed pipe surfaces here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): silence the interpreter's
+        # final flush of the dead stdout, as the Python docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -511,7 +546,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc.strerror or exc} ({getattr(exc, 'filename', '')})", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -24,11 +24,16 @@ Alternating sums (the envelope/SNR series elsewhere in the package) can
 cancel by many orders of magnitude for strong specular power, so all series
 run on 80-bit long doubles by default and the summation helpers report the
 cancellation ratio sum|t_m| / |sum t_m|.  Callers rerun the same generator in
-mpmath arithmetic when that ratio would visibly contaminate the result.
+mpmath arithmetic when that ratio would visibly contaminate the result
+(run_with_rescue).  A pass with double-longdouble kernels (hi/lo pairs of
+long doubles built from error-free transformations, section at the end)
+runs them instead of mpmath ones while the escalated precision stays
+within _DD_MAX_DPS digits; only the outer sum is then in mpmath.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -49,6 +54,12 @@ _LD = np.longdouble
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 # rounding-error inflation factor for the per-term error model
 _ERR_SAFETY = 4.0
+# highest working precision (decimal digits) the double-longdouble kernels
+# meet; see the double-longdouble section below for the error bound, which
+# assumes the x87 64-bit significand (elsewhere the kernels stay unused)
+_DD_MAX_DPS = 34 if np.finfo(np.longdouble).nmant == 63 else 0
+
+_log = logging.getLogger("twdp")
 
 
 @dataclass(frozen=True)
@@ -90,11 +101,16 @@ class SeriesResult:
 
 
 class _Arith:
-    """Minimal scalar arithmetic context (float64 / longdouble / mpmath)."""
+    """Minimal scalar arithmetic context (float64 / longdouble / mpmath).
 
-    __slots__ = ("name", "cast", "exp", "expm1", "log1p", "sqrt", "eps", "pi")
+    `dd` marks an mpmath context whose precision the double-longdouble
+    kernels meet; a pass that has such kernels may run them instead of
+    pure mpmath ones.
+    """
 
-    def __init__(self, name, cast, exp, expm1, log1p, sqrt, eps, pi):
+    __slots__ = ("name", "cast", "exp", "expm1", "log1p", "sqrt", "eps", "pi", "dd")
+
+    def __init__(self, name, cast, exp, expm1, log1p, sqrt, eps, pi, dd=False):
         self.name = name
         self.cast = cast
         self.exp = exp
@@ -103,6 +119,7 @@ class _Arith:
         self.sqrt = sqrt
         self.eps = eps
         self.pi = pi
+        self.dd = dd
 
 
 _ARITH_LD = _Arith(
@@ -117,7 +134,7 @@ _ARITH_LD = _Arith(
 )
 
 
-def _arith_mp() -> _Arith:
+def _arith_mp(dd_kernels: bool = False) -> _Arith:
     """mpmath context bound to the *current* working precision."""
     return _Arith(
         name=f"mp{mp.mp.dps}",
@@ -128,6 +145,7 @@ def _arith_mp() -> _Arith:
         sqrt=mp.sqrt,
         eps=float(mp.mpf(10) ** (-mp.mp.dps)),
         pi=+mp.pi,
+        dd=dd_kernels and mp.mp.dps <= _DD_MAX_DPS,
     )
 
 
@@ -220,6 +238,7 @@ def run_with_rescue(
     abs_floor: float = 0.0,
     max_dps: int = 120,
     what: str = "series",
+    dd_kernels: bool = False,
 ):
     """Run a summation pass, escalating working precision until trustworthy.
 
@@ -229,9 +248,14 @@ def run_with_rescue(
     total is then noise at the working epsilon), so after each escalation the
     result is re-checked and the precision grows at least geometrically.
     Raises CancellationLossError once max_dps would be exceeded.
+
+    dd_kernels says pass_fn has double-longdouble kernels; an escalated pass
+    within _DD_MAX_DPS digits then gets an arithmetic with `dd` set.  Each
+    escalation is logged at DEBUG level on the "twdp" logger.
     """
-    value, n, trunc, possum_abs, ratio = pass_fn(_ARITH_LD)
-    eps = _ARITH_LD.eps
+    be = _ARITH_LD
+    value, n, trunc, possum_abs, ratio = pass_fn(be)
+    eps = be.eps
     dps = 0
     while needs_rescue(possum_abs, abs(value), eps, rel_target, abs_floor):
         est = rescue_dps(ratio if math.isfinite(ratio) else 1e30)
@@ -242,7 +266,13 @@ def run_with_rescue(
                 ratio,
             )
         with mp.workdps(dps):
-            value, n, trunc, possum_abs, ratio = pass_fn(_arith_mp())
+            failed, be = be.name, _arith_mp(dd_kernels)
+            _log.debug(
+                "%s: cancellation ratio %.3g in the %s pass; "
+                "rerunning at %d digits in %s arithmetic",
+                what, ratio, failed, dps, "dd" if be.dd else "mp",
+            )
+            value, n, trunc, possum_abs, ratio = pass_fn(be)
         eps = 10.0 ** (-dps)
     return value, n, trunc, ratio
 
@@ -617,3 +647,146 @@ def tanh_sinh_rule(level: int, be: _Arith = _ARITH_LD):
         out = (t, omt, w)
     _TS_CACHE[key] = out
     return out
+
+
+# ----------------------------------------------------------------------------
+# double-longdouble arithmetic
+#
+# A dd value is a pair (hi, lo) of long-double arrays whose unevaluated sum
+# carries about 128 bits (38 digits) on x87 80-bit long doubles, u = 2^-64.
+# The error-free transformations (Dekker, Numer. Math. 18, 1971; Hida, Li &
+# Bailey, ARITH-15, 2001) need only round-to-nearest; long doubles have no
+# fused multiply-add, so products go through Veltkamp's split.  A dd product
+# errs by at most 7 u^2 relative (Joldes, Muller & Popescu, ACM TOMS 44(4),
+# 2017), so a value built by m chained products of factors that are
+# themselves within 15 u^2 stays within about 22 m u^2 = 6.5e-38 m: below
+# 10^-_DD_MAX_DPS for the first 1,500 orders.
+
+_DD_SPLITTER = _LD(2**32 + 1)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e == a + b exactly (Knuth)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _fast_two_sum(a, b):
+    """_two_sum for |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """(hi, lo) with hi + lo == a exactly and at most 32 significant bits each."""
+    c = _DD_SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b, b_split=None):
+    """(p, e) with p = fl(a b) and p + e == a b exactly (Dekker).
+
+    b_split is _split(b), for a factor reused across many products.
+    """
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b) if b_split is None else b_split
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(a, b, b_split=None):
+    (ah, al), (bh, bl) = a, b
+    p, e = _two_prod(ah, bh, b_split)
+    return _fast_two_sum(p, e + (ah * bl + al * bh))
+
+
+def _dd_add(a, b):
+    """a + b for dd values of one sign (no cancellation to guard against)."""
+    (ah, al), (bh, bl) = a, b
+    s, e = _two_sum(ah, bh)
+    return _fast_two_sum(s, e + (al + bl))
+
+
+def _dd_div(a, b):
+    (ah, al), (bh, bl) = a, b
+    q = ah / bh
+    p, e = _two_prod(q, bh)
+    r = (((ah - p) - e) + al) - q * bl  # a - q b; ah - p is exact
+    return _fast_two_sum(q, r / bh)
+
+
+def _dd_sqrt(a):
+    ah, al = a
+    s = np.sqrt(ah)
+    p, e = _two_prod(s, s)
+    return _fast_two_sum(s, (((ah - p) - e) + al) / (2 * s))
+
+
+def _extract(x, sigma):
+    """(q, x - q): q is x rounded to the grid of ulp(sigma), sigma a power of
+    two; both parts are exact, and |x - q| <= 2^-64 sigma."""
+    q = (sigma + x) - sigma
+    return q, x - q
+
+
+def _dd_row_sums(a):
+    """Row sums of a dd array with hi >= 0, each as the exact sum of a
+    column of the returned (3, rows) long-double array.
+
+    The parts are within 2^-120 of each row sum (Rump, Ogita & Oishi, SIAM
+    J. Sci. Comput. 31(1), 2008).  A power of two sigma above twice the row
+    sum puts every hi on a grid whose partial sums stay below sigma, so they
+    add exactly.  The remainders are below 2^-64 sigma each, so a grid
+    2^bits >= n + 2 times above that sums them exactly too, leaving parts
+    below 2^-100 of the row sum.  Those and the lo parts, below 2^-64 of
+    theirs, are summed with rounding.
+    """
+    hi, lo = a
+    _, e = np.frexp(hi.sum(axis=-1, keepdims=True))
+    sigma = np.ldexp(_LD(1), e + 1)
+    q, r = _extract(hi, sigma)
+    qr, rr = _extract(r, np.ldexp(sigma, (hi.shape[-1] + 2).bit_length() - 64))
+    return np.stack((q.sum(axis=-1), qr.sum(axis=-1), rr.sum(axis=-1) + lo.sum(axis=-1)))
+
+
+def _ld_sums_to_mpf(parts):
+    """The column sums of a long-double array as mpf values, each exact
+    until rounded once to the working precision."""
+    m, e = np.frexp(parts)
+    out = []
+    for mans, exps in zip(np.ldexp(m, 64).T, (e - 64).T.tolist()):
+        e0 = min(exps)
+        out.append(mp.mpf((sum(int(mv) << (ev - e0) for mv, ev in zip(mans, exps)), e0)))
+    return out
+
+
+def _dd_from_mpf(values):
+    """(hi, lo) long-double arrays nearest to a sequence of mpf values."""
+    def to_ld(x):  # exact for x with at most 64 significant bits
+        man, exp = x.man_exp  # unsigned mantissa
+        return np.ldexp(_LD(-man if x < 0 else man), exp)
+
+    hi, lo = [], []
+    with mp.workprec(64):
+        for v in values:
+            h = +v
+            hi.append(to_ld(h))
+            lo.append(to_ld(v - h))
+    return np.array(hi), np.array(lo)
+
+
+def tanh_sinh_rule_dd(level: int):
+    """tanh_sinh_rule's (t, 1-t, w) as dd arrays, for double-longdouble kernels.
+
+    Built once per level in mpmath, with the node range of a 40-digit rule,
+    then rounded to hi/lo pairs, so each entry holds about 38 digits.
+    """
+    key = (level, "dd")
+    cached = _TS_CACHE.get(key)
+    if cached is None:
+        with mp.workdps(40):
+            rule = tanh_sinh_rule(level, _arith_mp())
+        cached = _TS_CACHE[key] = tuple(_dd_from_mpf(col) for col in rule)
+    return cached

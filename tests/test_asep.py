@@ -1,9 +1,13 @@
 """M-PSK symbol error probability: series, quadrature, and asymptote."""
 
+import logging
 import math
+import re
 
+import mpmath as mp
 import pytest
 
+from twdp import asep
 from twdp import (
     CancellationLossError,
     InvalidParameterError,
@@ -14,6 +18,8 @@ from twdp import (
     asep_exact,
     asep_quadrature,
 )
+
+from twdp.specfun import _arith_mp
 
 from conftest import FIGURE_SETS, rayleigh_bpsk, rayleigh_mpsk, rician_mpsk_quad
 
@@ -177,3 +183,66 @@ class TestDiagnostics:
     def test_invalid_gamma0(self):
         with pytest.raises(InvalidParameterError):
             asep_exact(TwdpParams(k=1.0, gamma=0.0), ModulationSpec(2), 0.0)
+
+
+class TestRescueTiers:
+    """Rescued passes sum the bracket family in double-longdouble arithmetic
+    up to 34 digits and in mpmath beyond."""
+
+    @pytest.mark.parametrize("k", [14.0, 20.0, 25.0])
+    def test_against_50_digit_mpmath_series(self, k):
+        p = TwdpParams(k=k, gamma=1.0)
+        for m_order in (2, 16):
+            mod = ModulationSpec(m_order)
+            for db in (0.0, 20.0, 40.0):
+                g0 = 10.0 ** (db / 10.0)
+                value = asep_exact(p, mod, g0).value
+                with mp.workdps(50):
+                    ref = asep._asep_pass(p, mod, g0, SeriesControl(), _arith_mp())[0]
+                assert value == pytest.approx(ref, rel=1e-12)
+                assert value == pytest.approx(asep_quadrature(p, mod, g0), rel=1e-8)
+
+    def test_k14_needs_no_mpmath_brackets(self, monkeypatch):
+        def unavailable(*args):
+            raise AssertionError("mpmath bracket family called")
+
+        monkeypatch.setattr(asep, "_bracket_family_mp", unavailable)
+        p = TwdpParams(k=14.0, gamma=1.0)
+        for m_order in (2, 16):
+            mod = ModulationSpec(m_order)
+            for g0 in (1.0, 1e4):
+                res = asep_exact(p, mod, g0)
+                assert res.cancellation_ratio > 1e6  # a rescued pass
+                assert res.value == pytest.approx(asep_quadrature(p, mod, g0), rel=1e-8)
+
+    def test_beyond_34_digits_mpmath_brackets(self, monkeypatch):
+        calls = []
+        family = asep._bracket_family_mp
+
+        def counted(*args):
+            calls.append(args)
+            return family(*args)
+
+        monkeypatch.setattr(asep, "_bracket_family_mp", counted)
+        # the long-double pass measures a 2.2e17 cancellation: 35 digits
+        p, mod = TwdpParams(k=20.0, gamma=1.0), ModulationSpec(2)
+        value = asep_exact(p, mod, 1e4).value
+        assert len(calls) == 1
+        assert value == pytest.approx(asep_quadrature(p, mod, 1e4), rel=1e-8)
+
+    def test_dd_only_up_to_34_digits(self):
+        with mp.workdps(34):
+            assert _arith_mp(dd_kernels=True).dd
+            assert not _arith_mp().dd
+        with mp.workdps(35):
+            assert not _arith_mp(dd_kernels=True).dd
+
+    def test_escalation_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="twdp")
+        asep_exact(TwdpParams(k=14.0, gamma=1.0), ModulationSpec(2), 100.0)
+        (rec,) = caplog.records
+        assert rec.name == "twdp" and rec.levelno == logging.DEBUG
+        msg = rec.getMessage()
+        assert msg.startswith("asep series at K=14.0, Gamma=1.0, gamma0=100.0:")
+        assert re.search(r"ratio \d\.\d\de\+\d+ in the longdouble pass", msg)
+        assert re.search(r"at \d+ digits in dd arithmetic$", msg)

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twdp
 from twdp import TwdpParams, cdf, pdf
 from twdp.cli import main
 
@@ -149,6 +153,31 @@ class TestAsepCommand:
         assert code == 2
 
 
+class TestNegativeValues:
+    """A value starting with `-` may follow its flag as a separate token."""
+
+    @pytest.mark.parametrize("argv,first_x", [
+        (("asep", "--k", "8", "--gamma", "0.5", "--snr-db", "-10:10:5",
+          "--method", "quadrature"), -10.0),
+        (("simulate", "--k", "8", "--gamma", "0", "--snr-db", "-10:0:10",
+          "--samples", "2000", "--seed", "3"), -10.0),
+        (("mgf", "--k", "1", "--gamma", "0", "--smin", "-1e6", "--smax", "-.5",
+          "--points", "3"), -1e6),
+    ])
+    def test_same_output_as_equals_form(self, capsys, argv, first_x):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert float(rows[0][0]) == first_x
+        joined = []
+        for tok in argv:
+            if tok.startswith("-") and not tok.startswith("--"):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        assert run_cli(capsys, *joined) == (0, out, "")
+
+
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):
         args = ("simulate", "--k", "8", "--gamma", "0", "--mod-order", "2",
@@ -248,3 +277,31 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "cdf", "--k", "8", "--gamma", "0.5",
                                "--max-terms", "4", "--points", "6")
         assert code == 3
+
+
+class TestSubprocess:
+    @staticmethod
+    def start(*argv, stderr):
+        src = str(Path(twdp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.Popen([sys.executable, "-m", "twdp.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=stderr, env=env)
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # 20,000 rows overflow any pipe buffer, so writes must outlive the reader
+        with open(tmp_path / "err", "w+b") as err:
+            proc = self.start("pdf", "--k", "0", "--points", "20000", stderr=err)
+            assert proc.stdout.readline() == b"x,y,terms_used\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            err.seek(0)
+            assert err.read() == b""
+
+    def test_rescue_prints_nothing_by_default(self):
+        proc = self.start("asep", "--k", "14", "--gamma", "1", "--snr-db", "20:20:1",
+                          "--method", "exact", stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+        assert out.decode().splitlines()[1].endswith(",exact")

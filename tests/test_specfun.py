@@ -1,9 +1,12 @@
 """Special-function kernel against brute-force and quadrature oracles."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate, special
 
 from twdp import (
@@ -20,7 +23,17 @@ from twdp import (
     hyp2f1_poly,
     marcum_q1,
 )
-from twdp.specfun import tanh_sinh_rule
+from twdp.specfun import (
+    _arith_mp,
+    _dd_row_sums,
+    _fast_two_sum,
+    _ld_sums_to_mpf,
+    _split,
+    _two_prod,
+    _two_sum,
+    tanh_sinh_rule,
+    tanh_sinh_rule_dd,
+)
 
 from conftest import appell_f1_double_series, euler_2f1, gauss_2f1_series
 
@@ -300,3 +313,75 @@ class TestTanhSinhRule:
         t, omt, w = tanh_sinh_rule(8)
         val = float(np.sum(w * np.sqrt(t) / np.sqrt(omt)))
         assert val == pytest.approx(math.pi / 2, rel=1e-15)
+
+
+# long doubles with a full 64-bit significand, either sign, moderate exponent
+long_doubles = st.builds(
+    lambda man, exp, neg: np.ldexp(np.longdouble(-man if neg else man), exp),
+    st.integers(2**63, 2**64 - 1),
+    st.integers(-300, 240),
+    st.booleans(),
+)
+
+
+def exact(x) -> Fraction:
+    return Fraction(*x.as_integer_ratio())
+
+
+def mpf_exact(x) -> Fraction:
+    man, exp = x.man_exp  # unsigned mantissa
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
+def significant_bits(x) -> int:
+    num = abs(exact(x).numerator)
+    return (num >> ((num & -num).bit_length() - 1)).bit_length() if num else 0
+
+
+class TestDoubleLongdouble:
+    @given(long_doubles, long_doubles)
+    def test_two_sum_is_error_free(self, a, b):
+        s, e = _two_sum(a, b)
+        assert s == a + b
+        assert exact(s) + exact(e) == exact(a) + exact(b)
+
+    @given(long_doubles, long_doubles)
+    def test_fast_two_sum_is_error_free(self, a, b):
+        a, b = (a, b) if abs(a) >= abs(b) else (b, a)
+        s, e = _fast_two_sum(a, b)
+        assert exact(s) + exact(e) == exact(a) + exact(b)
+
+    @given(long_doubles)
+    def test_split_into_32_bit_halves(self, a):
+        hi, lo = _split(a)
+        assert exact(hi) + exact(lo) == exact(a)
+        assert significant_bits(hi) <= 32 and significant_bits(lo) <= 32
+
+    @given(long_doubles, long_doubles)
+    def test_two_prod_is_error_free(self, a, b):
+        p, e = _two_prod(a, b)
+        assert p == a * b
+        assert exact(p) + exact(e) == exact(a) * exact(b)
+
+    @given(st.lists(st.tuples(long_doubles, st.integers(-(2**40), 2**40)),
+                    min_size=1, max_size=60))
+    def test_row_sums_within_2_to_minus_120(self, items):
+        # positive dd values hi + lo with |lo| far below ulp(hi)
+        hi = np.array([abs(h) for h, _ in items])
+        lo = np.array([np.ldexp(np.longdouble(k), -110) * h for h, (_, k) in zip(hi, items)])
+        parts = _dd_row_sums((np.stack((hi, hi[::-1])), np.stack((lo, lo[::-1]))))
+        want = sum(exact(h) + exact(l) for h, l in zip(hi, lo))
+        for row in range(2):
+            got = sum(exact(v) for v in parts[:, row])
+            assert abs(got - want) <= want / 2**120
+        with mp.workprec(2000):  # wide enough to hold each column sum exactly
+            totals = _ld_sums_to_mpf(parts)
+        for row, total in enumerate(totals):
+            assert mpf_exact(total) == sum(exact(v) for v in parts[:, row])
+
+    def test_node_table_holds_38_digits(self):
+        with mp.workdps(40):
+            ref = tanh_sinh_rule(7, _arith_mp())
+        for (hi, lo), col in zip(tanh_sinh_rule_dd(7), ref):
+            for h, l, r in list(zip(hi, lo, col))[::50]:
+                assert abs((exact(h) + exact(l)) / mpf_exact(r) - 1) < Fraction(1, 2**126)
