@@ -20,12 +20,8 @@ from .params import (
 from .specfun import (
     SeriesControl,
     SeriesResult,
-    appell_f1,
     bessel_i_scaled,
     exp_i0_identity_rhs,
-    hyp1f1_poly,
-    hyp2f1_3half,
-    hyp2f1_poly,
     marcum_q1,
 )
 from .dist import (
@@ -40,8 +36,14 @@ from .dist import (
     pdf_rayleigh,
     pdf_rician,
 )
-from .mgf import mgf_closed, mgf_series
-from .asep import ModulationSpec, asep_asymptotic, asep_exact, asep_quadrature
+from .mgf import mgf_closed, mgf_series, mgf_series_grid
+from .asep import (
+    ModulationSpec,
+    asep_asymptotic,
+    asep_exact,
+    asep_exact_grid,
+    asep_quadrature,
+)
 from .mcsim import Histogram, SerEstimate, SimConfig, histogram, sample_envelope, simulate_psk_ser
 
 __version__ = "0.1.0"
@@ -62,9 +64,9 @@ __all__ = [
     "SnrContext",
     "TwdpError",
     "TwdpParams",
-    "appell_f1",
     "asep_asymptotic",
     "asep_exact",
+    "asep_exact_grid",
     "asep_quadrature",
     "bessel_i_scaled",
     "cdf",
@@ -76,15 +78,13 @@ __all__ = [
     "exp_i0_identity_rhs",
     "gamma_from_delta",
     "histogram",
-    "hyp1f1_poly",
-    "hyp2f1_3half",
-    "hyp2f1_poly",
     "k_from_rice_delta",
     "k_from_rice_gamma",
     "k_rice",
     "marcum_q1",
     "mgf_closed",
     "mgf_series",
+    "mgf_series_grid",
     "pdf",
     "pdf_grid",
     "pdf_rayleigh",

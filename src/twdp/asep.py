@@ -23,15 +23,16 @@ Three routes:
 * asep_asymptotic: the large-g0 closed form
   (1+K)/(2 pi g0) (pi - pi/M + sin(2 pi/M)/2)/sin^2(pi/M) e^{-K} I_0(2 Gamma K/(1+Gamma^2)).
 
-asep_exact follows the same long-double-then-escalate pattern as the other
-alternating series, in three tiers.  The first pass runs on long doubles.
-When its cancellation calls for more digits, the outer sum reruns in
-mpmath at the escalated precision; up to 34 digits the bracket family for
-that rerun is built in double-longdouble numpy arithmetic (20-40x cheaper
-than mpmath lists; each factor within 1e-34 relative, measured near
-1e-37), beyond that in mpmath.  When even the escalated path would need more than _MAX_DPS digits
-it raises CancellationLossError so callers (the CLI does this) can
-substitute asep_quadrature.
+asep_exact_grid follows the same long-double-then-escalate pattern as the
+other alternating series, in three tiers.  The first pass runs on long
+doubles over the whole SNR sweep.  Where its cancellation calls for more
+digits, the outer sum of that point reruns in mpmath at the escalated
+precision; up to 34 digits the bracket family for that rerun is built in
+double-longdouble numpy arithmetic (20-40x cheaper than mpmath lists; each
+factor within 1e-34 relative, measured near 1e-37), beyond that in mpmath.
+A point where even the escalated path would need more than _MAX_DPS digits
+gets a CancellationLossError in place of its result, so callers (the CLI
+does this) can substitute asep_quadrature; asep_exact raises it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from scipy import integrate
 
 from .dist import SnrContext
-from .errors import InvalidParameterError, QuadratureError, SeriesDivergenceError
+from .errors import InvalidParameterError, QuadratureError
 from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
@@ -58,11 +59,14 @@ from .specfun import (
     _dd_mul,
     _dd_row_sums,
     _dd_sqrt,
-    _hyp2f1_neg_mm_seq,
+    _grid,
     _ive_ladder,
     _ld_sums_to_mpf,
-    _run_series,
+    _legendre_2f1_next,
+    _pass_result,
+    _raise_lost,
     _split,
+    _sum_series,
     _two_sum,
     run_with_rescue,
     tanh_sinh_rule,
@@ -95,23 +99,38 @@ class ModulationSpec:
         object.__setattr__(self, "sin2_pim", s * s)
 
 
-def _bracket_family_ld(x0: float, lam: float, y0_abs: float):
-    """Yield (2F1(3/2,1+m;2;-lam), F1(3/2;1/2,1+m;5/2;x0,-y0_abs)) for m = 0, 1, ..."""
+def _bracket_family_ld(x0: float, lam, y0_abs):
+    """The factors 2F1(3/2,1+m;2;-lam) and F1(3/2;1/2,1+m;5/2;x0,-y0_abs)
+    for m = 0, 1, ... at every entry of lam and y0_abs.
+
+    Returns next_order(live): its m-th call gives the order-m factors as a
+    (2, points) array, at the points marked live (0 elsewhere); a point left
+    out once stays out.  The node terms are a rows x points x nodes array;
+    the node axis stays last and contiguous, so each row sum adds the nodes
+    in the same order as a sum over one point's nodes.
+    """
     t, omt, w = tanh_sinh_rule(_TS_LEVEL_LD, _ARITH_LD)
     sq = np.sqrt(t)
     base1 = w * sq / np.sqrt(omt)
     one_minus_x0t = omt + (1 - _LD(x0)) * t  # exact near t = 1 even for x0 = 1
     base2 = w * sq / np.sqrt(one_minus_x0t)
-    g1 = 1 / (1 + _LD(lam) * t)
-    g2 = 1 / (1 + _LD(y0_abs) * t)
-    p1 = base1 * g1
-    p2 = base2 * g2
-    c1 = _LD(2.0) / _ARITH_LD.pi
-    c2 = _LD(1.5)
-    while True:
-        yield c1 * p1.sum(), c2 * p2.sum()
-        p1 = p1 * g1
-        p2 = p2 * g2
+    y = np.stack((lam, y0_abs)).astype(_LD)[:, :, None]
+    g = 1 / (1 + y * t)
+    p = np.stack((base1, base2))[:, None, :] * g
+    c = np.array([2.0 / _ARITH_LD.pi, 1.5], dtype=_LD)[:, None]
+    idx = np.arange(len(lam))
+
+    def next_order(live):
+        nonlocal p, g, idx
+        keep = live[idx]
+        if not keep.all():
+            p, g, idx = p[:, keep], g[:, keep], idx[keep]
+        out = np.zeros((2, len(lam)), dtype=_LD)
+        out[:, idx] = c * p.sum(axis=-1)
+        p = p * g
+        return out
+
+    return next_order
 
 
 def _bracket_family_mp(x0: float, lam: float, y0_abs: float):
@@ -174,60 +193,80 @@ def _bracket_family_dd(x0: float, lam: float, y0_abs: float, orders: int):
             p, g, g_split = ((a[:, keep], b[:, keep]) for a, b in (p, g, g_split))
 
 
-def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0: float, ctl: SeriesControl, be):
+def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ctl: SeriesControl, be):
+    """The series at the average SNRs gamma0[be.points]."""
     K = be.cast(p.k)
     g2 = be.cast(p.gamma) ** 2
     a = K / (1 + g2)
     x0 = be.cast(mod.sin2_pim)
     sp = be.sqrt(x0)
-    g0 = be.cast(gamma0)
-    lam = float((1 + K) / (g0 * x0))
-    y0_abs = float((1 + K) / g0)
+    g0 = be.cast(be.pick(gamma0))
+    lam = ((1 + K) / (g0 * x0)).astype(float)
+    y0_abs = ((1 + K) / g0).astype(float)
     c_bracket = 3 * be.pi / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
     if be.name == "longdouble":
-        fam = _bracket_family_ld(mod.sin2_pim, lam, y0_abs)
-    elif be.dd:
-        fam = _bracket_family_dd(mod.sin2_pim, lam, y0_abs, ctl.max_terms)
+        next_order = _bracket_family_ld(mod.sin2_pim, lam, y0_abs)
     else:
-        fam = _bracket_family_mp(mod.sin2_pim, lam, y0_abs)
+        # rescued points keep one bracket family each
+        if be.dd:
+            fams = [_bracket_family_dd(mod.sin2_pim, lm, y0, ctl.max_terms)
+                    for lm, y0 in zip(lam, y0_abs)]
+        else:
+            fams = [_bracket_family_mp(mod.sin2_pim, lm, y0) for lm, y0 in zip(lam, y0_abs)]
 
-    def terms():
-        h2_seq = _hyp2f1_neg_mm_seq(g2, be)
-        cm = be.cast(1.0)
-        m = 0
-        for t1, f1 in fam:
-            yield cm * next(h2_seq) * (c_bracket * t1 - f1)
-            m += 1
-            cm = cm * (-a) / m
+        def next_order(live):
+            return np.array([next(f) if on else (0, 0) for f, on in zip(fams, live)],
+                            dtype=object).T
+    leg_prev, leg = be.cast(0.0), be.cast(1.0)
+    cm = be.cast(1.0)
 
-    s, n, last, possum, ok = _run_series(
-        terms(), ctl, min_terms=term_hump_guard(p.k, p.gamma)
+    def term(m, live):
+        nonlocal leg_prev, leg, cm
+        t1, f1 = next_order(live)
+        # array operand first: an mpf meeting an array tries (slowly) to convert it
+        t = (t1 * c_bracket - f1) * (cm * leg)
+        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, g2)
+        cm = cm * (-a) / (m + 1)
+        return t
+
+    s, n, last, possum, ok = _sum_series(
+        term, len(g0), ctl, min_terms=term_hump_guard(p.k, p.gamma)
     )
-    if not ok:
-        raise SeriesDivergenceError(f"asep series did not converge in {n} terms", n)
     pref = sp * (1 + K) / (3 * be.pi * g0)
-    sabs = abs(s)
-    trunc = float(last / sabs) if sabs > 0 else math.inf
-    ratio = float(possum / sabs) if sabs > 0 else math.inf
-    return float(pref * s), n, trunc, float(pref * possum), ratio
+    return _pass_result("asep", pref, s, n, last, possum, ok)
 
 
 def asep_exact(
     p: TwdpParams, mod: ModulationSpec, gamma0: float, ctl: SeriesControl | None = None
 ) -> SeriesResult:
-    """Exact M-PSK symbol error probability from the explicit series."""
-    if gamma0 <= 0 or not math.isfinite(gamma0):
-        raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
+    """Exact M-PSK symbol error probability from the explicit series.
+
+    Raises CancellationLossError where the series would need more than
+    _MAX_DPS digits.
+    """
+    return _raise_lost(asep_exact_grid(p, mod, [gamma0], ctl))[0]
+
+
+def asep_exact_grid(
+    p: TwdpParams, mod: ModulationSpec, gamma0s, ctl: SeriesControl | None = None
+) -> list:
+    """Exact M-PSK symbol error probability along a sweep of average SNRs.
+
+    Returns a SeriesResult per point, or the CancellationLossError of a
+    point where the series would need more than _MAX_DPS digits (callers
+    such as the CLI substitute asep_quadrature there).
+    """
+    g0 = _grid(gamma0s, lambda v: np.isfinite(v) & (v > 0), "gamma0 must be positive")
     ctl = ctl or SeriesControl()
-    value, n, trunc, ratio = run_with_rescue(
-        lambda be: _asep_pass(p, mod, gamma0, ctl, be),
+    return run_with_rescue(
+        lambda be: _asep_pass(p, mod, g0, ctl, be),
+        len(g0),
         _REL_TARGET,
         max_dps=_MAX_DPS,
-        what=f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={gamma0}",
+        what=lambda i: f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}",
         dd_kernels=True,
     )
-    return SeriesResult(value, n, trunc, ratio)
 
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:

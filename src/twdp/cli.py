@@ -19,19 +19,18 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import dist, mcsim, params
-from .asep import ModulationSpec, asep_asymptotic, asep_exact, asep_quadrature
+from .asep import ModulationSpec, asep_asymptotic, asep_exact_grid, asep_quadrature
 from .errors import (
     CancellationLossError,
     InvalidParameterError,
     QuadratureError,
     SeriesDivergenceError,
 )
-from .mgf import mgf_closed, mgf_series
+from .mgf import mgf_closed, mgf_series_grid
 from .params import TwdpParams
 from .specfun import SeriesControl
 
@@ -51,44 +50,22 @@ FIGURE_SETS = (
 )
 
 
-class Axis(str, Enum):
-    ENVELOPE_R = "envelope_r"
-    SNR_DB = "snr_db"
-    GAMMA = "gamma"
-    DELTA = "delta"
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """Uniform sweep specification for one CSV x-axis."""
 
-    axis: Axis
     start: float
     stop: float
     points: int
-    scale: str = "linear"
 
     def __post_init__(self):
         if self.points < 2:
             raise InvalidParameterError(f"points must be >= 2, got {self.points}")
         if not self.start < self.stop:
             raise InvalidParameterError("grid start must be below stop")
-        if self.scale not in ("linear", "log"):
-            raise InvalidParameterError(f"scale must be linear or log, got {self.scale}")
 
     def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One emitted row: x, y, plus auxiliary columns (terms, tags, ...)."""
-
-    x: float
-    y: float
-    aux: dict | None = None
 
 
 def _fmt_cell(v) -> str:
@@ -146,10 +123,14 @@ def _parse_snr_range(spec: str) -> np.ndarray:
         raise InvalidParameterError(
             f"--snr-db expects from:to:step, got {spec!r}"
         ) from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InvalidParameterError(f"--snr-db bounds must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise InvalidParameterError(f"bad --snr-db range {spec!r}")
-    n = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(n)
+    # a float step that reaches the stop may count one step short of it
+    # (0.3 / 0.1 < 3) or overshoot it (3 * 0.1 > 0.3): allow for both
+    n = math.floor((stop - start) / step * (1 + 1e-9)) + 1
+    return np.minimum(start + step * np.arange(n), stop)
 
 
 def _default_workers() -> int:
@@ -168,18 +149,13 @@ def _cmd_pdf_cdf(args, which: str, out) -> int:
     p = _params_from_args(args)
     ctl = _series_control(args)
     scale = math.sqrt(p.omega) if args.normalized else 1.0
-    xs = SweepGrid(Axis.ENVELOPE_R, 0.0, args.rmax, args.points).values()
-    points = []
+    xs = SweepGrid(0.0, args.rmax, args.points).values()
     if which == "pdf":
-        for x in xs:
-            res = dist.pdf(p, float(x) * scale, ctl)
-            points.append(CurvePoint(float(x), res.value * scale,
-                                     {"terms_used": res.terms_used}))
+        rows = [(x, res.value * scale, res.terms_used)
+                for x, res in zip(xs, dist.pdf_grid(p, xs * scale, ctl))]
     else:
-        for res, x in zip(dist.cdf_grid(p, xs * scale, ctl), xs):
-            points.append(CurvePoint(float(x), res.value,
-                                     {"terms_used": res.terms_used}))
-    rows = [(pt.x, pt.y, pt.aux["terms_used"]) for pt in points]
+        rows = [(x, res.value, res.terms_used)
+                for x, res in zip(xs, dist.cdf_grid(p, xs * scale, ctl))]
     _write_csv(["x", "y", "terms_used"], rows, out)
     return EXIT_OK
 
@@ -191,33 +167,31 @@ def _cmd_mgf(args, out) -> int:
     ctx = dist.SnrContext.from_average_snr(p, gamma0)
     if args.smin >= args.smax or args.smax > 0:
         raise InvalidParameterError("mgf sweep requires smin < smax <= 0")
-    xs = np.linspace(args.smin, args.smax, args.points)
+    xs = SweepGrid(args.smin, args.smax, args.points).values()
+    rows = [[float(s)] for s in xs]
     header = ["s"]
     if args.method in ("series", "both"):
         header += ["mgf_series", "terms_used"]
+        for row, res in zip(rows, mgf_series_grid(p, ctx, xs, ctl)):
+            row += [res.value, res.terms_used]
     if args.method in ("closed", "both"):
         header += ["mgf_closed"]
-    rows = []
-    for s in xs:
-        row = [float(s)]
-        if args.method in ("series", "both"):
-            res = mgf_series(p, ctx, float(s), ctl)
-            row += [res.value, res.terms_used]
-        if args.method in ("closed", "both"):
-            row += [mgf_closed(p, ctx, float(s))]
-        rows.append(row)
+        for row, s in zip(rows, xs):
+            row.append(mgf_closed(p, ctx, float(s)))
     _write_csv(header, rows, out)
     return EXIT_OK
 
 
-def _asep_exact_with_fallback(p, mod, gamma0, ctl):
-    """(value, terms, tag); substitutes quadrature when the series flags
-    unrecoverable cancellation."""
-    try:
-        res = asep_exact(p, mod, gamma0, ctl)
-        return res.value, res.terms_used, "exact"
-    except CancellationLossError:
-        return asep_quadrature(p, mod, gamma0), 0, "quadrature-fallback"
+def _asep_exact_with_fallback(p, mod, gamma0s, ctl):
+    """(value, terms, tag) per average SNR; substitutes quadrature at the
+    points where the series flags unrecoverable cancellation."""
+    out = []
+    for gamma0, res in zip(gamma0s, asep_exact_grid(p, mod, gamma0s, ctl)):
+        if isinstance(res, CancellationLossError):
+            out.append((asep_quadrature(p, mod, gamma0), 0, "quadrature-fallback"))
+        else:
+            out.append((res.value, res.terms_used, "exact"))
+    return out
 
 
 def _cmd_asep(args, out) -> int:
@@ -227,14 +201,15 @@ def _cmd_asep(args, out) -> int:
     snrs = _parse_snr_range(args.snr_db)
     methods = ["exact", "asymptotic", "quadrature"] if args.method == "all" else [args.method]
     header = ["snr_db"] + methods + (["method_tag"] if "exact" in methods else [])
+    gamma0s = [10.0 ** (db / 10.0) for db in snrs]
+    if "exact" in methods:
+        exact = _asep_exact_with_fallback(p, mod, gamma0s, ctl)
     rows = []
-    for db in snrs:
-        gamma0 = 10.0 ** (db / 10.0)
+    for i, (db, gamma0) in enumerate(zip(snrs, gamma0s)):
         row = [float(db)]
-        tag = ""
         for m in methods:
             if m == "exact":
-                value, _terms, tag = _asep_exact_with_fallback(p, mod, gamma0, ctl)
+                value, _terms, tag = exact[i]
                 row.append(value)
             elif m == "asymptotic":
                 row.append(asep_asymptotic(p, mod, gamma0))
@@ -284,15 +259,11 @@ def _cmd_convert(args, out) -> int:
     return EXIT_OK
 
 
-def _figure_sets(sigma2):
-    out = []
-    for k, g, tag in FIGURE_SETS:
-        out.append((TwdpParams(k=k, gamma=g) if sigma2 is None
-                    else TwdpParams(k=k, gamma=g, sigma2=sigma2), tag))
-    return out
-
-
 def _cmd_figures(args, out) -> int:
+    if not (math.isfinite(args.snr_step) and args.snr_step > 0):
+        raise InvalidParameterError(f"--snr-step must be positive, got {args.snr_step}")
+    v_ratio = SweepGrid(0.0, 1.0, args.points).values()
+    r_norm = SweepGrid(0.0, 3.5, args.points).values()
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     ctl = SeriesControl()
@@ -311,7 +282,6 @@ def _cmd_figures(args, out) -> int:
         out.write(f"wrote {path}\n")
 
     # parameter-map curves
-    v_ratio = np.linspace(0.0, 1.0, args.points)
     emit(
         "fig1.csv",
         ["v2_over_v1", "delta", "gamma"],
@@ -333,8 +303,7 @@ def _cmd_figures(args, out) -> int:
     )
 
     # normalized envelope pdf/cdf curves for the four parameter sets
-    sets = _figure_sets(None)
-    r_norm = np.linspace(0.0, 3.5, args.points)
+    sets = [(TwdpParams(k=k, gamma=g), tag) for k, g, tag in FIGURE_SETS]
     for which, fname in (("pdf", "fig3a.csv"), ("cdf", "fig3b.csv")):
         header = ["r_norm"] + [f"{which}_{tag}" for _, tag in sets]
         cols = []
@@ -342,7 +311,7 @@ def _cmd_figures(args, out) -> int:
         for p, _tag in sets:
             scale = math.sqrt(p.omega)
             if which == "pdf":
-                res = [dist.pdf(p, float(x) * scale, ctl) for x in r_norm]
+                res = dist.pdf_grid(p, r_norm * scale, ctl)
                 cols.append([v.value * scale for v in res])
             else:
                 res = dist.cdf_grid(p, r_norm * scale, ctl)
@@ -357,20 +326,21 @@ def _cmd_figures(args, out) -> int:
 
     # exact / asymptotic / simulated symbol error rate, one file per PSK order
     snrs = np.arange(0.0, 40.0 + 1e-9, args.snr_step)
+    gamma0s = [10.0 ** (db / 10.0) for db in snrs]
     cfg_kwargs = dict(n_samples=args.samples, seed=args.seed, workers=args.workers)
     for m_order, fname in ((2, "fig4a.csv"), (4, "fig4b.csv"), (8, "fig4c.csv"), (16, "fig4d.csv")):
         mod = ModulationSpec(m_order)
         header = ["snr_db"]
         for _, tag in sets:
             header += [f"exact_{tag}", f"asym_{tag}", f"sim_{tag}", f"sim_ci95_{tag}"]
+        exact = [_asep_exact_with_fallback(p, mod, gamma0s, ctl) for p, _ in sets]
         rows = []
         fallbacks = []
         max_terms = 0
-        for db in snrs:
-            gamma0 = 10.0 ** (db / 10.0)
+        for i, (db, gamma0) in enumerate(zip(snrs, gamma0s)):
             row = [float(db)]
-            for p, tag in sets:
-                value, terms, tag_method = _asep_exact_with_fallback(p, mod, gamma0, ctl)
+            for (p, tag), col in zip(sets, exact):
+                value, terms, tag_method = col[i]
                 max_terms = max(max_terms, terms)
                 if tag_method != "exact":
                     fallbacks.append({"snr_db": float(db), "set": tag})
@@ -395,16 +365,13 @@ def _cmd_figures(args, out) -> int:
         ("fig6b.csv", gamma_family, "gamma"),
     ):
         header = ["snr_db"] + [f"asep_{flavor}_{v:g}" for v in values]
-        rows = []
-        for db in snrs:
-            gamma0 = 10.0 ** (db / 10.0)
-            row = [float(db)]
-            for v in values:
-                gamma = params.gamma_from_delta(v) if flavor == "delta" else v
-                p = TwdpParams(k=6.0, gamma=gamma)
-                value, _terms, _tag = _asep_exact_with_fallback(p, mod2, gamma0, ctl)
-                row.append(value)
-            rows.append(row)
+        cols = []
+        for v in values:
+            gamma = params.gamma_from_delta(v) if flavor == "delta" else v
+            p = TwdpParams(k=6.0, gamma=gamma)
+            cols.append([value for value, _terms, _tag in
+                         _asep_exact_with_fallback(p, mod2, gamma0s, ctl)])
+        rows = [[float(db), *vals] for db, *vals in zip(snrs, *cols)]
         emit(fname, header, rows, {
             "k": 6.0,
             "m_order": 2,

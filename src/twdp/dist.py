@@ -29,29 +29,30 @@ would overflow even long doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CancellationLossError, InvalidParameterError, SeriesDivergenceError
+from .errors import CancellationLossError, InvalidParameterError
 from .params import TwdpParams
 from . import specfun
 from .specfun import (
     SeriesControl,
     SeriesResult,
     _ARITH_LD,
-    _hyp1f1_seq,
-    _hyp2f1_neg_mm_seq,
-    term_hump_guard,
     _ive_ladder,
-    _run_series,
+    _legendre_2f1_next,
+    _grid,
+    _pass_result,
+    _raise_lost,
+    _sum_series,
     marcum_q1,
     needs_rescue,
     run_with_rescue,
+    term_hump_guard,
 )
 
 _LD = np.longdouble
-_LD_EPS_F = float(np.finfo(np.longdouble).eps)
 _REL_TARGET = 1e-11
 _ABS_FLOOR = 1e-13
 _MAX_DPS = 120
@@ -91,132 +92,149 @@ class SnrContext:
 # envelope PDF
 
 
-def _pdf_pass(p: TwdpParams, r: float, ctl: SeriesControl, be):
+def _pdf_pass(p: TwdpParams, r, ctl: SeriesControl, be):
+    """The pdf series at the envelope values r[be.points] (all > 0)."""
     K = be.cast(p.k)
     G = be.cast(p.gamma)
     s2 = be.cast(p.sigma2)
-    rb = be.cast(r)
+    rb = be.cast(be.pick(r))
     g2 = G * G
     b1 = 2 * be.sqrt(K / (2 * s2) / (1 + g2))
     b2 = G * b1
     c = 2 * K * G / (1 + g2)
-    x1, x2, x3 = b1 * rb, b2 * rb, c
+    x1, x2 = rb * b1, rb * b2  # array first: an mpf meeting an array tries (slowly) to convert it
 
+    # each point sums terms up to the ladder order nu; the points that
+    # need more rerun on a ladder twice as long
+    s, last, possum = (np.empty(len(rb), dtype=rb.dtype) for _ in range(3))
+    n = np.zeros(len(rb), dtype=np.int64)
+    ok = np.zeros(len(rb), dtype=bool)
+    todo = np.arange(len(rb))
     nu = 48
     while True:
-        iv1 = _ive_ladder(x1, nu, be)
-        iv2 = _ive_ladder(x2, nu, be)
-        iv3 = _ive_ladder(x3, nu, be)
+        iv1 = _ive_ladder(x1[todo], nu, be)
+        iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2[todo], nu, be)  # x2 = Gamma x1
+        iv3 = _ive_ladder(c, nu, be)
 
-        def terms():
-            for m in range(nu + 1):
-                t = iv1[m] * iv2[m] * iv3[m]
-                if m:
-                    t = 2 * t
-                    if m & 1:
-                        t = -t
-                yield t
+        def term(m, _live):
+            t = iv1[m] * iv2[m] * iv3[m]
+            if m:
+                t = 2 * t
+                if m & 1:
+                    t = -t
+            return t
 
-        s, n, last, possum, ok = _run_series(terms(), ctl, n_limit=nu + 1)
-        if ok:
+        s[todo], n[todo], last[todo], possum[todo], ok[todo] = _sum_series(
+            term, len(todo), ctl, n_limit=nu + 1
+        )
+        todo = todo[~ok[todo]]
+        if not todo.size or nu >= ctl.max_terms:
             break
-        if nu >= ctl.max_terms:
-            raise SeriesDivergenceError(
-                f"envelope pdf series did not converge in {n} terms", n
-            )
         nu = min(2 * nu, ctl.max_terms)
 
-    expo = -rb * rb / (2 * s2) - K + (b1 + b2) * rb + c
+    expo = -rb * rb / (2 * s2) - K + rb * (b1 + b2) + c
     pref = rb / s2 * be.exp(expo)
-    sabs = abs(s)
-    trunc = float(last / sabs) if sabs > 0 else math.inf
-    ratio = float(possum / sabs) if sabs > 0 else math.inf
-    return float(pref * s), n, trunc, float(pref * possum), ratio
+    return _pass_result("envelope pdf", pref, s, n, last, possum, ok)
 
 
 def pdf(p: TwdpParams, r: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """Envelope probability density f_R(r)."""
-    if r < 0 or not math.isfinite(r):
-        raise InvalidParameterError(f"r must be finite and >= 0, got {r}")
-    if r == 0.0:
-        return SeriesResult(0.0, 0, 0.0, 1.0)
-    ctl = ctl or SeriesControl()
-    value, n, trunc, ratio = run_with_rescue(
-        lambda be: _pdf_pass(p, float(r), ctl, be),
-        _REL_TARGET,
-        _ABS_FLOOR,
-        _MAX_DPS,
-        what=f"envelope pdf at r={r}",
-    )
-    return SeriesResult(value, n, trunc, ratio)
+    return pdf_grid(p, [r], ctl)[0]
 
 
 def pdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[SeriesResult]:
-    """Pointwise pdf along a grid of envelope values."""
+    """Envelope probability density along a grid of envelope values."""
     ctl = ctl or SeriesControl()
-    return [pdf(p, float(r), ctl) for r in np.asarray(rs, dtype=float).ravel()]
+    r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
+    out = [SeriesResult(0.0, 0, 0.0, 1.0)] * len(r)
+    live = np.flatnonzero(r > 0)
+    results = _raise_lost(run_with_rescue(
+        lambda be: _pdf_pass(p, r[live], ctl, be),
+        len(live),
+        _REL_TARGET,
+        _ABS_FLOOR,
+        _MAX_DPS,
+        what=lambda i: f"envelope pdf at r={float(r[live[i]])}",
+    ))
+    for i, res in zip(live, results):
+        out[i] = res
+    return out
 
 
 # ----------------------------------------------------------------------------
 # envelope / SNR CDF, one series in the variable x
 
 
-def _cdf_pass(p: TwdpParams, x: float, ctl: SeriesControl, be):
+def _cdf_pass(p: TwdpParams, x, ctl: SeriesControl, be, freeze: bool = True):
+    """The cdf series at the points x[be.points], all in (0, _CDF_X_CLAMP]."""
     K = be.cast(p.k)
     G = be.cast(p.gamma)
     g2 = G * G
-    xb = be.cast(x)
+    xb = be.cast(be.pick(x))
     a = K / (1 + g2)
+    # 1F1(1-m; 2; x) = L_{m-1}^{(1)}(x) / m runs on the Laguerre recurrence
+    # (m+1) G_{m+1} = (2m - x) G_m - (m-1) G_{m-1}, G_1 = 1; its monomial
+    # form cancels completely for m beyond ~45 where x < 4m
+    lag_prev, lag = xb * 0, xb * 0 + 1
+    leg_prev, leg = be.cast(0.0), be.cast(1.0)
+    cm = be.cast(1.0)
 
-    def terms():
-        h1_seq = _hyp1f1_seq(xb, be)
-        h2_seq = _hyp2f1_neg_mm_seq(g2, be)
-        cm = be.cast(1.0)
-        m = 0
-        while True:
-            h1 = be.expm1(xb) / xb if m == 0 else next(h1_seq)
-            yield cm * h1 * next(h2_seq)
-            m += 1
-            cm = cm * (-a) / m
+    def term(m, _live):
+        nonlocal lag_prev, lag, leg_prev, leg, cm
+        if m == 0:
+            h1 = be.expm1(xb) / xb
+        else:
+            h1 = lag
+            lag_prev, lag = lag, ((2 * m - xb) * lag - (m - 1) * lag_prev) / (m + 1)
+        t = h1 * cm * leg  # array first: an mpf meeting an array tries (slowly) to convert it
+        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, g2)
+        cm = cm * (-a) / (m + 1)
+        return t
 
-    s, n, last, possum, ok = _run_series(
-        terms(), ctl, min_terms=term_hump_guard(p.k, p.gamma)
+    s, n, last, possum, ok = _sum_series(
+        term, len(xb), ctl, min_terms=term_hump_guard(p.k, p.gamma), freeze=freeze
     )
-    if not ok:
-        raise SeriesDivergenceError(f"cdf series did not converge in {n} terms", n)
-    pref = xb * be.exp(-xb)
-    sabs = abs(s)
-    trunc = float(last / sabs) if sabs > 0 else math.inf
-    ratio = float(possum / sabs) if sabs > 0 else math.inf
-    return float(pref * s), n, trunc, float(pref * possum), ratio
+    return _pass_result("cdf", xb * be.exp(-xb), s, n, last, possum, ok)
 
 
-def _cdf_at_x(p: TwdpParams, x: float, ctl: SeriesControl) -> SeriesResult:
-    if x == 0.0:
-        return SeriesResult(0.0, 0, 0.0, 1.0)
-    if x > _CDF_X_CLAMP:
-        # complement is below exp(-((sqrt(x) - sqrt(2K))^2)/2-ish) < 1e-180
-        return SeriesResult(1.0, 0, 0.0, 1.0)
-    value, n, trunc, ratio = run_with_rescue(
-        lambda be: _cdf_pass(p, x, ctl, be),
+def _cdf_grid_x(p: TwdpParams, x, ctl: SeriesControl) -> list[SeriesResult]:
+    """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0.
+
+    One long-double pass runs over the grid; its sums run on to the grid's
+    last stop, so a value depends on the grid it is part of (freezing each
+    at its own stop would move the last printed digit of about one curve
+    row in seven).  The points whose result it cannot trust rerun on their
+    own through run_with_rescue, at x rounded to double.
+    """
+    out = [SeriesResult(0.0 if xi == 0 else 1.0, 0, 0.0, 1.0) for xi in x]
+    # above the clamp the complement is below exp(-((sqrt(x) - sqrt(2K))^2)/2-ish) < 1e-180
+    live = np.flatnonzero((x > 0) & (x <= _CDF_X_CLAMP))
+    value, _, n, trunc, possum, ratio = _cdf_pass(p, x[live], ctl, _ARITH_LD, freeze=False)
+    results = list(map(SeriesResult, value.tolist(), n.tolist(), trunc.tolist(), ratio.tolist()))
+    redo = np.flatnonzero(needs_rescue(possum, abs(value), _ARITH_LD.eps, _REL_TARGET, _ABS_FLOOR))
+    xr = x[live[redo]].astype(float)
+    for j, res in zip(redo, _raise_lost(run_with_rescue(
+        lambda be: _cdf_pass(p, xr, ctl, be),
+        len(redo),
         _REL_TARGET,
         _ABS_FLOOR,
         _MAX_DPS,
-        what=f"envelope cdf at x={x}",
-    )
-    if not -1e-9 <= value <= 1.0 + 1e-9:
-        raise CancellationLossError(
-            f"cdf series lost too many digits: value {value} at x={x}", ratio
-        )
-    return SeriesResult(min(1.0, max(0.0, value)), n, trunc, ratio)
+        what=lambda i: f"envelope cdf at x={float(xr[i])}",
+    ))):
+        results[j] = res
+    for i, res in zip(live, results):
+        if not -1e-9 <= res.value <= 1.0 + 1e-9:
+            raise CancellationLossError(
+                f"cdf series lost too many digits: value {res.value} at x={float(x[i])}",
+                res.cancellation_ratio,
+            )
+        out[i] = replace(res, value=min(1.0, max(0.0, res.value)))
+    return out
 
 
 def cdf(p: TwdpParams, r: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """Envelope distribution function F_R(r)."""
-    if r < 0 or not math.isfinite(r):
-        raise InvalidParameterError(f"r must be finite and >= 0, got {r}")
-    ctl = ctl or SeriesControl()
-    return _cdf_at_x(p, float(r) ** 2 / (2.0 * p.sigma2), ctl)
+    return cdf_grid(p, [r], ctl)[0]
 
 
 def cdf_snr(
@@ -225,97 +243,15 @@ def cdf_snr(
     """SNR distribution function F_gamma(gamma) for average SNR ctx.gamma0."""
     if gamma < 0 or not math.isfinite(gamma):
         raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
-    ctl = ctl or SeriesControl()
-    return _cdf_at_x(p, gamma * (1.0 + p.k) / ctx.gamma0, ctl)
+    x = np.array([gamma * (1.0 + p.k) / ctx.gamma0], dtype=_LD)
+    return _cdf_grid_x(p, x, ctl or SeriesControl())[0]
 
 
 def cdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[SeriesResult]:
-    """CDF along an envelope grid; vectorized long-double inner loop.
-
-    Runs the shared series over the whole grid at once and falls back to the
-    scalar (precision-escalating) path only at points whose recorded
-    cancellation breaches the accuracy target.
-    """
-    ctl = ctl or SeriesControl()
-    r_arr = np.asarray(rs, dtype=float).ravel()
-    x = r_arr.astype(np.longdouble) ** 2 / (2 * _LD(p.sigma2))
-    live = (x > 0) & (x <= _CDF_X_CLAMP)
-
-    K = _LD(p.k)
-    g2 = _LD(p.gamma) ** 2
-    a = K / (1 + g2)
-    xl = np.where(live, x, _LD(1.0))  # placeholder to keep expm1/x finite
-
-    s = np.zeros_like(xl)
-    comp = np.zeros_like(xl)
-    possum = np.zeros_like(xl)
-    below = np.zeros(xl.shape, dtype=np.int64)
-    stop_m = np.full(xl.shape, -1, dtype=np.int64)
-    last_t = np.zeros_like(xl)
-
-    cm = _LD(1.0)
-    converged = False
-    n = 0
-    guard = min(term_hump_guard(p.k, p.gamma), ctl.max_terms)
-    h2_seq = _hyp2f1_neg_mm_seq(g2, _ARITH_LD)
-    # Laguerre-recurrence state for the vectorized 1F1(1-m; 2; x) factors
-    g_prev = np.zeros_like(xl)
-    g_cur = np.ones_like(xl)
-    for m in range(ctl.max_terms):
-        if m == 0:
-            h1 = np.expm1(xl) / xl
-        else:
-            h1 = g_cur
-            g_prev, g_cur = (
-                g_cur,
-                ((2 * m - xl) * g_cur - (m - 1) * g_prev) / (m + 1),
-            )
-        h2 = next(h2_seq)
-        t = cm * h1 * h2
-        # vector Kahan step
-        y = t - comp
-        tot = s + y
-        comp = (tot - s) - y
-        s = tot
-        possum = possum + np.abs(t)
-        last_t = np.abs(t)
-        small = (m + 1 >= guard) & (last_t <= ctl.rel_tol * np.abs(s))
-        below = np.where(small, below + 1, 0)
-        hit = (below >= ctl.consec_below) & (stop_m < 0)
-        stop_m = np.where(hit, m + 1, stop_m)
-        n = m + 1
-        cm = cm * (-a) / (m + 1)
-        if np.all((stop_m > 0) | ~live):
-            converged = True
-            break
-    if not converged and np.any(live & (stop_m < 0)):
-        raise SeriesDivergenceError(f"cdf grid series did not converge in {n} terms", n)
-
-    pref = xl * np.exp(-xl)
-    values = pref * s
-    sabs = np.abs(s)
-    out: list[SeriesResult] = []
-    for i, xi in enumerate(x):
-        if not live[i]:
-            if float(xi) == 0.0:
-                out.append(SeriesResult(0.0, 0, 0.0, 1.0))
-            else:
-                out.append(SeriesResult(1.0, 0, 0.0, 1.0))
-            continue
-        ratio = float(possum[i] / sabs[i]) if sabs[i] > 0 else math.inf
-        val = float(values[i])
-        if needs_rescue(
-            float(pref[i] * possum[i]), abs(val), _LD_EPS_F, _REL_TARGET, _ABS_FLOOR
-        ):
-            out.append(_cdf_at_x(p, float(xi), ctl))
-            continue
-        trunc = float(last_t[i] / sabs[i]) if sabs[i] > 0 else math.inf
-        if not -1e-9 <= val <= 1.0 + 1e-9:
-            raise CancellationLossError(
-                f"cdf series lost too many digits: value {val} at x={float(xi)}", ratio
-            )
-        out.append(SeriesResult(min(1.0, max(0.0, val)), int(stop_m[i]), trunc, ratio))
-    return out
+    """Envelope distribution function along a grid of envelope values."""
+    r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
+    x = r.astype(_LD) ** 2 / (2 * _LD(p.sigma2))
+    return _cdf_grid_x(p, x, ctl or SeriesControl())
 
 
 # ----------------------------------------------------------------------------

@@ -23,15 +23,18 @@ import math
 import numpy as np
 
 from .dist import SnrContext
-from .errors import InvalidParameterError, SeriesDivergenceError
+from .errors import InvalidParameterError
 from .params import TwdpParams
 from .specfun import (
     SeriesControl,
     SeriesResult,
     _ARITH_LD,
-    _hyp2f1_neg_mm_seq,
+    _grid,
     _ive_ladder,
-    _run_series,
+    _legendre_2f1_next,
+    _pass_result,
+    _raise_lost,
+    _sum_series,
     run_with_rescue,
     term_hump_guard,
 )
@@ -48,47 +51,48 @@ def _snr_ratio(k, gamma0, s, be):
     return (1 + be.cast(k)) / den - 1, den
 
 
-def _mgf_series_pass(p: TwdpParams, gamma0: float, s: float, ctl: SeriesControl, be):
+def _mgf_series_pass(p: TwdpParams, gamma0: float, s, ctl: SeriesControl, be):
+    """The series at the points s[be.points]."""
     g2 = be.cast(p.gamma) ** 2
     a = be.cast(p.k) / (1 + g2)
-    u, den = _snr_ratio(p.k, gamma0, s, be)
+    u, den = _snr_ratio(p.k, gamma0, be.pick(s), be)
     q = a * u
+    cm = u * 0 + 1
+    leg_prev, leg = be.cast(0.0), be.cast(1.0)
 
-    def terms():
-        h2_seq = _hyp2f1_neg_mm_seq(g2, be)
-        cm = be.cast(1.0)
-        m = 0
-        while True:
-            yield cm * next(h2_seq)
-            m += 1
-            cm = cm * q / m
+    def term(m, _live):
+        nonlocal cm, leg_prev, leg
+        t = cm * leg
+        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, g2)
+        cm = cm * q / (m + 1)
+        return t
 
-    ssum, n, last, possum, ok = _run_series(
-        terms(), ctl, min_terms=term_hump_guard(p.k, p.gamma)
+    ssum, n, last, possum, ok = _sum_series(
+        term, len(u), ctl, min_terms=term_hump_guard(p.k, p.gamma)
     )
-    if not ok:
-        raise SeriesDivergenceError(f"mgf series did not converge in {n} terms", n)
-    pref = (1 + be.cast(p.k)) / den
-    sabs = abs(ssum)
-    trunc = float(last / sabs) if sabs > 0 else math.inf
-    ratio = float(possum / sabs) if sabs > 0 else math.inf
-    return float(pref * ssum), n, trunc, float(pref * possum), ratio
+    return _pass_result("mgf", (1 + be.cast(p.k)) / den, ssum, n, last, possum, ok)
 
 
 def mgf_series(
     p: TwdpParams, ctx: SnrContext, s: float, ctl: SeriesControl | None = None
 ) -> SeriesResult:
     """SNR MGF in series form, valid for s <= 0."""
-    if s > 0 or not math.isfinite(s):
-        raise InvalidParameterError(f"s must be finite and <= 0, got {s}")
+    return mgf_series_grid(p, ctx, [s], ctl)[0]
+
+
+def mgf_series_grid(
+    p: TwdpParams, ctx: SnrContext, ss, ctl: SeriesControl | None = None
+) -> list[SeriesResult]:
+    """SNR MGF in series form along a grid of s <= 0."""
+    s = _grid(ss, lambda v: np.isfinite(v) & (v <= 0), "s must be finite and <= 0")
     ctl = ctl or SeriesControl()
-    value, n, trunc, ratio = run_with_rescue(
+    return _raise_lost(run_with_rescue(
         lambda be: _mgf_series_pass(p, ctx.gamma0, s, ctl, be),
+        len(s),
         _REL_TARGET,
         max_dps=_MAX_DPS,
-        what=f"mgf series at s={s}",
-    )
-    return SeriesResult(value, n, trunc, ratio)
+        what=lambda i: f"mgf series at s={float(s[i])}",
+    ))
 
 
 def mgf_closed(p: TwdpParams, ctx: SnrContext, s: float) -> float:

@@ -1,34 +1,25 @@
-"""Stable special-function kernel used by the distribution and error-rate code.
-
-Everything here is scalar-oriented and deliberately conservative about
-floating-point behaviour:
+"""Stable special-function kernel and the series engine used by the
+distribution and error-rate code.
 
 * Modified Bessel functions are always exponentially scaled, ive(nu, x) =
   exp(-x) I_nu(x), produced by a downward Miller recurrence normalized with
   ive_0(x) + 2 sum_k ive_k(x) = 1.  Only ratios enter, so the ladder cannot
   overflow, and callers assemble exponents symbolically and exponentiate once.
-* The hypergeometric polynomials run on stable three-term recurrences in the
-  order m: 1F1(1-m; 2; x) is a scaled Laguerre polynomial and 2F1(-m, -m; 1; b)
-  a scaled Legendre polynomial.  Their monomial forms cancel catastrophically
-  for m beyond ~45 (the 1F1 coefficients alternate), so the finite sums are
-  kept only where they are safe: the all-positive 2F1 sum is the public
-  reference implementation and the cross-check for the recurrence.
-* 2F1(3/2, 1+m; 2; z) for z <= 0 goes through the Pfaff transform
-  2F1(a, b; c; z) = (1-z)^(-b) 2F1(c-a, b; c; z/(z-1)) whose transformed
-  series has all-positive terms on [0, 1), so it converges for every z <= 0
-  without cancellation.
-* The Appell function F1(3/2; 1/2, 1+m; 5/2; x, y) is integrated in its Euler
-  form; the endpoint singularity at x = 1 is handled with a QAWS rule.
+* 2F1(-m, -m; 1; b), the coefficient shared by the cdf, MGF and error-rate
+  series, runs on the stable upward Legendre recurrence in the order m.
 
-Alternating sums (the envelope/SNR series elsewhere in the package) can
-cancel by many orders of magnitude for strong specular power, so all series
-run on 80-bit long doubles by default and the summation helpers report the
-cancellation ratio sum|t_m| / |sum t_m|.  Callers rerun the same generator in
-mpmath arithmetic when that ratio would visibly contaminate the result
-(run_with_rescue).  A pass with double-longdouble kernels (hi/lo pairs of
-long doubles built from error-free transformations, section at the end)
-runs them instead of mpmath ones while the escalated precision stays
-within _DD_MAX_DPS digits; only the outer sum is then in mpmath.
+Every series in the package is summed by one engine, _sum_series, over an
+array of points: each point has its own stopping rule and compensated sum.
+The envelope/SNR series alternate and can cancel by many orders of magnitude
+for strong specular power, so a pass runs on 80-bit long doubles first and
+reports the cancellation ratio sum|t_m| / |sum t_m| of every point.
+run_with_rescue reruns only the points whose ratio would visibly contaminate
+the result, in mpmath arithmetic (numpy object arrays of mpf values), all
+points that need the same precision in one pass.  A pass with
+double-longdouble kernels (hi/lo pairs of long doubles built from error-free
+transformations, section at the end) runs them instead of mpmath ones while
+the escalated precision stays within _DD_MAX_DPS digits; only the outer sum
+is then in mpmath.
 """
 
 from __future__ import annotations
@@ -36,16 +27,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     CancellationLossError,
     InvalidParameterError,
-    QuadratureError,
     RangeOverflowError,
     SeriesDivergenceError,
 )
@@ -100,26 +89,31 @@ class SeriesResult:
     cancellation_ratio: float = 1.0
 
 
+@dataclass(frozen=True)
 class _Arith:
-    """Minimal scalar arithmetic context (float64 / longdouble / mpmath).
+    """The arithmetic of one summation pass and the points it runs on.
 
+    Functions and `cast` act elementwise on arrays: long-double arrays, or
+    object arrays of mpf values at the current mpmath precision.  `points`
+    indexes the points of the grid the pass runs on (None: all of them).
     `dd` marks an mpmath context whose precision the double-longdouble
-    kernels meet; a pass that has such kernels may run them instead of
-    pure mpmath ones.
+    kernels meet; a pass that has such kernels may run them instead of pure
+    mpmath ones.
     """
 
-    __slots__ = ("name", "cast", "exp", "expm1", "log1p", "sqrt", "eps", "pi", "dd")
+    name: str
+    cast: Callable
+    exp: Callable
+    expm1: Callable
+    sqrt: Callable
+    eps: float
+    pi: object
+    dd: bool = False
+    points: np.ndarray | None = None
 
-    def __init__(self, name, cast, exp, expm1, log1p, sqrt, eps, pi, dd=False):
-        self.name = name
-        self.cast = cast
-        self.exp = exp
-        self.expm1 = expm1
-        self.log1p = log1p
-        self.sqrt = sqrt
-        self.eps = eps
-        self.pi = pi
-        self.dd = dd
+    def pick(self, values):
+        """The entries of a grid array at this pass's points."""
+        return values if self.points is None else values[self.points]
 
 
 _ARITH_LD = _Arith(
@@ -127,87 +121,97 @@ _ARITH_LD = _Arith(
     cast=_LD,
     exp=np.exp,
     expm1=np.expm1,
-    log1p=np.log1p,
     sqrt=np.sqrt,
     eps=_LD_EPS,
     pi=_LD(np.pi),
 )
 
 
-def _arith_mp(dd_kernels: bool = False) -> _Arith:
+def _arith_mp(dd_kernels: bool = False, points=None) -> _Arith:
     """mpmath context bound to the *current* working precision."""
     return _Arith(
         name=f"mp{mp.mp.dps}",
-        cast=mp.mpf,
-        exp=mp.exp,
-        expm1=mp.expm1,
-        log1p=lambda x: mp.log(1 + x),
-        sqrt=mp.sqrt,
+        cast=np.frompyfunc(mp.mpf, 1, 1),
+        exp=np.frompyfunc(mp.exp, 1, 1),
+        expm1=np.frompyfunc(mp.expm1, 1, 1),
+        sqrt=np.frompyfunc(mp.sqrt, 1, 1),
         eps=float(mp.mpf(10) ** (-mp.mp.dps)),
         pi=+mp.pi,
         dd=dd_kernels and mp.mp.dps <= _DD_MAX_DPS,
+        points=points,
     )
 
 
-class KahanSum:
-    """Compensated accumulator; works for float, longdouble and mpf alike."""
+def _kahan_add(total, comp, x):
+    """One compensated (Kahan) step: (total, compensation) after adding x.
 
-    __slots__ = ("total", "_c")
-
-    def __init__(self, zero=0.0):
-        self.total = zero
-        self._c = zero
-
-    def add(self, x):
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+    Elementwise on arrays; works for float, long double and mpf alike.
+    """
+    y = x - comp
+    t = total + y
+    return t, (t - total) - y
 
 
-def _run_series(
-    terms: Iterator, ctl: SeriesControl, n_limit: int | None = None, min_terms: int = 0
-):
-    """Sum `terms` under the SeriesControl stopping rule.
+def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 0,
+                n_limit: int | None = None, freeze: bool = True):
+    """Sum term(0) + term(1) + ... at every one of `size` points.
 
-    Returns (sum, terms_used, trunc_estimate, possum, converged).  `possum`
-    accumulates |t_m| so callers can judge cancellation.  All quantities stay
-    in the generator's arithmetic type.
+    term(m, live) returns the m-th terms of all points as one array (long
+    double or mpf objects); it is called for m = 0, 1, 2, ... in order, so
+    it may advance recurrences.  Only the terms at the points marked in the
+    boolean array `live` are used, so a costly term may skip the others.
+    Every point keeps a Kahan sum of its terms and of their magnitudes, and
+    stops on its own under the SeriesControl rule.
 
     `min_terms` disarms the stopping rule for the first terms.  The
     alternating sums here have envelopes that dip right after the leading
     term and only then climb through a hump near m = K (1+Gamma)^2 /
     (1+Gamma^2); without the guard the consecutive-small-term rule can fire
     inside that dip and drop the entire hump.
+
+    With `freeze` a point's sums stop with it, so its result does not depend
+    on the other points of the grid.  Without it the sums of every point run
+    on to the last point's stop, and only terms_used stays at the point's
+    own stop.
+
+    Returns arrays (sum, terms_used, |last term|, sum |t_m|, converged).
     """
     limit = ctl.max_terms if n_limit is None else min(ctl.max_terms, n_limit)
     guard = min(min_terms, limit)
-    acc = None
-    pos = None
-    below = 0
-    last = None
-    n = 0
-    for t in terms:
-        if acc is None:
-            zero = t * 0
-            acc = KahanSum(zero)
-            pos = KahanSum(zero)
-        acc.add(t)
-        pos.add(abs(t))
-        last = t
-        n += 1
-        if n >= guard and abs(t) <= ctl.rel_tol * abs(acc.total):
-            below += 1
-            if below >= ctl.consec_below:
-                return acc.total, n, abs(last), pos.total, True
-        else:
-            below = 0
-        if n >= limit:
-            return acc.total, n, abs(last), pos.total, False
-    # generator exhausted on its own (finite series)
-    if acc is None:
-        raise InvalidParameterError("series generator produced no terms")
-    return acc.total, n, abs(last), pos.total, True
+    n = below = np.zeros(size, dtype=np.int64)
+    done = np.zeros(size, dtype=bool)
+    everywhere = ~done
+    for m in range(limit):
+        t = term(m, ~done if freeze else everywhere)
+        t_abs = abs(t)
+        if m == 0:
+            s = comp = pos = pos_comp = t * 0
+        new = (*_kahan_add(s, comp, t), *_kahan_add(pos, pos_comp, t_abs), t_abs)
+        if freeze and done.any():
+            new = [np.where(done, old, v) for old, v in zip((s, comp, pos, pos_comp, last), new)]
+        s, comp, pos, pos_comp, last = new
+        small = m + 1 >= guard and t_abs <= ctl.rel_tol * abs(s)
+        below = np.where(small, below + 1, 0)
+        n = np.where(done, n, m + 1)
+        done = done | (below >= ctl.consec_below)
+        if done.all():
+            break
+    return s, n, last, pos, done
+
+
+def _pass_result(what: str, pref, s, n, last, pos, converged):
+    """A pass's return value from its sums: (value, terms, terms_used,
+    trunc, possum_abs, ratio), see run_with_rescue."""
+    if not converged.all():
+        stop = int(n[~converged][0])
+        raise SeriesDivergenceError(f"{what} series did not converge in {stop} terms", stop)
+    s_abs = abs(s)
+    nonzero = s_abs > 0
+    safe = np.where(nonzero, s_abs, 1)
+    trunc = np.where(nonzero, (last / safe).astype(float), math.inf)
+    ratio = np.where(nonzero, (pos / safe).astype(float), math.inf)
+    return ((pref * s).astype(float), int(n.sum()), n, trunc,
+            (pref * pos).astype(float), ratio)
 
 
 def term_hump_guard(k: float, gamma: float) -> int:
@@ -219,10 +223,11 @@ def term_hump_guard(k: float, gamma: float) -> int:
     return int(math.ceil(k * (1.0 + gamma) ** 2 / (1.0 + gamma * gamma))) + 3
 
 
-def needs_rescue(possum_abs, value_abs, eps: float, rel_target: float, abs_floor: float = 0.0) -> bool:
-    """Whether the estimated summation roundoff breaches the accuracy target."""
-    est = _ERR_SAFETY * eps * float(possum_abs)
-    return est > max(abs_floor, rel_target * float(value_abs))
+def needs_rescue(possum_abs, value_abs, eps, rel_target: float, abs_floor: float = 0.0):
+    """Whether the estimated summation roundoff breaches the accuracy target
+    (elementwise on arrays)."""
+    est = _ERR_SAFETY * eps * possum_abs
+    return est > np.fmax(abs_floor, rel_target * value_abs)
 
 
 def rescue_dps(cancellation_ratio: float, digits: int = 17) -> int:
@@ -234,55 +239,99 @@ def rescue_dps(cancellation_ratio: float, digits: int = 17) -> int:
 
 def run_with_rescue(
     pass_fn: Callable,
+    size: int,
     rel_target: float,
     abs_floor: float = 0.0,
     max_dps: int = 120,
-    what: str = "series",
+    what: Callable = str,
     dd_kernels: bool = False,
-):
-    """Run a summation pass, escalating working precision until trustworthy.
+) -> list:
+    """Sum a series at `size` points, rerunning the untrustworthy ones at
+    escalating working precision.
 
-    pass_fn(arith) must return (value, terms_used, trunc, possum_abs, ratio)
-    where possum_abs is sum|t_m| on the final value's scale.  A heavily
-    cancelled sum reports a ratio that is only a lower bound (the computed
-    total is then noise at the working epsilon), so after each escalation the
-    result is re-checked and the precision grows at least geometrically.
-    Raises CancellationLossError once max_dps would be exceeded.
+    pass_fn(be) sums the series at the points be.points (all when None) in
+    be's arithmetic and returns (value, terms, terms_used, trunc,
+    possum_abs, ratio): `terms` is the number of terms summed over all
+    those points (the work of the pass, which the per-layer tracer in
+    bench/tracing.py counts), the rest are arrays over them, and possum_abs
+    is sum|t_m| on the final value's scale.  One long-double pass runs over
+    all points.  A heavily cancelled sum reports a ratio that is only a
+    lower bound (the computed total is then noise at the working epsilon),
+    so each point rerun is re-checked and its precision grows at least
+    geometrically.  Points that need the same precision rerun together.
 
     dd_kernels says pass_fn has double-longdouble kernels; an escalated pass
     within _DD_MAX_DPS digits then gets an arithmetic with `dd` set.  Each
-    escalation is logged at DEBUG level on the "twdp" logger.
+    escalation is logged at DEBUG level on the "twdp" logger, under the
+    name what(i) of the point.
+
+    Returns a SeriesResult per point, or a CancellationLossError for a point
+    that would need more than max_dps digits.
     """
-    be = _ARITH_LD
-    value, n, trunc, possum_abs, ratio = pass_fn(be)
-    eps = be.eps
-    dps = 0
-    while needs_rescue(possum_abs, abs(value), eps, rel_target, abs_floor):
-        est = rescue_dps(ratio if math.isfinite(ratio) else 1e30)
-        dps = max(est, 2 * dps) if dps else est
-        if dps > max_dps:
-            raise CancellationLossError(
-                f"{what} needs about {dps} digits (cancellation ratio {ratio:.2e})",
-                ratio,
-            )
-        with mp.workdps(dps):
-            failed, be = be.name, _arith_mp(dd_kernels)
-            _log.debug(
-                "%s: cancellation ratio %.3g in the %s pass; "
-                "rerunning at %d digits in %s arithmetic",
-                what, ratio, failed, dps, "dd" if be.dd else "mp",
-            )
-            value, n, trunc, possum_abs, ratio = pass_fn(be)
-        eps = 10.0 ** (-dps)
-    return value, n, trunc, ratio
+    if not size:
+        return []
+    value, _, n, trunc, possum_abs, ratio = pass_fn(_ARITH_LD)
+    tier = [_ARITH_LD.name] * size
+    dps = np.zeros(size, dtype=np.int64)
+    out: list = [None] * size
+    eps = _ARITH_LD.eps
+    todo = np.flatnonzero(needs_rescue(possum_abs, abs(value), eps, rel_target, abs_floor))
+    while todo.size:
+        for i in todo:
+            est = rescue_dps(ratio[i] if math.isfinite(ratio[i]) else 1e30)
+            dps[i] = max(est, 2 * dps[i]) if dps[i] else est
+            if dps[i] > max_dps:
+                out[i] = CancellationLossError(
+                    f"{what(i)} needs about {dps[i]} digits "
+                    f"(cancellation ratio {ratio[i]:.2e})",
+                    float(ratio[i]),
+                )
+        todo = todo[dps[todo] <= max_dps]
+        again = []
+        for digits in np.unique(dps[todo]).tolist():
+            pts = todo[dps[todo] == digits]
+            with mp.workdps(digits):
+                be = _arith_mp(dd_kernels, pts)
+                for i in pts:
+                    _log.debug(
+                        "%s: cancellation ratio %.3g in the %s pass; "
+                        "rerunning at %d digits in %s arithmetic",
+                        what(i), ratio[i], tier[i], digits, "dd" if be.dd else "mp",
+                    )
+                    tier[i] = be.name
+                v, _, n[pts], trunc[pts], p_abs, ratio[pts] = pass_fn(be)
+            value[pts] = v
+            again.append(pts[needs_rescue(p_abs, abs(v), 10.0 ** (-digits), rel_target, abs_floor)])
+        todo = np.concatenate(again) if again else todo
+    for i in range(size):
+        if out[i] is None:
+            out[i] = SeriesResult(float(value[i]), int(n[i]), float(trunc[i]), float(ratio[i]))
+    return out
+
+
+def _grid(values, valid: Callable, what: str) -> np.ndarray:
+    """values as a flat float array, checked elementwise by valid."""
+    v = np.asarray(values, dtype=float).ravel()
+    bad = ~valid(v)
+    if bad.any():
+        raise InvalidParameterError(f"{what}, got {v[bad][0]}")
+    return v
+
+
+def _raise_lost(results: list) -> list:
+    """results, unless a point was lost to cancellation: then its error."""
+    for res in results:
+        if isinstance(res, CancellationLossError):
+            raise res
+    return results
 
 
 # ----------------------------------------------------------------------------
 # scaled modified Bessel ladder
 
 
-def _ive_small_x(x, nu_max: int, be: _Arith):
-    """Power series per order, adequate for x < 0.5 where the ladder start
+def _ive_small_x(x, nu_max: int, be: _Arith) -> list:
+    """Power series per order at one point x < 0.5, where the ladder start
     offset would dwarf the work."""
     out = []
     half = be.cast(x) / 2
@@ -307,40 +356,86 @@ def _ive_small_x(x, nu_max: int, be: _Arith):
     return out
 
 
-def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
-    """exp(-x) I_nu(x) for nu = 0..nu_max, x >= 0 scalar.
+def _miller_ladder(x, start: list, nu_max: int, be: _Arith) -> list:
+    """Rows nu = 0..nu_max of the normalized downward recurrence at x >= 0.5.
 
-    Downward recurrence I_{k-1} = I_{k+1} + (2k/x) I_k from a seed far enough
-    above max(nu_max, x) that the contamination of the minimal solution is
-    below working precision, then normalized via sum_k eps_k ive_k = 1.
+    start[i] is the seed order of x[i], in descending order; the points
+    already seeded are a prefix of the arrays, and a single point runs on
+    scalars, which cost a tenth of one-element arrays.
     """
-    xf = float(x)
-    if xf < 0:
-        raise InvalidParameterError(f"bessel argument must be >= 0, got {x}")
-    if xf == 0.0:
-        one = be.cast(1.0)
-        return [one] + [one * 0] * nu_max
-    if xf > 1e7:
-        raise InvalidParameterError("bessel ladder limited to x <= 1e7")
-    if xf < 0.5:
-        return _ive_small_x(x, nu_max, be)
-
-    digits = -math.log(be.eps)
-    start = nu_max + int(math.ceil(math.sqrt(2.6 * max(xf, 1.0) * digits))) + 14
-    xb = be.cast(x)
-    ip1 = be.cast(0.0)
-    ik = be.cast(1e-12)
-    ladder = [be.cast(0.0)] * (nu_max + 1)
-    norm = KahanSum(be.cast(0.0))
-    for k in range(start, 0, -1):
-        im1 = ip1 + (2 * k / xb) * ik
+    zero, seed = be.cast(0.0), be.cast(1e-12)
+    ip1 = ik = norm = comp = ()  # no point seeded yet
+    ladder = [zero] * (nu_max + 1)
+    seeded, size = 0, len(start)
+    for k in range(start[0], 0, -1):
+        if seeded < size and start[seeded] >= k:
+            now = seeded
+            while now < size and start[now] >= k:
+                now += 1
+            if now == 1:
+                xa, ip1, ik, norm, comp = x[0], zero, seed, zero, zero
+            else:
+                xa = x[:now]
+                ip1, ik, norm, comp = (np.append(v, [fill] * (now - seeded)) for v, fill in
+                                       zip((ip1, ik, norm, comp), (zero, seed, zero, zero)))
+            seeded = now
+        im1 = ip1 + (2 * k / xa) * ik
         if k - 1 <= nu_max:
             ladder[k - 1] = im1
-        norm.add(2 * ik)  # orders k >= 1 enter the normalization twice
+        # orders k >= 1 enter the normalization twice
+        norm, comp = _kahan_add(norm, comp, 2 * ik)
         ip1, ik = ik, im1
-    norm.add(ik)  # the k = 0 value enters once
-    total = norm.total
-    return [v / total for v in ladder]
+    total, _ = _kahan_add(norm, comp, ik)  # the k = 0 value enters once
+    for i, v in enumerate(ladder):  # in place: a rescue group's rows hold many mpf values
+        ladder[i] = v / total
+    return ladder
+
+
+def _ladder_start(x: float, nu_max: int, be: _Arith):
+    """Seed order of the downward recurrence at x, or None below x = 0.5,
+    where the power series takes over."""
+    if not x >= 0:
+        raise InvalidParameterError(f"bessel argument must be >= 0, got {x}")
+    if x > 1e7:
+        raise InvalidParameterError("bessel ladder limited to x <= 1e7")
+    if x < 0.5:
+        return None
+    return nu_max + int(math.ceil(math.sqrt(2.6 * max(x, 1.0) * -math.log(be.eps)))) + 14
+
+
+def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
+    """exp(-x) I_nu(x) for nu = 0..nu_max at x >= 0, a scalar or an array.
+
+    Row nu of the result holds ive_nu at every x; a scalar x gives a list
+    of the nu_max + 1 values.  Downward recurrence I_{k-1} = I_{k+1} +
+    (2k/x) I_k from a seed far enough above max(nu_max, x) that the
+    contamination of the minimal solution is below working precision, then
+    normalized via sum_k eps_k ive_k = 1.  Each x has its own seed order.
+    """
+    if not isinstance(x, np.ndarray):
+        # a closed-form MGF calls this once per quadrature node: the grid
+        # bookkeeping below would cost more than a short ladder
+        xf = float(x)
+        if xf == 0.0:
+            one = be.cast(1.0)
+            return [one] + [one * 0] * nu_max
+        start = _ladder_start(xf, nu_max, be)
+        if start is not None:
+            return _miller_ladder([be.cast(x)], [start], nu_max, be)
+        return _ive_small_x(x, nu_max, be)
+    xb = be.cast(x)
+    starts = [_ladder_start(v, nu_max, be) for v in xb.astype(float).tolist()]
+    out = np.full((nu_max + 1, len(xb)), be.cast(0.0), dtype=xb.dtype)
+    out[0, xb == 0] = be.cast(1.0)
+    small = [i for i, v in enumerate(starts) if v is None and xb[i] > 0]
+    if small:
+        out[:, small] = np.array([_ive_small_x(xb[i], nu_max, be) for i in small]).T
+    big = sorted((i for i, v in enumerate(starts) if v is not None), key=starts.__getitem__,
+                 reverse=True)
+    if big:
+        for nu, row in enumerate(_miller_ladder(xb[big], [starts[i] for i in big], nu_max, be)):
+            out[nu, big] = row
+    return out
 
 
 def bessel_i_scaled(nu: int, x: float) -> float:
@@ -353,173 +448,18 @@ def bessel_i_scaled(nu: int, x: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# hypergeometric polynomials
+# hypergeometric coefficients
 
 
-def _hyp1f1_seq(x, be: _Arith) -> Iterator:
-    """Yield 1F1(1 - m; 2; x) for m = 1, 2, 3, ... by the Laguerre recurrence.
-
-    1F1(1-m; 2; x) = L_{m-1}^{(1)}(x) / m, so
-    (m+1) G_{m+1} = (2m - x) G_m - (m-1) G_{m-1} with G_1 = 1.
-    Evaluating the monomial form instead loses the polynomial completely for
-    m beyond ~45 in the oscillatory region x < 4m (internal cancellation far
-    past any working precision); the recurrence is stable everywhere tested
-    (m <= 200, x <= 600) and costs O(1) per order.
-    """
-    gm1 = be.cast(0.0)
-    gm = be.cast(1.0)
-    m = 1
-    while True:
-        yield gm
-        gm1, gm = gm, ((2 * m - x) * gm - (m - 1) * gm1) / (m + 1)
-        m += 1
-
-
-def _hyp1f1_1m2(m: int, x, be: _Arith):
-    """1F1(1 - m; 2; x) for a single integer m >= 1."""
-    seq = _hyp1f1_seq(x, be)
-    for _ in range(m - 1):
-        next(seq)
-    return next(seq)
-
-
-def hyp1f1_poly(m: int, x: float) -> float:
-    """Confluent hypergeometric 1F1(1 - m; 2; x) for integer m >= 1."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidParameterError(f"m must be a positive integer, got {m}")
-    return float(_hyp1f1_1m2(int(m), _LD(x), _ARITH_LD))
-
-
-def _hyp2f1_neg_mm(m: int, b, be: _Arith):
-    """2F1(-m, -m; 1; b) = sum_j C(m, j)^2 b^j; all terms positive for b >= 0."""
-    t = be.cast(1.0)
-    acc = KahanSum(t * 0)
-    acc.add(t)
-    for j in range(m):
-        r = be.cast(m - j) / (j + 1)
-        t = t * r * r * b
-        acc.add(t)
-    return acc.total
-
-
-def _hyp2f1_neg_mm_seq(b, be: _Arith) -> Iterator:
-    """Yield 2F1(-m, -m; 1; b) for m = 0, 1, 2, ... in O(1) per order.
+def _legendre_2f1_next(m: int, f, f_prev, b):
+    """2F1(-(m+1), -(m+1); 1; b) from its values f at m and f_prev at m - 1.
 
     2F1(-m, -m; 1; b) = (1-b)^m P_m((1+b)/(1-b)) with P_m the Legendre
-    polynomial, giving F_{m+1} = ((2m+1)(1+b) F_m - m (1-b)^2 F_{m-1})/(m+1).
-    All quantities are positive for b in [0, 1]; the recurrence tracks the
-    dominant solution, so it is stable upward.  The finite-sum form above is
-    the independent cross-check.
+    polynomial, giving F_{m+1} = ((2m+1)(1+b) F_m - m (1-b)^2 F_{m-1})/(m+1),
+    F_0 = 1, F_{-1} = 0.  All quantities are positive for b in [0, 1]; the
+    recurrence tracks the dominant solution, so it is stable upward.
     """
-    omb2 = (1 - b) * (1 - b)
-    opb = 1 + b
-    fm1 = be.cast(0.0)
-    fm = be.cast(1.0)
-    m = 0
-    while True:
-        yield fm
-        fm1, fm = fm, ((2 * m + 1) * opb * fm - m * omb2 * fm1) / (m + 1)
-        m += 1
-
-
-def hyp2f1_poly(m: int, b: float) -> float:
-    """Gauss hypergeometric 2F1(-m, -m; 1; b) for integer m >= 0, b in [0, 1]."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise InvalidParameterError(f"m must be a nonnegative integer, got {m}")
-    if not 0.0 <= b <= 1.0:
-        raise InvalidParameterError(f"b must lie in [0, 1], got {b}")
-    return float(_hyp2f1_neg_mm(int(m), _LD(b), _ARITH_LD))
-
-
-def _hyp2f1_3half_terms(m: int, w, be: _Arith) -> Iterator:
-    """Terms of 2F1(1/2, 1+m; 2; w), the Pfaff-transformed Gauss series."""
-    t = be.cast(1.0)
-    j = 0
-    while True:
-        yield t
-        t = t * w * (2 * j + 1) * (j + 1 + m) / ((j + 2) * (j + 1) * 2)
-        j += 1
-
-
-def _hyp2f1_3half(m: int, z, ctl: SeriesControl, be: _Arith):
-    """Backend-generic core of hyp2f1_3half; returns (value, n, trunc)."""
-    zb = be.cast(z)
-    if zb == 0:
-        return be.cast(1.0), 1, be.cast(0.0)
-    w = zb / (zb - 1)
-    pref = be.exp(-(1 + m) * be.log1p(-zb))
-    s, n, last, _, ok = _run_series(_hyp2f1_3half_terms(m, w, be), ctl)
-    if not ok:
-        raise SeriesDivergenceError(
-            f"2F1(3/2, {1 + m}; 2; {float(z)}) did not converge in {n} terms", n
-        )
-    return pref * s, n, last / abs(s)
-
-
-def hyp2f1_3half(m: int, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
-    """Gauss hypergeometric 2F1(3/2, 1+m; 2; z) for z <= 0.
-
-    Evaluated through the Pfaff transform so the series argument z/(z-1)
-    lies in [0, 1); every transformed term is positive, so there is no
-    cancellation, only slow convergence as z -> -inf.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise InvalidParameterError(f"m must be a nonnegative integer, got {m}")
-    if z > 0:
-        raise InvalidParameterError(f"z must be <= 0, got {z}")
-    ctl = ctl or SeriesControl()
-    value, n, trunc = _hyp2f1_3half(int(m), z, ctl, _ARITH_LD)
-    return SeriesResult(float(value), n, float(trunc), 1.0)
-
-
-# ----------------------------------------------------------------------------
-# Appell F1 via the Euler integral
-
-
-_APPELL_ABS_TOL = 1e-11
-
-
-def appell_f1(m: int, x: float, y: float) -> float:
-    """Appell hypergeometric F1(3/2; 1/2, 1+m; 5/2; x, y), x in [0, 1], y <= 0.
-
-    Euler form: F1 = (3/2) int_0^1 sqrt(t) (1-x t)^(-1/2) (1-y t)^(-(1+m)) dt.
-    The integrand is bounded except for the integrable (1-t)^(-1/2) endpoint
-    when x = 1, which is delegated to a QAWS algebraic-weight rule.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise InvalidParameterError(f"m must be a nonnegative integer, got {m}")
-    if not 0.0 <= x <= 1.0:
-        raise InvalidParameterError(f"x must lie in [0, 1], got {x}")
-    if y > 0:
-        raise InvalidParameterError(f"y must be <= 0, got {y}")
-    b2 = int(m) + 1
-    if x >= 1.0 - 1e-14:
-        val, err = integrate.quad(
-            lambda t: (1.0 - y * t) ** (-b2),
-            0.0,
-            1.0,
-            weight="alg",
-            wvar=(0.5, -0.5),
-            epsabs=_APPELL_ABS_TOL / 10,
-            epsrel=1e-13,
-            limit=200,
-        )
-    else:
-        val, err = integrate.quad(
-            lambda t: math.sqrt(t) * (1.0 - x * t) ** -0.5 * (1.0 - y * t) ** (-b2),
-            0.0,
-            1.0,
-            epsabs=_APPELL_ABS_TOL / 10,
-            epsrel=1e-13,
-            limit=200,
-        )
-    val *= 1.5
-    err *= 1.5
-    if err > _APPELL_ABS_TOL:
-        raise QuadratureError(
-            f"Appell F1 quadrature reached {err:.3e} > {_APPELL_ABS_TOL:.0e}", err
-        )
-    return val
+    return ((2 * m + 1) * (1 + b) * f - m * ((1 - b) * (1 - b)) * f_prev) / (m + 1)
 
 
 # ----------------------------------------------------------------------------
@@ -542,23 +482,22 @@ def marcum_q1(a: float, b: float) -> float:
         raise InvalidParameterError("marcum_q1 limited to a^2/2 <= 5000")
     w = np.exp(-h)  # Poisson weight at k = 0
     g = np.exp(-x)  # Poisson pmf of x at j = 0
-    cdf = KahanSum(_LD(0.0))
-    cdf.add(g)
-    acc = KahanSum(_LD(0.0))
-    wsum = KahanSum(_LD(0.0))
+    zero = _LD(0.0)
+    cdf, cdf_c = _kahan_add(zero, zero, g)
+    acc = acc_c = wsum = wsum_c = zero
     k = 0
     while True:
-        acc.add(w * cdf.total)
-        wsum.add(w)
-        if 1.0 - float(wsum.total) < 1e-19 and k > float(h):
+        acc, acc_c = _kahan_add(acc, acc_c, w * cdf)
+        wsum, wsum_c = _kahan_add(wsum, wsum_c, w)
+        if 1.0 - float(wsum) < 1e-19 and k > float(h):
             break
         k += 1
         if k > 100000:
             break
         w = w * h / k
         g = g * x / k
-        cdf.add(g)
-    return min(1.0, max(0.0, float(acc.total)))
+        cdf, cdf_c = _kahan_add(cdf, cdf_c, g)
+    return min(1.0, max(0.0, float(acc)))
 
 
 # ----------------------------------------------------------------------------

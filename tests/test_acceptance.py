@@ -212,7 +212,8 @@ def test_criterion_3_mgf_series_vs_closed():
 def test_criterion_4_exp_i0_identity():
     # the 60-term budget quoted alongside the identity cannot reach a = 20
     # (terms peak near m = 80); the series is summed to convergence instead
-    from twdp import exp_i0_identity_rhs, hyp2f1_poly
+    from conftest import hyp2f1_poly
+    from twdp import exp_i0_identity_rhs
 
     t0 = time.time()
     worst = 0.0

@@ -5,6 +5,7 @@ import math
 import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from twdp import asep
@@ -198,7 +199,7 @@ class TestRescueTiers:
                 g0 = 10.0 ** (db / 10.0)
                 value = asep_exact(p, mod, g0).value
                 with mp.workdps(50):
-                    ref = asep._asep_pass(p, mod, g0, SeriesControl(), _arith_mp())[0]
+                    ref = asep._asep_pass(p, mod, np.array([g0]), SeriesControl(), _arith_mp())[0][0]
                 assert value == pytest.approx(ref, rel=1e-12)
                 assert value == pytest.approx(asep_quadrature(p, mod, g0), rel=1e-8)
 

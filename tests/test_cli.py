@@ -153,6 +153,45 @@ class TestAsepCommand:
         assert code == 2
 
 
+class TestSweepValidation:
+    """Sweeps end at or before their stop, and bad sizes fail before any work."""
+
+    @pytest.mark.parametrize("spec,last,rows", [
+        ("0:11:4", 8.0, 3),
+        ("0:0.3:0.1", 0.3, 4),
+        ("0:40:0.1", 40.0, 401),
+    ])
+    def test_snr_range_stops_at_its_stop(self, capsys, spec, last, rows):
+        code, out, err = run_cli(capsys, "asep", "--k", "1", "--snr-db", spec,
+                                 "--method", "asymptotic")
+        assert code == 0, err
+        _, body = parse_csv(out)
+        assert len(body) == rows
+        assert float(body[-1][0]) == last
+
+    @pytest.mark.parametrize("spec", ["0:nan:5", "0:inf:5", "nan:10:5", "-inf:10:5", "0:10:inf"])
+    def test_non_finite_snr_range_is_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "simulate", "--k", "1", f"--snr-db={spec}",
+                                 "--samples", "100")
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("points", ["-1", "0", "1"])
+    def test_mgf_points(self, capsys, points):
+        code, out, err = run_cli(capsys, "mgf", "--k", "1", "--points", points)
+        assert (code, out) == (2, "")
+        assert "points" in err
+
+    @pytest.mark.parametrize("flags", [("--snr-step", "0"), ("--snr-step", "-2"),
+                                       ("--snr-step", "nan"), ("--points", "1")])
+    def test_figures_checked_before_writing(self, capsys, tmp_path, flags):
+        outdir = tmp_path / "figs"
+        code, out, _ = run_cli(capsys, "figures", "--outdir", str(outdir),
+                               "--samples", "100", *flags)
+        assert (code, out) == (2, "")
+        assert not outdir.exists()
+
+
 class TestNegativeValues:
     """A value starting with `-` may follow its flag as a separate token."""
 

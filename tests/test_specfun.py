@@ -15,12 +15,8 @@ from twdp import (
     SeriesControl,
     SeriesDivergenceError,
     SeriesResult,
-    appell_f1,
     bessel_i_scaled,
     exp_i0_identity_rhs,
-    hyp1f1_poly,
-    hyp2f1_3half,
-    hyp2f1_poly,
     marcum_q1,
 )
 from twdp.specfun import (
@@ -35,7 +31,15 @@ from twdp.specfun import (
     tanh_sinh_rule_dd,
 )
 
-from conftest import appell_f1_double_series, euler_2f1, gauss_2f1_series
+from conftest import (
+    appell_f1,
+    appell_f1_double_series,
+    euler_2f1,
+    gauss_2f1_series,
+    hyp1f1_poly,
+    hyp2f1_3half,
+    hyp2f1_poly,
+)
 
 
 def ive_maclaurin(nu: int, x: float, terms: int = 40) -> float:
