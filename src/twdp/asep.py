@@ -25,19 +25,18 @@ Three routes:
 
 asep_exact_grid follows the same long-double-then-escalate pattern as the
 other alternating series, in three tiers.  The first pass runs on long
-doubles over the whole SNR sweep.  Where its cancellation calls for more
-digits, the outer sum of that point reruns in mpmath at the escalated
-precision; up to 34 digits the bracket family for that rerun is built in
-double-longdouble numpy arithmetic (20-40x cheaper than mpmath lists; each
-factor within 1e-34 relative, measured near 1e-37), beyond that in mpmath.
-A point where even the escalated path would need more than _MAX_DPS digits
+doubles over the whole SNR sweep.  The points whose cancellation calls for
+more digits rerun together in double-longdouble numpy arithmetic, bracket
+family and outer sum alike (each bracket factor within 22 m u^2, u = 2^-64,
+measured near 1e-37; about 34 digits in all, see specfun._DD_EPS).  Only
+the points that pass cannot vouch for rerun in mpmath at the digits their
+cancellation calls for.  A point that would need more than _MAX_DPS digits
 gets a CancellationLossError in place of its result, so callers (the CLI
 does this) can substitute asep_quadrature; asep_exact raises it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,16 +51,16 @@ from .params import TwdpParams
 from .specfun import (
     SeriesControl,
     SeriesResult,
+    _ARITH_DD,
     _ARITH_LD,
+    _DD,
     _arith_mp,
-    _dd_add,
-    _dd_div,
+    _dd,
     _dd_mul,
     _dd_row_sums,
     _dd_sqrt,
     _grid,
     _ive_ladder,
-    _ld_sums_to_mpf,
     _legendre_2f1_next,
     _pass_result,
     _raise_lost,
@@ -107,16 +106,16 @@ def _bracket_family_ld(x0: float, lam, y0_abs):
     (2, points) array, at the points marked live (0 elsewhere); a point left
     out once stays out.  The node terms are a rows x points x nodes array;
     the node axis stays last and contiguous, so each row sum adds the nodes
-    in the same order as a sum over one point's nodes.
+    in the same order as a sum over one point's nodes.  For M = 2 (x0 = 1,
+    so lam = y0_abs) both integrands are the same, and one row serves both.
     """
     t, omt, w = tanh_sinh_rule(_TS_LEVEL_LD, _ARITH_LD)
-    sq = np.sqrt(t)
-    base1 = w * sq / np.sqrt(omt)
-    one_minus_x0t = omt + (1 - _LD(x0)) * t  # exact near t = 1 even for x0 = 1
-    base2 = w * sq / np.sqrt(one_minus_x0t)
-    y = np.stack((lam, y0_abs)).astype(_LD)[:, :, None]
+    rows = slice(1 if x0 == 1.0 else 2)
+    # 1 - x t = (1 - t) + (1 - x) t, exact near t = 1; x = 1 on the 2F1 row
+    x = np.array([1.0, x0], dtype=_LD)[rows, None, None]
+    y = np.array([lam, y0_abs], dtype=_LD)[rows, :, None]
     g = 1 / (1 + y * t)
-    p = np.stack((base1, base2))[:, None, :] * g
+    p = w * np.sqrt(t) / np.sqrt(omt + (1 - x) * t) * g
     c = np.array([2.0 / _ARITH_LD.pi, 1.5], dtype=_LD)[:, None]
     idx = np.arange(len(lam))
 
@@ -154,43 +153,54 @@ def _bracket_family_mp(x0: float, lam: float, y0_abs: float):
         p2 = [a * g for a, g in zip(p2, g2)]
 
 
-def _bracket_family_dd(x0: float, lam: float, y0_abs: float, orders: int):
-    """_bracket_family_mp in double-longdouble arithmetic, yielding mpf values.
+def _bracket_family_dd(x0: float, lam, y0_abs, orders: int):
+    """_bracket_family_ld in double-longdouble arithmetic, on the level-7
+    node table: next_order(live) gives the order-m factors as a (2, points)
+    _DD, each of the first `orders` within specfun's dd product bound.
 
-    Row 0 of the node arrays carries the 2F1 integrand, row 1 the F1 one.
     Every node term is positive, so an order costs one dd product per node
-    and an exact-extraction row sum, and each of the first `orders` factors
-    keeps the digits that specfun's double-longdouble error bound states.
-
-    Nodes whose term stays below 2^-140 of its row sum at every order are
-    dropped, which costs under 2^-129 over all 1,457 nodes.  Since g <= 1, a
-    node's first term bounds all its later ones, and sum_k p_k g_k^orders
-    bounds the row sums from below, which drops the far tails up front.  As
-    the orders go on, a node dominated by a node of smaller t (larger g)
-    stays dominated, which drops the large-t side of the peak.
+    and an exact-extraction row sum.  Node terms that stay below 2^-140 of
+    their row sum at every order, at every point, are dropped, which costs
+    under 2^-129 over all 1,457 nodes.  Since g <= 1, a node's first term
+    bounds all its later ones, and sum_k p_k g_k^orders bounds the row sums
+    from below, which drops the far tails up front.  As the orders go on, a
+    node dominated by a node of smaller t (larger g) stays dominated, which
+    drops the large-t side of the peak.
     """
     t, omt, w = tanh_sinh_rule_dd(_TS_LEVEL_MP)
-    one = (_LD(1), _LD(0))
-    # rows 1 - t and 1 - x0 t = (1 - t) + (1 - x0) t, exact near t = 1 even for x0 = 1
-    one_minus_x0t = _dd_add(omt, _dd_mul(_two_sum(_LD(1), -_LD(x0)), t))
-    den = tuple(np.stack(rows) for rows in zip(omt, one_minus_x0t))
-    p = _dd_div(_dd_mul(w, _dd_sqrt(t)), _dd_sqrt(den))
-    y = np.array([[lam], [y0_abs]], dtype=_LD)
-    g = _dd_div(one, _dd_add(one, _dd_mul((y, _LD(0)), t)))
-    p = _dd_mul(p, g)
-    floor = _DD_DROP * (p[0] * g[0] ** orders).sum(axis=-1, keepdims=True)
-    live = np.flatnonzero((p[0] > floor).any(axis=0))
+    rows = slice(1 if x0 == 1.0 else 2)
+    x = np.array([1.0, x0], dtype=_LD)[rows, None, None]
+    y = _dd(np.array([lam, y0_abs], dtype=_LD)[rows, :, None])
+    g = 1 / (1 + y * t)
+    p = w * _dd_sqrt(t) / _dd_sqrt(omt + _DD(*_two_sum(_LD(1), -x)) * t) * g
+    floor = _DD_DROP * (p.hi * g.hi ** orders).sum(axis=-1, keepdims=True)
+    live = np.flatnonzero((p.hi > floor).any(axis=(0, 1)))
     keep = slice(live[0], live[-1] + 1)
-    p, g, g_split = ((a[:, keep], b[:, keep]) for a, b in (p, g, _split(g[0])))
-    c1, c2 = 2 / mp.pi, mp.mpf(3) / 2
-    for m in itertools.count(1):
-        s1, s2 = _ld_sums_to_mpf(_dd_row_sums(p))
-        yield c1 * s1, c2 * s2
+    p, g = p[..., keep], g[..., keep]
+    g_split = _split(g.hi)
+    c1, c2 = 2 / _ARITH_DD.pi, 1.5
+    idx = np.arange(len(lam))
+    m = 0
+
+    def next_order(live):
+        nonlocal p, g, g_split, idx, m
+        keep = live[idx]
+        if not keep.all():
+            p, g, idx = p[:, keep], g[:, keep], idx[keep]
+            g_split = tuple(v[:, keep] for v in g_split)
+        out = _dd(np.zeros((2, len(lam))))
+        sums = _dd_row_sums(p)
+        out[0, idx], out[1, idx] = c1 * sums[0], c2 * sums[-1]
         p = _dd_mul(p, g, g_split)
+        m += 1
         if m % 8 == 0:
-            live = (p[0] > _DD_DROP * np.maximum.accumulate(p[0], axis=-1)).any(axis=0)
-            keep = slice(0, np.flatnonzero(live)[-1] + 1)
-            p, g, g_split = ((a[:, keep], b[:, keep]) for a, b in (p, g, g_split))
+            big = (p.hi > _DD_DROP * np.maximum.accumulate(p.hi, axis=-1)).any(axis=(0, 1))
+            keep = slice(0, np.flatnonzero(big)[-1] + 1)
+            p, g = p[..., keep], g[..., keep]
+            g_split = tuple(v[..., keep] for v in g_split)
+        return out
+
+    return next_order
 
 
 def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ctl: SeriesControl, be):
@@ -207,13 +217,11 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ctl: SeriesControl, b
 
     if be.name == "longdouble":
         next_order = _bracket_family_ld(mod.sin2_pim, lam, y0_abs)
+    elif be.name == "dd":
+        next_order = _bracket_family_dd(mod.sin2_pim, lam, y0_abs, ctl.max_terms)
     else:
-        # rescued points keep one bracket family each
-        if be.dd:
-            fams = [_bracket_family_dd(mod.sin2_pim, lm, y0, ctl.max_terms)
-                    for lm, y0 in zip(lam, y0_abs)]
-        else:
-            fams = [_bracket_family_mp(mod.sin2_pim, lm, y0) for lm, y0 in zip(lam, y0_abs)]
+        # points rescued in mpmath keep one bracket family each
+        fams = [_bracket_family_mp(mod.sin2_pim, lm, y0) for lm, y0 in zip(lam, y0_abs)]
 
         def next_order(live):
             return np.array([next(f) if on else (0, 0) for f, on in zip(fams, live)],
@@ -265,7 +273,6 @@ def asep_exact_grid(
         _REL_TARGET,
         max_dps=_MAX_DPS,
         what=lambda i: f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}",
-        dd_kernels=True,
     )
 
 

@@ -19,9 +19,10 @@ and the SNR CDF is the same series at x = (gamma/gamma0)(1+K), because
 gamma = r^2 Es/N0 and gamma0 = 2 sigma^2 (1+K) Es/N0.
 
 Both series alternate and cancel heavily when K (1+Gamma)^2/(1+Gamma^2) is
-large; sums run on 80-bit long doubles and rerun in mpmath whenever the
-recorded cancellation would push the result past its accuracy target
-(~1e-11 relative, 1e-13 absolute).  For x > 600 the CDF is clamped to 1:
+large; sums run on 80-bit long doubles and rerun in double-longdouble
+arithmetic, or beyond its reach in mpmath, whenever the recorded
+cancellation would push the result past its accuracy target (~1e-11
+relative, 1e-13 absolute).  For x > 600 the CDF is clamped to 1:
 the exact complement there is below e^{-200} while the series' partial sums
 would overflow even long doubles.
 """
@@ -39,7 +40,6 @@ from . import specfun
 from .specfun import (
     SeriesControl,
     SeriesResult,
-    _ARITH_LD,
     _ive_ladder,
     _legendre_2f1_next,
     _grid,
@@ -47,7 +47,6 @@ from .specfun import (
     _raise_lost,
     _sum_series,
     marcum_q1,
-    needs_rescue,
     run_with_rescue,
     term_hump_guard,
 )
@@ -106,7 +105,7 @@ def _pdf_pass(p: TwdpParams, r, ctl: SeriesControl, be):
 
     # each point sums terms up to the ladder order nu; the points that
     # need more rerun on a ladder twice as long
-    s, last, possum = (np.empty(len(rb), dtype=rb.dtype) for _ in range(3))
+    s, last, possum = (rb * 0 for _ in range(3))
     n = np.zeros(len(rb), dtype=np.int64)
     ok = np.zeros(len(rb), dtype=bool)
     todo = np.arange(len(rb))
@@ -165,7 +164,7 @@ def pdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[Series
 # envelope / SNR CDF, one series in the variable x
 
 
-def _cdf_pass(p: TwdpParams, x, ctl: SeriesControl, be, freeze: bool = True):
+def _cdf_pass(p: TwdpParams, x, ctl: SeriesControl, be):
     """The cdf series at the points x[be.points], all in (0, _CDF_X_CLAMP]."""
     K = be.cast(p.k)
     G = be.cast(p.gamma)
@@ -192,36 +191,25 @@ def _cdf_pass(p: TwdpParams, x, ctl: SeriesControl, be, freeze: bool = True):
         return t
 
     s, n, last, possum, ok = _sum_series(
-        term, len(xb), ctl, min_terms=term_hump_guard(p.k, p.gamma), freeze=freeze
+        term, len(xb), ctl, min_terms=term_hump_guard(p.k, p.gamma)
     )
     return _pass_result("cdf", xb * be.exp(-xb), s, n, last, possum, ok)
 
 
 def _cdf_grid_x(p: TwdpParams, x, ctl: SeriesControl) -> list[SeriesResult]:
-    """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0.
-
-    One long-double pass runs over the grid; its sums run on to the grid's
-    last stop, so a value depends on the grid it is part of (freezing each
-    at its own stop would move the last printed digit of about one curve
-    row in seven).  The points whose result it cannot trust rerun on their
-    own through run_with_rescue, at x rounded to double.
-    """
+    """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0."""
     out = [SeriesResult(0.0 if xi == 0 else 1.0, 0, 0.0, 1.0) for xi in x]
     # above the clamp the complement is below exp(-((sqrt(x) - sqrt(2K))^2)/2-ish) < 1e-180
     live = np.flatnonzero((x > 0) & (x <= _CDF_X_CLAMP))
-    value, _, n, trunc, possum, ratio = _cdf_pass(p, x[live], ctl, _ARITH_LD, freeze=False)
-    results = list(map(SeriesResult, value.tolist(), n.tolist(), trunc.tolist(), ratio.tolist()))
-    redo = np.flatnonzero(needs_rescue(possum, abs(value), _ARITH_LD.eps, _REL_TARGET, _ABS_FLOOR))
-    xr = x[live[redo]].astype(float)
-    for j, res in zip(redo, _raise_lost(run_with_rescue(
-        lambda be: _cdf_pass(p, xr, ctl, be),
-        len(redo),
+    xs = x[live]
+    results = _raise_lost(run_with_rescue(
+        lambda be: _cdf_pass(p, xs, ctl, be),
+        len(live),
         _REL_TARGET,
         _ABS_FLOOR,
         _MAX_DPS,
-        what=lambda i: f"envelope cdf at x={float(xr[i])}",
-    ))):
-        results[j] = res
+        what=lambda i: f"envelope cdf at x={float(xs[i])}",
+    ))
     for i, res in zip(live, results):
         if not -1e-9 <= res.value <= 1.0 + 1e-9:
             raise CancellationLossError(

@@ -12,7 +12,9 @@ I_0 is even, so the closed form takes the Bessel argument in magnitude.  The
 closed form is the cheap production path; the series is the form that term-
 by-term manipulations (error-probability integrals) build on, and each serves
 as the other's cross-check.  u is computed as (1+K)/(1+K - g0 s) - 1, which
-stays exact as s -> -inf.  The series alternates and is rerun in mpmath when
+stays exact as s -> -inf.  The closed form takes exp(-x) I_0(x) from
+scipy.special.i0e (within 4e-16 relative).  The series alternates and is
+rerun in double-longdouble arithmetic, or beyond its reach in mpmath, when
 its recorded cancellation exceeds the long-double budget.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .dist import SnrContext
 from .errors import InvalidParameterError
@@ -30,7 +33,6 @@ from .specfun import (
     SeriesResult,
     _ARITH_LD,
     _grid,
-    _ive_ladder,
     _legendre_2f1_next,
     _pass_result,
     _raise_lost,
@@ -106,5 +108,5 @@ def mgf_closed(p: TwdpParams, ctx: SnrContext, s: float) -> float:
     pref = (1 + k) / den
     expo = k * u  # <= 0
     xarg = 2 * g * k * (-u) / (1 + g * g)  # >= 0, and xarg <= |expo|
-    value = pref * np.exp(expo + xarg) * _ive_ladder(xarg, 0, be)[0]
+    value = pref * np.exp(expo + xarg) * special.i0e(float(xarg))
     return float(value)

@@ -14,19 +14,18 @@ The envelope/SNR series alternate and can cancel by many orders of magnitude
 for strong specular power, so a pass runs on 80-bit long doubles first and
 reports the cancellation ratio sum|t_m| / |sum t_m| of every point.
 run_with_rescue reruns only the points whose ratio would visibly contaminate
-the result, in mpmath arithmetic (numpy object arrays of mpf values), all
-points that need the same precision in one pass.  A pass with
-double-longdouble kernels (hi/lo pairs of long doubles built from error-free
-transformations, section at the end) runs them instead of mpmath ones while
-the escalated precision stays within _DD_MAX_DPS digits; only the outer sum
-is then in mpmath.
+the result, all of them in one pass of double-longdouble arithmetic (_DD,
+hi/lo pairs of long doubles built from error-free transformations, section
+at the end; about 34 digits once its rounding is bounded, see _DD_EPS).
+Only the points that pass cannot vouch for rerun in mpmath (numpy object
+arrays of mpf values), all points that need the same precision in one pass.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import mpmath as mp
@@ -43,10 +42,6 @@ _LD = np.longdouble
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 # rounding-error inflation factor for the per-term error model
 _ERR_SAFETY = 4.0
-# highest working precision (decimal digits) the double-longdouble kernels
-# meet; see the double-longdouble section below for the error bound, which
-# assumes the x87 64-bit significand (elsewhere the kernels stay unused)
-_DD_MAX_DPS = 34 if np.finfo(np.longdouble).nmant == 63 else 0
 
 _log = logging.getLogger("twdp")
 
@@ -56,8 +51,10 @@ class SeriesControl:
     """Truncation policy for infinite series.
 
     The stopping rule requires `consec_below` consecutive terms with
-    |t_m| < rel_tol |partial sum| before accepting the sum; the model's
-    series alternate in sign, so a single small term is not a safe stop.
+    |t_m| < rel_tol |partial sum|, each no larger than the one before,
+    before accepting the sum; the model's series alternate in sign, so a
+    single small term is not a safe stop, and a small term on the rising
+    side of a hump is none either.
     """
 
     rel_tol: float = 1e-12
@@ -93,12 +90,11 @@ class SeriesResult:
 class _Arith:
     """The arithmetic of one summation pass and the points it runs on.
 
-    Functions and `cast` act elementwise on arrays: long-double arrays, or
-    object arrays of mpf values at the current mpmath precision.  `points`
-    indexes the points of the grid the pass runs on (None: all of them).
-    `dd` marks an mpmath context whose precision the double-longdouble
-    kernels meet; a pass that has such kernels may run them instead of pure
-    mpmath ones.
+    Functions and `cast` act elementwise on arrays: long-double arrays,
+    _DD arrays, or object arrays of mpf values at the current mpmath
+    precision.  `eps` bounds the relative rounding error of a term.
+    `points` indexes the points of the grid the pass runs on (None: all of
+    them).
     """
 
     name: str
@@ -108,7 +104,6 @@ class _Arith:
     sqrt: Callable
     eps: float
     pi: object
-    dd: bool = False
     points: np.ndarray | None = None
 
     def pick(self, values):
@@ -127,17 +122,24 @@ _ARITH_LD = _Arith(
 )
 
 
-def _arith_mp(dd_kernels: bool = False, points=None) -> _Arith:
+def _to_mpf(x):
+    """x as an mpf, exactly for long doubles too (mpmath rejects them)."""
+    if isinstance(x, np.longdouble):
+        man, exp = np.frexp(x)
+        return mp.mpf((int(np.ldexp(man, 64)), int(exp) - 64))
+    return mp.mpf(x)
+
+
+def _arith_mp(points=None) -> _Arith:
     """mpmath context bound to the *current* working precision."""
     return _Arith(
         name=f"mp{mp.mp.dps}",
-        cast=np.frompyfunc(mp.mpf, 1, 1),
+        cast=np.frompyfunc(_to_mpf, 1, 1),
         exp=np.frompyfunc(mp.exp, 1, 1),
         expm1=np.frompyfunc(mp.expm1, 1, 1),
         sqrt=np.frompyfunc(mp.sqrt, 1, 1),
         eps=float(mp.mpf(10) ** (-mp.mp.dps)),
         pi=+mp.pi,
-        dd=dd_kernels and mp.mp.dps <= _DD_MAX_DPS,
         points=points,
     )
 
@@ -153,26 +155,24 @@ def _kahan_add(total, comp, x):
 
 
 def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 0,
-                n_limit: int | None = None, freeze: bool = True):
+                n_limit: int | None = None):
     """Sum term(0) + term(1) + ... at every one of `size` points.
 
     term(m, live) returns the m-th terms of all points as one array (long
-    double or mpf objects); it is called for m = 0, 1, 2, ... in order, so
+    double, _DD or mpf objects); it is called for m = 0, 1, 2, ... in order, so
     it may advance recurrences.  Only the terms at the points marked in the
     boolean array `live` are used, so a costly term may skip the others.
     Every point keeps a Kahan sum of its terms and of their magnitudes, and
-    stops on its own under the SeriesControl rule.
+    stops on its own under the SeriesControl rule, and its sums stop with
+    it, so its result does not depend on the other points of the grid.
 
     `min_terms` disarms the stopping rule for the first terms.  The
     alternating sums here have envelopes that dip right after the leading
     term and only then climb through a hump near m = K (1+Gamma)^2 /
     (1+Gamma^2); without the guard the consecutive-small-term rule can fire
-    inside that dip and drop the entire hump.
-
-    With `freeze` a point's sums stop with it, so its result does not depend
-    on the other points of the grid.  Without it the sums of every point run
-    on to the last point's stop, and only terms_used stays at the point's
-    own stop.
+    inside that dip and drop the entire hump.  Terms still rising never
+    count toward a stop, which covers the humps the guard misses (the cdf's
+    moves out with x: at K=8, Gamma=0, x=58.6 it peaks at m=14).
 
     Returns arrays (sum, terms_used, |last term|, sum |t_m|, converged).
     """
@@ -180,17 +180,17 @@ def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 
     guard = min(min_terms, limit)
     n = below = np.zeros(size, dtype=np.int64)
     done = np.zeros(size, dtype=bool)
-    everywhere = ~done
     for m in range(limit):
-        t = term(m, ~done if freeze else everywhere)
+        t = term(m, ~done)
         t_abs = abs(t)
         if m == 0:
             s = comp = pos = pos_comp = t * 0
         new = (*_kahan_add(s, comp, t), *_kahan_add(pos, pos_comp, t_abs), t_abs)
-        if freeze and done.any():
+        falling = m == 0 or t_abs <= last
+        if done.any():
             new = [np.where(done, old, v) for old, v in zip((s, comp, pos, pos_comp, last), new)]
         s, comp, pos, pos_comp, last = new
-        small = m + 1 >= guard and t_abs <= ctl.rel_tol * abs(s)
+        small = m + 1 >= guard and (t_abs <= ctl.rel_tol * abs(s)) & falling
         below = np.where(small, below + 1, 0)
         n = np.where(done, n, m + 1)
         done = done | (below >= ctl.consec_below)
@@ -244,10 +244,9 @@ def run_with_rescue(
     abs_floor: float = 0.0,
     max_dps: int = 120,
     what: Callable = str,
-    dd_kernels: bool = False,
 ) -> list:
-    """Sum a series at `size` points, rerunning the untrustworthy ones at
-    escalating working precision.
+    """Sum a series at `size` points, rerunning the untrustworthy ones in
+    more precise arithmetic.
 
     pass_fn(be) sums the series at the points be.points (all when None) in
     be's arithmetic and returns (value, terms, terms_used, trunc,
@@ -255,15 +254,16 @@ def run_with_rescue(
     those points (the work of the pass, which the per-layer tracer in
     bench/tracing.py counts), the rest are arrays over them, and possum_abs
     is sum|t_m| on the final value's scale.  One long-double pass runs over
-    all points.  A heavily cancelled sum reports a ratio that is only a
-    lower bound (the computed total is then noise at the working epsilon),
-    so each point rerun is re-checked and its precision grows at least
-    geometrically.  Points that need the same precision rerun together.
-
-    dd_kernels says pass_fn has double-longdouble kernels; an escalated pass
-    within _DD_MAX_DPS digits then gets an arithmetic with `dd` set.  Each
-    escalation is logged at DEBUG level on the "twdp" logger, under the
-    name what(i) of the point.
+    all points, then one double-longdouble pass over every point that fails
+    needs_rescue (where long double is the x87 format), checked again with
+    _DD_EPS against rel_target alone.  The points left rerun in mpmath with
+    the digits their ratio calls for.  A heavily cancelled sum reports a
+    ratio that is only a lower bound (the computed total is then noise at
+    the working epsilon), so each point rerun is re-checked and its
+    precision grows at least geometrically.  Points that need the same
+    precision rerun together.
+    Each rerun is logged at DEBUG level on the "twdp" logger, under the name
+    what(i) of the point.
 
     Returns a SeriesResult per point, or a CancellationLossError for a point
     that would need more than max_dps digits.
@@ -272,10 +272,19 @@ def run_with_rescue(
         return []
     value, _, n, trunc, possum_abs, ratio = pass_fn(_ARITH_LD)
     tier = [_ARITH_LD.name] * size
+    todo = np.flatnonzero(needs_rescue(possum_abs, abs(value), _ARITH_LD.eps, rel_target, abs_floor))
+    if todo.size and _ARITH_DD is not None:
+        for i in todo:
+            _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning in dd arithmetic",
+                       what(i), ratio[i], tier[i])
+            tier[i] = _ARITH_DD.name
+        v, _, n[todo], trunc[todo], p_abs, ratio[todo] = pass_fn(replace(_ARITH_DD, points=todo))
+        value[todo] = v
+        # relative target only: below abs_floor the mpmath rerun keeps a
+        # value's leading digits, and a dd value would not
+        todo = todo[needs_rescue(p_abs, abs(v), _ARITH_DD.eps, rel_target)]
     dps = np.zeros(size, dtype=np.int64)
     out: list = [None] * size
-    eps = _ARITH_LD.eps
-    todo = np.flatnonzero(needs_rescue(possum_abs, abs(value), eps, rel_target, abs_floor))
     while todo.size:
         for i in todo:
             est = rescue_dps(ratio[i] if math.isfinite(ratio[i]) else 1e30)
@@ -291,12 +300,12 @@ def run_with_rescue(
         for digits in np.unique(dps[todo]).tolist():
             pts = todo[dps[todo] == digits]
             with mp.workdps(digits):
-                be = _arith_mp(dd_kernels, pts)
+                be = _arith_mp(pts)
                 for i in pts:
                     _log.debug(
                         "%s: cancellation ratio %.3g in the %s pass; "
-                        "rerunning at %d digits in %s arithmetic",
-                        what(i), ratio[i], tier[i], digits, "dd" if be.dd else "mp",
+                        "rerunning at %d digits in mp arithmetic",
+                        what(i), ratio[i], tier[i], digits,
                     )
                     tier[i] = be.name
                 v, _, n[pts], trunc[pts], p_abs, ratio[pts] = pass_fn(be)
@@ -375,8 +384,8 @@ def _miller_ladder(x, start: list, nu_max: int, be: _Arith) -> list:
             if now == 1:
                 xa, ip1, ik, norm, comp = x[0], zero, seed, zero, zero
             else:
-                xa = x[:now]
-                ip1, ik, norm, comp = (np.append(v, [fill] * (now - seeded)) for v, fill in
+                xa, fresh = x[:now], x[seeded:now] * 0
+                ip1, ik, norm, comp = (np.append(v, fresh + fill) for v, fill in
                                        zip((ip1, ik, norm, comp), (zero, seed, zero, zero)))
             seeded = now
         im1 = ip1 + (2 * k / xa) * ik
@@ -412,9 +421,9 @@ def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
     contamination of the minimal solution is below working precision, then
     normalized via sum_k eps_k ive_k = 1.  Each x has its own seed order.
     """
-    if not isinstance(x, np.ndarray):
-        # a closed-form MGF calls this once per quadrature node: the grid
-        # bookkeeping below would cost more than a short ladder
+    if getattr(x, "ndim", 0) == 0:
+        # a single x (the pdf's third factor, the asymptote) gives a list
+        # of values and skips the grid bookkeeping below
         xf = float(x)
         if xf == 0.0:
             one = be.cast(1.0)
@@ -425,11 +434,11 @@ def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
         return _ive_small_x(x, nu_max, be)
     xb = be.cast(x)
     starts = [_ladder_start(v, nu_max, be) for v in xb.astype(float).tolist()]
-    out = np.full((nu_max + 1, len(xb)), be.cast(0.0), dtype=xb.dtype)
+    out = be.cast(np.zeros((nu_max + 1, len(xb))))
     out[0, xb == 0] = be.cast(1.0)
-    small = [i for i, v in enumerate(starts) if v is None and xb[i] > 0]
-    if small:
-        out[:, small] = np.array([_ive_small_x(xb[i], nu_max, be) for i in small]).T
+    for i, v in enumerate(starts):
+        if v is None and xb[i] > 0:
+            out[:, i] = _ive_small_x(xb[i], nu_max, be)
     big = sorted((i for i, v in enumerate(starts) if v is not None), key=starts.__getitem__,
                  reverse=True)
     if big:
@@ -591,17 +600,27 @@ def tanh_sinh_rule(level: int, be: _Arith = _ARITH_LD):
 # ----------------------------------------------------------------------------
 # double-longdouble arithmetic
 #
-# A dd value is a pair (hi, lo) of long-double arrays whose unevaluated sum
-# carries about 128 bits (38 digits) on x87 80-bit long doubles, u = 2^-64.
-# The error-free transformations (Dekker, Numer. Math. 18, 1971; Hida, Li &
-# Bailey, ARITH-15, 2001) need only round-to-nearest; long doubles have no
-# fused multiply-add, so products go through Veltkamp's split.  A dd product
-# errs by at most 7 u^2 relative (Joldes, Muller & Popescu, ACM TOMS 44(4),
-# 2017), so a value built by m chained products of factors that are
-# themselves within 15 u^2 stays within about 22 m u^2 = 6.5e-38 m: below
-# 10^-_DD_MAX_DPS for the first 1,500 orders.
+# A dd value is a pair (hi, lo) of long doubles whose unevaluated sum carries
+# about 128 bits (38 digits) on x87 80-bit long doubles, u = 2^-64, with
+# |lo| <= u |hi|.  The error-free transformations (Dekker, Numer. Math. 18,
+# 1971; Hida, Li & Bailey, ARITH-15, 2001) need only round-to-nearest; long
+# doubles have no fused multiply-add, so products go through Veltkamp's
+# split.  Each dd operation states its relative error, to first order in u.
 
 _DD_SPLITTER = _LD(2**32 + 1)
+
+# _DD_EPS bounds the relative rounding error of one term of a dd pass, which
+# is what needs_rescue rechecks a dd pass with.  Relative errors add along a
+# chain of operations.  Each recurrence in the order m (the bracket family's
+# powers of g, the coefficient a^m/m!, the Legendre and Laguerre
+# recurrences) takes one dd product (8u^2) and one quotient (13u^2) or sum
+# (3u^2) per order on factors already within their bound, so a term after m
+# orders is within 22 m u^2 per chain: 11,000 u^2 over max_terms = 500
+# orders.  A Miller ladder step I_{k-1} = I_{k+1} + (2k/x) I_k adds positive
+# values and costs a quotient, a product and a sum (24u^2), so a ladder of
+# at most 1,000 steps (order 500 plus the seed offset up to x ~ 300) adds
+# 24,000 u^2.  Together 35,000 u^2 = 1.0e-34: about 34 digits.
+_DD_EPS = (22 * 500 + 24 * 1000) * 2.0**-128
 
 
 def _two_sum(a, b):
@@ -635,32 +654,147 @@ def _two_prod(a, b, b_split=None):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_mul(a, b, b_split=None):
-    (ah, al), (bh, bl) = a, b
-    p, e = _two_prod(ah, bh, b_split)
-    return _fast_two_sum(p, e + (ah * bl + al * bh))
-
-
 def _dd_add(a, b):
-    """a + b for dd values of one sign (no cancellation to guard against)."""
-    (ah, al), (bh, bl) = a, b
-    s, e = _two_sum(ah, bh)
-    return _fast_two_sum(s, e + (al + bl))
+    """a + b within 3u^2 / (1 - 4u) relative, cancellation included
+    (AccurateDWPlusDW; Joldes, Muller & Popescu, ACM TOMS 44(4), 2017)."""
+    s, e = _two_sum(a.hi, b.hi)
+    t, f = _two_sum(a.lo, b.lo)
+    s, e = _fast_two_sum(s, e + t)
+    return _DD(*_fast_two_sum(s, e + f))
+
+
+def _dd_mul(a, b, b_split=None):
+    """a b within 8u^2 relative: with a.hi b.hi = p + e exactly, the
+    product drops a.lo b.lo (u^2) and rounds a.hi b.lo and a.lo b.hi (u^2
+    each), their sum (2u^2) and e plus that sum (3u^2)."""
+    p, e = _two_prod(a.hi, b.hi, b_split)
+    return _DD(*_fast_two_sum(p, e + (a.hi * b.lo + a.lo * b.hi)))
 
 
 def _dd_div(a, b):
-    (ah, al), (bh, bl) = a, b
-    q = ah / bh
-    p, e = _two_prod(q, bh)
-    r = (((ah - p) - e) + al) - q * bl  # a - q b; ah - p is exact
-    return _fast_two_sum(q, r / bh)
+    """a / b within 13u^2 relative: q = fl(a.hi / b.hi), and the remainder
+    a - q b (a.hi - p is exact) takes four roundings of 1, 2, 1 and 3 u^2
+    |a.hi|; it is divided by b.hi instead of b (3u^2) and rounded (3u^2)."""
+    q = a.hi / b.hi
+    p, e = _two_prod(q, b.hi)
+    r = (((a.hi - p) - e) + a.lo) - q * b.lo
+    return _DD(*_fast_two_sum(q, r / b.hi))
 
 
 def _dd_sqrt(a):
-    ah, al = a
-    s = np.sqrt(ah)
+    """sqrt(a) for a > 0: the long-double root and one Newton correction."""
+    s = np.sqrt(a.hi)
     p, e = _two_prod(s, s)
-    return _fast_two_sum(s, (((ah - p) - e) + al) / (2 * s))
+    return _DD(*_fast_two_sum(s, (((a.hi - p) - e) + a.lo) / (2 * s)))
+
+
+def _dd(x):
+    """x as a _DD; ints below 2^64, floats and long doubles convert exactly,
+    and a list of _DD values becomes one array."""
+    if isinstance(x, _DD):
+        return x
+    if isinstance(x, list) and x and isinstance(x[0], _DD):
+        return _DD(np.array([v.hi for v in x]), np.array([v.lo for v in x]))
+    hi = np.asarray(x, dtype=_LD)
+    return _DD(hi, np.zeros_like(hi))
+
+
+class _DD:
+    """An array of dd values: long-double arrays (or scalars) hi and lo of
+    one shape.
+
+    Arithmetic with ints, floats, long doubles and other _DD arrays runs the
+    dd operations above; negation, abs and comparisons are exact.  It
+    indexes like its parts, and np.where and np.append accept it (the only
+    numpy functions the series passes apply to their values), so the passes
+    run on it unchanged.
+    """
+
+    __slots__ = ("hi", "lo")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+    __hash__ = None
+
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
+
+    @property
+    def ndim(self):
+        return np.ndim(self.hi)
+
+    def __add__(self, other):
+        return _dd_add(self, _dd(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _dd_add(self, -_dd(other))
+
+    def __rsub__(self, other):
+        return _dd_add(_dd(other), -self)
+
+    def __mul__(self, other):
+        return _dd_mul(self, _dd(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _dd_div(self, _dd(other))
+
+    def __rtruediv__(self, other):
+        return _dd_div(_dd(other), self)
+
+    def __pow__(self, n: int):
+        out = self
+        for _ in range(n - 1):  # small integer powers only
+            out = out * self
+        return out
+
+    def __neg__(self):
+        return _DD(-self.hi, -self.lo)
+
+    def __abs__(self):
+        return _DD(np.abs(self.hi), np.where(self.hi < 0, -self.lo, self.lo))
+
+    def __le__(self, other):
+        o = _dd(other)
+        return (self.hi < o.hi) | ((self.hi == o.hi) & (self.lo <= o.lo))
+
+    def __gt__(self, other):
+        return ~(self <= other)
+
+    def __eq__(self, other):
+        o = _dd(other)
+        return (self.hi == o.hi) & (self.lo == o.lo)
+
+    def __getitem__(self, idx):
+        return _DD(self.hi[idx], self.lo[idx])
+
+    def __setitem__(self, idx, value):
+        v = _dd(value)
+        self.hi[idx], self.lo[idx] = v.hi, v.lo
+
+    def __len__(self):
+        return len(self.hi)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def astype(self, dtype):
+        """The values rounded to dtype (float), lo deciding ties of hi."""
+        d = self.hi.astype(dtype)
+        return d + ((self.hi - d) + self.lo).astype(dtype)
+
+    def __float__(self):
+        return float(self.astype(float))
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.where:
+            cond, a, b = args[0], _dd(args[1]), _dd(args[2])
+            return _DD(np.where(cond, a.hi, b.hi), np.where(cond, a.lo, b.lo))
+        if func is np.append:
+            a, b = (_dd(v) for v in args)
+            return _DD(np.append(a.hi, b.hi), np.append(a.lo, b.lo))
+        return NotImplemented
 
 
 def _extract(x, sigma):
@@ -671,38 +805,28 @@ def _extract(x, sigma):
 
 
 def _dd_row_sums(a):
-    """Row sums of a dd array with hi >= 0, each as the exact sum of a
-    column of the returned (3, rows) long-double array.
+    """Row sums (over the last axis) of a _DD with hi >= 0, within 2^-119.
 
-    The parts are within 2^-120 of each row sum (Rump, Ogita & Oishi, SIAM
-    J. Sci. Comput. 31(1), 2008).  A power of two sigma above twice the row
-    sum puts every hi on a grid whose partial sums stay below sigma, so they
-    add exactly.  The remainders are below 2^-64 sigma each, so a grid
-    2^bits >= n + 2 times above that sums them exactly too, leaving parts
-    below 2^-100 of the row sum.  Those and the lo parts, below 2^-64 of
-    theirs, are summed with rounding.
+    The exact-extraction parts are within 2^-120 of each row sum (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008).  A power of two sigma
+    above twice the row sum puts every hi on a grid whose partial sums stay
+    below sigma, so they add exactly.  The remainders are below 2^-64 sigma
+    each, so a grid 2^bits >= n + 2 times above that sums them exactly too,
+    leaving parts below 2^-100 of the row sum.  Those and the lo parts,
+    below 2^-64 of theirs, are summed with rounding, and joining the parts
+    into one dd value rounds once more (u^2).
     """
-    hi, lo = a
+    hi, lo = a.hi, a.lo
     _, e = np.frexp(hi.sum(axis=-1, keepdims=True))
     sigma = np.ldexp(_LD(1), e + 1)
     q, r = _extract(hi, sigma)
     qr, rr = _extract(r, np.ldexp(sigma, (hi.shape[-1] + 2).bit_length() - 64))
-    return np.stack((q.sum(axis=-1), qr.sum(axis=-1), rr.sum(axis=-1) + lo.sum(axis=-1)))
-
-
-def _ld_sums_to_mpf(parts):
-    """The column sums of a long-double array as mpf values, each exact
-    until rounded once to the working precision."""
-    m, e = np.frexp(parts)
-    out = []
-    for mans, exps in zip(np.ldexp(m, 64).T, (e - 64).T.tolist()):
-        e0 = min(exps)
-        out.append(mp.mpf((sum(int(mv) << (ev - e0) for mv, ev in zip(mans, exps)), e0)))
-    return out
+    s, e = _two_sum(q.sum(axis=-1), qr.sum(axis=-1))
+    return _DD(*_fast_two_sum(s, e + (rr.sum(axis=-1) + lo.sum(axis=-1))))
 
 
 def _dd_from_mpf(values):
-    """(hi, lo) long-double arrays nearest to a sequence of mpf values."""
+    """The _DD nearest to a sequence of mpf values."""
     def to_ld(x):  # exact for x with at most 64 significant bits
         man, exp = x.man_exp  # unsigned mantissa
         return np.ldexp(_LD(-man if x < 0 else man), exp)
@@ -713,11 +837,23 @@ def _dd_from_mpf(values):
             h = +v
             hi.append(to_ld(h))
             lo.append(to_ld(v - h))
-    return np.array(hi), np.array(lo)
+    return _DD(np.array(hi, dtype=_LD), np.array(lo, dtype=_LD))
+
+
+def _dd_map(fn):
+    """An mpmath function applied to each value of a _DD at 40 digits and
+    rounded back to dd; passes call it once per point, not per term."""
+    def apply(x):
+        with mp.workdps(40):
+            out = _dd_from_mpf([fn(_to_mpf(h) + _to_mpf(l))
+                                for h, l in zip(np.ravel(x.hi), np.ravel(x.lo))])
+        shape = np.shape(x.hi)
+        return _DD(out.hi.reshape(shape), out.lo.reshape(shape))
+    return apply
 
 
 def tanh_sinh_rule_dd(level: int):
-    """tanh_sinh_rule's (t, 1-t, w) as dd arrays, for double-longdouble kernels.
+    """tanh_sinh_rule's (t, 1-t, w) as _DD arrays, for the dd bracket family.
 
     Built once per level in mpmath, with the node range of a 40-digit rule,
     then rounded to hi/lo pairs, so each entry holds about 38 digits.
@@ -729,3 +865,17 @@ def tanh_sinh_rule_dd(level: int):
             rule = tanh_sinh_rule(level, _arith_mp())
         cached = _TS_CACHE[key] = tuple(_dd_from_mpf(col) for col in rule)
     return cached
+
+
+def _arith_dd():
+    """The dd arithmetic, or None where long double is not the x87 format
+    whose 64-bit significand the bounds above assume."""
+    if np.finfo(np.longdouble).nmant != 63:
+        return None
+    with mp.workdps(40):
+        pi = _dd_from_mpf([+mp.pi])[0]
+    return _Arith(name="dd", cast=_dd, exp=_dd_map(mp.exp), expm1=_dd_map(mp.expm1),
+                  sqrt=_dd_sqrt, eps=_DD_EPS, pi=pi)
+
+
+_ARITH_DD = _arith_dd()

@@ -120,18 +120,16 @@ def appell_f1_double_series(m: int, x: float, y: float) -> float:
 # test-only special functions (oracles for the kernel and the series)
 
 
-def scalar_series(terms, ctl, min_terms=0, n_limit=None, run_to=None):
+def scalar_series(terms, ctl, min_terms=0, n_limit=None):
     """Scalar reference for the series engine: Kahan sums of the terms and
     of their magnitudes under the SeriesControl stopping rule.
 
-    Returns (sum, terms_used, |last term|, sum |t|, converged).  With
-    run_to the sums run on to that many terms while terms_used stays at
-    the stop, as in a grid whose last point stops later.
+    Returns (sum, terms_used, |last term|, sum |t|, converged).
     """
     limit = ctl.max_terms if n_limit is None else min(ctl.max_terms, n_limit)
     guard = min(min_terms, limit)
     total = comp = pos = pos_comp = last = None
-    below = used = 0
+    below = 0
     for n, t in enumerate(terms, start=1):
         if total is None:
             total = comp = pos = pos_comp = t * 0
@@ -141,18 +139,12 @@ def scalar_series(terms, ctl, min_terms=0, n_limit=None, run_to=None):
         y = abs(t) - pos_comp
         s = pos + y
         pos_comp, pos = (s - pos) - y, s
+        falling = last is None or abs(t) <= last
         last = abs(t)
-        if used:
-            if n >= run_to:
-                return total, used, last, pos, True
-            continue
-        if n >= guard and abs(t) <= ctl.rel_tol * abs(total):
+        if n >= guard and abs(t) <= ctl.rel_tol * abs(total) and falling:
             below += 1
             if below >= ctl.consec_below:
-                used = n
-                if run_to is None or n >= run_to:
-                    return total, n, last, pos, True
-                continue
+                return total, n, last, pos, True
         else:
             below = 0
         if n >= limit:
@@ -358,7 +350,7 @@ def pdf_pass_scalar(p, r: float, ctl):
     return _finish(pref, s, n, last, pos)
 
 
-def cdf_pass_scalar(p, x, ctl, run_to=None):
+def cdf_pass_scalar(p, x, ctl):
     """The long-double cdf pass at one x in (0, 600]."""
     from twdp.specfun import term_hump_guard
 
@@ -378,8 +370,7 @@ def cdf_pass_scalar(p, x, ctl, run_to=None):
             yield cm * h1 * leg
             cm = cm * (-a) / (m + 1)
 
-    s, n, last, pos, _ = scalar_series(terms(), ctl, term_hump_guard(p.k, p.gamma),
-                                       run_to=run_to)
+    s, n, last, pos, _ = scalar_series(terms(), ctl, term_hump_guard(p.k, p.gamma))
     return _finish(xb * np.exp(-xb), s, n, last, pos)
 
 

@@ -20,7 +20,11 @@ from twdp import (
     asep_quadrature,
 )
 
-from twdp.specfun import _arith_mp
+from twdp import specfun
+from twdp.specfun import _arith_mp, run_with_rescue
+
+needs_dd = pytest.mark.skipif(specfun._ARITH_DD is None,
+                              reason="the dd tier needs x87 80-bit long doubles")
 
 from conftest import FIGURE_SETS, rayleigh_bpsk, rayleigh_mpsk, rician_mpsk_quad
 
@@ -187,8 +191,9 @@ class TestDiagnostics:
 
 
 class TestRescueTiers:
-    """Rescued passes sum the bracket family in double-longdouble arithmetic
-    up to 34 digits and in mpmath beyond."""
+    """Rescued passes rerun in double-longdouble arithmetic, bracket family
+    and outer sum alike; only points the dd pass cannot vouch for rerun in
+    mpmath."""
 
     @pytest.mark.parametrize("k", [14.0, 20.0, 25.0])
     def test_against_50_digit_mpmath_series(self, k):
@@ -203,10 +208,13 @@ class TestRescueTiers:
                 assert value == pytest.approx(ref, rel=1e-12)
                 assert value == pytest.approx(asep_quadrature(p, mod, g0), rel=1e-8)
 
+    @needs_dd
     def test_k14_needs_no_mpmath_brackets(self, monkeypatch):
         def unavailable(*args):
-            raise AssertionError("mpmath bracket family called")
+            raise AssertionError("mpmath arithmetic called")
 
+        for mod_ in (asep, specfun):
+            monkeypatch.setattr(mod_, "_arith_mp", unavailable)
         monkeypatch.setattr(asep, "_bracket_family_mp", unavailable)
         p = TwdpParams(k=14.0, gamma=1.0)
         for m_order in (2, 16):
@@ -216,7 +224,7 @@ class TestRescueTiers:
                 assert res.cancellation_ratio > 1e6  # a rescued pass
                 assert res.value == pytest.approx(asep_quadrature(p, mod, g0), rel=1e-8)
 
-    def test_beyond_34_digits_mpmath_brackets(self, monkeypatch):
+    def test_past_dd_bound_mpmath_brackets(self, monkeypatch):
         calls = []
         family = asep._bracket_family_mp
 
@@ -225,19 +233,34 @@ class TestRescueTiers:
             return family(*args)
 
         monkeypatch.setattr(asep, "_bracket_family_mp", counted)
-        # the long-double pass measures a 2.2e17 cancellation: 35 digits
-        p, mod = TwdpParams(k=20.0, gamma=1.0), ModulationSpec(2)
-        value = asep_exact(p, mod, 1e4).value
+        # the dd pass measures a 9.8e23 cancellation: 41 digits
+        p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
+        value = asep_exact(p, mod, 100.0).value
         assert len(calls) == 1
-        assert value == pytest.approx(asep_quadrature(p, mod, 1e4), rel=1e-8)
+        assert value == pytest.approx(asep_quadrature(p, mod, 100.0), rel=1e-8)
 
-    def test_dd_only_up_to_34_digits(self):
-        with mp.workdps(34):
-            assert _arith_mp(dd_kernels=True).dd
-            assert not _arith_mp().dd
-        with mp.workdps(35):
-            assert not _arith_mp(dd_kernels=True).dd
+    @needs_dd
+    def test_tier_rule(self):
+        # a stub series: point 0 does not cancel, point 1 cancels within
+        # the dd bound, point 2 past it, and point 3 (below the absolute
+        # floor) within it only absolutely
+        ratio = np.array([1.0, 1e15, 1e25, 1e23])
+        size = np.array([1.0, 1.0, 1.0, 1e-10])
+        seen = []
 
+        def pass_fn(be):
+            pts = np.arange(4) if be.points is None else be.points
+            seen.append((be.name, pts.tolist()))
+            n = len(pts)
+            return (size[pts], n, np.ones(n, dtype=np.int64), np.zeros(n),
+                    size[pts] * ratio[pts], ratio[pts])
+
+        out = run_with_rescue(pass_fn, 4, 1e-11, abs_floor=1e-13)
+        assert seen == [("longdouble", [0, 1, 2, 3]), ("dd", [1, 2, 3]),
+                        ("mp40", [3]), ("mp42", [2])]
+        assert [res.value for res in out] == size.tolist()
+
+    @needs_dd
     def test_escalation_logged(self, caplog):
         caplog.set_level(logging.DEBUG, logger="twdp")
         asep_exact(TwdpParams(k=14.0, gamma=1.0), ModulationSpec(2), 100.0)
@@ -246,4 +269,4 @@ class TestRescueTiers:
         msg = rec.getMessage()
         assert msg.startswith("asep series at K=14.0, Gamma=1.0, gamma0=100.0:")
         assert re.search(r"ratio \d\.\d\de\+\d+ in the longdouble pass", msg)
-        assert re.search(r"at \d+ digits in dd arithmetic$", msg)
+        assert msg.endswith("rerunning in dd arithmetic")

@@ -1,4 +1,5 @@
-"""The array series engine against scalar long-double loops, bit for bit.
+"""The array series engine against scalar long-double loops, bit for bit,
+and its double-longdouble rescues against 50-digit mpmath passes.
 
 Every series pass sums all points of a grid at once; the references in
 conftest sum one point at a time in the order the arithmetic was written
@@ -6,8 +7,10 @@ before the passes became array-native.  Equality is exact: the per-point
 operations are the same, only their batching differs.
 """
 
+import logging
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from twdp import (
     asep_exact_grid,
     cdf,
     cdf_grid,
+    mgf_closed,
     mgf_series,
     mgf_series_grid,
     pdf,
@@ -29,7 +33,8 @@ from twdp import (
 from twdp.asep import _asep_pass
 from twdp.dist import _cdf_pass, _pdf_pass
 from twdp.mgf import _mgf_series_pass
-from twdp.specfun import _ARITH_LD, _ive_ladder
+from twdp import specfun
+from twdp.specfun import _ARITH_LD, _arith_mp, _ive_ladder
 
 from conftest import (
     asep_pass_scalar,
@@ -80,11 +85,7 @@ def test_pdf_pass_matches_scalar_loop(p, rn):
 @given(params, st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=6))
 def test_cdf_pass_matches_scalar_loop(p, xs):
     x = np.array(xs, dtype=np.longdouble)
-    # rescues: each point stops on its own
     assert_pass_matches(_cdf_pass(p, x, CTL, _ARITH_LD), [cdf_pass_scalar(p, v, CTL) for v in x])
-    # the grid pass: sums run on to the last point's stop
-    out = _cdf_pass(p, x, CTL, _ARITH_LD, freeze=False)
-    assert_pass_matches(out, [cdf_pass_scalar(p, v, CTL, run_to=max(out[2])) for v in x])
 
 
 @FAST
@@ -139,6 +140,14 @@ class TestRescuedTogether:
         assert sum(res.cancellation_ratio > 1e6 for res in grid) >= 4
         assert grid == [pdf(self.P, float(r)) for r in rs]
 
+    def test_cdf_grid(self):
+        # a curve value does not depend on the curve: before, the grid's
+        # long-double sums ran on to the last point's stop
+        rs = np.linspace(0.2, 3.0, 8)
+        grid = cdf_grid(self.P, rs)
+        assert sum(res.cancellation_ratio > 1e6 for res in grid) >= 2
+        assert grid == [cdf(self.P, float(r)) for r in rs]
+
     def test_mgf_series_grid(self):
         ctx = SnrContext.from_average_snr(self.P, 1e3)
         ss = [-100.0, -60.0, -30.0, -10.0]
@@ -151,3 +160,87 @@ class TestRescuedTogether:
         grid = asep_exact_grid(self.P, mod, g0s)
         assert all(res.cancellation_ratio > 1e6 for res in grid)
         assert grid == [asep_exact(self.P, mod, g0) for g0 in g0s]
+
+
+needs_dd = pytest.mark.skipif(specfun._ARITH_DD is None,
+                              reason="the dd tier needs x87 80-bit long doubles")
+
+
+def rescue_case(kind, p):
+    """A grid of points whose long-double sums cannot be trusted: the public
+    grid evaluation on it, and its series pass for a given arithmetic."""
+    if kind == "mgf":
+        ctx = SnrContext.from_average_snr(p, 10.0)
+        s = np.linspace(-10.0, -3.0, 6)
+        return (lambda: mgf_series_grid(p, ctx, s),
+                lambda be: _mgf_series_pass(p, ctx.gamma0, s, CTL, be))
+    if kind == "pdf":
+        r = np.linspace(0.7, 1.8, 6)
+        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, CTL, be)
+    # the K=40 left tail, below the absolute floor, and the bulk
+    r = np.array([0.01, 0.05, 0.1, 0.2, 0.8, 0.9]) if p.k == 40.0 else np.linspace(0.2, 0.8, 6)
+    x = r.astype(np.longdouble) ** 2 / (2 * np.longdouble(p.sigma2))
+    return lambda: cdf_grid(p, r), lambda be: _cdf_pass(p, x, CTL, be)
+
+
+def at_50_digits(series):
+    with mp.workdps(50):
+        return series(_arith_mp())[0]
+
+
+class TestDoubleLongdoubleRescue:
+    @pytest.mark.parametrize("kind,k,gamma", [(kind, k, 1.0) for k in (14.0, 20.0)
+                                              for kind in ("pdf", "cdf", "mgf")]
+                             + [("cdf", 40.0, 0.0)])
+    def test_against_50_digit_mpmath(self, kind, k, gamma):
+        grid, series = rescue_case(kind, TwdpParams(k=k, gamma=gamma))
+        for res, want in zip(grid(), at_50_digits(series)):
+            assert res.cancellation_ratio > 1e8
+            assert res.value == pytest.approx(want, rel=1e-12)
+
+    @needs_dd
+    def test_ladder_against_50_digit_mpmath(self):
+        # both sides of the small-x branch, and far up the ladder
+        x = np.array([0.0, 1e-3, 0.3, 0.5, 2.0, 30.0, 300.0])
+        rows = _ive_ladder(x, 20, specfun._ARITH_DD)
+        with mp.workdps(50):
+            ref = _ive_ladder(x, 20, _arith_mp())
+            for nu in range(21):
+                for j, want in enumerate(ref[nu]):
+                    got = specfun._to_mpf(rows.hi[nu, j]) + specfun._to_mpf(rows.lo[nu, j])
+                    assert abs(got - want) <= 1e-36 * want
+
+    @needs_dd
+    def test_k14_needs_no_mpmath(self, monkeypatch):
+        def unavailable(*args):
+            raise AssertionError("mpmath arithmetic called")
+
+        p = TwdpParams(k=14.0, gamma=1.0)
+        cases = [rescue_case(kind, p) for kind in ("pdf", "cdf", "mgf")]
+        refs = [at_50_digits(series) for _, series in cases]
+        monkeypatch.setattr(specfun, "_arith_mp", unavailable)
+        for (grid, _), ref in zip(cases, refs):
+            assert [res.value for res in grid()] == pytest.approx(list(ref), rel=1e-12)
+
+    @needs_dd
+    def test_past_dd_bound_escalates_to_mpmath(self, caplog):
+        # the dd pass measures a 4.4e24 cancellation, past what it vouches for
+        caplog.set_level(logging.DEBUG, logger="twdp")
+        p = TwdpParams(k=40.0, gamma=0.0)
+        ctx = SnrContext.from_average_snr(p, 10.0)
+        res = mgf_series(p, ctx, -10.0)
+        assert [rec.getMessage().rsplit("; ", 1)[1] for rec in caplog.records] == [
+            "rerunning in dd arithmetic", "rerunning at 42 digits in mp arithmetic"]
+        assert res.value == pytest.approx(mgf_closed(p, ctx, -10.0), rel=1e-11)
+
+
+def test_stop_waits_out_a_rising_hump():
+    # at K=8, Gamma=0, x = 58.6 the cdf terms climb through 1e-12 of the sum
+    # to a hump at m = 14, past the hump guard of 11 terms; a stop on that
+    # rising edge dropped 7e-12 of the value
+    p = TwdpParams(k=8.0, gamma=0.0)
+    r = 2.551568472546093
+    x = np.array([r * r / (2 * p.sigma2)], dtype=np.longdouble)
+    with mp.workdps(50):
+        ref = _cdf_pass(p, x, SeriesControl(rel_tol=1e-30), _arith_mp())[0][0]
+    assert cdf(p, r).value == pytest.approx(ref, rel=1e-14)

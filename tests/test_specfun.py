@@ -20,10 +20,10 @@ from twdp import (
     marcum_q1,
 )
 from twdp.specfun import (
+    _DD,
     _arith_mp,
     _dd_row_sums,
     _fast_two_sum,
-    _ld_sums_to_mpf,
     _split,
     _two_prod,
     _two_sum,
@@ -332,6 +332,21 @@ def exact(x) -> Fraction:
     return Fraction(*x.as_integer_ratio())
 
 
+def exact_dd(x) -> Fraction:
+    return exact(x.hi) + exact(x.lo)
+
+
+U = Fraction(1, 2**64)  # unit roundoff of 64-bit significands
+
+
+# normalized dd values hi + lo, |lo| <= 2^-65 |hi|
+dd_values = st.builds(
+    lambda hi, k: _DD(*_fast_two_sum(hi, np.ldexp(np.longdouble(k), -100) * hi)),
+    long_doubles,
+    st.integers(-(2**35), 2**35),
+)
+
+
 def mpf_exact(x) -> Fraction:
     man, exp = x.man_exp  # unsigned mantissa
     return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
@@ -367,25 +382,48 @@ class TestDoubleLongdouble:
         assert p == a * b
         assert exact(p) + exact(e) == exact(a) * exact(b)
 
+    @given(dd_values, dd_values)
+    def test_dd_add_and_sub_within_3u2(self, a, b):
+        self.check_add_sub(a, b)
+
+    @given(dd_values, st.integers(-8, 8), st.integers(-(2**35), 2**35))
+    def test_dd_add_and_sub_under_cancellation(self, a, ulps, k):
+        # b within a few ulps of -a (and of a for the difference)
+        _, e = np.frexp(a.hi)
+        hi = a.hi + np.ldexp(np.longdouble(ulps), e - 64)
+        b = _DD(*_fast_two_sum(hi, np.ldexp(np.longdouble(k), -100) * hi))
+        self.check_add_sub(a, -b)
+
+    @staticmethod
+    def check_add_sub(a, b):
+        bound = 3 * U**2 / (1 - 4 * U)
+        for got, want in ((a + b, exact_dd(a) + exact_dd(b)), (a - b, exact_dd(a) - exact_dd(b))):
+            assert abs(exact_dd(got) - want) <= bound * abs(want)
+
+    @given(dd_values, dd_values)
+    def test_dd_mul_within_8u2(self, a, b):
+        want = exact_dd(a) * exact_dd(b)
+        assert abs(exact_dd(a * b) - want) <= 8 * U**2 * abs(want)
+
+    @given(dd_values, dd_values)
+    def test_dd_div_within_13u2(self, a, b):
+        want = exact_dd(a) / exact_dd(b)
+        assert abs(exact_dd(a / b) - want) <= 13 * U**2 * abs(want)
+
     @given(st.lists(st.tuples(long_doubles, st.integers(-(2**40), 2**40)),
                     min_size=1, max_size=60))
-    def test_row_sums_within_2_to_minus_120(self, items):
+    def test_row_sums_within_2_to_minus_119(self, items):
         # positive dd values hi + lo with |lo| far below ulp(hi)
         hi = np.array([abs(h) for h, _ in items])
         lo = np.array([np.ldexp(np.longdouble(k), -110) * h for h, (_, k) in zip(hi, items)])
-        parts = _dd_row_sums((np.stack((hi, hi[::-1])), np.stack((lo, lo[::-1]))))
+        sums = _dd_row_sums(_DD(np.stack((hi, hi[::-1])), np.stack((lo, lo[::-1]))))
         want = sum(exact(h) + exact(l) for h, l in zip(hi, lo))
         for row in range(2):
-            got = sum(exact(v) for v in parts[:, row])
-            assert abs(got - want) <= want / 2**120
-        with mp.workprec(2000):  # wide enough to hold each column sum exactly
-            totals = _ld_sums_to_mpf(parts)
-        for row, total in enumerate(totals):
-            assert mpf_exact(total) == sum(exact(v) for v in parts[:, row])
+            assert abs(exact_dd(sums[row]) - want) <= want / 2**119
 
     def test_node_table_holds_38_digits(self):
         with mp.workdps(40):
             ref = tanh_sinh_rule(7, _arith_mp())
-        for (hi, lo), col in zip(tanh_sinh_rule_dd(7), ref):
-            for h, l, r in list(zip(hi, lo, col))[::50]:
+        for dd, col in zip(tanh_sinh_rule_dd(7), ref):
+            for h, l, r in list(zip(dd.hi, dd.lo, col))[::50]:
                 assert abs((exact(h) + exact(l)) / mpf_exact(r) - 1) < Fraction(1, 2**126)
