@@ -30,9 +30,11 @@ more digits rerun together in double-longdouble numpy arithmetic, bracket
 family and outer sum alike (each bracket factor within 22 m u^2, u = 2^-64,
 measured near 1e-37; about 34 digits in all, see specfun._DD_EPS).  Only
 the points that pass cannot vouch for rerun in mpmath at the digits their
-cancellation calls for.  A point that would need more than _MAX_DPS digits
-gets a CancellationLossError in place of its result, so callers (the CLI
-does this) can substitute asep_quadrature; asep_exact raises it.
+cancellation calls for, again together, on object arrays of mpf values.  One
+bracket family serves all three tiers.  A point that would need more than
+120 digits (specfun._MAX_DPS) gets a CancellationLossError in place of its
+result, so callers (the CLI does this) can substitute asep_quadrature;
+asep_exact raises it.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .dist import SnrContext
 from .errors import InvalidParameterError, QuadratureError
@@ -51,33 +52,22 @@ from .params import TwdpParams
 from .specfun import (
     SeriesControl,
     SeriesResult,
-    _ARITH_DD,
     _ARITH_LD,
-    _DD,
-    _arith_mp,
-    _dd,
-    _dd_mul,
-    _dd_row_sums,
-    _dd_sqrt,
     _grid,
-    _ive_ladder,
     _legendre_2f1_next,
     _pass_result,
     _raise_lost,
-    _split,
     _sum_series,
-    _two_sum,
     run_with_rescue,
     tanh_sinh_rule,
-    tanh_sinh_rule_dd,
     term_hump_guard,
 )
 
 _LD = np.longdouble
-_REL_TARGET = 1e-11
-_MAX_DPS = 120
+# tanh-sinh levels of the bracket family: the long-double pass keeps its
+# finer table, the rescue tiers share the 2^-7 step
 _TS_LEVEL_LD = 8
-_TS_LEVEL_MP = 7
+_TS_LEVEL = 7
 # relative size below which a node term is dropped from the dd bracket sums
 _DD_DROP = _LD(2) ** -140
 
@@ -98,9 +88,9 @@ class ModulationSpec:
         object.__setattr__(self, "sin2_pim", s * s)
 
 
-def _bracket_family_ld(x0: float, lam, y0_abs):
+def _bracket_family(x0: float, lam, y0_abs, orders: int, be):
     """The factors 2F1(3/2,1+m;2;-lam) and F1(3/2;1/2,1+m;5/2;x0,-y0_abs)
-    for m = 0, 1, ... at every entry of lam and y0_abs.
+    for m = 0, 1, ... at every entry of lam and y0_abs, in be's arithmetic.
 
     Returns next_order(live): its m-th call gives the order-m factors as a
     (2, points) array, at the points marked live (0 elsewhere); a point left
@@ -108,96 +98,50 @@ def _bracket_family_ld(x0: float, lam, y0_abs):
     the node axis stays last and contiguous, so each row sum adds the nodes
     in the same order as a sum over one point's nodes.  For M = 2 (x0 = 1,
     so lam = y0_abs) both integrands are the same, and one row serves both.
+    Every node term is positive, so an order costs one product per node and
+    a row sum (by exact extraction in dd, where the factors of the first
+    `orders` orders stay within specfun's dd product bound).
+
+    The dd pass drops node terms that stay below 2^-140 of their row sum at
+    every order, at every point, which costs under 2^-129 over all 1,457
+    nodes.  Since g <= 1, a node's first term bounds all its later ones, and
+    sum_k p_k g_k^orders bounds the row sums from below, which drops the far
+    tails up front.  As the orders go on, a node dominated by a node of
+    smaller t (larger g) stays dominated, which drops the large-t side of
+    the peak.  The long-double pass keeps every node of its finer table: a
+    drop there would change which nodes its row sums add, and with them the
+    last digits of its values.
     """
-    t, omt, w = tanh_sinh_rule(_TS_LEVEL_LD, _ARITH_LD)
+    t, omt, w = tanh_sinh_rule(_TS_LEVEL_LD if be.name == "longdouble" else _TS_LEVEL, be)
     rows = slice(1 if x0 == 1.0 else 2)
     # 1 - x t = (1 - t) + (1 - x) t, exact near t = 1; x = 1 on the 2F1 row
-    x = np.array([1.0, x0], dtype=_LD)[rows, None, None]
-    y = np.array([lam, y0_abs], dtype=_LD)[rows, :, None]
+    x = be.cast(np.array([1.0, x0]))[rows, None, None]
+    y = be.cast(np.array([lam, y0_abs]))[rows, :, None]
     g = 1 / (1 + y * t)
-    p = w * np.sqrt(t) / np.sqrt(omt + (1 - x) * t) * g
-    c = np.array([2.0 / _ARITH_LD.pi, 1.5], dtype=_LD)[:, None]
-    idx = np.arange(len(lam))
-
-    def next_order(live):
-        nonlocal p, g, idx
-        keep = live[idx]
-        if not keep.all():
-            p, g, idx = p[:, keep], g[:, keep], idx[keep]
-        out = np.zeros((2, len(lam)), dtype=_LD)
-        out[:, idx] = c * p.sum(axis=-1)
-        p = p * g
-        return out
-
-    return next_order
-
-
-def _bracket_family_mp(x0: float, lam: float, y0_abs: float):
-    be = _arith_mp()
-    t, omt, w = tanh_sinh_rule(_TS_LEVEL_MP, be)
-    x0b, lamb, y0b = mp.mpf(x0), mp.mpf(lam), mp.mpf(y0_abs)
-    base1 = [wi * mp.sqrt(ti / oi) for ti, oi, wi in zip(t, omt, w)]
-    base2 = [
-        wi * mp.sqrt(ti) / mp.sqrt(oi + (1 - x0b) * ti)
-        for ti, oi, wi in zip(t, omt, w)
-    ]
-    g1 = [1 / (1 + lamb * ti) for ti in t]
-    g2 = [1 / (1 + y0b * ti) for ti in t]
-    p1 = [b * g for b, g in zip(base1, g1)]
-    p2 = [b * g for b, g in zip(base2, g2)]
-    c1 = 2 / mp.pi
-    c2 = mp.mpf(3) / 2
-    while True:
-        yield c1 * mp.fsum(p1), c2 * mp.fsum(p2)
-        p1 = [a * g for a, g in zip(p1, g1)]
-        p2 = [a * g for a, g in zip(p2, g2)]
-
-
-def _bracket_family_dd(x0: float, lam, y0_abs, orders: int):
-    """_bracket_family_ld in double-longdouble arithmetic, on the level-7
-    node table: next_order(live) gives the order-m factors as a (2, points)
-    _DD, each of the first `orders` within specfun's dd product bound.
-
-    Every node term is positive, so an order costs one dd product per node
-    and an exact-extraction row sum.  Node terms that stay below 2^-140 of
-    their row sum at every order, at every point, are dropped, which costs
-    under 2^-129 over all 1,457 nodes.  Since g <= 1, a node's first term
-    bounds all its later ones, and sum_k p_k g_k^orders bounds the row sums
-    from below, which drops the far tails up front.  As the orders go on, a
-    node dominated by a node of smaller t (larger g) stays dominated, which
-    drops the large-t side of the peak.
-    """
-    t, omt, w = tanh_sinh_rule_dd(_TS_LEVEL_MP)
-    rows = slice(1 if x0 == 1.0 else 2)
-    x = np.array([1.0, x0], dtype=_LD)[rows, None, None]
-    y = _dd(np.array([lam, y0_abs], dtype=_LD)[rows, :, None])
-    g = 1 / (1 + y * t)
-    p = w * _dd_sqrt(t) / _dd_sqrt(omt + _DD(*_two_sum(_LD(1), -x)) * t) * g
-    floor = _DD_DROP * (p.hi * g.hi ** orders).sum(axis=-1, keepdims=True)
-    live = np.flatnonzero((p.hi > floor).any(axis=(0, 1)))
-    keep = slice(live[0], live[-1] + 1)
-    p, g = p[..., keep], g[..., keep]
-    g_split = _split(g.hi)
-    c1, c2 = 2 / _ARITH_DD.pi, 1.5
+    p = w * be.sqrt(t) / be.sqrt(omt + (1 - x) * t) * g
+    drop = be.name == "dd"
+    if drop:
+        floor = _DD_DROP * (p.hi * g.hi ** orders).sum(axis=-1, keepdims=True)
+        live = np.flatnonzero((p.hi > floor).any(axis=(0, 1)))
+        p, g = p[..., live[0]:live[-1] + 1], g[..., live[0]:live[-1] + 1]
+    c1, c2 = 2 / be.pi, 1.5
     idx = np.arange(len(lam))
     m = 0
 
     def next_order(live):
-        nonlocal p, g, g_split, idx, m
+        nonlocal p, g, idx, m
         keep = live[idx]
         if not keep.all():
             p, g, idx = p[:, keep], g[:, keep], idx[keep]
-            g_split = tuple(v[:, keep] for v in g_split)
-        out = _dd(np.zeros((2, len(lam))))
-        sums = _dd_row_sums(p)
+        out = be.cast(np.zeros((2, len(lam))))
+        sums = p.sum(axis=-1)
         out[0, idx], out[1, idx] = c1 * sums[0], c2 * sums[-1]
-        p = _dd_mul(p, g, g_split)
+        p = p * g
         m += 1
-        if m % 8 == 0:
+        if drop and m % 8 == 0:
             big = (p.hi > _DD_DROP * np.maximum.accumulate(p.hi, axis=-1)).any(axis=(0, 1))
             keep = slice(0, np.flatnonzero(big)[-1] + 1)
             p, g = p[..., keep], g[..., keep]
-            g_split = tuple(v[..., keep] for v in g_split)
         return out
 
     return next_order
@@ -215,17 +159,7 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ctl: SeriesControl, b
     y0_abs = ((1 + K) / g0).astype(float)
     c_bracket = 3 * be.pi / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
-    if be.name == "longdouble":
-        next_order = _bracket_family_ld(mod.sin2_pim, lam, y0_abs)
-    elif be.name == "dd":
-        next_order = _bracket_family_dd(mod.sin2_pim, lam, y0_abs, ctl.max_terms)
-    else:
-        # points rescued in mpmath keep one bracket family each
-        fams = [_bracket_family_mp(mod.sin2_pim, lm, y0) for lm, y0 in zip(lam, y0_abs)]
-
-        def next_order(live):
-            return np.array([next(f) if on else (0, 0) for f, on in zip(fams, live)],
-                            dtype=object).T
+    next_order = _bracket_family(mod.sin2_pim, lam, y0_abs, ctl.max_terms, be)
     leg_prev, leg = be.cast(0.0), be.cast(1.0)
     cm = be.cast(1.0)
 
@@ -251,7 +185,7 @@ def asep_exact(
     """Exact M-PSK symbol error probability from the explicit series.
 
     Raises CancellationLossError where the series would need more than
-    _MAX_DPS digits.
+    120 digits.
     """
     return _raise_lost(asep_exact_grid(p, mod, [gamma0], ctl))[0]
 
@@ -262,7 +196,7 @@ def asep_exact_grid(
     """Exact M-PSK symbol error probability along a sweep of average SNRs.
 
     Returns a SeriesResult per point, or the CancellationLossError of a
-    point where the series would need more than _MAX_DPS digits (callers
+    point where the series would need more than 120 digits (callers
     such as the CLI substitute asep_quadrature there).
     """
     g0 = _grid(gamma0s, lambda v: np.isfinite(v) & (v > 0), "gamma0 must be positive")
@@ -270,8 +204,6 @@ def asep_exact_grid(
     return run_with_rescue(
         lambda be: _asep_pass(p, mod, g0, ctl, be),
         len(g0),
-        _REL_TARGET,
-        max_dps=_MAX_DPS,
         what=lambda i: f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}",
     )
 
@@ -286,7 +218,7 @@ def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     angle = _LD(math.pi - math.pi / M + 0.5 * math.sin(2.0 * math.pi / M))
     xarg = 2 * g * k / (1 + g * g)  # <= K, so the joint exponent stays <= 0
     scale = (1 + k) / (2 * _ARITH_LD.pi * _LD(gamma0) * _LD(mod.sin2_pim))
-    value = scale * angle * np.exp(xarg - k) * _ive_ladder(xarg, 0)[0]
+    value = scale * angle * np.exp(xarg - k) * special.i0e(float(xarg))
     return float(value)
 
 

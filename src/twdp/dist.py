@@ -52,9 +52,7 @@ from .specfun import (
 )
 
 _LD = np.longdouble
-_REL_TARGET = 1e-11
 _ABS_FLOOR = 1e-13
-_MAX_DPS = 120
 _CDF_X_CLAMP = 600.0
 
 
@@ -111,9 +109,10 @@ def _pdf_pass(p: TwdpParams, r, ctl: SeriesControl, be):
     todo = np.arange(len(rb))
     nu = 48
     while True:
-        iv1 = _ive_ladder(x1[todo], nu, be)
+        # c rides along as one more point of the first ladder
+        iv = _ive_ladder(np.append(x1[todo], c), nu, be)
+        iv1, iv3 = iv[:, :-1], iv[:, -1]
         iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2[todo], nu, be)  # x2 = Gamma x1
-        iv3 = _ive_ladder(c, nu, be)
 
         def term(m, _live):
             t = iv1[m] * iv2[m] * iv3[m]
@@ -150,9 +149,7 @@ def pdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[Series
     results = _raise_lost(run_with_rescue(
         lambda be: _pdf_pass(p, r[live], ctl, be),
         len(live),
-        _REL_TARGET,
         _ABS_FLOOR,
-        _MAX_DPS,
         what=lambda i: f"envelope pdf at r={float(r[live[i]])}",
     ))
     for i, res in zip(live, results):
@@ -205,9 +202,7 @@ def _cdf_grid_x(p: TwdpParams, x, ctl: SeriesControl) -> list[SeriesResult]:
     results = _raise_lost(run_with_rescue(
         lambda be: _cdf_pass(p, xs, ctl, be),
         len(live),
-        _REL_TARGET,
         _ABS_FLOOR,
-        _MAX_DPS,
         what=lambda i: f"envelope cdf at x={float(xs[i])}",
     ))
     for i, res in zip(live, results):

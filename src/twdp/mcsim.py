@@ -99,11 +99,8 @@ def sample_envelope(p: TwdpParams, cfg: SimConfig) -> np.ndarray:
         size = min(BLOCK, cfg.n_samples - i * BLOCK)
         return _envelope_block(p, size, _block_rng(cfg.seed, i))
 
-    if cfg.workers == 1 or n_blocks == 1:
-        parts = [one(i) for i in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(one, range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        parts = list(pool.map(one, range(n_blocks)))
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
@@ -172,27 +169,19 @@ def simulate_psk_ser(
         return _ser_block(p, mod, gamma0, size, _block_rng(cfg.seed, i)), size
 
     n_blocks_total = (budget + BLOCK - 1) // BLOCK
-    if cfg.workers == 1:
-        for i in range(n_blocks_total):
-            e, n = one(i)
-            errors += e
-            trials += n
-            if min_errors is not None and errors >= min_errors:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            while next_block < n_blocks_total:
-                wave = range(next_block, min(next_block + cfg.workers, n_blocks_total))
-                done = False
-                for e, n in pool.map(one, wave):
-                    errors += e
-                    trials += n
-                    if min_errors is not None and errors >= min_errors:
-                        done = True
-                        break
-                next_block = wave.stop
-                if done:
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        while next_block < n_blocks_total:
+            wave = range(next_block, min(next_block + cfg.workers, n_blocks_total))
+            done = False
+            for e, n in pool.map(one, wave):
+                errors += e
+                trials += n
+                if min_errors is not None and errors >= min_errors:
+                    done = True
                     break
+            next_block = wave.stop
+            if done:
+                break
 
     ser = errors / trials
     ci = 1.96 * math.sqrt(max(ser * (1.0 - ser), 0.0) / trials)

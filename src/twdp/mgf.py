@@ -41,10 +41,6 @@ from .specfun import (
     term_hump_guard,
 )
 
-_LD = np.longdouble
-_REL_TARGET = 1e-11
-_MAX_DPS = 120
-
 
 def _snr_ratio(k, gamma0, s, be):
     """u = g0 s / (1+K - g0 s), computed as (1+K)/(1+K - g0 s) - 1."""
@@ -91,8 +87,6 @@ def mgf_series_grid(
     return _raise_lost(run_with_rescue(
         lambda be: _mgf_series_pass(p, ctx.gamma0, s, ctl, be),
         len(s),
-        _REL_TARGET,
-        max_dps=_MAX_DPS,
         what=lambda i: f"mgf series at s={float(s[i])}",
     ))
 

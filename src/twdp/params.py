@@ -89,7 +89,8 @@ class TwdpParams:
 
     @property
     def v1(self) -> float:
-        return math.sqrt(2.0 * self.sigma2 * self.k / (1.0 + self.gamma ** 2))
+        # sqrt(K) apart: 2 sigma^2 K underflows for subnormal K, where V1 does not
+        return math.sqrt(self.k) * math.sqrt(2.0 * self.sigma2 / (1.0 + self.gamma ** 2))
 
     @property
     def v2(self) -> float:

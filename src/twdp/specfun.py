@@ -30,6 +30,7 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from scipy import special
 
 from .errors import (
     CancellationLossError,
@@ -42,6 +43,12 @@ _LD = np.longdouble
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 # rounding-error inflation factor for the per-term error model
 _ERR_SAFETY = 4.0
+# the accuracy every rescued series value is held to, and the most digits a
+# rescue may take before the point is given up as lost to cancellation
+_REL_TARGET = 1e-11
+_MAX_DPS = 120
+# consecutive small, falling terms that stop a sum
+_CONSEC_BELOW = 3
 
 _log = logging.getLogger("twdp")
 
@@ -50,7 +57,7 @@ _log = logging.getLogger("twdp")
 class SeriesControl:
     """Truncation policy for infinite series.
 
-    The stopping rule requires `consec_below` consecutive terms with
+    The stopping rule requires three consecutive terms with
     |t_m| < rel_tol |partial sum|, each no larger than the one before,
     before accepting the sum; the model's series alternate in sign, so a
     single small term is not a safe stop, and a small term on the rising
@@ -59,17 +66,12 @@ class SeriesControl:
 
     rel_tol: float = 1e-12
     max_terms: int = 500
-    consec_below: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise InvalidParameterError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_terms < 1:
             raise InvalidParameterError(f"max_terms must be >= 1, got {self.max_terms}")
-        if self.consec_below < 1:
-            raise InvalidParameterError(
-                f"consec_below must be >= 1, got {self.consec_below}"
-            )
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 
         small = m + 1 >= guard and (t_abs <= ctl.rel_tol * abs(s)) & falling
         below = np.where(small, below + 1, 0)
         n = np.where(done, n, m + 1)
-        done = done | (below >= ctl.consec_below)
+        done = done | (below >= _CONSEC_BELOW)
         if done.all():
             break
     return s, n, last, pos, done
@@ -223,11 +225,11 @@ def term_hump_guard(k: float, gamma: float) -> int:
     return int(math.ceil(k * (1.0 + gamma) ** 2 / (1.0 + gamma * gamma))) + 3
 
 
-def needs_rescue(possum_abs, value_abs, eps, rel_target: float, abs_floor: float = 0.0):
+def needs_rescue(possum_abs, value_abs, eps, abs_floor: float = 0.0):
     """Whether the estimated summation roundoff breaches the accuracy target
-    (elementwise on arrays)."""
+    _REL_TARGET (or abs_floor, if larger), elementwise on arrays."""
     est = _ERR_SAFETY * eps * possum_abs
-    return est > np.fmax(abs_floor, rel_target * value_abs)
+    return est > np.fmax(abs_floor, _REL_TARGET * value_abs)
 
 
 def rescue_dps(cancellation_ratio: float, digits: int = 17) -> int:
@@ -237,14 +239,8 @@ def rescue_dps(cancellation_ratio: float, digits: int = 17) -> int:
     return digits + int(math.ceil(math.log10(cancellation_ratio)))
 
 
-def run_with_rescue(
-    pass_fn: Callable,
-    size: int,
-    rel_target: float,
-    abs_floor: float = 0.0,
-    max_dps: int = 120,
-    what: Callable = str,
-) -> list:
+def run_with_rescue(pass_fn: Callable, size: int, abs_floor: float = 0.0,
+                    what: Callable = str) -> list:
     """Sum a series at `size` points, rerunning the untrustworthy ones in
     more precise arithmetic.
 
@@ -256,7 +252,7 @@ def run_with_rescue(
     is sum|t_m| on the final value's scale.  One long-double pass runs over
     all points, then one double-longdouble pass over every point that fails
     needs_rescue (where long double is the x87 format), checked again with
-    _DD_EPS against rel_target alone.  The points left rerun in mpmath with
+    _DD_EPS against _REL_TARGET alone.  The points left rerun in mpmath with
     the digits their ratio calls for.  A heavily cancelled sum reports a
     ratio that is only a lower bound (the computed total is then noise at
     the working epsilon), so each point rerun is re-checked and its
@@ -266,13 +262,13 @@ def run_with_rescue(
     what(i) of the point.
 
     Returns a SeriesResult per point, or a CancellationLossError for a point
-    that would need more than max_dps digits.
+    that would need more than _MAX_DPS digits.
     """
     if not size:
         return []
     value, _, n, trunc, possum_abs, ratio = pass_fn(_ARITH_LD)
     tier = [_ARITH_LD.name] * size
-    todo = np.flatnonzero(needs_rescue(possum_abs, abs(value), _ARITH_LD.eps, rel_target, abs_floor))
+    todo = np.flatnonzero(needs_rescue(possum_abs, abs(value), _ARITH_LD.eps, abs_floor))
     if todo.size and _ARITH_DD is not None:
         for i in todo:
             _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning in dd arithmetic",
@@ -282,20 +278,20 @@ def run_with_rescue(
         value[todo] = v
         # relative target only: below abs_floor the mpmath rerun keeps a
         # value's leading digits, and a dd value would not
-        todo = todo[needs_rescue(p_abs, abs(v), _ARITH_DD.eps, rel_target)]
+        todo = todo[needs_rescue(p_abs, abs(v), _ARITH_DD.eps)]
     dps = np.zeros(size, dtype=np.int64)
     out: list = [None] * size
     while todo.size:
         for i in todo:
             est = rescue_dps(ratio[i] if math.isfinite(ratio[i]) else 1e30)
             dps[i] = max(est, 2 * dps[i]) if dps[i] else est
-            if dps[i] > max_dps:
+            if dps[i] > _MAX_DPS:
                 out[i] = CancellationLossError(
                     f"{what(i)} needs about {dps[i]} digits "
                     f"(cancellation ratio {ratio[i]:.2e})",
                     float(ratio[i]),
                 )
-        todo = todo[dps[todo] <= max_dps]
+        todo = todo[dps[todo] <= _MAX_DPS]
         again = []
         for digits in np.unique(dps[todo]).tolist():
             pts = todo[dps[todo] == digits]
@@ -310,7 +306,7 @@ def run_with_rescue(
                     tier[i] = be.name
                 v, _, n[pts], trunc[pts], p_abs, ratio[pts] = pass_fn(be)
             value[pts] = v
-            again.append(pts[needs_rescue(p_abs, abs(v), 10.0 ** (-digits), rel_target, abs_floor)])
+            again.append(pts[needs_rescue(p_abs, abs(v), 10.0 ** (-digits), abs_floor)])
         todo = np.concatenate(again) if again else todo
     for i in range(size):
         if out[i] is None:
@@ -369,8 +365,7 @@ def _miller_ladder(x, start: list, nu_max: int, be: _Arith) -> list:
     """Rows nu = 0..nu_max of the normalized downward recurrence at x >= 0.5.
 
     start[i] is the seed order of x[i], in descending order; the points
-    already seeded are a prefix of the arrays, and a single point runs on
-    scalars, which cost a tenth of one-element arrays.
+    already seeded are a prefix of the arrays.
     """
     zero, seed = be.cast(0.0), be.cast(1e-12)
     ip1 = ik = norm = comp = ()  # no point seeded yet
@@ -381,12 +376,9 @@ def _miller_ladder(x, start: list, nu_max: int, be: _Arith) -> list:
             now = seeded
             while now < size and start[now] >= k:
                 now += 1
-            if now == 1:
-                xa, ip1, ik, norm, comp = x[0], zero, seed, zero, zero
-            else:
-                xa, fresh = x[:now], x[seeded:now] * 0
-                ip1, ik, norm, comp = (np.append(v, fresh + fill) for v, fill in
-                                       zip((ip1, ik, norm, comp), (zero, seed, zero, zero)))
+            xa, fresh = x[:now], x[seeded:now] * 0
+            ip1, ik, norm, comp = (np.append(v, fresh + fill) for v, fill in
+                                   zip((ip1, ik, norm, comp), (zero, seed, zero, zero)))
             seeded = now
         im1 = ip1 + (2 * k / xa) * ik
         if k - 1 <= nu_max:
@@ -413,25 +405,14 @@ def _ladder_start(x: float, nu_max: int, be: _Arith):
 
 
 def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
-    """exp(-x) I_nu(x) for nu = 0..nu_max at x >= 0, a scalar or an array.
+    """exp(-x) I_nu(x) for nu = 0..nu_max at every entry of the array x >= 0.
 
-    Row nu of the result holds ive_nu at every x; a scalar x gives a list
-    of the nu_max + 1 values.  Downward recurrence I_{k-1} = I_{k+1} +
-    (2k/x) I_k from a seed far enough above max(nu_max, x) that the
-    contamination of the minimal solution is below working precision, then
-    normalized via sum_k eps_k ive_k = 1.  Each x has its own seed order.
+    Row nu of the result holds ive_nu at every x.  Downward recurrence
+    I_{k-1} = I_{k+1} + (2k/x) I_k from a seed far enough above
+    max(nu_max, x) that the contamination of the minimal solution is below
+    working precision, then normalized via sum_k eps_k ive_k = 1.  Each x
+    has its own seed order.
     """
-    if getattr(x, "ndim", 0) == 0:
-        # a single x (the pdf's third factor, the asymptote) gives a list
-        # of values and skips the grid bookkeeping below
-        xf = float(x)
-        if xf == 0.0:
-            one = be.cast(1.0)
-            return [one] + [one * 0] * nu_max
-        start = _ladder_start(xf, nu_max, be)
-        if start is not None:
-            return _miller_ladder([be.cast(x)], [start], nu_max, be)
-        return _ive_small_x(x, nu_max, be)
     xb = be.cast(x)
     starts = [_ladder_start(v, nu_max, be) for v in xb.astype(float).tolist()]
     out = be.cast(np.zeros((nu_max + 1, len(xb))))
@@ -453,7 +434,7 @@ def bessel_i_scaled(nu: int, x: float) -> float:
         raise InvalidParameterError(f"nu must be a nonnegative integer, got {nu}")
     if x < 0 or not math.isfinite(x):
         raise InvalidParameterError(f"x must be finite and >= 0, got {x}")
-    return float(_ive_ladder(x, int(nu))[int(nu)])
+    return float(_ive_ladder(np.array([x]), int(nu))[int(nu), 0])
 
 
 # ----------------------------------------------------------------------------
@@ -518,8 +499,8 @@ def exp_i0_identity_rhs(a: float, b: float) -> float:
 
     Writing I_0(x) = e^x ive_0(x) turns the product into
     exp(a (1 + sqrt(b))^2) ive_0(2 a sqrt(b)), a single exponent plus a
-    scaled Bessel, so intermediate overflow cannot occur before the result
-    itself leaves the double range.
+    scaled Bessel (scipy.special.i0e), so intermediate overflow cannot occur
+    before the result itself leaves the double range.
     """
     if a < 0 or not math.isfinite(a):
         raise InvalidParameterError(f"a must be finite and >= 0, got {a}")
@@ -533,7 +514,7 @@ def exp_i0_identity_rhs(a: float, b: float) -> float:
         raise RangeOverflowError(
             f"exp(a(1+sqrt(b))^2) with exponent {float(expo):.1f} is not representable"
         )
-    value = np.exp(expo) * _ive_ladder(xarg, 0)[0]
+    value = np.exp(expo) * special.i0e(float(xarg))
     out = float(value)
     if math.isinf(out):
         raise RangeOverflowError(
@@ -552,10 +533,13 @@ _TS_CACHE: dict = {}
 def tanh_sinh_rule(level: int, be: _Arith = _ARITH_LD):
     """Nodes and weights for int_0^1 f(t) dt, tolerant of endpoint singularities.
 
-    Returns (t, 1-t, w) with 1-t carried separately so integrands such as
-    (1-t)^(-1/2) keep full precision near t = 1.  Spacing h = 2^-level;
-    nodes stop once the weight cannot influence the target precision even
-    against an inverse-square-root endpoint factor.
+    Returns (t, 1-t, w) as arrays in be's arithmetic, with 1-t carried
+    separately so integrands such as (1-t)^(-1/2) keep full precision near
+    t = 1.  Spacing h = 2^-level; nodes stop once the weight cannot
+    influence the target precision even against an inverse-square-root
+    endpoint factor.  The dd table is the 40-digit mpmath one rounded to
+    hi/lo pairs, so each entry holds about 38 digits; the mpmath one holds
+    mpf values at the current precision.
     """
     key = (level, be.name)
     cached = _TS_CACHE.get(key)
@@ -577,6 +561,9 @@ def tanh_sinh_rule(level: int, be: _Arith = _ARITH_LD):
         w = h * np.longdouble(math.pi / 4) * np.cosh(u) * sech2
         keep = w > np.longdouble(1e-4000)
         out = (t[keep], omt[keep], w[keep])
+    elif be.name == "dd":
+        with mp.workdps(40):
+            out = tuple(_dd_from_mpf(col) for col in tanh_sinh_rule(level, _arith_mp()))
     else:
         with mp.extraprec(20):
             h = mp.mpf(1) / (1 << level)
@@ -592,7 +579,7 @@ def tanh_sinh_rule(level: int, be: _Arith = _ARITH_LD):
                 t.append(1 - mag if s >= 0 else mag)
                 omt.append(mag if s >= 0 else 1 - mag)
                 w.append(h * mp.pi / 4 * mp.cosh(u) * 4 * e2s / (1 + e2s) ** 2)
-        out = (t, omt, w)
+        out = tuple(np.array(col, dtype=object) for col in (t, omt, w))
     _TS_CACHE[key] = out
     return out
 
@@ -663,11 +650,11 @@ def _dd_add(a, b):
     return _DD(*_fast_two_sum(s, e + f))
 
 
-def _dd_mul(a, b, b_split=None):
+def _dd_mul(a, b):
     """a b within 8u^2 relative: with a.hi b.hi = p + e exactly, the
     product drops a.lo b.lo (u^2) and rounds a.hi b.lo and a.lo b.hi (u^2
     each), their sum (2u^2) and e plus that sum (3u^2)."""
-    p, e = _two_prod(a.hi, b.hi, b_split)
+    p, e = _two_prod(a.hi, b.hi, b.hi_split())
     return _DD(*_fast_two_sum(p, e + (a.hi * b.lo + a.lo * b.hi)))
 
 
@@ -705,17 +692,27 @@ class _DD:
 
     Arithmetic with ints, floats, long doubles and other _DD arrays runs the
     dd operations above; negation, abs and comparisons are exact.  It
-    indexes like its parts, and np.where and np.append accept it (the only
-    numpy functions the series passes apply to their values), so the passes
-    run on it unchanged.
+    indexes like its parts, sums over its last axis, and np.where and
+    np.append accept it (the only numpy functions the series passes apply
+    to their values), so the passes run on it unchanged.  The Veltkamp split
+    of hi is kept once a product has needed it: a factor reused at every
+    order (the bracket family's g) splits once.
     """
 
-    __slots__ = ("hi", "lo")
+    __slots__ = ("hi", "lo", "_hi_split")
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
     __hash__ = None
 
     def __init__(self, hi, lo):
         self.hi, self.lo = hi, lo
+        self._hi_split = None
+
+    def hi_split(self):
+        """_split(hi), computed on first use and kept until an entry is set
+        (through this _DD: writes through another view of hi go unseen)."""
+        if self._hi_split is None:
+            self._hi_split = _split(self.hi)
+        return self._hi_split
 
     @property
     def ndim(self):
@@ -772,6 +769,13 @@ class _DD:
     def __setitem__(self, idx, value):
         v = _dd(value)
         self.hi[idx], self.lo[idx] = v.hi, v.lo
+        self._hi_split = None
+
+    def sum(self, axis):
+        """Sums over the last axis (axis=-1, the only one), see _dd_row_sums."""
+        if axis != -1:
+            raise ValueError("a _DD sums over its last axis only")
+        return _dd_row_sums(self)
 
     def __len__(self):
         return len(self.hi)
@@ -850,21 +854,6 @@ def _dd_map(fn):
         shape = np.shape(x.hi)
         return _DD(out.hi.reshape(shape), out.lo.reshape(shape))
     return apply
-
-
-def tanh_sinh_rule_dd(level: int):
-    """tanh_sinh_rule's (t, 1-t, w) as _DD arrays, for the dd bracket family.
-
-    Built once per level in mpmath, with the node range of a 40-digit rule,
-    then rounded to hi/lo pairs, so each entry holds about 38 digits.
-    """
-    key = (level, "dd")
-    cached = _TS_CACHE.get(key)
-    if cached is None:
-        with mp.workdps(40):
-            rule = tanh_sinh_rule(level, _arith_mp())
-        cached = _TS_CACHE[key] = tuple(_dd_from_mpf(col) for col in rule)
-    return cached
 
 
 def _arith_dd():

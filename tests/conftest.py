@@ -122,7 +122,8 @@ def appell_f1_double_series(m: int, x: float, y: float) -> float:
 
 def scalar_series(terms, ctl, min_terms=0, n_limit=None):
     """Scalar reference for the series engine: Kahan sums of the terms and
-    of their magnitudes under the SeriesControl stopping rule.
+    of their magnitudes under the SeriesControl stopping rule (three small,
+    falling terms in a row).
 
     Returns (sum, terms_used, |last term|, sum |t|, converged).
     """
@@ -143,7 +144,7 @@ def scalar_series(terms, ctl, min_terms=0, n_limit=None):
         last = abs(t)
         if n >= guard and abs(t) <= ctl.rel_tol * abs(total) and falling:
             below += 1
-            if below >= ctl.consec_below:
+            if below >= 3:
                 return total, n, last, pos, True
         else:
             below = 0

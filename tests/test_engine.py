@@ -46,6 +46,8 @@ from conftest import (
 
 CTL = SeriesControl()
 FAST = settings(max_examples=40, deadline=None)
+needs_dd = pytest.mark.skipif(specfun._ARITH_DD is None,
+                              reason="the dd tier needs x87 80-bit long doubles")
 
 # both sides of the small-x branch at 0.5, and far up the ladder
 ladder_args = st.one_of(
@@ -71,7 +73,7 @@ def test_ive_ladder_matches_scalar_loop(xs, nu):
     for j, x in enumerate(xs):
         ref = ive_ladder_scalar(x, nu)
         assert list(rows[:, j]) == ref
-        assert list(_ive_ladder(x, nu)) == ref
+        assert list(_ive_ladder(np.array([x]), nu)[:, 0]) == ref
 
 
 @FAST
@@ -161,9 +163,18 @@ class TestRescuedTogether:
         assert all(res.cancellation_ratio > 1e6 for res in grid)
         assert grid == [asep_exact(self.P, mod, g0) for g0 in g0s]
 
-
-needs_dd = pytest.mark.skipif(specfun._ARITH_DD is None,
-                              reason="the dd tier needs x87 80-bit long doubles")
+    @needs_dd
+    def test_asep_exact_grid_in_mpmath(self, caplog):
+        # at K=30 both points pass the dd bound and rerun in one 41-digit
+        # mpmath pass (30 dB would need 43 digits, a pass of its own)
+        caplog.set_level(logging.DEBUG, logger="twdp")
+        p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
+        g0s = [10.0 ** 1.8, 100.0]
+        grid = asep_exact_grid(p, mod, g0s)
+        mp_runs = [r.getMessage() for r in caplog.records if "mp arithmetic" in r.getMessage()]
+        assert len(mp_runs) == 2
+        assert all("rerunning at 41 digits" in msg for msg in mp_runs)
+        assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
 
 
 def rescue_case(kind, p):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twdp import (
     InvalidParameterError,
@@ -140,6 +140,8 @@ class TestTwdpParams:
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=1e-3, max_value=10.0),
     )
+    # a subnormal K: 2 sigma^2 K / (1 + Gamma^2) underflows, V1 does not
+    @example(k=5e-324, gamma=1.0, sigma2=0.5)
     def test_magnitude_reconstruction_property(self, k, gamma, sigma2):
         p = TwdpParams(k=k, gamma=gamma, sigma2=sigma2)
         m = p.magnitudes()

@@ -20,6 +20,7 @@ from twdp import (
     marcum_q1,
 )
 from twdp.specfun import (
+    _ARITH_DD,
     _DD,
     _arith_mp,
     _dd_row_sums,
@@ -28,7 +29,6 @@ from twdp.specfun import (
     _two_prod,
     _two_sum,
     tanh_sinh_rule,
-    tanh_sinh_rule_dd,
 )
 
 from conftest import (
@@ -298,8 +298,6 @@ class TestSeriesTypes:
             SeriesControl(rel_tol=2.0)
         with pytest.raises(InvalidParameterError):
             SeriesControl(max_terms=0)
-        with pytest.raises(InvalidParameterError):
-            SeriesControl(consec_below=0)
 
     def test_series_result_fields(self):
         r = SeriesResult(1.0, 10, 1e-9)
@@ -421,9 +419,22 @@ class TestDoubleLongdouble:
         for row in range(2):
             assert abs(exact_dd(sums[row]) - want) <= want / 2**119
 
+    def test_setitem_resets_split_cache(self):
+        third = np.longdouble(1) / 3
+        a = _DD(np.array([third, 2 * third]), np.zeros(2, dtype=np.longdouble))
+        b = _DD(np.array([third, third]), np.zeros(2, dtype=np.longdouble))
+        split = a.hi_split()
+        assert a.hi_split() is split  # kept for the next product
+        a[1] = _DD(third / 7, third * 2.0**-70)
+        assert a.hi_split() is not split
+        fresh = _DD(a.hi.copy(), a.lo.copy())
+        got, want = b * a, b * fresh
+        assert (got.hi == want.hi).all() and (got.lo == want.lo).all()
+
+    @pytest.mark.skipif(_ARITH_DD is None, reason="the dd tier needs x87 80-bit long doubles")
     def test_node_table_holds_38_digits(self):
         with mp.workdps(40):
             ref = tanh_sinh_rule(7, _arith_mp())
-        for dd, col in zip(tanh_sinh_rule_dd(7), ref):
+        for dd, col in zip(tanh_sinh_rule(7, _ARITH_DD), ref):
             for h, l, r in list(zip(dd.hi, dd.lo, col))[::50]:
                 assert abs((exact(h) + exact(l)) / mpf_exact(r) - 1) < Fraction(1, 2**126)
