@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+import scipy  # scipy.special and scipy.integrate load on first use, not at import
 
 from .dist import SnrContext
 from .errors import InvalidParameterError, QuadratureError
@@ -218,7 +218,7 @@ def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     angle = _LD(math.pi - math.pi / M + 0.5 * math.sin(2.0 * math.pi / M))
     xarg = 2 * g * k / (1 + g * g)  # <= K, so the joint exponent stays <= 0
     scale = (1 + k) / (2 * _ARITH_LD.pi * _LD(gamma0) * _LD(mod.sin2_pim))
-    value = scale * angle * np.exp(xarg - k) * special.i0e(float(xarg))
+    value = scale * angle * np.exp(xarg - k) * scipy.special.i0e(float(xarg))
     return float(value)
 
 
@@ -239,7 +239,7 @@ def asep_quadrature(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
         return mgf_closed(p, ctx, s)
 
     upper = math.pi - math.pi / mod.m_order
-    out = integrate.quad(
+    out = scipy.integrate.quad(
         integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-10, limit=200, full_output=1
     )
     val, err = out[0], out[1]

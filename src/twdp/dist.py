@@ -144,7 +144,7 @@ def pdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[Series
     """Envelope probability density along a grid of envelope values."""
     ctl = ctl or SeriesControl()
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
-    out = [SeriesResult(0.0, 0, 0.0, 1.0)] * len(r)
+    out = [SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)] * len(r)
     live = np.flatnonzero(r > 0)
     results = _raise_lost(run_with_rescue(
         lambda be: _pdf_pass(p, r[live], ctl, be),
@@ -195,7 +195,7 @@ def _cdf_pass(p: TwdpParams, x, ctl: SeriesControl, be):
 
 def _cdf_grid_x(p: TwdpParams, x, ctl: SeriesControl) -> list[SeriesResult]:
     """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0."""
-    out = [SeriesResult(0.0 if xi == 0 else 1.0, 0, 0.0, 1.0) for xi in x]
+    out = [SeriesResult(0.0 if xi == 0 else 1.0, 0, 0.0, 1.0, "none", 0) for xi in x]
     # above the clamp the complement is below exp(-((sqrt(x) - sqrt(2K))^2)/2-ish) < 1e-180
     live = np.flatnonzero((x > 0) & (x <= _CDF_X_CLAMP))
     xs = x[live]

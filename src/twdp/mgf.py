@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+import scipy  # scipy.special loads on first use, not at import
 
 from .dist import SnrContext
 from .errors import InvalidParameterError
@@ -102,5 +102,5 @@ def mgf_closed(p: TwdpParams, ctx: SnrContext, s: float) -> float:
     pref = (1 + k) / den
     expo = k * u  # <= 0
     xarg = 2 * g * k * (-u) / (1 + g * g)  # >= 0, and xarg <= |expo|
-    value = pref * np.exp(expo + xarg) * special.i0e(float(xarg))
+    value = pref * np.exp(expo + xarg) * scipy.special.i0e(float(xarg))
     return float(value)

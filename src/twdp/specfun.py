@@ -30,7 +30,7 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy import special
+import scipy  # scipy.special loads on first use, not at import
 
 from .errors import (
     CancellationLossError,
@@ -80,12 +80,18 @@ class SeriesResult:
 
     trunc_estimate is |last included term| / |value|; cancellation_ratio is
     sum|t_m| / |sum t_m| and equals 1 for series with single-signed terms.
+    tier names the arithmetic of the pass that gave the value: "longdouble",
+    "dd" or "mpNN" (NN digits), or "none" where no series was summed;
+    passes counts the passes that summed the series at this point (0 for
+    such a shortcut, 1 for the long-double pass alone, one more per rerun).
     """
 
     value: float
     terms_used: int
     trunc_estimate: float
     cancellation_ratio: float = 1.0
+    tier: str = "longdouble"
+    passes: int = 1
 
 
 @dataclass(frozen=True)
@@ -261,19 +267,22 @@ def run_with_rescue(pass_fn: Callable, size: int, abs_floor: float = 0.0,
     Each rerun is logged at DEBUG level on the "twdp" logger, under the name
     what(i) of the point.
 
-    Returns a SeriesResult per point, or a CancellationLossError for a point
+    Returns a SeriesResult per point, with the tier of its last pass and
+    the number of passes it took, or a CancellationLossError for a point
     that would need more than _MAX_DPS digits.
     """
     if not size:
         return []
     value, _, n, trunc, possum_abs, ratio = pass_fn(_ARITH_LD)
     tier = [_ARITH_LD.name] * size
+    passes = np.ones(size, dtype=np.int64)
     todo = np.flatnonzero(needs_rescue(possum_abs, abs(value), _ARITH_LD.eps, abs_floor))
     if todo.size and _ARITH_DD is not None:
         for i in todo:
             _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning in dd arithmetic",
                        what(i), ratio[i], tier[i])
             tier[i] = _ARITH_DD.name
+        passes[todo] += 1
         v, _, n[todo], trunc[todo], p_abs, ratio[todo] = pass_fn(replace(_ARITH_DD, points=todo))
         value[todo] = v
         # relative target only: below abs_floor the mpmath rerun keeps a
@@ -304,13 +313,15 @@ def run_with_rescue(pass_fn: Callable, size: int, abs_floor: float = 0.0,
                         what(i), ratio[i], tier[i], digits,
                     )
                     tier[i] = be.name
+                passes[pts] += 1
                 v, _, n[pts], trunc[pts], p_abs, ratio[pts] = pass_fn(be)
             value[pts] = v
             again.append(pts[needs_rescue(p_abs, abs(v), 10.0 ** (-digits), abs_floor)])
         todo = np.concatenate(again) if again else todo
     for i in range(size):
         if out[i] is None:
-            out[i] = SeriesResult(float(value[i]), int(n[i]), float(trunc[i]), float(ratio[i]))
+            out[i] = SeriesResult(float(value[i]), int(n[i]), float(trunc[i]), float(ratio[i]),
+                                  tier[i], int(passes[i]))
     return out
 
 
@@ -514,7 +525,7 @@ def exp_i0_identity_rhs(a: float, b: float) -> float:
         raise RangeOverflowError(
             f"exp(a(1+sqrt(b))^2) with exponent {float(expo):.1f} is not representable"
         )
-    value = np.exp(expo) * special.i0e(float(xarg))
+    value = np.exp(expo) * scipy.special.i0e(float(xarg))
     out = float(value)
     if math.isinf(out):
         raise RangeOverflowError(
@@ -571,15 +582,17 @@ def tanh_sinh_rule(level: int, be: _Arith = _ARITH_LD):
             umax = mp.asinh(2 * smax / mp.pi)
             kmax = int(umax / h) + 1
             t, omt, w = [], [], []
-            for k in range(-kmax, kmax + 1):
+            for k in range(kmax + 1):
                 u = k * h
-                s = mp.pi / 2 * mp.sinh(u)
-                e2s = mp.exp(-2 * abs(s))
+                e2s = mp.exp(-2 * (mp.pi / 2 * mp.sinh(u)))
                 mag = e2s / (1 + e2s)
-                t.append(1 - mag if s >= 0 else mag)
-                omt.append(mag if s >= 0 else 1 - mag)
+                t.append(1 - mag)
+                omt.append(mag)
                 w.append(h * mp.pi / 4 * mp.cosh(u) * 4 * e2s / (1 + e2s) ** 2)
-        out = tuple(np.array(col, dtype=object) for col in (t, omt, w))
+        # sinh is odd and cosh even: the node at -k is the node at k with t
+        # and 1 - t swapped
+        out = tuple(np.array(left[:0:-1] + right, dtype=object)
+                    for left, right in ((omt, t), (t, omt), (w, w)))
     _TS_CACHE[key] = out
     return out
 

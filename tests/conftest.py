@@ -6,6 +6,7 @@ closed forms, brute-force series, and direct numerical integrals only.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -422,3 +423,23 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float, ctl):
 
     s, n, last, pos, _ = scalar_series(terms(), ctl, term_hump_guard(p.k, p.gamma))
     return _finish(sp * (1 + K) / (3 * LD(np.pi) * g0), s, n, last, pos)
+
+
+def tanh_sinh_mp_full(level: int):
+    """(t, 1-t, w) of the mpmath tanh-sinh rule at the current precision,
+    every node k in [-kmax, kmax] computed on its own (no mirroring)."""
+    with mp.extraprec(20):
+        h = mp.mpf(1) / (1 << level)
+        smax = mp.mpf(2.3) * mp.mp.dps * 2 + 20
+        umax = mp.asinh(2 * smax / mp.pi)
+        kmax = int(umax / h) + 1
+        t, omt, w = [], [], []
+        for k in range(-kmax, kmax + 1):
+            u = k * h
+            s = mp.pi / 2 * mp.sinh(u)
+            e2s = mp.exp(-2 * abs(s))
+            mag = e2s / (1 + e2s)
+            t.append(1 - mag if s >= 0 else mag)
+            omt.append(mag if s >= 0 else 1 - mag)
+            w.append(h * mp.pi / 4 * mp.cosh(u) * 4 * e2s / (1 + e2s) ** 2)
+    return t, omt, w

@@ -18,6 +18,7 @@ from twdp import (
     asep_asymptotic,
     asep_exact,
     asep_quadrature,
+    pdf,
 )
 
 from twdp import specfun
@@ -253,6 +254,17 @@ class TestRescueTiers:
         assert seen == [("longdouble", [0, 1, 2, 3]), ("dd", [1, 2, 3]),
                         ("mp40", [3]), ("mp42", [2])]
         assert [res.value for res in out] == size.tolist()
+        assert [(res.tier, res.passes) for res in out] == [
+            ("longdouble", 1), ("dd", 2), ("mp42", 3), ("mp40", 3)]
+
+    @needs_dd
+    def test_result_reports_tier_and_passes(self):
+        rayleigh = pdf(TwdpParams(k=0.0, gamma=0.0), 1.0)
+        assert (rayleigh.tier, rayleigh.passes) == ("longdouble", 1)
+        k14 = asep_exact(TwdpParams(k=14.0, gamma=1.0), ModulationSpec(2), 100.0)
+        assert (k14.tier, k14.passes) == ("dd", 2)
+        k30 = asep_exact(TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2), 100.0)
+        assert (k30.tier, k30.passes) == ("mp41", 3)
 
     @needs_dd
     def test_escalation_logged(self, caplog):

@@ -318,14 +318,18 @@ class TestExitCodes:
         assert code == 3
 
 
+def subprocess_env():
+    """The environment for a fresh interpreter that imports this twdp."""
+    src = str(Path(twdp.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestSubprocess:
     @staticmethod
     def start(*argv, stderr):
-        src = str(Path(twdp.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.Popen([sys.executable, "-m", "twdp.cli", *argv],
-                                stdout=subprocess.PIPE, stderr=stderr, env=env)
+                                stdout=subprocess.PIPE, stderr=stderr, env=subprocess_env())
 
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # 20,000 rows overflow any pipe buffer, so writes must outlive the reader
@@ -344,3 +348,74 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert err == b""
         assert out.decode().splitlines()[1].endswith(",exact")
+
+    def test_package_runs_as_module(self, capsys):
+        argv = ["convert", "--gamma", "0.5", "--k-rice", "2"]
+        proc = subprocess.run([sys.executable, "-m", "twdp", *argv], capture_output=True,
+                              env=subprocess_env(), timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.decode() == run_cli(capsys, *argv)[1]
+
+
+# scipy.special and scipy.integrate in sys.modules after each step, printed
+# as JSON with the stdout of the commands that load them
+_LAZY_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [name in sys.modules for name in ("scipy.special", "scipy.integrate")]
+
+light, heavy = json.loads(sys.argv[1])
+import twdp
+report = {"import twdp": loaded()}
+import twdp.cli
+report["import twdp.cli"] = loaded()
+for argv in light + heavy:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = twdp.cli.main(argv)
+    report[" ".join(argv)] = [code, loaded(), out.getvalue()]
+print(json.dumps(report))
+"""
+
+_PARAMS = ["--k", "8", "--gamma", "0.5"]
+
+
+class TestLazyScipy:
+    """Only the commands that use scipy.special or scipy.integrate load them.
+
+    Checked in a fresh interpreter, since the test modules import scipy.
+    """
+
+    LIGHT = [
+        ["pdf", *_PARAMS, "--points", "21"],
+        ["cdf", *_PARAMS, "--points", "21"],
+        ["mgf", *_PARAMS, "--points", "11", "--method", "series"],
+        ["asep", *_PARAMS, "--snr-db", "0:20:10", "--method", "exact"],
+        ["simulate", *_PARAMS, "--snr-db", "0:20:10", "--samples", "2000"],
+        ["convert", "--gamma", "0.5", "--k-rice", "2"],
+    ]
+    HEAVY = [
+        (["mgf", *_PARAMS, "--points", "11", "--method", "closed"], [True, False]),
+        (["asep", *_PARAMS, "--snr-db", "0:20:10", "--method", "quadrature"], [True, True]),
+    ]
+
+    def test_scipy_submodules_load_on_first_use(self, capsys):
+        heavy = [argv for argv, _ in self.HEAVY]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, json.dumps([self.LIGHT, heavy])],
+            capture_output=True, env=subprocess_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        report = json.loads(proc.stdout)
+        assert report.pop("import twdp") == [False, False]
+        assert report.pop("import twdp.cli") == [False, False]
+        for argv in self.LIGHT:
+            code, loaded, _ = report.pop(" ".join(argv))
+            assert (code, loaded) == (0, [False, False]), argv
+        for argv, want in self.HEAVY:
+            code, loaded, out = report.pop(" ".join(argv))
+            assert (code, loaded) == (0, want), argv
+            # the same bytes as a run in this process, where scipy is loaded
+            assert out == run_cli(capsys, *argv)[1]
+        assert not report

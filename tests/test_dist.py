@@ -95,6 +95,14 @@ class TestCdf:
     def test_zero(self):
         assert cdf(TwdpParams(k=5.0, gamma=0.2), 0.0).value == 0.0
 
+    def test_shortcuts_sum_no_series(self):
+        p = TwdpParams(k=8.0, gamma=0.5)
+        # r = 0 for both, and x = r^2 / (2 sigma^2) past the clamp for the cdf
+        shortcuts = [pdf(p, 0.0), *cdf_grid(p, [0.0, 40.0])]
+        assert [(res.tier, res.passes) for res in shortcuts] == [("none", 0)] * 3
+        summed = cdf(p, 1.0)
+        assert (summed.tier, summed.passes) == ("longdouble", 1)
+
     @pytest.mark.parametrize("k,g", FIGURE_SETS)
     def test_monotone(self, k, g):
         p = TwdpParams(k=k, gamma=g)

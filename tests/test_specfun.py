@@ -39,6 +39,7 @@ from conftest import (
     hyp1f1_poly,
     hyp2f1_3half,
     hyp2f1_poly,
+    tanh_sinh_mp_full,
 )
 
 
@@ -315,6 +316,16 @@ class TestTanhSinhRule:
         t, omt, w = tanh_sinh_rule(8)
         val = float(np.sum(w * np.sqrt(t) / np.sqrt(omt)))
         assert val == pytest.approx(math.pi / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("dps, nodes", [(40, 1457), (57, 1533)])
+    def test_mp_table_mirrors_full_loop(self, dps, nodes):
+        # the error-rate rescues' level; the mpmath table builds k >= 0 only
+        with mp.workdps(dps):
+            got = tanh_sinh_rule(7, _arith_mp())
+            want = tanh_sinh_mp_full(7)
+        assert len(want[0]) == nodes
+        for col, ref in zip(got, want):
+            assert col.tolist() == ref
 
 
 # long doubles with a full 64-bit significand, either sign, moderate exponent
