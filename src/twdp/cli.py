@@ -264,6 +264,7 @@ def _cmd_figures(args, out) -> int:
         raise InvalidParameterError(f"--snr-step must be positive, got {args.snr_step}")
     v_ratio = SweepGrid(0.0, 1.0, args.points).values()
     r_norm = SweepGrid(0.0, 3.5, args.points).values()
+    sim_cfg = mcsim.SimConfig(n_samples=args.samples, seed=args.seed, workers=args.workers)
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     ctl = SeriesControl()
@@ -327,7 +328,6 @@ def _cmd_figures(args, out) -> int:
     # exact / asymptotic / simulated symbol error rate, one file per PSK order
     snrs = np.arange(0.0, 40.0 + 1e-9, args.snr_step)
     gamma0s = [10.0 ** (db / 10.0) for db in snrs]
-    cfg_kwargs = dict(n_samples=args.samples, seed=args.seed, workers=args.workers)
     for m_order, fname in ((2, "fig4a.csv"), (4, "fig4b.csv"), (8, "fig4c.csv"), (16, "fig4d.csv")):
         mod = ModulationSpec(m_order)
         header = ["snr_db"]
@@ -344,7 +344,7 @@ def _cmd_figures(args, out) -> int:
                 max_terms = max(max_terms, terms)
                 if tag_method != "exact":
                     fallbacks.append({"snr_db": float(db), "set": tag})
-                est = mcsim.simulate_psk_ser(p, mod, float(db), mcsim.SimConfig(**cfg_kwargs))
+                est = mcsim.simulate_psk_ser(p, mod, float(db), sim_cfg)
                 row += [value, asep_asymptotic(p, mod, gamma0), est.ser, est.ci95_halfwidth]
             rows.append(row)
         emit(fname, header, rows, {

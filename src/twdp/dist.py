@@ -21,10 +21,10 @@ gamma = r^2 Es/N0 and gamma0 = 2 sigma^2 (1+K) Es/N0.
 Both series alternate and cancel heavily when K (1+Gamma)^2/(1+Gamma^2) is
 large; sums run on 80-bit long doubles and rerun in double-longdouble
 arithmetic, or beyond its reach in mpmath, whenever the recorded
-cancellation would push the result past its accuracy target (~1e-11
-relative, 1e-13 absolute).  For x > 600 the CDF is clamped to 1:
-the exact complement there is below e^{-200} while the series' partial sums
-would overflow even long doubles.
+cancellation would push the result past its accuracy target, ~1e-11
+relative however small the value, tails included.  For x > 600 the CDF is
+clamped to 1: the exact complement there is below e^{-200} while the
+series' partial sums would overflow even long doubles.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .specfun import (
 )
 
 _LD = np.longdouble
-_ABS_FLOOR = 1e-13
 _CDF_X_CLAMP = 600.0
 
 
@@ -149,7 +148,6 @@ def pdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[Series
     results = _raise_lost(run_with_rescue(
         lambda be: _pdf_pass(p, r[live], ctl, be),
         len(live),
-        _ABS_FLOOR,
         what=lambda i: f"envelope pdf at r={float(r[live[i]])}",
     ))
     for i, res in zip(live, results):
@@ -202,7 +200,6 @@ def _cdf_grid_x(p: TwdpParams, x, ctl: SeriesControl) -> list[SeriesResult]:
     results = _raise_lost(run_with_rescue(
         lambda be: _cdf_pass(p, xs, ctl, be),
         len(live),
-        _ABS_FLOOR,
         what=lambda i: f"envelope cdf at x={float(xs[i])}",
     ))
     for i, res in zip(live, results):

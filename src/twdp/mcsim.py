@@ -33,20 +33,15 @@ BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sampling budget, histogram resolution, and RNG/worker policy."""
+    """Sampling budget and RNG/worker policy."""
 
     n_samples: int = 1_000_000
-    n_bins: int = 20
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidParameterError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.n_bins < 1:
-            raise InvalidParameterError(f"n_bins must be >= 1, got {self.n_bins}")
-        if self.n_samples < self.n_bins:
-            raise InvalidParameterError("n_samples must be >= n_bins")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidParameterError("seed must fit in 64 bits")
         if self.workers < 1:
@@ -104,8 +99,8 @@ def sample_envelope(p: TwdpParams, cfg: SimConfig) -> np.ndarray:
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def histogram(samples, normalized: bool = True, cfg: SimConfig | None = None) -> Histogram:
-    """Equal-width histogram over [0, max(samples)].
+def histogram(samples, normalized: bool = True, n_bins: int = 20) -> Histogram:
+    """Equal-width histogram of n_bins bins over [0, max(samples)].
 
     With normalized=True the density integrates to one; otherwise the
     density column carries raw per-bin counts.
@@ -113,7 +108,8 @@ def histogram(samples, normalized: bool = True, cfg: SimConfig | None = None) ->
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise InvalidParameterError("histogram requires at least one sample")
-    n_bins = (cfg or SimConfig()).n_bins
+    if n_bins < 1:
+        raise InvalidParameterError(f"n_bins must be >= 1, got {n_bins}")
     top = float(arr.max())
     if top <= 0.0:
         top = 1.0

@@ -13,12 +13,14 @@ array of points: each point has its own stopping rule and compensated sum.
 The envelope/SNR series alternate and can cancel by many orders of magnitude
 for strong specular power, so a pass runs on 80-bit long doubles first and
 reports the cancellation ratio sum|t_m| / |sum t_m| of every point.
-run_with_rescue reruns only the points whose ratio would visibly contaminate
-the result, all of them in one pass of double-longdouble arithmetic (_DD,
-hi/lo pairs of long doubles built from error-free transformations, section
-at the end; about 34 digits once its rounding is bounded, see _DD_EPS).
-Only the points that pass cannot vouch for rerun in mpmath (numpy object
-arrays of mpf values), all points that need the same precision in one pass.
+run_with_rescue reruns only the points whose ratio, times the pass's
+rounding bound, would breach the relative accuracy target (needs_rescue),
+all of them in one pass of double-longdouble arithmetic (_DD, hi/lo pairs
+of long doubles built from error-free transformations, section at the end;
+about 34 digits once its rounding is bounded, see _DD_EPS).  Only the
+points that pass cannot vouch for rerun in mpmath (numpy object arrays of
+mpf values), at digits rounded up to a multiple of 8, all points that need
+the same precision in one pass.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 
 
 def _pass_result(what: str, pref, s, n, last, pos, converged):
     """A pass's return value from its sums: (value, terms, terms_used,
-    trunc, possum_abs, ratio), see run_with_rescue."""
+    trunc, ratio), see run_with_rescue."""
     if not converged.all():
         stop = int(n[~converged][0])
         raise SeriesDivergenceError(f"{what} series did not converge in {stop} terms", stop)
@@ -218,8 +220,7 @@ def _pass_result(what: str, pref, s, n, last, pos, converged):
     safe = np.where(nonzero, s_abs, 1)
     trunc = np.where(nonzero, (last / safe).astype(float), math.inf)
     ratio = np.where(nonzero, (pos / safe).astype(float), math.inf)
-    return ((pref * s).astype(float), int(n.sum()), n, trunc,
-            (pref * pos).astype(float), ratio)
+    return (pref * s).astype(float), int(n.sum()), n, trunc, ratio
 
 
 def term_hump_guard(k: float, gamma: float) -> int:
@@ -231,39 +232,41 @@ def term_hump_guard(k: float, gamma: float) -> int:
     return int(math.ceil(k * (1.0 + gamma) ** 2 / (1.0 + gamma * gamma))) + 3
 
 
-def needs_rescue(possum_abs, value_abs, eps, abs_floor: float = 0.0):
-    """Whether the estimated summation roundoff breaches the accuracy target
-    _REL_TARGET (or abs_floor, if larger), elementwise on arrays."""
-    est = _ERR_SAFETY * eps * possum_abs
-    return est > np.fmax(abs_floor, _REL_TARGET * value_abs)
+def needs_rescue(ratio, eps):
+    """Whether a pass's roundoff, _ERR_SAFETY eps sum|t_m| for per-term
+    error eps, breaches _REL_TARGET |sum t_m|, elementwise on arrays of
+    cancellation ratios sum|t_m| / |sum t_m|.  The positive prefactor scales
+    both sides alike: a value however small is held to the same target."""
+    return _ERR_SAFETY * eps * ratio > _REL_TARGET
 
 
-def rescue_dps(cancellation_ratio: float, digits: int = 17) -> int:
-    """Working decimal precision needed to sum through a given cancellation."""
-    if cancellation_ratio <= 1.0:
-        return digits
-    return digits + int(math.ceil(math.log10(cancellation_ratio)))
+def rescue_dps(cancellation_ratio: float) -> int:
+    """Working decimal precision needed to sum through a given cancellation,
+    rounded up to a multiple of 8 so that nearby points share a pass."""
+    digits = 17
+    if cancellation_ratio > 1.0:
+        digits += int(math.ceil(math.log10(cancellation_ratio)))
+    return -(-digits // 8) * 8
 
 
-def run_with_rescue(pass_fn: Callable, size: int, abs_floor: float = 0.0,
-                    what: Callable = str) -> list:
+def run_with_rescue(pass_fn: Callable, size: int, what: Callable = str) -> list:
     """Sum a series at `size` points, rerunning the untrustworthy ones in
     more precise arithmetic.
 
     pass_fn(be) sums the series at the points be.points (all when None) in
-    be's arithmetic and returns (value, terms, terms_used, trunc,
-    possum_abs, ratio): `terms` is the number of terms summed over all
-    those points (the work of the pass, which the per-layer tracer in
-    bench/tracing.py counts), the rest are arrays over them, and possum_abs
-    is sum|t_m| on the final value's scale.  One long-double pass runs over
-    all points, then one double-longdouble pass over every point that fails
-    needs_rescue (where long double is the x87 format), checked again with
-    _DD_EPS against _REL_TARGET alone.  The points left rerun in mpmath with
-    the digits their ratio calls for.  A heavily cancelled sum reports a
-    ratio that is only a lower bound (the computed total is then noise at
-    the working epsilon), so each point rerun is re-checked and its
-    precision grows at least geometrically.  Points that need the same
-    precision rerun together.
+    be's arithmetic and returns (value, terms, terms_used, trunc, ratio):
+    `terms` is the number of terms summed over all those points (the work
+    of the pass, which the per-layer tracer in bench/tracing.py counts), the
+    rest are arrays over them.  Every pass is judged by needs_rescue alone,
+    from its cancellation ratios and its arithmetic's eps: one long-double
+    pass runs over all points, then one double-longdouble pass over every
+    point that fails the check (where long double is the x87 format).  The
+    points left rerun in mpmath with the digits their own ratio calls for,
+    so a point's precision and tier never depend on the other points.  A
+    heavily cancelled sum reports a ratio that is only a lower bound (the
+    computed total is then noise at the working epsilon), so each point
+    rerun is re-checked and its precision grows at least geometrically.
+    Points that need the same precision rerun together.
     Each rerun is logged at DEBUG level on the "twdp" logger, under the name
     what(i) of the point.
 
@@ -273,21 +276,18 @@ def run_with_rescue(pass_fn: Callable, size: int, abs_floor: float = 0.0,
     """
     if not size:
         return []
-    value, _, n, trunc, possum_abs, ratio = pass_fn(_ARITH_LD)
+    value, _, n, trunc, ratio = pass_fn(_ARITH_LD)
     tier = [_ARITH_LD.name] * size
     passes = np.ones(size, dtype=np.int64)
-    todo = np.flatnonzero(needs_rescue(possum_abs, abs(value), _ARITH_LD.eps, abs_floor))
+    todo = np.flatnonzero(needs_rescue(ratio, _ARITH_LD.eps))
     if todo.size and _ARITH_DD is not None:
         for i in todo:
             _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning in dd arithmetic",
                        what(i), ratio[i], tier[i])
             tier[i] = _ARITH_DD.name
         passes[todo] += 1
-        v, _, n[todo], trunc[todo], p_abs, ratio[todo] = pass_fn(replace(_ARITH_DD, points=todo))
-        value[todo] = v
-        # relative target only: below abs_floor the mpmath rerun keeps a
-        # value's leading digits, and a dd value would not
-        todo = todo[needs_rescue(p_abs, abs(v), _ARITH_DD.eps)]
+        value[todo], _, n[todo], trunc[todo], ratio[todo] = pass_fn(replace(_ARITH_DD, points=todo))
+        todo = todo[needs_rescue(ratio[todo], _ARITH_DD.eps)]
     dps = np.zeros(size, dtype=np.int64)
     out: list = [None] * size
     while todo.size:
@@ -314,9 +314,8 @@ def run_with_rescue(pass_fn: Callable, size: int, abs_floor: float = 0.0,
                     )
                     tier[i] = be.name
                 passes[pts] += 1
-                v, _, n[pts], trunc[pts], p_abs, ratio[pts] = pass_fn(be)
-            value[pts] = v
-            again.append(pts[needs_rescue(p_abs, abs(v), 10.0 ** (-digits), abs_floor)])
+                value[pts], _, n[pts], trunc[pts], ratio[pts] = pass_fn(be)
+            again.append(pts[needs_rescue(ratio[pts], be.eps)])
         todo = np.concatenate(again) if again else todo
     for i in range(size):
         if out[i] is None:

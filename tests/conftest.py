@@ -321,11 +321,11 @@ def ive_ladder_scalar(x, nu_max: int):
 def _finish(pref, s, n, last, pos):
     sabs = abs(s)
     return (float(pref * s), n, float(last / sabs) if sabs > 0 else math.inf,
-            float(pref * pos), float(pos / sabs) if sabs > 0 else math.inf)
+            float(pos / sabs) if sabs > 0 else math.inf)
 
 
 def pdf_pass_scalar(p, r: float, ctl):
-    """(value, terms_used, trunc, possum_abs, ratio) of the long-double pdf pass at r > 0."""
+    """(value, terms_used, trunc, ratio) of the long-double pdf pass at r > 0."""
     LD = np.longdouble
     K, G, s2, rb = LD(p.k), LD(p.gamma), LD(p.sigma2), LD(r)
     g2 = G * G

@@ -62,11 +62,10 @@ def test_criterion_1_histograms_and_ks(figure_params):
     t0 = time.time()
     seed = 101  # pinned for determinism; coverage per bin/test is >= 4 sigma
     for p in figure_params:
-        cfg = SimConfig(n_samples=10 ** 6, n_bins=20, seed=seed, workers=4)
-        samples = sample_envelope(p, cfg)
-        h = histogram(samples, True, cfg)
+        samples = sample_envelope(p, SimConfig(n_samples=10 ** 6, seed=seed, workers=4))
+        h = histogram(samples, True, n_bins=20)
         n = samples.size
-        for i in range(cfg.n_bins):
+        for i in range(20):
             prob = cdf(p, float(h.edges[i + 1])).value - cdf(p, float(h.edges[i])).value
             sigma = math.sqrt(n * prob * (1.0 - prob))
             assert abs(h.counts[i] - n * prob) <= 4.0 * sigma, (p.k, p.gamma, i)

@@ -227,35 +227,35 @@ class TestRescueTiers:
     @needs_dd
     def test_past_dd_bound_mpmath_brackets(self, caplog):
         caplog.set_level(logging.DEBUG, logger="twdp")
-        # the dd pass measures a 9.8e23 cancellation: 41 digits
+        # the dd pass measures a 9.8e23 cancellation: 41 digits, rounded up to 48
         p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
         value = asep_exact(p, mod, 100.0).value
         mp_runs = [r.getMessage() for r in caplog.records if "mp arithmetic" in r.getMessage()]
-        assert len(mp_runs) == 1 and "rerunning at 41 digits in mp arithmetic" in mp_runs[0]
+        assert len(mp_runs) == 1 and "rerunning at 48 digits in mp arithmetic" in mp_runs[0]
         assert value == pytest.approx(asep_quadrature(p, mod, 100.0), rel=1e-8)
 
     @needs_dd
     def test_tier_rule(self):
         # a stub series: point 0 does not cancel, point 1 cancels within
-        # the dd bound, point 2 past it, and point 3 (below the absolute
-        # floor) within it only absolutely
-        ratio = np.array([1.0, 1e15, 1e25, 1e23])
-        size = np.array([1.0, 1.0, 1.0, 1e-10])
+        # the dd bound, points 2-4 past it (40, 41 and 42 digits, run at 40,
+        # 48 and 48), and point 5, a value far below double's smallest
+        # normal, within it: the tier follows the ratio alone
+        ratio = np.array([1.0, 1e15, 1e23, 1e24, 1e25, 1e12])
+        size = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 4.5e-320])
         seen = []
 
         def pass_fn(be):
-            pts = np.arange(4) if be.points is None else be.points
+            pts = np.arange(6) if be.points is None else be.points
             seen.append((be.name, pts.tolist()))
             n = len(pts)
-            return (size[pts], n, np.ones(n, dtype=np.int64), np.zeros(n),
-                    size[pts] * ratio[pts], ratio[pts])
+            return size[pts], n, np.ones(n, dtype=np.int64), np.zeros(n), ratio[pts]
 
-        out = run_with_rescue(pass_fn, 4, abs_floor=1e-13)
-        assert seen == [("longdouble", [0, 1, 2, 3]), ("dd", [1, 2, 3]),
-                        ("mp40", [3]), ("mp42", [2])]
+        out = run_with_rescue(pass_fn, 6)
+        assert seen == [("longdouble", [0, 1, 2, 3, 4, 5]), ("dd", [1, 2, 3, 4, 5]),
+                        ("mp40", [2]), ("mp48", [3, 4])]
         assert [res.value for res in out] == size.tolist()
         assert [(res.tier, res.passes) for res in out] == [
-            ("longdouble", 1), ("dd", 2), ("mp42", 3), ("mp40", 3)]
+            ("longdouble", 1), ("dd", 2), ("mp40", 3), ("mp48", 3), ("mp48", 3), ("dd", 2)]
 
     @needs_dd
     def test_result_reports_tier_and_passes(self):
@@ -264,7 +264,7 @@ class TestRescueTiers:
         k14 = asep_exact(TwdpParams(k=14.0, gamma=1.0), ModulationSpec(2), 100.0)
         assert (k14.tier, k14.passes) == ("dd", 2)
         k30 = asep_exact(TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2), 100.0)
-        assert (k30.tier, k30.passes) == ("mp41", 3)
+        assert (k30.tier, k30.passes) == ("mp48", 3)
 
     @needs_dd
     def test_escalation_logged(self, caplog):

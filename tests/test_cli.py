@@ -183,7 +183,9 @@ class TestSweepValidation:
         assert "points" in err
 
     @pytest.mark.parametrize("flags", [("--snr-step", "0"), ("--snr-step", "-2"),
-                                       ("--snr-step", "nan"), ("--points", "1")])
+                                       ("--snr-step", "nan"), ("--points", "1"),
+                                       ("--samples", "0"), ("--workers", "0"),
+                                       ("--seed=-1",)])
     def test_figures_checked_before_writing(self, capsys, tmp_path, flags):
         outdir = tmp_path / "figs"
         code, out, _ = run_cli(capsys, "figures", "--outdir", str(outdir),

@@ -60,10 +60,10 @@ params = st.builds(TwdpParams, k=st.floats(0.0, 20.0), gamma=st.floats(0.0, 1.0)
 
 
 def assert_pass_matches(grid_out, refs):
-    value, terms, n, trunc, possum, ratio = grid_out
+    value, terms, n, trunc, ratio = grid_out
     assert terms == sum(r[1] for r in refs)
     for i, ref in enumerate(refs):
-        assert (value[i], n[i], trunc[i], possum[i], ratio[i]) == ref
+        assert (value[i], n[i], trunc[i], ratio[i]) == ref
 
 
 @FAST
@@ -164,17 +164,36 @@ class TestRescuedTogether:
         assert grid == [asep_exact(self.P, mod, g0) for g0 in g0s]
 
     @needs_dd
-    def test_asep_exact_grid_in_mpmath(self, caplog):
-        # at K=30 both points pass the dd bound and rerun in one 41-digit
-        # mpmath pass (30 dB would need 43 digits, a pass of its own)
-        caplog.set_level(logging.DEBUG, logger="twdp")
+    def test_asep_exact_grid_in_mpmath(self, monkeypatch):
+        # at K=30 all three points pass the dd bound; they need 41, 41 and
+        # 43 digits, rounded up to 48, and rerun in one mpmath pass
         p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
-        g0s = [10.0 ** 1.8, 100.0]
+        g0s = [10.0 ** 1.8, 100.0, 1000.0]
+        mp_passes = []
+
+        def arith_mp(points=None):
+            if points is not None:  # not the dd node table built in mpmath
+                mp_passes.append((mp.mp.dps, list(points)))
+            return _arith_mp(points)
+
+        monkeypatch.setattr(specfun, "_arith_mp", arith_mp)
         grid = asep_exact_grid(p, mod, g0s)
-        mp_runs = [r.getMessage() for r in caplog.records if "mp arithmetic" in r.getMessage()]
-        assert len(mp_runs) == 2
-        assert all("rerunning at 41 digits" in msg for msg in mp_runs)
+        assert mp_passes == [(48, [0, 1, 2])]
         assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
+
+    def test_k40_cdf_and_mgf_grids(self):
+        # left-tail cdf points and MGF points that rerun in mpmath at
+        # several precisions: each keeps the tier its own ratio calls for
+        p = TwdpParams(k=40.0, gamma=0.0)
+        rs = [0.01, 0.02, 0.05, 0.1, 0.2]
+        grid = cdf_grid(p, rs)
+        assert len({res.tier for res in grid}) >= 2
+        assert grid == [cdf(p, r) for r in rs]
+        ctx = SnrContext.from_average_snr(p, 10.0)
+        ss = [-100.0, -30.0, -10.0, -8.0]
+        grid = mgf_series_grid(p, ctx, ss)
+        assert any(res.tier.startswith("mp") for res in grid)
+        assert grid == [mgf_series(p, ctx, s) for s in ss]
 
 
 def rescue_case(kind, p):
@@ -188,14 +207,19 @@ def rescue_case(kind, p):
     if kind == "pdf":
         r = np.linspace(0.7, 1.8, 6)
         return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, CTL, be)
-    # the K=40 left tail, below the absolute floor, and the bulk
+    if kind == "pdf-tail":
+        # the upper tail down to 4.5e-208 at K=14: held to the relative
+        # target however small the value
+        r = np.append(np.linspace(3.0, 3.5, 6), 7.0) * math.sqrt(p.omega)
+        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, CTL, be)
+    # the K=40 left tail and the bulk
     r = np.array([0.01, 0.05, 0.1, 0.2, 0.8, 0.9]) if p.k == 40.0 else np.linspace(0.2, 0.8, 6)
     x = r.astype(np.longdouble) ** 2 / (2 * np.longdouble(p.sigma2))
     return lambda: cdf_grid(p, r), lambda be: _cdf_pass(p, x, CTL, be)
 
 
-def at_50_digits(series):
-    with mp.workdps(50):
+def at_digits(series, digits=50):
+    with mp.workdps(digits):
         return series(_arith_mp())[0]
 
 
@@ -205,9 +229,16 @@ class TestDoubleLongdoubleRescue:
                              + [("cdf", 40.0, 0.0)])
     def test_against_50_digit_mpmath(self, kind, k, gamma):
         grid, series = rescue_case(kind, TwdpParams(k=k, gamma=gamma))
-        for res, want in zip(grid(), at_50_digits(series)):
+        for res, want in zip(grid(), at_digits(series)):
             assert res.cancellation_ratio > 1e8
-            assert res.value == pytest.approx(want, rel=1e-12)
+            assert res.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [14.0, 20.0, 30.0])
+    def test_pdf_tail_against_64_digit_mpmath(self, k):
+        grid, series = rescue_case("pdf-tail", TwdpParams(k=k, gamma=1.0))
+        for res, want in zip(grid(), at_digits(series, 64)):
+            assert res.cancellation_ratio > 1e8
+            assert res.value == pytest.approx(want, rel=1e-12, abs=0)
 
     @needs_dd
     def test_ladder_against_50_digit_mpmath(self):
@@ -227,11 +258,11 @@ class TestDoubleLongdoubleRescue:
             raise AssertionError("mpmath arithmetic called")
 
         p = TwdpParams(k=14.0, gamma=1.0)
-        cases = [rescue_case(kind, p) for kind in ("pdf", "cdf", "mgf")]
-        refs = [at_50_digits(series) for _, series in cases]
+        cases = [rescue_case(kind, p) for kind in ("pdf", "pdf-tail", "cdf", "mgf")]
+        refs = [at_digits(series) for _, series in cases]
         monkeypatch.setattr(specfun, "_arith_mp", unavailable)
         for (grid, _), ref in zip(cases, refs):
-            assert [res.value for res in grid()] == pytest.approx(list(ref), rel=1e-12)
+            assert [res.value for res in grid()] == pytest.approx(list(ref), rel=1e-12, abs=0)
 
     @needs_dd
     def test_past_dd_bound_escalates_to_mpmath(self, caplog):
@@ -241,7 +272,7 @@ class TestDoubleLongdoubleRescue:
         ctx = SnrContext.from_average_snr(p, 10.0)
         res = mgf_series(p, ctx, -10.0)
         assert [rec.getMessage().rsplit("; ", 1)[1] for rec in caplog.records] == [
-            "rerunning in dd arithmetic", "rerunning at 42 digits in mp arithmetic"]
+            "rerunning in dd arithmetic", "rerunning at 48 digits in mp arithmetic"]
         assert res.value == pytest.approx(mgf_closed(p, ctx, -10.0), rel=1e-11)
 
 

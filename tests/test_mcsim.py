@@ -18,6 +18,8 @@ from twdp import (
     simulate_psk_ser,
 )
 
+from twdp.cli import main
+
 from conftest import rayleigh_bpsk
 
 
@@ -74,20 +76,20 @@ class TestSampleEnvelope:
 
 class TestHistogram:
     def test_constant_samples_single_bin(self):
-        h = histogram(np.full(100, 2.5), cfg=SimConfig(n_samples=100, n_bins=20))
+        h = histogram(np.full(100, 2.5))
         assert h.counts.sum() == 100
         assert np.count_nonzero(h.counts) == 1
 
     def test_density_normalization(self):
         p = TwdpParams(k=8.0, gamma=0.0)
         s = sample_envelope(p, SimConfig(n_samples=100_000, seed=3))
-        h = histogram(s, True, SimConfig(n_samples=100_000, n_bins=20))
+        h = histogram(s, True)
         widths = np.diff(h.edges)
         assert float((h.density * widths).sum()) == pytest.approx(1.0, rel=1e-12)
 
     def test_unnormalized_counts(self):
         s = sample_envelope(TwdpParams(k=0.0, gamma=0.0), SimConfig(n_samples=70_000, seed=4))
-        h = histogram(s, False, SimConfig(n_samples=70_000, n_bins=20))
+        h = histogram(s, False)
         assert h.counts.sum() == 70_000
         assert np.array_equal(h.density, h.counts.astype(float))
 
@@ -97,7 +99,7 @@ class TestHistogram:
         p = TwdpParams(k=8.0, gamma=0.0)
         n = 500_000
         s = sample_envelope(p, SimConfig(n_samples=n, seed=21))
-        h = histogram(s, True, SimConfig(n_samples=n, n_bins=20))
+        h = histogram(s, True, n_bins=20)
         for i in range(20):
             prob = cdf(p, float(h.edges[i + 1])).value - cdf(p, float(h.edges[i])).value
             sigma = math.sqrt(n * prob * (1 - prob))
@@ -106,6 +108,10 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             histogram(np.array([]))
+
+    def test_bin_count_validated(self):
+        with pytest.raises(InvalidParameterError):
+            histogram(np.ones(10), n_bins=0)
 
 
 class TestSimulatePskSer:
@@ -179,8 +185,12 @@ class TestSimConfig:
         with pytest.raises(InvalidParameterError):
             SimConfig(n_samples=0)
         with pytest.raises(InvalidParameterError):
-            SimConfig(n_samples=10, n_bins=20)
-        with pytest.raises(InvalidParameterError):
             SimConfig(workers=0)
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=-1)
+
+    def test_fewer_samples_than_histogram_bins(self, capsys):
+        # simulate makes no histogram, so a 5-sample run is valid
+        assert main(["simulate", "--k", "1", "--samples", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(row.endswith(",5") for row in rows)
