@@ -18,7 +18,6 @@ from .params import (
     k_rice,
 )
 from .specfun import (
-    SeriesControl,
     SeriesResult,
     bessel_i_scaled,
     exp_i0_identity_rhs,
@@ -57,7 +56,6 @@ __all__ = [
     "QuadratureError",
     "RangeOverflowError",
     "SerEstimate",
-    "SeriesControl",
     "SeriesDivergenceError",
     "SeriesResult",
     "SimConfig",

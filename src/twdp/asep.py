@@ -31,10 +31,11 @@ family and outer sum alike (each bracket factor within 22 m u^2, u = 2^-64,
 measured near 1e-37; about 34 digits in all, see specfun._DD_EPS).  Only
 the points that pass cannot vouch for rerun in mpmath at the digits their
 cancellation calls for, again together, on object arrays of mpf values.  One
-bracket family serves all three tiers.  A point that would need more than
-120 digits (specfun._MAX_DPS) gets a CancellationLossError in place of its
-result, so callers (the CLI does this) can substitute asep_quadrature;
-asep_exact raises it.
+bracket family serves all three tiers.  A point whose series has not
+converged within specfun._MAX_TERMS terms gets a SeriesDivergenceError in
+place of its result, and one that would need more than 120 digits
+(specfun._MAX_DPS) a CancellationLossError, so callers (the CLI does this)
+can substitute asep_quadrature; asep_exact raises either.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .errors import InvalidParameterError, QuadratureError
 from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
-    SeriesControl,
     SeriesResult,
+    _MAX_TERMS,
     _ARITH_LD,
     _grid,
     _legendre_2f1_next,
@@ -88,7 +89,7 @@ class ModulationSpec:
         object.__setattr__(self, "sin2_pim", s * s)
 
 
-def _bracket_family(x0: float, lam, y0_abs, orders: int, be):
+def _bracket_family(x0: float, lam, y0_abs, be):
     """The factors 2F1(3/2,1+m;2;-lam) and F1(3/2;1/2,1+m;5/2;x0,-y0_abs)
     for m = 0, 1, ... at every entry of lam and y0_abs, in be's arithmetic.
 
@@ -100,13 +101,13 @@ def _bracket_family(x0: float, lam, y0_abs, orders: int, be):
     so lam = y0_abs) both integrands are the same, and one row serves both.
     Every node term is positive, so an order costs one product per node and
     a row sum (by exact extraction in dd, where the factors of the first
-    `orders` orders stay within specfun's dd product bound).
+    _MAX_TERMS orders stay within specfun's dd product bound).
 
     The dd pass drops node terms that stay below 2^-140 of their row sum at
     every order, at every point, which costs under 2^-129 over all 1,457
     nodes.  Since g <= 1, a node's first term bounds all its later ones, and
-    sum_k p_k g_k^orders bounds the row sums from below, which drops the far
-    tails up front.  As the orders go on, a node dominated by a node of
+    sum_k p_k g_k^_MAX_TERMS bounds the row sums from below, which drops the
+    far tails up front.  As the orders go on, a node dominated by a node of
     smaller t (larger g) stays dominated, which drops the large-t side of
     the peak.  The long-double pass keeps every node of its finer table: a
     drop there would change which nodes its row sums add, and with them the
@@ -121,7 +122,7 @@ def _bracket_family(x0: float, lam, y0_abs, orders: int, be):
     p = w * be.sqrt(t) / be.sqrt(omt + (1 - x) * t) * g
     drop = be.name == "dd"
     if drop:
-        floor = _DD_DROP * (p.hi * g.hi ** orders).sum(axis=-1, keepdims=True)
+        floor = _DD_DROP * (p.hi * g.hi ** _MAX_TERMS).sum(axis=-1, keepdims=True)
         live = np.flatnonzero((p.hi > floor).any(axis=(0, 1)))
         p, g = p[..., live[0]:live[-1] + 1], g[..., live[0]:live[-1] + 1]
     c1, c2 = 2 / be.pi, 1.5
@@ -147,7 +148,7 @@ def _bracket_family(x0: float, lam, y0_abs, orders: int, be):
     return next_order
 
 
-def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ctl: SeriesControl, be):
+def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, be):
     """The series at the average SNRs gamma0[be.points]."""
     K = be.cast(p.k)
     g2 = be.cast(p.gamma) ** 2
@@ -159,7 +160,7 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ctl: SeriesControl, b
     y0_abs = ((1 + K) / g0).astype(float)
     c_bracket = 3 * be.pi / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
-    next_order = _bracket_family(mod.sin2_pim, lam, y0_abs, ctl.max_terms, be)
+    next_order = _bracket_family(mod.sin2_pim, lam, y0_abs, be)
     leg_prev, leg = be.cast(0.0), be.cast(1.0)
     cm = be.cast(1.0)
 
@@ -172,37 +173,33 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ctl: SeriesControl, b
         cm = cm * (-a) / (m + 1)
         return t
 
-    s, n, last, possum, ok = _sum_series(
-        term, len(g0), ctl, min_terms=term_hump_guard(p.k, p.gamma)
-    )
+    s, n, last, possum, ok = _sum_series(term, len(g0), min_terms=term_hump_guard(p.k, p.gamma))
     pref = sp * (1 + K) / (3 * be.pi * g0)
-    return _pass_result("asep", pref, s, n, last, possum, ok)
+    return _pass_result(pref, s, n, last, possum, ok)
 
 
-def asep_exact(
-    p: TwdpParams, mod: ModulationSpec, gamma0: float, ctl: SeriesControl | None = None
-) -> SeriesResult:
+def asep_exact(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> SeriesResult:
     """Exact M-PSK symbol error probability from the explicit series.
 
-    Raises CancellationLossError where the series would need more than
-    120 digits.
+    Raises SeriesDivergenceError where the series does not converge within
+    its term budget, and CancellationLossError where it would need more
+    than 120 digits.
     """
-    return _raise_lost(asep_exact_grid(p, mod, [gamma0], ctl))[0]
+    return _raise_lost(asep_exact_grid(p, mod, [gamma0]))[0]
 
 
-def asep_exact_grid(
-    p: TwdpParams, mod: ModulationSpec, gamma0s, ctl: SeriesControl | None = None
-) -> list:
+def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
     """Exact M-PSK symbol error probability along a sweep of average SNRs.
 
-    Returns a SeriesResult per point, or the CancellationLossError of a
-    point where the series would need more than 120 digits (callers
-    such as the CLI substitute asep_quadrature there).
+    Returns a SeriesResult per point, or in its place the
+    SeriesDivergenceError of a point where the series does not converge
+    within its term budget, or the CancellationLossError of one where it
+    would need more than 120 digits (callers such as the CLI substitute
+    asep_quadrature there).
     """
     g0 = _grid(gamma0s, lambda v: np.isfinite(v) & (v > 0), "gamma0 must be positive")
-    ctl = ctl or SeriesControl()
     return run_with_rescue(
-        lambda be: _asep_pass(p, mod, g0, ctl, be),
+        lambda be: _asep_pass(p, mod, g0, be),
         len(g0),
         what=lambda i: f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}",
     )

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .mgf import mgf_closed, mgf_series_grid
 from .params import TwdpParams
-from .specfun import SeriesControl
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -95,10 +94,6 @@ def _params_from_args(args) -> TwdpParams:
     return TwdpParams(k=args.k, gamma=gamma)
 
 
-def _series_control(args) -> SeriesControl:
-    return SeriesControl(rel_tol=args.tol, max_terms=args.max_terms)
-
-
 def _add_param_flags(sp, k_required=True):
     sp.add_argument("--k", type=float, required=k_required,
                     help="specular-to-diffuse power ratio K")
@@ -109,11 +104,6 @@ def _add_param_flags(sp, k_required=True):
                        help="legacy parameter Delta in [0, 1] (converted to Gamma)")
     sp.add_argument("--sigma2", type=float, default=None,
                     help="diffuse half power; default normalizes total power to 1")
-
-
-def _add_series_flags(sp):
-    sp.add_argument("--tol", type=float, default=1e-12, help="series relative tolerance")
-    sp.add_argument("--max-terms", type=int, default=500, help="series term budget")
 
 
 def _parse_snr_range(spec: str) -> np.ndarray:
@@ -133,36 +123,26 @@ def _parse_snr_range(spec: str) -> np.ndarray:
     return np.minimum(start + step * np.arange(n), stop)
 
 
-def _default_workers() -> int:
-    env = os.environ.get("TWDP_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 # ----------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_pdf_cdf(args, which: str, out) -> int:
     p = _params_from_args(args)
-    ctl = _series_control(args)
     scale = math.sqrt(p.omega) if args.normalized else 1.0
     xs = SweepGrid(0.0, args.rmax, args.points).values()
     if which == "pdf":
         rows = [(x, res.value * scale, res.terms_used)
-                for x, res in zip(xs, dist.pdf_grid(p, xs * scale, ctl))]
+                for x, res in zip(xs, dist.pdf_grid(p, xs * scale))]
     else:
         rows = [(x, res.value, res.terms_used)
-                for x, res in zip(xs, dist.cdf_grid(p, xs * scale, ctl))]
+                for x, res in zip(xs, dist.cdf_grid(p, xs * scale))]
     _write_csv(["x", "y", "terms_used"], rows, out)
     return EXIT_OK
 
 
 def _cmd_mgf(args, out) -> int:
     p = _params_from_args(args)
-    ctl = _series_control(args)
     gamma0 = 10.0 ** (args.gamma0_db / 10.0)
     ctx = dist.SnrContext.from_average_snr(p, gamma0)
     if args.smin >= args.smax or args.smax > 0:
@@ -172,7 +152,7 @@ def _cmd_mgf(args, out) -> int:
     header = ["s"]
     if args.method in ("series", "both"):
         header += ["mgf_series", "terms_used"]
-        for row, res in zip(rows, mgf_series_grid(p, ctx, xs, ctl)):
+        for row, res in zip(rows, mgf_series_grid(p, ctx, xs)):
             row += [res.value, res.terms_used]
     if args.method in ("closed", "both"):
         header += ["mgf_closed"]
@@ -182,12 +162,13 @@ def _cmd_mgf(args, out) -> int:
     return EXIT_OK
 
 
-def _asep_exact_with_fallback(p, mod, gamma0s, ctl):
+def _asep_exact_with_fallback(p, mod, gamma0s):
     """(value, terms, tag) per average SNR; substitutes quadrature at the
-    points where the series flags unrecoverable cancellation."""
+    points where the series does not converge or flags unrecoverable
+    cancellation."""
     out = []
-    for gamma0, res in zip(gamma0s, asep_exact_grid(p, mod, gamma0s, ctl)):
-        if isinstance(res, CancellationLossError):
+    for gamma0, res in zip(gamma0s, asep_exact_grid(p, mod, gamma0s)):
+        if isinstance(res, (SeriesDivergenceError, CancellationLossError)):
             out.append((asep_quadrature(p, mod, gamma0), 0, "quadrature-fallback"))
         else:
             out.append((res.value, res.terms_used, "exact"))
@@ -196,14 +177,13 @@ def _asep_exact_with_fallback(p, mod, gamma0s, ctl):
 
 def _cmd_asep(args, out) -> int:
     p = _params_from_args(args)
-    ctl = _series_control(args)
     mod = ModulationSpec(args.mod_order)
     snrs = _parse_snr_range(args.snr_db)
     methods = ["exact", "asymptotic", "quadrature"] if args.method == "all" else [args.method]
     header = ["snr_db"] + methods + (["method_tag"] if "exact" in methods else [])
     gamma0s = [10.0 ** (db / 10.0) for db in snrs]
     if "exact" in methods:
-        exact = _asep_exact_with_fallback(p, mod, gamma0s, ctl)
+        exact = _asep_exact_with_fallback(p, mod, gamma0s)
     rows = []
     for i, (db, gamma0) in enumerate(zip(snrs, gamma0s)):
         row = [float(db)]
@@ -267,7 +247,6 @@ def _cmd_figures(args, out) -> int:
     sim_cfg = mcsim.SimConfig(n_samples=args.samples, seed=args.seed, workers=args.workers)
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
-    ctl = SeriesControl()
     manifest: dict = {
         "seed": args.seed,
         "samples": args.samples,
@@ -312,10 +291,10 @@ def _cmd_figures(args, out) -> int:
         for p, _tag in sets:
             scale = math.sqrt(p.omega)
             if which == "pdf":
-                res = dist.pdf_grid(p, r_norm * scale, ctl)
+                res = dist.pdf_grid(p, r_norm * scale)
                 cols.append([v.value * scale for v in res])
             else:
-                res = dist.cdf_grid(p, r_norm * scale, ctl)
+                res = dist.cdf_grid(p, r_norm * scale)
                 cols.append([v.value for v in res])
             max_terms = max(max_terms, max(v.terms_used for v in res))
         rows = list(zip(r_norm, *cols))
@@ -333,7 +312,7 @@ def _cmd_figures(args, out) -> int:
         header = ["snr_db"]
         for _, tag in sets:
             header += [f"exact_{tag}", f"asym_{tag}", f"sim_{tag}", f"sim_ci95_{tag}"]
-        exact = [_asep_exact_with_fallback(p, mod, gamma0s, ctl) for p, _ in sets]
+        exact = [_asep_exact_with_fallback(p, mod, gamma0s) for p, _ in sets]
         rows = []
         fallbacks = []
         max_terms = 0
@@ -370,7 +349,7 @@ def _cmd_figures(args, out) -> int:
             gamma = params.gamma_from_delta(v) if flavor == "delta" else v
             p = TwdpParams(k=6.0, gamma=gamma)
             cols.append([value for value, _terms, _tag in
-                         _asep_exact_with_fallback(p, mod2, gamma0s, ctl)])
+                         _asep_exact_with_fallback(p, mod2, gamma0s)])
         rows = [[float(db), *vals] for db, *vals in zip(snrs, *cols)]
         emit(fname, header, rows, {
             "k": 6.0,
@@ -400,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     for which in ("pdf", "cdf"):
         sp = sub.add_parser(which, help=f"envelope {which} curve")
         _add_param_flags(sp)
-        _add_series_flags(sp)
         sp.add_argument("--rmax", type=float, default=3.5,
                         help="upper envelope value (normalized units by default)")
         sp.add_argument("--points", type=int, default=200)
@@ -409,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mgf", help="SNR MGF curve over s <= 0")
     _add_param_flags(sp)
-    _add_series_flags(sp)
     sp.add_argument("--gamma0-db", type=float, default=10.0)
     sp.add_argument("--smin", type=float, default=-10.0)
     sp.add_argument("--smax", type=float, default=0.0)
@@ -418,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("asep", help="average M-PSK symbol error probability curve")
     _add_param_flags(sp)
-    _add_series_flags(sp)
     sp.add_argument("--mod-order", type=int, default=2)
     sp.add_argument("--snr-db", type=str, default="0:40:5", help="from:to:step in dB")
     sp.add_argument("--method", choices=["exact", "asymptotic", "quadrature", "all"],
@@ -430,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--snr-db", type=str, default="0:40:5")
     sp.add_argument("--samples", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=_default_workers())
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--min-errors", type=int, default=None,
                     help="stop early once this many error events are seen")
 
@@ -445,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=401)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=_default_workers())
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--snr-step", type=float, default=2.0)
 
     return ap

@@ -38,8 +38,8 @@ from .errors import CancellationLossError, InvalidParameterError
 from .params import TwdpParams
 from . import specfun
 from .specfun import (
-    SeriesControl,
     SeriesResult,
+    _MAX_TERMS,
     _ive_ladder,
     _legendre_2f1_next,
     _grid,
@@ -88,7 +88,7 @@ class SnrContext:
 # envelope PDF
 
 
-def _pdf_pass(p: TwdpParams, r, ctl: SeriesControl, be):
+def _pdf_pass(p: TwdpParams, r, be):
     """The pdf series at the envelope values r[be.points] (all > 0)."""
     K = be.cast(p.k)
     G = be.cast(p.gamma)
@@ -122,31 +122,30 @@ def _pdf_pass(p: TwdpParams, r, ctl: SeriesControl, be):
             return t
 
         s[todo], n[todo], last[todo], possum[todo], ok[todo] = _sum_series(
-            term, len(todo), ctl, n_limit=nu + 1
+            term, len(todo), n_limit=nu + 1
         )
         todo = todo[~ok[todo]]
-        if not todo.size or nu >= ctl.max_terms:
+        if not todo.size or nu >= _MAX_TERMS:
             break
-        nu = min(2 * nu, ctl.max_terms)
+        nu = min(2 * nu, _MAX_TERMS)
 
     expo = -rb * rb / (2 * s2) - K + rb * (b1 + b2) + c
     pref = rb / s2 * be.exp(expo)
-    return _pass_result("envelope pdf", pref, s, n, last, possum, ok)
+    return _pass_result(pref, s, n, last, possum, ok)
 
 
-def pdf(p: TwdpParams, r: float, ctl: SeriesControl | None = None) -> SeriesResult:
+def pdf(p: TwdpParams, r: float) -> SeriesResult:
     """Envelope probability density f_R(r)."""
-    return pdf_grid(p, [r], ctl)[0]
+    return pdf_grid(p, [r])[0]
 
 
-def pdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[SeriesResult]:
+def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope probability density along a grid of envelope values."""
-    ctl = ctl or SeriesControl()
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
     out = [SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)] * len(r)
     live = np.flatnonzero(r > 0)
     results = _raise_lost(run_with_rescue(
-        lambda be: _pdf_pass(p, r[live], ctl, be),
+        lambda be: _pdf_pass(p, r[live], be),
         len(live),
         what=lambda i: f"envelope pdf at r={float(r[live[i]])}",
     ))
@@ -159,7 +158,7 @@ def pdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[Series
 # envelope / SNR CDF, one series in the variable x
 
 
-def _cdf_pass(p: TwdpParams, x, ctl: SeriesControl, be):
+def _cdf_pass(p: TwdpParams, x, be):
     """The cdf series at the points x[be.points], all in (0, _CDF_X_CLAMP]."""
     K = be.cast(p.k)
     G = be.cast(p.gamma)
@@ -185,20 +184,18 @@ def _cdf_pass(p: TwdpParams, x, ctl: SeriesControl, be):
         cm = cm * (-a) / (m + 1)
         return t
 
-    s, n, last, possum, ok = _sum_series(
-        term, len(xb), ctl, min_terms=term_hump_guard(p.k, p.gamma)
-    )
-    return _pass_result("cdf", xb * be.exp(-xb), s, n, last, possum, ok)
+    s, n, last, possum, ok = _sum_series(term, len(xb), min_terms=term_hump_guard(p.k, p.gamma))
+    return _pass_result(xb * be.exp(-xb), s, n, last, possum, ok)
 
 
-def _cdf_grid_x(p: TwdpParams, x, ctl: SeriesControl) -> list[SeriesResult]:
+def _cdf_grid_x(p: TwdpParams, x) -> list[SeriesResult]:
     """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0."""
     out = [SeriesResult(0.0 if xi == 0 else 1.0, 0, 0.0, 1.0, "none", 0) for xi in x]
     # above the clamp the complement is below exp(-((sqrt(x) - sqrt(2K))^2)/2-ish) < 1e-180
     live = np.flatnonzero((x > 0) & (x <= _CDF_X_CLAMP))
     xs = x[live]
     results = _raise_lost(run_with_rescue(
-        lambda be: _cdf_pass(p, xs, ctl, be),
+        lambda be: _cdf_pass(p, xs, be),
         len(live),
         what=lambda i: f"envelope cdf at x={float(xs[i])}",
     ))
@@ -212,26 +209,24 @@ def _cdf_grid_x(p: TwdpParams, x, ctl: SeriesControl) -> list[SeriesResult]:
     return out
 
 
-def cdf(p: TwdpParams, r: float, ctl: SeriesControl | None = None) -> SeriesResult:
+def cdf(p: TwdpParams, r: float) -> SeriesResult:
     """Envelope distribution function F_R(r)."""
-    return cdf_grid(p, [r], ctl)[0]
+    return cdf_grid(p, [r])[0]
 
 
-def cdf_snr(
-    p: TwdpParams, ctx: SnrContext, gamma: float, ctl: SeriesControl | None = None
-) -> SeriesResult:
+def cdf_snr(p: TwdpParams, ctx: SnrContext, gamma: float) -> SeriesResult:
     """SNR distribution function F_gamma(gamma) for average SNR ctx.gamma0."""
     if gamma < 0 or not math.isfinite(gamma):
         raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
     x = np.array([gamma * (1.0 + p.k) / ctx.gamma0], dtype=_LD)
-    return _cdf_grid_x(p, x, ctl or SeriesControl())[0]
+    return _cdf_grid_x(p, x)[0]
 
 
-def cdf_grid(p: TwdpParams, rs, ctl: SeriesControl | None = None) -> list[SeriesResult]:
+def cdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope distribution function along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
     x = r.astype(_LD) ** 2 / (2 * _LD(p.sigma2))
-    return _cdf_grid_x(p, x, ctl or SeriesControl())
+    return _cdf_grid_x(p, x)
 
 
 # ----------------------------------------------------------------------------

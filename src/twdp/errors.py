@@ -12,7 +12,7 @@ class InvalidParameterError(TwdpError, ValueError):
 
 
 class SeriesDivergenceError(TwdpError, ArithmeticError):
-    """A series failed to meet its stopping rule within max_terms.
+    """A series failed to meet its stopping rule within its term budget.
 
     Attributes:
         terms_used: number of terms summed before giving up.

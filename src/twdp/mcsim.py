@@ -99,12 +99,9 @@ def sample_envelope(p: TwdpParams, cfg: SimConfig) -> np.ndarray:
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def histogram(samples, normalized: bool = True, n_bins: int = 20) -> Histogram:
-    """Equal-width histogram of n_bins bins over [0, max(samples)].
-
-    With normalized=True the density integrates to one; otherwise the
-    density column carries raw per-bin counts.
-    """
+def histogram(samples, n_bins: int = 20) -> Histogram:
+    """Equal-width histogram of n_bins bins over [0, max(samples)]: the raw
+    per-bin counts and the density, which integrates to one."""
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise InvalidParameterError("histogram requires at least one sample")
@@ -114,11 +111,7 @@ def histogram(samples, normalized: bool = True, n_bins: int = 20) -> Histogram:
     if top <= 0.0:
         top = 1.0
     counts, edges = np.histogram(arr, bins=n_bins, range=(0.0, top))
-    width = edges[1] - edges[0]
-    if normalized:
-        density = counts / (arr.size * width)
-    else:
-        density = counts.astype(float)
+    density = counts / (arr.size * (edges[1] - edges[0]))
     return Histogram(edges=edges, density=density, counts=counts)
 
 
@@ -142,29 +135,24 @@ def simulate_psk_ser(
     gamma0_db: float,
     cfg: SimConfig,
     min_errors: int | None = None,
-    max_trials: int | None = None,
 ) -> SerEstimate:
     """Simulated M-PSK symbol error rate at average SNR gamma0_db (dB).
 
-    Runs cfg.n_samples trials, or, when min_errors is given, keeps adding
-    whole blocks (in block order, so the result stays deterministic for any
-    worker count) until min_errors error events or max_trials trials.
+    Runs cfg.n_samples trials, or, when min_errors is given, adds whole
+    blocks (in block order, so the result stays deterministic for any
+    worker count) until min_errors error events or cfg.n_samples trials.
     """
     gamma0 = 10.0 ** (gamma0_db / 10.0)
-    if min_errors is None:
-        budget = cfg.n_samples
-    else:
-        budget = max_trials if max_trials is not None else cfg.n_samples
 
     errors = 0
     trials = 0
     next_block = 0
 
     def one(i: int) -> tuple[int, int]:
-        size = min(BLOCK, budget - i * BLOCK)
+        size = min(BLOCK, cfg.n_samples - i * BLOCK)
         return _ser_block(p, mod, gamma0, size, _block_rng(cfg.seed, i)), size
 
-    n_blocks_total = (budget + BLOCK - 1) // BLOCK
+    n_blocks_total = (cfg.n_samples + BLOCK - 1) // BLOCK
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         while next_block < n_blocks_total:
             wave = range(next_block, min(next_block + cfg.workers, n_blocks_total))

@@ -29,7 +29,6 @@ from .dist import SnrContext
 from .errors import InvalidParameterError
 from .params import TwdpParams
 from .specfun import (
-    SeriesControl,
     SeriesResult,
     _ARITH_LD,
     _grid,
@@ -49,7 +48,7 @@ def _snr_ratio(k, gamma0, s, be):
     return (1 + be.cast(k)) / den - 1, den
 
 
-def _mgf_series_pass(p: TwdpParams, gamma0: float, s, ctl: SeriesControl, be):
+def _mgf_series_pass(p: TwdpParams, gamma0: float, s, be):
     """The series at the points s[be.points]."""
     g2 = be.cast(p.gamma) ** 2
     a = be.cast(p.k) / (1 + g2)
@@ -65,27 +64,20 @@ def _mgf_series_pass(p: TwdpParams, gamma0: float, s, ctl: SeriesControl, be):
         cm = cm * q / (m + 1)
         return t
 
-    ssum, n, last, possum, ok = _sum_series(
-        term, len(u), ctl, min_terms=term_hump_guard(p.k, p.gamma)
-    )
-    return _pass_result("mgf", (1 + be.cast(p.k)) / den, ssum, n, last, possum, ok)
+    ssum, n, last, possum, ok = _sum_series(term, len(u), min_terms=term_hump_guard(p.k, p.gamma))
+    return _pass_result((1 + be.cast(p.k)) / den, ssum, n, last, possum, ok)
 
 
-def mgf_series(
-    p: TwdpParams, ctx: SnrContext, s: float, ctl: SeriesControl | None = None
-) -> SeriesResult:
+def mgf_series(p: TwdpParams, ctx: SnrContext, s: float) -> SeriesResult:
     """SNR MGF in series form, valid for s <= 0."""
-    return mgf_series_grid(p, ctx, [s], ctl)[0]
+    return mgf_series_grid(p, ctx, [s])[0]
 
 
-def mgf_series_grid(
-    p: TwdpParams, ctx: SnrContext, ss, ctl: SeriesControl | None = None
-) -> list[SeriesResult]:
+def mgf_series_grid(p: TwdpParams, ctx: SnrContext, ss) -> list[SeriesResult]:
     """SNR MGF in series form along a grid of s <= 0."""
     s = _grid(ss, lambda v: np.isfinite(v) & (v <= 0), "s must be finite and <= 0")
-    ctl = ctl or SeriesControl()
     return _raise_lost(run_with_rescue(
-        lambda be: _mgf_series_pass(p, ctx.gamma0, s, ctl, be),
+        lambda be: _mgf_series_pass(p, ctx.gamma0, s, be),
         len(s),
         what=lambda i: f"mgf series at s={float(s[i])}",
     ))

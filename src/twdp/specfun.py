@@ -9,7 +9,10 @@ distribution and error-rate code.
   series, runs on the stable upward Legendre recurrence in the order m.
 
 Every series in the package is summed by one engine, _sum_series, over an
-array of points: each point has its own stopping rule and compensated sum.
+array of points: each point keeps its own compensated sum and stops on its
+own under the one fixed stopping rule (_REL_TOL, _CONSEC_BELOW and
+_MAX_TERMS below), which no caller sets.  A point that runs out of terms
+gets a SeriesDivergenceError of its own; the other points are unaffected.
 The envelope/SNR series alternate and can cancel by many orders of magnitude
 for strong specular power, so a pass runs on 80-bit long doubles first and
 reports the cancellation ratio sum|t_m| / |sum t_m| of every point.
@@ -49,31 +52,16 @@ _ERR_SAFETY = 4.0
 # rescue may take before the point is given up as lost to cancellation
 _REL_TARGET = 1e-11
 _MAX_DPS = 120
-# consecutive small, falling terms that stop a sum
+# the stopping rule of every series: a sum stops after _CONSEC_BELOW
+# consecutive terms with |t_m| <= _REL_TOL |partial sum|, each no larger than
+# the one before (the series alternate, so one small term is no safe stop,
+# and a small term on the rising side of a hump is none either); a point
+# that has not stopped after _MAX_TERMS terms did not converge
+_REL_TOL = 1e-12
 _CONSEC_BELOW = 3
+_MAX_TERMS = 500
 
 _log = logging.getLogger("twdp")
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for infinite series.
-
-    The stopping rule requires three consecutive terms with
-    |t_m| < rel_tol |partial sum|, each no larger than the one before,
-    before accepting the sum; the model's series alternate in sign, so a
-    single small term is not a safe stop, and a small term on the rising
-    side of a hump is none either.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise InvalidParameterError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise InvalidParameterError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +152,7 @@ def _kahan_add(total, comp, x):
     return t, (t - total) - y
 
 
-def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 0,
-                n_limit: int | None = None):
+def _sum_series(term: Callable, size: int, min_terms: int = 0, n_limit: int | None = None):
     """Sum term(0) + term(1) + ... at every one of `size` points.
 
     term(m, live) returns the m-th terms of all points as one array (long
@@ -173,7 +160,7 @@ def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 
     it may advance recurrences.  Only the terms at the points marked in the
     boolean array `live` are used, so a costly term may skip the others.
     Every point keeps a Kahan sum of its terms and of their magnitudes, and
-    stops on its own under the SeriesControl rule, and its sums stop with
+    stops on its own under the stopping rule above, and its sums stop with
     it, so its result does not depend on the other points of the grid.
 
     `min_terms` disarms the stopping rule for the first terms.  The
@@ -186,7 +173,7 @@ def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 
 
     Returns arrays (sum, terms_used, |last term|, sum |t_m|, converged).
     """
-    limit = ctl.max_terms if n_limit is None else min(ctl.max_terms, n_limit)
+    limit = _MAX_TERMS if n_limit is None else min(_MAX_TERMS, n_limit)
     guard = min(min_terms, limit)
     n = below = np.zeros(size, dtype=np.int64)
     done = np.zeros(size, dtype=bool)
@@ -200,7 +187,7 @@ def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 
         if done.any():
             new = [np.where(done, old, v) for old, v in zip((s, comp, pos, pos_comp, last), new)]
         s, comp, pos, pos_comp, last = new
-        small = m + 1 >= guard and (t_abs <= ctl.rel_tol * abs(s)) & falling
+        small = m + 1 >= guard and (t_abs <= _REL_TOL * abs(s)) & falling
         below = np.where(small, below + 1, 0)
         n = np.where(done, n, m + 1)
         done = done | (below >= _CONSEC_BELOW)
@@ -209,18 +196,15 @@ def _sum_series(term: Callable, size: int, ctl: SeriesControl, min_terms: int = 
     return s, n, last, pos, done
 
 
-def _pass_result(what: str, pref, s, n, last, pos, converged):
+def _pass_result(pref, s, n, last, pos, converged):
     """A pass's return value from its sums: (value, terms, terms_used,
-    trunc, ratio), see run_with_rescue."""
-    if not converged.all():
-        stop = int(n[~converged][0])
-        raise SeriesDivergenceError(f"{what} series did not converge in {stop} terms", stop)
+    trunc, ratio, converged), see run_with_rescue."""
     s_abs = abs(s)
     nonzero = s_abs > 0
     safe = np.where(nonzero, s_abs, 1)
     trunc = np.where(nonzero, (last / safe).astype(float), math.inf)
     ratio = np.where(nonzero, (pos / safe).astype(float), math.inf)
-    return (pref * s).astype(float), int(n.sum()), n, trunc, ratio
+    return (pref * s).astype(float), int(n.sum()), n, trunc, ratio, converged
 
 
 def term_hump_guard(k: float, gamma: float) -> int:
@@ -254,42 +238,55 @@ def run_with_rescue(pass_fn: Callable, size: int, what: Callable = str) -> list:
     more precise arithmetic.
 
     pass_fn(be) sums the series at the points be.points (all when None) in
-    be's arithmetic and returns (value, terms, terms_used, trunc, ratio):
-    `terms` is the number of terms summed over all those points (the work
-    of the pass, which the per-layer tracer in bench/tracing.py counts), the
-    rest are arrays over them.  Every pass is judged by needs_rescue alone,
-    from its cancellation ratios and its arithmetic's eps: one long-double
-    pass runs over all points, then one double-longdouble pass over every
-    point that fails the check (where long double is the x87 format).  The
-    points left rerun in mpmath with the digits their own ratio calls for,
-    so a point's precision and tier never depend on the other points.  A
-    heavily cancelled sum reports a ratio that is only a lower bound (the
-    computed total is then noise at the working epsilon), so each point
-    rerun is re-checked and its precision grows at least geometrically.
-    Points that need the same precision rerun together.
+    be's arithmetic and returns (value, terms, terms_used, trunc, ratio,
+    converged): `terms` is the number of terms summed over all those points
+    (the work of the pass, which the per-layer tracer in bench/tracing.py
+    counts), the rest are arrays over them.  Every pass is judged by
+    needs_rescue alone, from its cancellation ratios and its arithmetic's
+    eps: one long-double pass runs over all points, then one
+    double-longdouble pass over every point that fails the check (where long
+    double is the x87 format).  The points left rerun in mpmath with the
+    digits their own ratio calls for, so a point's precision and tier never
+    depend on the other points.  A heavily cancelled sum reports a ratio
+    that is only a lower bound (the computed total is then noise at the
+    working epsilon), so each point rerun is re-checked and its precision
+    grows at least geometrically.  Points that need the same precision rerun
+    together.  A point that has not converged after _MAX_TERMS terms in
+    some pass is not rerun: more digits do not shorten its series.
     Each rerun is logged at DEBUG level on the "twdp" logger, under the name
     what(i) of the point.
 
     Returns a SeriesResult per point, with the tier of its last pass and
-    the number of passes it took, or a CancellationLossError for a point
-    that would need more than _MAX_DPS digits.
+    the number of passes it took, or in its place a SeriesDivergenceError
+    for a point that did not converge, or a CancellationLossError for a
+    point that would need more than _MAX_DPS digits.
     """
     if not size:
         return []
-    value, _, n, trunc, ratio = pass_fn(_ARITH_LD)
+    out: list = [None] * size
+
+    def to_rerun(pts, ok, eps):
+        """The points of pts that converged in a pass of rounding bound eps
+        but need more precision; those that did not converge get their error."""
+        for i in pts[~ok]:
+            out[i] = SeriesDivergenceError(
+                f"{what(i)} did not converge in {n[i]} terms", int(n[i]))
+        return pts[ok & needs_rescue(ratio[pts], eps)]
+
+    value, _, n, trunc, ratio, ok = pass_fn(_ARITH_LD)
     tier = [_ARITH_LD.name] * size
     passes = np.ones(size, dtype=np.int64)
-    todo = np.flatnonzero(needs_rescue(ratio, _ARITH_LD.eps))
+    todo = to_rerun(np.arange(size), ok, _ARITH_LD.eps)
     if todo.size and _ARITH_DD is not None:
         for i in todo:
             _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning in dd arithmetic",
                        what(i), ratio[i], tier[i])
             tier[i] = _ARITH_DD.name
         passes[todo] += 1
-        value[todo], _, n[todo], trunc[todo], ratio[todo] = pass_fn(replace(_ARITH_DD, points=todo))
-        todo = todo[needs_rescue(ratio[todo], _ARITH_DD.eps)]
+        value[todo], _, n[todo], trunc[todo], ratio[todo], ok = pass_fn(
+            replace(_ARITH_DD, points=todo))
+        todo = to_rerun(todo, ok, _ARITH_DD.eps)
     dps = np.zeros(size, dtype=np.int64)
-    out: list = [None] * size
     while todo.size:
         for i in todo:
             est = rescue_dps(ratio[i] if math.isfinite(ratio[i]) else 1e30)
@@ -314,8 +311,8 @@ def run_with_rescue(pass_fn: Callable, size: int, what: Callable = str) -> list:
                     )
                     tier[i] = be.name
                 passes[pts] += 1
-                value[pts], _, n[pts], trunc[pts], ratio[pts] = pass_fn(be)
-            again.append(pts[needs_rescue(ratio[pts], be.eps)])
+                value[pts], _, n[pts], trunc[pts], ratio[pts], ok = pass_fn(be)
+            again.append(to_rerun(pts, ok, be.eps))
         todo = np.concatenate(again) if again else todo
     for i in range(size):
         if out[i] is None:
@@ -334,9 +331,10 @@ def _grid(values, valid: Callable, what: str) -> np.ndarray:
 
 
 def _raise_lost(results: list) -> list:
-    """results, unless a point was lost to cancellation: then its error."""
+    """results, unless a point did not converge or was lost to cancellation:
+    then its error."""
     for res in results:
-        if isinstance(res, CancellationLossError):
+        if isinstance(res, (SeriesDivergenceError, CancellationLossError)):
             raise res
     return results
 
@@ -614,12 +612,12 @@ _DD_SPLITTER = _LD(2**32 + 1)
 # powers of g, the coefficient a^m/m!, the Legendre and Laguerre
 # recurrences) takes one dd product (8u^2) and one quotient (13u^2) or sum
 # (3u^2) per order on factors already within their bound, so a term after m
-# orders is within 22 m u^2 per chain: 11,000 u^2 over max_terms = 500
-# orders.  A Miller ladder step I_{k-1} = I_{k+1} + (2k/x) I_k adds positive
-# values and costs a quotient, a product and a sum (24u^2), so a ladder of
-# at most 1,000 steps (order 500 plus the seed offset up to x ~ 300) adds
-# 24,000 u^2.  Together 35,000 u^2 = 1.0e-34: about 34 digits.
-_DD_EPS = (22 * 500 + 24 * 1000) * 2.0**-128
+# orders is within 22 m u^2 per chain: 11,000 u^2 over the _MAX_TERMS = 500
+# orders a sum may take.  A Miller ladder step I_{k-1} = I_{k+1} + (2k/x) I_k
+# adds positive values and costs a quotient, a product and a sum (24u^2), so
+# a ladder of at most 1,000 steps (order 500 plus the seed offset up to
+# x ~ 300) adds 24,000 u^2.  Together 35,000 u^2 = 1.0e-34: about 34 digits.
+_DD_EPS = (22 * _MAX_TERMS + 24 * 1000) * 2.0**-128
 
 
 def _two_sum(a, b):

@@ -14,11 +14,11 @@ from scipy import integrate
 from twdp import (
     InvalidParameterError,
     QuadratureError,
-    SeriesControl,
     SeriesDivergenceError,
     SeriesResult,
     TwdpParams,
 )
+from twdp import specfun
 
 # (K, Gamma) sets used for every figure-style check
 FIGURE_SETS = [(0.0, 0.0), (8.0, 0.0), (8.0, 0.5), (14.0, 1.0)]
@@ -27,6 +27,13 @@ FIGURE_SETS = [(0.0, 0.0), (8.0, 0.0), (8.0, 0.5), (14.0, 1.0)]
 @pytest.fixture(scope="session")
 def figure_params():
     return [TwdpParams(k=k, gamma=g) for k, g in FIGURE_SETS]
+
+
+@pytest.fixture
+def rel_tol_1e6(monkeypatch):
+    """The series stopping rule at a 1e-6 relative tail, the one the paper's
+    truncation counts refer to."""
+    monkeypatch.setattr(specfun, "_REL_TOL", 1e-6)
 
 
 def rayleigh_bpsk(gamma0: float) -> float:
@@ -121,14 +128,15 @@ def appell_f1_double_series(m: int, x: float, y: float) -> float:
 # test-only special functions (oracles for the kernel and the series)
 
 
-def scalar_series(terms, ctl, min_terms=0, n_limit=None):
+def scalar_series(terms, min_terms=0, max_terms=None):
     """Scalar reference for the series engine: Kahan sums of the terms and
-    of their magnitudes under the SeriesControl stopping rule (three small,
-    falling terms in a row).
+    of their magnitudes under the stopping rule of specfun (_CONSEC_BELOW
+    small, falling terms in a row), within max_terms terms (default
+    specfun._MAX_TERMS).
 
     Returns (sum, terms_used, |last term|, sum |t|, converged).
     """
-    limit = ctl.max_terms if n_limit is None else min(ctl.max_terms, n_limit)
+    limit = specfun._MAX_TERMS if max_terms is None else max_terms
     guard = min(min_terms, limit)
     total = comp = pos = pos_comp = last = None
     below = 0
@@ -143,9 +151,9 @@ def scalar_series(terms, ctl, min_terms=0, n_limit=None):
         pos_comp, pos = (s - pos) - y, s
         falling = last is None or abs(t) <= last
         last = abs(t)
-        if n >= guard and abs(t) <= ctl.rel_tol * abs(total) and falling:
+        if n >= guard and abs(t) <= specfun._REL_TOL * abs(total) and falling:
             below += 1
-            if below >= 3:
+            if below >= specfun._CONSEC_BELOW:
                 return total, n, last, pos, True
         else:
             below = 0
@@ -203,19 +211,19 @@ def hyp2f1_poly(m: int, b: float) -> float:
     return float(hyp2f1_neg_mm(int(m), np.longdouble(b)))
 
 
-def hyp2f1_3half(m: int, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
+def hyp2f1_3half(m: int, z: float, max_terms: int | None = None) -> SeriesResult:
     """Gauss hypergeometric 2F1(3/2, 1+m; 2; z) for z <= 0.
 
     Evaluated through the Pfaff transform 2F1(a, b; c; z) = (1-z)^(-b)
     2F1(c-a, b; c; z/(z-1)) so the series argument lies in [0, 1); every
     transformed term is positive, so there is no cancellation, only slow
-    convergence as z -> -inf.
+    convergence as z -> -inf.  max_terms is the term budget (default
+    specfun._MAX_TERMS).
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise InvalidParameterError(f"m must be a nonnegative integer, got {m}")
     if z > 0:
         raise InvalidParameterError(f"z must be <= 0, got {z}")
-    ctl = ctl or SeriesControl()
     zb = np.longdouble(z)
     if zb == 0:
         return SeriesResult(1.0, 1, 0.0, 1.0)
@@ -229,7 +237,7 @@ def hyp2f1_3half(m: int, z: float, ctl: SeriesControl | None = None) -> SeriesRe
             t = t * w * (2 * j + 1) * (j + 1 + m) / ((j + 2) * (j + 1) * 2)
             j += 1
 
-    s, n, last, _, ok = scalar_series(terms(), ctl)
+    s, n, last, _, ok = scalar_series(terms(), max_terms=max_terms)
     if not ok:
         raise SeriesDivergenceError(
             f"2F1(3/2, {1 + m}; 2; {float(z)}) did not converge in {n} terms", n
@@ -324,7 +332,7 @@ def _finish(pref, s, n, last, pos):
             float(pos / sabs) if sabs > 0 else math.inf)
 
 
-def pdf_pass_scalar(p, r: float, ctl):
+def pdf_pass_scalar(p, r: float):
     """(value, terms_used, trunc, ratio) of the long-double pdf pass at r > 0."""
     LD = np.longdouble
     K, G, s2, rb = LD(p.k), LD(p.gamma), LD(p.sigma2), LD(r)
@@ -344,15 +352,15 @@ def pdf_pass_scalar(p, r: float, ctl):
                         t = -t
                 yield t
 
-        s, n, last, pos, ok = scalar_series(terms(), ctl, n_limit=nu + 1)
+        s, n, last, pos, ok = scalar_series(terms(), max_terms=min(nu + 1, specfun._MAX_TERMS))
         if ok:
             break
-        nu = min(2 * nu, ctl.max_terms)
+        nu = min(2 * nu, specfun._MAX_TERMS)
     pref = rb / s2 * np.exp(-rb * rb / (2 * s2) - K + (b1 + b2) * rb + c)
     return _finish(pref, s, n, last, pos)
 
 
-def cdf_pass_scalar(p, x, ctl):
+def cdf_pass_scalar(p, x):
     """The long-double cdf pass at one x in (0, 600]."""
     from twdp.specfun import term_hump_guard
 
@@ -372,11 +380,11 @@ def cdf_pass_scalar(p, x, ctl):
             yield cm * h1 * leg
             cm = cm * (-a) / (m + 1)
 
-    s, n, last, pos, _ = scalar_series(terms(), ctl, term_hump_guard(p.k, p.gamma))
+    s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
     return _finish(xb * np.exp(-xb), s, n, last, pos)
 
 
-def mgf_pass_scalar(p, gamma0: float, s_arg: float, ctl):
+def mgf_pass_scalar(p, gamma0: float, s_arg: float):
     """The long-double series MGF pass at one s <= 0."""
     from twdp.specfun import term_hump_guard
 
@@ -392,11 +400,11 @@ def mgf_pass_scalar(p, gamma0: float, s_arg: float, ctl):
             yield cm * leg
             cm = cm * q / (m + 1)
 
-    s, n, last, pos, _ = scalar_series(terms(), ctl, term_hump_guard(p.k, p.gamma))
+    s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
     return _finish((1 + LD(p.k)) / den, s, n, last, pos)
 
 
-def asep_pass_scalar(p, sin2_pim: float, gamma0: float, ctl):
+def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     """The long-double exact M-PSK error-rate pass at one average SNR."""
     from twdp.specfun import tanh_sinh_rule, term_hump_guard
 
@@ -421,7 +429,7 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float, ctl):
             p1, p2 = p1 * g1, p2 * g2n
             cm = cm * (-a) / (m + 1)
 
-    s, n, last, pos, _ = scalar_series(terms(), ctl, term_hump_guard(p.k, p.gamma))
+    s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
     return _finish(sp * (1 + K) / (3 * LD(np.pi) * g0), s, n, last, pos)
 
 

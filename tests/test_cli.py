@@ -44,7 +44,7 @@ class TestConvert:
     def test_gamma_point_six(self, capsys):
         code, out, _ = run_cli(capsys, "convert", "--gamma", "0.6")
         _, rows = parse_csv(out)
-        assert float(rows[0][1]) == pytest.approx(1.2 / 1.36, rel=1e-12)
+        assert float(rows[0][1]) == pytest.approx(1.2 / 1.36, rel=1e-12, abs=0)
 
     def test_delta_with_k_rice(self, capsys):
         code, out, _ = run_cli(capsys, "convert", "--delta", "0.5", "--k-rice", "1")
@@ -52,7 +52,7 @@ class TestConvert:
         assert header == ["gamma", "delta", "k_rice", "k"]
         # K = K_rice 2 (1 - sqrt(1 - Delta^2)) / Delta^2
         expect = 2 * (1 - math.sqrt(0.75)) / 0.25
-        assert float(rows[0][3]) == pytest.approx(expect, rel=1e-12)
+        assert float(rows[0][3]) == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_conflicting_flags_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "convert", "--gamma", "0.5", "--delta", "0.5")
@@ -109,7 +109,7 @@ class TestCurveCommands:
         header, rows = parse_csv(out)
         assert header == ["s", "mgf_series", "terms_used", "mgf_closed"]
         for row in rows:
-            assert float(row[1]) == pytest.approx(float(row[3]), rel=1e-10)
+            assert float(row[1]) == pytest.approx(float(row[3]), rel=1e-10, abs=0)
 
     def test_delta_flag_equivalent_to_gamma(self, capsys):
         _, out_d, _ = run_cli(capsys, "cdf", "--k", "6", "--delta", "0.8", "--points", "8")
@@ -134,10 +134,10 @@ class TestAsepCommand:
         for row in rows:
             db = float(row[0])
             exact, asym, quad = (float(v) for v in row[1:4])
-            assert exact == pytest.approx(rayleigh_bpsk(10 ** (db / 10)), rel=1e-10)
-            assert exact == pytest.approx(quad, rel=1e-8)
+            assert exact == pytest.approx(rayleigh_bpsk(10 ** (db / 10)), rel=1e-10, abs=0)
+            assert exact == pytest.approx(quad, rel=1e-8, abs=0)
             if db >= 30:
-                assert asym == pytest.approx(exact, rel=0.05)
+                assert asym == pytest.approx(exact, rel=0.05, abs=0)
             assert row[4] == "exact"
 
     def test_single_method_column(self, capsys):
@@ -315,9 +315,29 @@ class TestExitCodes:
         assert code == 2
 
     def test_series_failure_exit(self, capsys):
-        code, _, err = run_cli(capsys, "cdf", "--k", "8", "--gamma", "0.5",
-                               "--max-terms", "4", "--points", "6")
+        # the cdf terms climb to a hump near m = 600, past the 500-term budget
+        code, _, err = run_cli(capsys, "cdf", "--k", "300", "--gamma", "1", "--points", "6")
         assert code == 3
+        assert "did not converge in 500 terms" in err
+
+    @pytest.mark.parametrize("flag", ["--tol=1e-6", "--max-terms=2000"])
+    def test_stopping_rule_is_not_an_option(self, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["cdf", "--k", "8", "--gamma", "0.5", "--points", "6", flag])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("k,snr_db,n_rows", [
+        ("90", "0:0:1", 1),     # the series cancels past 120 digits
+        ("300", "0:40:10", 5),  # the terms climb to a hump past the 500-term budget
+    ])
+    def test_asep_sweep_falls_back_per_point(self, capsys, k, snr_db, n_rows):
+        code, out, _ = run_cli(capsys, "asep", "--k", k, "--gamma", "1", "--snr-db", snr_db)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == n_rows
+        for row in rows:
+            assert row[4] == "quadrature-fallback"
+            assert row[1] == row[3]
 
 
 def subprocess_env():

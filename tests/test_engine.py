@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from twdp import (
     ModulationSpec,
-    SeriesControl,
     SnrContext,
     TwdpParams,
     asep_exact,
@@ -44,7 +43,6 @@ from conftest import (
     pdf_pass_scalar,
 )
 
-CTL = SeriesControl()
 FAST = settings(max_examples=40, deadline=None)
 needs_dd = pytest.mark.skipif(specfun._ARITH_DD is None,
                               reason="the dd tier needs x87 80-bit long doubles")
@@ -60,7 +58,8 @@ params = st.builds(TwdpParams, k=st.floats(0.0, 20.0), gamma=st.floats(0.0, 1.0)
 
 
 def assert_pass_matches(grid_out, refs):
-    value, terms, n, trunc, ratio = grid_out
+    value, terms, n, trunc, ratio, converged = grid_out
+    assert converged.all()
     assert terms == sum(r[1] for r in refs)
     for i, ref in enumerate(refs):
         assert (value[i], n[i], trunc[i], ratio[i]) == ref
@@ -80,22 +79,22 @@ def test_ive_ladder_matches_scalar_loop(xs, nu):
 @given(params, st.lists(st.floats(0.01, 3.5), min_size=1, max_size=6))
 def test_pdf_pass_matches_scalar_loop(p, rn):
     r = np.array(rn) * math.sqrt(p.omega)
-    assert_pass_matches(_pdf_pass(p, r, CTL, _ARITH_LD), [pdf_pass_scalar(p, v, CTL) for v in r])
+    assert_pass_matches(_pdf_pass(p, r, _ARITH_LD), [pdf_pass_scalar(p, v) for v in r])
 
 
 @FAST
 @given(params, st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=6))
 def test_cdf_pass_matches_scalar_loop(p, xs):
     x = np.array(xs, dtype=np.longdouble)
-    assert_pass_matches(_cdf_pass(p, x, CTL, _ARITH_LD), [cdf_pass_scalar(p, v, CTL) for v in x])
+    assert_pass_matches(_cdf_pass(p, x, _ARITH_LD), [cdf_pass_scalar(p, v) for v in x])
 
 
 @FAST
 @given(params, st.floats(0.1, 1e3), st.lists(st.floats(-100.0, 0.0), min_size=1, max_size=6))
 def test_mgf_pass_matches_scalar_loop(p, gamma0, ss):
     s = np.array(ss)
-    assert_pass_matches(_mgf_series_pass(p, gamma0, s, CTL, _ARITH_LD),
-                        [mgf_pass_scalar(p, gamma0, v, CTL) for v in s])
+    assert_pass_matches(_mgf_series_pass(p, gamma0, s, _ARITH_LD),
+                        [mgf_pass_scalar(p, gamma0, v) for v in s])
 
 
 @settings(max_examples=15, deadline=None)
@@ -105,8 +104,8 @@ def test_mgf_pass_matches_scalar_loop(p, gamma0, ss):
 def test_asep_pass_matches_scalar_loop(p, m_order, dbs):
     mod = ModulationSpec(m_order)
     g0 = 10.0 ** (np.array(dbs) / 10.0)
-    assert_pass_matches(_asep_pass(p, mod, g0, CTL, _ARITH_LD),
-                        [asep_pass_scalar(p, mod.sin2_pim, v, CTL) for v in g0])
+    assert_pass_matches(_asep_pass(p, mod, g0, _ARITH_LD),
+                        [asep_pass_scalar(p, mod.sin2_pim, v) for v in g0])
 
 
 class TestScalarIsGridOfOne:
@@ -203,24 +202,26 @@ def rescue_case(kind, p):
         ctx = SnrContext.from_average_snr(p, 10.0)
         s = np.linspace(-10.0, -3.0, 6)
         return (lambda: mgf_series_grid(p, ctx, s),
-                lambda be: _mgf_series_pass(p, ctx.gamma0, s, CTL, be))
+                lambda be: _mgf_series_pass(p, ctx.gamma0, s, be))
     if kind == "pdf":
         r = np.linspace(0.7, 1.8, 6)
-        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, CTL, be)
+        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, be)
     if kind == "pdf-tail":
         # the upper tail down to 4.5e-208 at K=14: held to the relative
         # target however small the value
         r = np.append(np.linspace(3.0, 3.5, 6), 7.0) * math.sqrt(p.omega)
-        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, CTL, be)
+        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, be)
     # the K=40 left tail and the bulk
     r = np.array([0.01, 0.05, 0.1, 0.2, 0.8, 0.9]) if p.k == 40.0 else np.linspace(0.2, 0.8, 6)
     x = r.astype(np.longdouble) ** 2 / (2 * np.longdouble(p.sigma2))
-    return lambda: cdf_grid(p, r), lambda be: _cdf_pass(p, x, CTL, be)
+    return lambda: cdf_grid(p, r), lambda be: _cdf_pass(p, x, be)
 
 
 def at_digits(series, digits=50):
     with mp.workdps(digits):
-        return series(_arith_mp())[0]
+        value, *_, converged = series(_arith_mp())
+    assert converged.all()
+    return value
 
 
 class TestDoubleLongdoubleRescue:
@@ -273,16 +274,17 @@ class TestDoubleLongdoubleRescue:
         res = mgf_series(p, ctx, -10.0)
         assert [rec.getMessage().rsplit("; ", 1)[1] for rec in caplog.records] == [
             "rerunning in dd arithmetic", "rerunning at 48 digits in mp arithmetic"]
-        assert res.value == pytest.approx(mgf_closed(p, ctx, -10.0), rel=1e-11)
+        assert res.value == pytest.approx(mgf_closed(p, ctx, -10.0), rel=1e-11, abs=0)
 
 
-def test_stop_waits_out_a_rising_hump():
+def test_stop_waits_out_a_rising_hump(monkeypatch):
     # at K=8, Gamma=0, x = 58.6 the cdf terms climb through 1e-12 of the sum
     # to a hump at m = 14, past the hump guard of 11 terms; a stop on that
     # rising edge dropped 7e-12 of the value
     p = TwdpParams(k=8.0, gamma=0.0)
     r = 2.551568472546093
+    value = cdf(p, r).value
     x = np.array([r * r / (2 * p.sigma2)], dtype=np.longdouble)
-    with mp.workdps(50):
-        ref = _cdf_pass(p, x, SeriesControl(rel_tol=1e-30), _arith_mp())[0][0]
-    assert cdf(p, r).value == pytest.approx(ref, rel=1e-14)
+    monkeypatch.setattr(specfun, "_REL_TOL", 1e-30)  # the reference sums to 50 digits
+    ref = at_digits(lambda be: _cdf_pass(p, x, be))[0]
+    assert value == pytest.approx(ref, rel=1e-13, abs=0)

@@ -24,16 +24,16 @@ class TestMgfSeries:
         for k, g in FIGURE_SETS:
             p = TwdpParams(k=k, gamma=g)
             ctx = SnrContext.from_average_snr(p, 10.0)
-            assert mgf_series(p, ctx, 0.0).value == pytest.approx(1.0, rel=1e-14)
-            assert mgf_closed(p, ctx, 0.0) == pytest.approx(1.0, rel=1e-14)
+            assert mgf_series(p, ctx, 0.0).value == pytest.approx(1.0, rel=1e-14, abs=0)
+            assert mgf_closed(p, ctx, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_rayleigh_reduction(self):
         p = TwdpParams(k=0.0, gamma=0.0)
         ctx = SnrContext.from_average_snr(p, 7.0)
         for s in (-0.1, -1.0, -10.0):
             ref = 1.0 / (1.0 - s * 7.0)
-            assert mgf_series(p, ctx, s).value == pytest.approx(ref, rel=1e-14)
-            assert mgf_closed(p, ctx, s) == pytest.approx(ref, rel=1e-14)
+            assert mgf_series(p, ctx, s).value == pytest.approx(ref, rel=1e-14, abs=0)
+            assert mgf_closed(p, ctx, s) == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_series_vs_closed_example(self):
         p = TwdpParams(k=8.0, gamma=0.5)
@@ -76,7 +76,7 @@ class TestMgfClosed:
             ctx = SnrContext.from_average_snr(p, 25.0)
             for s in (-4.0, -0.3):
                 assert mgf_closed(p, ctx, s) == pytest.approx(
-                    rician_mgf(k, 25.0, s), rel=1e-13
+                    rician_mgf(k, 25.0, s), rel=1e-13, abs=0
                 )
 
     def test_laplace_stieltjes_oracle(self):
@@ -91,7 +91,7 @@ class TestMgfClosed:
         val, _ = integrate.quad(integrand, 0.0, 40.0, limit=300,
                                 epsabs=1e-13, epsrel=1e-11)
         ref = -s * val
-        assert mgf_closed(p, ctx, s) == pytest.approx(ref, rel=1e-8)
+        assert mgf_closed(p, ctx, s) == pytest.approx(ref, rel=1e-8, abs=0)
 
     def test_extreme_s_is_stable(self):
         p = TwdpParams(k=8.0, gamma=0.5)
@@ -114,4 +114,4 @@ class TestMgfClosed:
                 * math.exp(a * (1.0 + b) + x)
                 * bessel_i_scaled(0, x)
             )
-            assert mgf_series(p, ctx, s).value == pytest.approx(predicted, rel=1e-12)
+            assert mgf_series(p, ctx, s).value == pytest.approx(predicted, rel=1e-12, abs=0)

@@ -29,8 +29,8 @@ class TestFromMagnitudes:
 
     def test_hand_computed(self):
         p = TwdpParams.from_magnitudes(PhysicalMagnitudes(2.0, 1.0, 1.0))
-        assert p.k == pytest.approx(2.5, rel=1e-15)
-        assert p.gamma == pytest.approx(0.5, rel=1e-15)
+        assert p.k == pytest.approx(2.5, rel=1e-15, abs=0)
+        assert p.gamma == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_swap_on_construction(self):
         m = PhysicalMagnitudes(1.0, 2.0, 1.0)
@@ -83,10 +83,10 @@ class TestDeltaGamma:
         assert gamma_from_delta(delta_from_gamma(g)) == pytest.approx(g, abs=1e-14)
 
     def test_small_delta_accuracy(self):
-        # conjugate form vs exact series delta/2 (1 + delta^2/4 + ...)
+        # conjugate form vs exact series delta/2 (1 + delta^2/4 + delta^4/8 + ...)
         for d in (1e-12, 1e-8, 1e-5, 1e-3):
-            ref = 0.5 * d * (1.0 + 0.25 * d * d)
-            assert gamma_from_delta(d) == pytest.approx(ref, rel=1e-15)
+            ref = 0.5 * d * (1.0 + 0.25 * d * d + 0.125 * d ** 4)
+            assert gamma_from_delta(d) == pytest.approx(ref, rel=1e-15, abs=0)
 
     def test_monotone_and_dominating(self):
         gs = np.linspace(0.0, 1.0, 501)
@@ -107,14 +107,14 @@ class TestDeltaGamma:
 class TestKForms:
     @pytest.mark.parametrize("k,gamma,expect", [(0.0, 0.3, 0.0), (8.0, 0.0, 8.0), (14.0, 1.0, 7.0)])
     def test_k_rice_values(self, k, gamma, expect):
-        assert k_rice(TwdpParams(k=k, gamma=gamma)) == pytest.approx(expect, rel=1e-15)
+        assert k_rice(TwdpParams(k=k, gamma=gamma)) == pytest.approx(expect, rel=1e-15, abs=0)
 
     def test_k_consistency_between_parameterizations(self):
         # same dominant-ray factor, Gamma route vs Delta route
         for g in np.linspace(0.0, 1.0, 201):
             k_g = k_from_rice_gamma(2.5, float(g))
             k_d = k_from_rice_delta(2.5, delta_from_gamma(float(g)))
-            assert k_d == pytest.approx(k_g, rel=1e-12)
+            assert k_d == pytest.approx(k_g, rel=1e-12, abs=0)
 
     def test_k_ratio_curves_monotone(self):
         xs = np.linspace(0.0, 1.0, 301)
@@ -128,12 +128,12 @@ class TestTwdpParams:
     def test_default_sigma2_normalizes_power(self):
         for k in (0.0, 2.0, 8.0, 14.0):
             p = TwdpParams(k=k, gamma=0.5)
-            assert p.omega == pytest.approx(1.0, rel=1e-15)
+            assert p.omega == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_derived_magnitudes_ordered(self):
         p = TwdpParams(k=5.0, gamma=0.3, sigma2=2.0)
         assert 0 <= p.v2 <= p.v1
-        assert p.omega == pytest.approx(p.v1 ** 2 + p.v2 ** 2 + 2 * p.sigma2, rel=1e-14)
+        assert p.omega == pytest.approx(p.v1 ** 2 + p.v2 ** 2 + 2 * p.sigma2, rel=1e-14, abs=0)
 
     @given(
         st.floats(min_value=0.0, max_value=50.0),
