@@ -15,7 +15,6 @@ from .params import (
     gamma_from_delta,
     k_from_rice_delta,
     k_from_rice_gamma,
-    k_rice,
 )
 from .specfun import (
     SeriesResult,
@@ -24,7 +23,6 @@ from .specfun import (
     marcum_q1,
 )
 from .dist import (
-    SnrContext,
     cdf,
     cdf_grid,
     cdf_rayleigh,
@@ -59,7 +57,6 @@ __all__ = [
     "SeriesDivergenceError",
     "SeriesResult",
     "SimConfig",
-    "SnrContext",
     "TwdpError",
     "TwdpParams",
     "asep_asymptotic",
@@ -78,7 +75,6 @@ __all__ = [
     "histogram",
     "k_from_rice_delta",
     "k_from_rice_gamma",
-    "k_rice",
     "marcum_q1",
     "mgf_closed",
     "mgf_series",

@@ -44,9 +44,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # scipy.special and scipy.integrate load on first use, not at import
+import scipy  # scipy.integrate loads on first use, not at import
 
-from .dist import SnrContext
 from .errors import InvalidParameterError, QuadratureError
 from .mgf import mgf_closed
 from .params import TwdpParams
@@ -54,7 +53,8 @@ from .specfun import (
     SeriesResult,
     _MAX_TERMS,
     _ARITH_LD,
-    _grid,
+    _check_gamma0,
+    _exp_i0,
     _legendre_2f1_next,
     _pass_result,
     _raise_lost,
@@ -197,7 +197,7 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
     would need more than 120 digits (callers such as the CLI substitute
     asep_quadrature there).
     """
-    g0 = _grid(gamma0s, lambda v: np.isfinite(v) & (v > 0), "gamma0 must be positive")
+    g0 = np.array([_check_gamma0(v) for v in np.asarray(gamma0s, dtype=float).ravel()])
     return run_with_rescue(
         lambda be: _asep_pass(p, mod, g0, be),
         len(g0),
@@ -207,23 +207,19 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     """High-SNR closed-form M-PSK symbol error probability."""
-    if gamma0 <= 0 or not math.isfinite(gamma0):
-        raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
+    _check_gamma0(gamma0)
     M = mod.m_order
     k = _LD(p.k)
     g = _LD(p.gamma)
     angle = _LD(math.pi - math.pi / M + 0.5 * math.sin(2.0 * math.pi / M))
     xarg = 2 * g * k / (1 + g * g)  # <= K, so the joint exponent stays <= 0
     scale = (1 + k) / (2 * _ARITH_LD.pi * _LD(gamma0) * _LD(mod.sin2_pim))
-    value = scale * angle * np.exp(xarg - k) * scipy.special.i0e(float(xarg))
-    return float(value)
+    return _exp_i0(scale * angle, -k, xarg)
 
 
 def asep_quadrature(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     """M-PSK symbol error probability by adaptive quadrature of the MGF integral."""
-    if gamma0 <= 0 or not math.isfinite(gamma0):
-        raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
-    ctx = SnrContext.from_average_snr(p, gamma0)
+    _check_gamma0(gamma0)
     c = mod.sin2_pim
 
     def integrand(theta: float) -> float:
@@ -233,7 +229,7 @@ def asep_quadrature(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
         s = -c / (st * st)
         if not math.isfinite(s):
             return 0.0
-        return mgf_closed(p, ctx, s)
+        return mgf_closed(p, gamma0, s)
 
     upper = math.pi - math.pi / mod.m_order
     out = scipy.integrate.quad(

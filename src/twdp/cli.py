@@ -3,7 +3,7 @@
 Subcommands: pdf, cdf, mgf, asep, simulate, convert, figures.  Numeric CSV
 cells use %.12e formatting, header rows are always present, and rows are
 ordered by ascending x.  Average SNR is accepted in dB on every flag and
-converted once (gamma0 = 10^(dB/10)).
+converted to the library's linear gamma0 in one place, _snr_linear.
 
 Exit codes: 0 success, 2 usage error, 3 series convergence/cancellation
 failure, 4 quadrature failure, 5 I/O failure, 1 stdout closed early (as by
@@ -123,6 +123,16 @@ def _parse_snr_range(spec: str) -> np.ndarray:
     return np.minimum(start + step * np.arange(n), stop)
 
 
+def _snr_linear(db) -> float:
+    """The linear average SNR gamma0 = 10^(dB/10) of an SNR in dB; one past
+    the double range is a usage error."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"an SNR of {float(db):g} dB overflows as a linear value") from None
+
+
 # ----------------------------------------------------------------------------
 # subcommands
 
@@ -143,8 +153,7 @@ def _cmd_pdf_cdf(args, which: str, out) -> int:
 
 def _cmd_mgf(args, out) -> int:
     p = _params_from_args(args)
-    gamma0 = 10.0 ** (args.gamma0_db / 10.0)
-    ctx = dist.SnrContext.from_average_snr(p, gamma0)
+    gamma0 = _snr_linear(args.gamma0_db)
     if args.smin >= args.smax or args.smax > 0:
         raise InvalidParameterError("mgf sweep requires smin < smax <= 0")
     xs = SweepGrid(args.smin, args.smax, args.points).values()
@@ -152,12 +161,12 @@ def _cmd_mgf(args, out) -> int:
     header = ["s"]
     if args.method in ("series", "both"):
         header += ["mgf_series", "terms_used"]
-        for row, res in zip(rows, mgf_series_grid(p, ctx, xs)):
+        for row, res in zip(rows, mgf_series_grid(p, gamma0, xs)):
             row += [res.value, res.terms_used]
     if args.method in ("closed", "both"):
         header += ["mgf_closed"]
         for row, s in zip(rows, xs):
-            row.append(mgf_closed(p, ctx, float(s)))
+            row.append(mgf_closed(p, gamma0, float(s)))
     _write_csv(header, rows, out)
     return EXIT_OK
 
@@ -181,7 +190,7 @@ def _cmd_asep(args, out) -> int:
     snrs = _parse_snr_range(args.snr_db)
     methods = ["exact", "asymptotic", "quadrature"] if args.method == "all" else [args.method]
     header = ["snr_db"] + methods + (["method_tag"] if "exact" in methods else [])
-    gamma0s = [10.0 ** (db / 10.0) for db in snrs]
+    gamma0s = [_snr_linear(db) for db in snrs]
     if "exact" in methods:
         exact = _asep_exact_with_fallback(p, mod, gamma0s)
     rows = []
@@ -209,9 +218,10 @@ def _cmd_simulate(args, out) -> int:
     cfg = mcsim.SimConfig(
         n_samples=args.samples, seed=args.seed, workers=args.workers
     )
+    gamma0s = [_snr_linear(db) for db in snrs]
     rows = []
-    for db in snrs:
-        est = mcsim.simulate_psk_ser(p, mod, float(db), cfg, min_errors=args.min_errors)
+    for db, gamma0 in zip(snrs, gamma0s):
+        est = mcsim.simulate_psk_ser(p, mod, gamma0, cfg, min_errors=args.min_errors)
         rows.append((float(db), est.ser, est.ci95_halfwidth, est.errors, est.trials))
     _write_csv(["snr_db", "ser", "ci95", "errors", "trials"], rows, out)
     return EXIT_OK
@@ -306,7 +316,7 @@ def _cmd_figures(args, out) -> int:
 
     # exact / asymptotic / simulated symbol error rate, one file per PSK order
     snrs = np.arange(0.0, 40.0 + 1e-9, args.snr_step)
-    gamma0s = [10.0 ** (db / 10.0) for db in snrs]
+    gamma0s = [_snr_linear(db) for db in snrs]
     for m_order, fname in ((2, "fig4a.csv"), (4, "fig4b.csv"), (8, "fig4c.csv"), (16, "fig4d.csv")):
         mod = ModulationSpec(m_order)
         header = ["snr_db"]
@@ -323,7 +333,7 @@ def _cmd_figures(args, out) -> int:
                 max_terms = max(max_terms, terms)
                 if tag_method != "exact":
                     fallbacks.append({"snr_db": float(db), "set": tag})
-                est = mcsim.simulate_psk_ser(p, mod, float(db), sim_cfg)
+                est = mcsim.simulate_psk_ser(p, mod, gamma0, sim_cfg)
                 row += [value, asep_asymptotic(p, mod, gamma0), est.ser, est.ci95_halfwidth]
             rows.append(row)
         emit(fname, header, rows, {

@@ -15,8 +15,9 @@ The distribution function is the algebraic series
     F_R(r) = x e^{-x} sum_m ((-1)^m / m!) (K/(1+Gamma^2))^m
              1F1(1-m; 2; x) 2F1(-m, -m; 1; Gamma^2),      x = r^2/(2 sigma^2)
 
-and the SNR CDF is the same series at x = (gamma/gamma0)(1+K), because
-gamma = r^2 Es/N0 and gamma0 = 2 sigma^2 (1+K) Es/N0.
+and the SNR CDF is the same series at x = (gamma/gamma0)(1+K), because the
+instantaneous SNR is gamma = r^2 Es/N0 and its average, the linear gamma0
+that cdf_snr takes, is Omega Es/N0 = 2 sigma^2 (1+K) Es/N0.
 
 Both series alternate and cancel heavily when K (1+Gamma)^2/(1+Gamma^2) is
 large; sums run on 80-bit long doubles and rerun in double-longdouble
@@ -30,7 +31,7 @@ series' partial sums would overflow even long doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from . import specfun
 from .specfun import (
     SeriesResult,
     _MAX_TERMS,
+    _check_gamma0,
     _ive_ladder,
     _legendre_2f1_next,
     _grid,
@@ -53,35 +55,6 @@ from .specfun import (
 
 _LD = np.longdouble
 _CDF_X_CLAMP = 600.0
-
-
-@dataclass(frozen=True)
-class SnrContext:
-    """Average SNR gamma0 (linear) tied to a symbol-energy ratio Es/N0.
-
-    For a parameter set p, gamma0 = 2 sigma^2 (1 + K) Es/N0 = Omega Es/N0.
-    """
-
-    gamma0: float
-    es_n0: float
-
-    def __post_init__(self):
-        if self.gamma0 <= 0 or not math.isfinite(self.gamma0):
-            raise InvalidParameterError(f"gamma0 must be positive, got {self.gamma0}")
-        if self.es_n0 <= 0 or not math.isfinite(self.es_n0):
-            raise InvalidParameterError(f"es_n0 must be positive, got {self.es_n0}")
-
-    @classmethod
-    def from_params(cls, p: TwdpParams, es_n0: float) -> "SnrContext":
-        if es_n0 <= 0:
-            raise InvalidParameterError(f"es_n0 must be positive, got {es_n0}")
-        return cls(gamma0=p.omega * es_n0, es_n0=es_n0)
-
-    @classmethod
-    def from_average_snr(cls, p: TwdpParams, gamma0: float) -> "SnrContext":
-        if gamma0 <= 0:
-            raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
-        return cls(gamma0=gamma0, es_n0=gamma0 / p.omega)
 
 
 # ----------------------------------------------------------------------------
@@ -214,11 +187,12 @@ def cdf(p: TwdpParams, r: float) -> SeriesResult:
     return cdf_grid(p, [r])[0]
 
 
-def cdf_snr(p: TwdpParams, ctx: SnrContext, gamma: float) -> SeriesResult:
-    """SNR distribution function F_gamma(gamma) for average SNR ctx.gamma0."""
+def cdf_snr(p: TwdpParams, gamma0: float, gamma: float) -> SeriesResult:
+    """SNR distribution function F_gamma(gamma) for average SNR gamma0."""
+    _check_gamma0(gamma0)
     if gamma < 0 or not math.isfinite(gamma):
         raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
-    x = np.array([gamma * (1.0 + p.k) / ctx.gamma0], dtype=_LD)
+    x = np.array([gamma * (1.0 + p.k) / gamma0], dtype=_LD)
     return _cdf_grid_x(p, x)[0]
 
 

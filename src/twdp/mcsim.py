@@ -12,8 +12,8 @@ block order, so results are bit-identical for any worker count.
 
 Symbol-error simulation is quasi-static per symbol: every trial draws a
 fresh fading amplitude (normalized to unit mean square), transmits a uniform
-random M-PSK symbol at symbol SNR r^2 gamma0, adds complex Gaussian noise,
-and detects by nearest phase.
+random M-PSK symbol at symbol SNR r^2 gamma0, with gamma0 the linear average
+SNR, adds complex Gaussian noise, and detects by nearest phase.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .asep import ModulationSpec
 from .errors import InvalidParameterError
 from .params import TwdpParams
+from .specfun import _check_gamma0
 
 BLOCK = 1 << 16
 
@@ -132,18 +133,17 @@ def _ser_block(
 def simulate_psk_ser(
     p: TwdpParams,
     mod: ModulationSpec,
-    gamma0_db: float,
+    gamma0: float,
     cfg: SimConfig,
     min_errors: int | None = None,
 ) -> SerEstimate:
-    """Simulated M-PSK symbol error rate at average SNR gamma0_db (dB).
+    """Simulated M-PSK symbol error rate at average SNR gamma0 (linear).
 
     Runs cfg.n_samples trials, or, when min_errors is given, adds whole
     blocks (in block order, so the result stays deterministic for any
     worker count) until min_errors error events or cfg.n_samples trials.
     """
-    gamma0 = 10.0 ** (gamma0_db / 10.0)
-
+    _check_gamma0(gamma0)
     errors = 0
     trials = 0
     next_block = 0

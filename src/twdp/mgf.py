@@ -7,6 +7,7 @@ Two equivalent forms are exposed for s <= 0:
 * closed:  M(s) = (1+K)/(1+K-s g0) exp(K u) I_0(2 Gamma K |u| / (1+Gamma^2)),
            u = g0 s/(1+K-s g0) in (-1, 0]
 
+with g0 the average SNR gamma0, linear, as everywhere in the library.
 The two are linked by sum_m a^m/m! 2F1(-m,-m;1;b) = exp(a+ab) I_0(2a sqrt(b));
 I_0 is even, so the closed form takes the Bessel argument in magnitude.  The
 closed form is the cheap production path; the series is the form that term-
@@ -23,14 +24,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy  # scipy.special loads on first use, not at import
 
-from .dist import SnrContext
 from .errors import InvalidParameterError
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
     _ARITH_LD,
+    _check_gamma0,
+    _exp_i0,
     _grid,
     _legendre_2f1_next,
     _pass_result,
@@ -68,31 +69,30 @@ def _mgf_series_pass(p: TwdpParams, gamma0: float, s, be):
     return _pass_result((1 + be.cast(p.k)) / den, ssum, n, last, possum, ok)
 
 
-def mgf_series(p: TwdpParams, ctx: SnrContext, s: float) -> SeriesResult:
-    """SNR MGF in series form, valid for s <= 0."""
-    return mgf_series_grid(p, ctx, [s])[0]
+def mgf_series(p: TwdpParams, gamma0: float, s: float) -> SeriesResult:
+    """SNR MGF at average SNR gamma0 in series form, valid for s <= 0."""
+    return mgf_series_grid(p, gamma0, [s])[0]
 
 
-def mgf_series_grid(p: TwdpParams, ctx: SnrContext, ss) -> list[SeriesResult]:
-    """SNR MGF in series form along a grid of s <= 0."""
+def mgf_series_grid(p: TwdpParams, gamma0: float, ss) -> list[SeriesResult]:
+    """SNR MGF at average SNR gamma0 in series form along a grid of s <= 0."""
+    _check_gamma0(gamma0)
     s = _grid(ss, lambda v: np.isfinite(v) & (v <= 0), "s must be finite and <= 0")
     return _raise_lost(run_with_rescue(
-        lambda be: _mgf_series_pass(p, ctx.gamma0, s, be),
+        lambda be: _mgf_series_pass(p, gamma0, s, be),
         len(s),
         what=lambda i: f"mgf series at s={float(s[i])}",
     ))
 
 
-def mgf_closed(p: TwdpParams, ctx: SnrContext, s: float) -> float:
-    """SNR MGF in closed form, valid for s <= 0."""
+def mgf_closed(p: TwdpParams, gamma0: float, s: float) -> float:
+    """SNR MGF at average SNR gamma0 in closed form, valid for s <= 0."""
+    _check_gamma0(gamma0)
     if s > 0 or not math.isfinite(s):
         raise InvalidParameterError(f"s must be finite and <= 0, got {s}")
     be = _ARITH_LD
     k = be.cast(p.k)
     g = be.cast(p.gamma)
-    u, den = _snr_ratio(p.k, ctx.gamma0, s, be)
-    pref = (1 + k) / den
-    expo = k * u  # <= 0
-    xarg = 2 * g * k * (-u) / (1 + g * g)  # >= 0, and xarg <= |expo|
-    value = pref * np.exp(expo + xarg) * scipy.special.i0e(float(xarg))
-    return float(value)
+    u, den = _snr_ratio(p.k, gamma0, s, be)
+    xarg = 2 * g * k * (-u) / (1 + g * g)  # >= 0, and xarg <= |k u|
+    return _exp_i0((1 + k) / den, k * u, xarg)

@@ -128,11 +128,6 @@ def gamma_from_delta(delta: float) -> float:
     return delta / (1.0 + math.sqrt((1.0 - delta) * (1.0 + delta)))
 
 
-def k_rice(p: TwdpParams) -> float:
-    """Rician K-factor of the dominant ray: K / (1 + Gamma^2)."""
-    return p.k_rice
-
-
 def k_from_rice_gamma(k_rice_value: float, gamma: float) -> float:
     """Total K from the dominant-ray K and Gamma: K = K_rice (1 + Gamma^2)."""
     if k_rice_value < 0:

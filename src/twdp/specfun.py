@@ -246,8 +246,12 @@ def run_with_rescue(pass_fn: Callable, size: int, what: Callable = str) -> list:
     eps: one long-double pass runs over all points, then one
     double-longdouble pass over every point that fails the check (where long
     double is the x87 format).  The points left rerun in mpmath with the
-    digits their own ratio calls for, so a point's precision and tier never
-    depend on the other points.  A heavily cancelled sum reports a ratio
+    digits their own ratio calls for, so a point's precision and tier
+    depend on the other points only where pass_fn makes the ratio it
+    measures depend on them.  One pass does: the dd pass of the asep
+    bracket family drops node terms for its whole batch at once, which can
+    move a heavily cancelled point's ratio, and with it the point's digits
+    and outcome.  A heavily cancelled sum reports a ratio
     that is only a lower bound (the computed total is then noise at the
     working epsilon), so each point rerun is re-checked and its precision
     grows at least geometrically.  Points that need the same precision rerun
@@ -328,6 +332,13 @@ def _grid(values, valid: Callable, what: str) -> np.ndarray:
     if bad.any():
         raise InvalidParameterError(f"{what}, got {v[bad][0]}")
     return v
+
+
+def _check_gamma0(gamma0: float) -> float:
+    """gamma0, if it is a valid average SNR (linear): positive and finite."""
+    if not (gamma0 > 0 and math.isfinite(gamma0)):
+        raise InvalidParameterError(f"gamma0 must be positive and finite, got {gamma0}")
+    return gamma0
 
 
 def _raise_lost(results: list) -> list:
@@ -499,7 +510,16 @@ def marcum_q1(a: float, b: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# exp * I0 identity right-hand side
+# exp * I0 products
+
+
+def _exp_i0(pref, lin, x) -> float:
+    """pref exp(lin) I_0(x) for x >= 0, from long doubles pref, lin and x.
+
+    Evaluated as (pref exp(lin + x)) ive_0(x) with scipy.special.i0e, one
+    exponentiation, so I_0 itself never overflows.
+    """
+    return float((pref * np.exp(lin + x)) * scipy.special.i0e(float(x)))
 
 
 def exp_i0_identity_rhs(a: float, b: float) -> float:
@@ -517,13 +537,13 @@ def exp_i0_identity_rhs(a: float, b: float) -> float:
     ab = _LD(a)
     bb = _LD(b)
     xarg = 2 * ab * np.sqrt(bb)
-    expo = ab + ab * bb + xarg  # = a (1 + sqrt(b))^2
+    lin = ab + ab * bb
+    expo = lin + xarg  # = a (1 + sqrt(b))^2
     if float(expo) > 11300.0:
         raise RangeOverflowError(
             f"exp(a(1+sqrt(b))^2) with exponent {float(expo):.1f} is not representable"
         )
-    value = np.exp(expo) * scipy.special.i0e(float(xarg))
-    out = float(value)
+    out = _exp_i0(1, lin, xarg)
     if math.isinf(out):
         raise RangeOverflowError(
             f"exp(a+ab) I0(2a sqrt(b)) overflows float64 for a={a}, b={b}"

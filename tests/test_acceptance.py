@@ -19,7 +19,6 @@ from twdp import (
     CancellationLossError,
     ModulationSpec,
     SimConfig,
-    SnrContext,
     TwdpParams,
     asep_asymptotic,
     asep_exact,
@@ -187,11 +186,10 @@ def test_criterion_3_mgf_series_vs_closed():
     for k in (0.0, 2.0, 8.0, 14.0):
         for g in (0.0, 0.25, 0.5, 1.0):
             p = TwdpParams(k=k, gamma=g)
-            for g0 in (1.0, 10.0, 100.0):
-                ctx = SnrContext.from_average_snr(p, g0)
+            for gamma0 in (1.0, 10.0, 100.0):
                 for s in (-10.0, -1.0, -0.1, 0.0):
-                    a = mgf_series(p, ctx, s).value
-                    b = mgf_closed(p, ctx, s)
+                    a = mgf_series(p, gamma0, s).value
+                    b = mgf_closed(p, gamma0, s)
                     worst = max(worst, abs(a - b) / abs(b))
     elapsed = time.time() - t0
     assert worst <= 1e-10
@@ -317,9 +315,10 @@ def test_criterion_7_simulation_covers_quadrature(figure_params):
         for m_order in M_ORDERS:
             mod = ModulationSpec(m_order)
             for db in (5.0, 10.0, 15.0, 20.0):
-                ref = asep_quadrature(p, mod, 10.0 ** (db / 10.0))
+                gamma0 = 10.0 ** (db / 10.0)
+                ref = asep_quadrature(p, mod, gamma0)
                 est = simulate_psk_ser(
-                    p, mod, db,
+                    p, mod, gamma0,
                     SimConfig(n_samples=10_000_000, seed=seed, workers=8),
                     min_errors=100,
                 )
@@ -366,12 +365,12 @@ def test_criterion_9_rician_and_rayleigh_reductions():
             )
             ref = 1.0 - marcum_q1(math.sqrt(2 * k), float(r) / math.sqrt(p.sigma2))
             assert cdf(p, float(r)).value == pytest.approx(ref, rel=1e-10, abs=1e-13)
-        ctx = SnrContext.from_average_snr(p, 20.0)
+        gamma0 = 20.0
         for s in (-8.0, -0.7):
-            assert mgf_closed(p, ctx, s) == pytest.approx(
+            assert mgf_closed(p, gamma0, s) == pytest.approx(
                 rician_mgf(k, 20.0, s), rel=1e-10, abs=0
             )
-            assert mgf_series(p, ctx, s).value == pytest.approx(
+            assert mgf_series(p, gamma0, s).value == pytest.approx(
                 rician_mgf(k, 20.0, s), rel=1e-10, abs=0
             )
         for m_order in (2, 8):
@@ -398,10 +397,10 @@ def test_criterion_9_rician_and_rayleigh_reductions():
         )
         ref = -math.expm1(-float(r) ** 2 / (2 * p0.sigma2))
         assert cdf(p0, float(r)).value == pytest.approx(ref, rel=1e-12, abs=1e-15)
-    ctx = SnrContext.from_average_snr(p0, 6.0)
+    gamma0 = 6.0
     for s in (-5.0, -0.2):
-        assert mgf_series(p0, ctx, s).value == pytest.approx(1 / (1 - 6.0 * s), rel=1e-12, abs=0)
-        assert mgf_closed(p0, ctx, s) == pytest.approx(1 / (1 - 6.0 * s), rel=1e-12, abs=0)
+        assert mgf_series(p0, gamma0, s).value == pytest.approx(1 / (1 - 6.0 * s), rel=1e-12, abs=0)
+        assert mgf_closed(p0, gamma0, s) == pytest.approx(1 / (1 - 6.0 * s), rel=1e-12, abs=0)
     for m_order in M_ORDERS:
         mod = ModulationSpec(m_order)
         assert asep_exact(p0, mod, 31.0).value == pytest.approx(

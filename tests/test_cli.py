@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "cdf", "--k", "300", "--gamma", "1", "--points", "6")
         assert code == 3
         assert "did not converge in 500 terms" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mgf", "--k", "1", "--gamma0-db", "4000"),
+        ("simulate", "--k", "1", "--snr-db", "3990:4000:10"),
+        ("asep", "--k", "1", "--snr-db", "3990:4000:10"),
+    ])
+    def test_snr_past_the_double_range_is_usage_error(self, capsys, argv):
+        # 10^(dB/10) overflows a double beyond about 3083 dB
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--tol=1e-6", "--max-terms=2000"])
     def test_stopping_rule_is_not_an_option(self, flag):

@@ -8,7 +8,6 @@ from scipy import integrate
 
 from twdp import (
     InvalidParameterError,
-    SnrContext,
     TwdpParams,
     cdf,
     cdf_grid,
@@ -142,40 +141,33 @@ class TestCdf:
 class TestCdfSnr:
     def test_zero(self):
         p = TwdpParams(k=3.0, gamma=0.4)
-        ctx = SnrContext.from_average_snr(p, 7.0)
-        assert cdf_snr(p, ctx, 0.0).value == 0.0
+        gamma0 = 7.0
+        assert cdf_snr(p, gamma0, 0.0).value == 0.0
 
     def test_rayleigh_form(self):
         p = TwdpParams(k=0.0, gamma=0.0)
-        ctx = SnrContext.from_average_snr(p, 5.0)
+        gamma0 = 5.0
         for gval in (0.5, 5.0, 20.0):
             ref = -math.expm1(-gval / 5.0)
-            assert cdf_snr(p, ctx, gval).value == pytest.approx(ref, rel=1e-13, abs=0)
+            assert cdf_snr(p, gamma0, gval).value == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_change_of_variables_consistency(self):
         p = TwdpParams(k=8.0, gamma=0.5)
-        ctx = SnrContext.from_average_snr(p, 12.0)
+        gamma0 = 12.0
         for gval in (0.1, 1.0, 12.0, 50.0):
-            r = math.sqrt(gval / ctx.es_n0)
-            assert cdf_snr(p, ctx, gval).value == pytest.approx(
+            r = math.sqrt(gval / (gamma0 / p.omega))
+            assert cdf_snr(p, gamma0, gval).value == pytest.approx(
                 cdf(p, r).value, rel=1e-12, abs=1e-15
             )
 
     def test_quadrature_oracle_at_mean_snr(self):
         # integrate the envelope density up to the equivalent envelope level
         p = TwdpParams(k=8.0, gamma=0.5)
-        ctx = SnrContext.from_average_snr(p, 10.0)
-        r_top = math.sqrt(10.0 / ctx.es_n0)
+        gamma0 = 10.0
+        r_top = math.sqrt(10.0 / (gamma0 / p.omega))
         ref, _ = integrate.quad(lambda r: pdf(p, r).value, 0.0, r_top,
                                 limit=200, epsabs=1e-12, epsrel=1e-12)
-        assert cdf_snr(p, ctx, 10.0).value == pytest.approx(ref, rel=1e-9, abs=0)
-
-    def test_context_invariant(self):
-        p = TwdpParams(k=8.0, gamma=0.5, sigma2=0.3)
-        ctx = SnrContext.from_params(p, es_n0=4.0)
-        assert ctx.gamma0 == pytest.approx(2 * 0.3 * 9.0 * 4.0, rel=1e-15, abs=0)
-        ctx2 = SnrContext.from_average_snr(p, ctx.gamma0)
-        assert ctx2.es_n0 == pytest.approx(4.0, rel=1e-14, abs=0)
+        assert cdf_snr(p, gamma0, 10.0).value == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 class TestReferenceForms:

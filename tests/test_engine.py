@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from twdp import (
     ModulationSpec,
-    SnrContext,
     TwdpParams,
     asep_exact,
     asep_exact_grid,
@@ -119,9 +118,9 @@ class TestScalarIsGridOfOne:
         assert cdf(self.P, r) == cdf_grid(self.P, [r])[0]
 
     def test_mgf_series(self):
-        ctx = SnrContext.from_average_snr(self.P, 100.0)
+        gamma0 = 100.0
         for s in (-50.0, -1.0, 0.0):
-            assert mgf_series(self.P, ctx, s) == mgf_series_grid(self.P, ctx, [s])[0]
+            assert mgf_series(self.P, gamma0, s) == mgf_series_grid(self.P, gamma0, [s])[0]
 
     def test_asep_exact(self):
         mod = ModulationSpec(4)
@@ -150,10 +149,10 @@ class TestRescuedTogether:
         assert grid == [cdf(self.P, float(r)) for r in rs]
 
     def test_mgf_series_grid(self):
-        ctx = SnrContext.from_average_snr(self.P, 1e3)
+        gamma0 = 1e3
         ss = [-100.0, -60.0, -30.0, -10.0]
-        grid = mgf_series_grid(self.P, ctx, ss)
-        assert grid == [mgf_series(self.P, ctx, s) for s in ss]
+        grid = mgf_series_grid(self.P, gamma0, ss)
+        assert grid == [mgf_series(self.P, gamma0, s) for s in ss]
 
     def test_asep_exact_grid(self):
         mod = ModulationSpec(2)
@@ -188,21 +187,21 @@ class TestRescuedTogether:
         grid = cdf_grid(p, rs)
         assert len({res.tier for res in grid}) >= 2
         assert grid == [cdf(p, r) for r in rs]
-        ctx = SnrContext.from_average_snr(p, 10.0)
+        gamma0 = 10.0
         ss = [-100.0, -30.0, -10.0, -8.0]
-        grid = mgf_series_grid(p, ctx, ss)
+        grid = mgf_series_grid(p, gamma0, ss)
         assert any(res.tier.startswith("mp") for res in grid)
-        assert grid == [mgf_series(p, ctx, s) for s in ss]
+        assert grid == [mgf_series(p, gamma0, s) for s in ss]
 
 
 def rescue_case(kind, p):
     """A grid of points whose long-double sums cannot be trusted: the public
     grid evaluation on it, and its series pass for a given arithmetic."""
     if kind == "mgf":
-        ctx = SnrContext.from_average_snr(p, 10.0)
+        gamma0 = 10.0
         s = np.linspace(-10.0, -3.0, 6)
-        return (lambda: mgf_series_grid(p, ctx, s),
-                lambda be: _mgf_series_pass(p, ctx.gamma0, s, be))
+        return (lambda: mgf_series_grid(p, gamma0, s),
+                lambda be: _mgf_series_pass(p, gamma0, s, be))
     if kind == "pdf":
         r = np.linspace(0.7, 1.8, 6)
         return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, be)
@@ -270,11 +269,11 @@ class TestDoubleLongdoubleRescue:
         # the dd pass measures a 4.4e24 cancellation, past what it vouches for
         caplog.set_level(logging.DEBUG, logger="twdp")
         p = TwdpParams(k=40.0, gamma=0.0)
-        ctx = SnrContext.from_average_snr(p, 10.0)
-        res = mgf_series(p, ctx, -10.0)
+        gamma0 = 10.0
+        res = mgf_series(p, gamma0, -10.0)
         assert [rec.getMessage().rsplit("; ", 1)[1] for rec in caplog.records] == [
             "rerunning in dd arithmetic", "rerunning at 48 digits in mp arithmetic"]
-        assert res.value == pytest.approx(mgf_closed(p, ctx, -10.0), rel=1e-11, abs=0)
+        assert res.value == pytest.approx(mgf_closed(p, gamma0, -10.0), rel=1e-11, abs=0)
 
 
 def test_stop_waits_out_a_rising_hump(monkeypatch):

@@ -125,14 +125,14 @@ class TestSimulatePskSer:
 
     def test_high_snr_errors_vanish(self):
         est = simulate_psk_ser(
-            TwdpParams(k=8.0, gamma=0.0), ModulationSpec(2), 40.0,
+            TwdpParams(k=8.0, gamma=0.0), ModulationSpec(2), 1e4,
             SimConfig(n_samples=100_000, seed=2),
         )
         assert est.ser <= 1e-4
 
     def test_quadrature_agreement(self):
         p = TwdpParams(k=8.0, gamma=0.5)
-        est = simulate_psk_ser(p, ModulationSpec(4), 20.0,
+        est = simulate_psk_ser(p, ModulationSpec(4), 100.0,
                                SimConfig(n_samples=2_000_000, seed=31))
         ref = asep_quadrature(p, ModulationSpec(4), 100.0)
         assert abs(est.ser - ref) <= 3 * est.ci95_halfwidth / 1.96
@@ -140,7 +140,7 @@ class TestSimulatePskSer:
     def test_deterministic_across_workers(self):
         p = TwdpParams(k=8.0, gamma=0.5)
         runs = [
-            simulate_psk_ser(p, ModulationSpec(4), 12.0,
+            simulate_psk_ser(p, ModulationSpec(4), 10 ** 1.2,  # 12 dB
                              SimConfig(n_samples=500_000, seed=17, workers=w))
             for w in (1, 2, 7)
         ]
@@ -148,7 +148,7 @@ class TestSimulatePskSer:
 
     def test_adaptive_stop(self):
         p = TwdpParams(k=0.0, gamma=0.0)
-        est = simulate_psk_ser(p, ModulationSpec(2), 5.0,
+        est = simulate_psk_ser(p, ModulationSpec(2), 10 ** 0.5,  # 5 dB
                                SimConfig(n_samples=10_000_000, seed=1),
                                min_errors=100)
         assert est.errors >= 100
@@ -157,7 +157,7 @@ class TestSimulatePskSer:
     def test_adaptive_worker_invariance(self):
         p = TwdpParams(k=8.0, gamma=0.0)
         runs = [
-            simulate_psk_ser(p, ModulationSpec(2), 15.0,
+            simulate_psk_ser(p, ModulationSpec(2), 10 ** 1.5,  # 15 dB
                              SimConfig(n_samples=5_000_000, seed=6, workers=w),
                              min_errors=200)
             for w in (1, 4)
@@ -165,10 +165,10 @@ class TestSimulatePskSer:
         assert runs[0] == runs[1]
 
     def test_convergence_floor(self):
-        est = simulate_psk_ser(TwdpParams(k=8.0, gamma=0.0), ModulationSpec(2), 40.0,
+        est = simulate_psk_ser(TwdpParams(k=8.0, gamma=0.0), ModulationSpec(2), 1e4,
                                SimConfig(n_samples=70_000, seed=2))
         assert not est.converged  # almost surely < 10 events at this depth
-        est2 = simulate_psk_ser(TwdpParams(k=0.0, gamma=0.0), ModulationSpec(2), 0.0,
+        est2 = simulate_psk_ser(TwdpParams(k=0.0, gamma=0.0), ModulationSpec(2), 1.0,
                                 SimConfig(n_samples=70_000, seed=2))
         assert est2.converged
 

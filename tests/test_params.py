@@ -14,7 +14,6 @@ from twdp import (
     gamma_from_delta,
     k_from_rice_delta,
     k_from_rice_gamma,
-    k_rice,
 )
 
 
@@ -107,7 +106,7 @@ class TestDeltaGamma:
 class TestKForms:
     @pytest.mark.parametrize("k,gamma,expect", [(0.0, 0.3, 0.0), (8.0, 0.0, 8.0), (14.0, 1.0, 7.0)])
     def test_k_rice_values(self, k, gamma, expect):
-        assert k_rice(TwdpParams(k=k, gamma=gamma)) == pytest.approx(expect, rel=1e-15, abs=0)
+        assert TwdpParams(k=k, gamma=gamma).k_rice == pytest.approx(expect, rel=1e-15, abs=0)
 
     def test_k_consistency_between_parameterizations(self):
         # same dominant-ray factor, Gamma route vs Delta route

@@ -11,12 +11,24 @@ from scipy import integrate, special
 
 from twdp import (
     InvalidParameterError,
+    ModulationSpec,
     RangeOverflowError,
     SeriesDivergenceError,
     SeriesResult,
+    SimConfig,
+    TwdpParams,
+    asep_asymptotic,
+    asep_exact,
+    asep_exact_grid,
+    asep_quadrature,
     bessel_i_scaled,
+    cdf_snr,
     exp_i0_identity_rhs,
     marcum_q1,
+    mgf_closed,
+    mgf_series,
+    mgf_series_grid,
+    simulate_psk_ser,
 )
 from twdp.specfun import (
     _ARITH_DD,
@@ -289,6 +301,29 @@ class TestExpI0Identity:
     def test_overflow_raises(self):
         with pytest.raises(RangeOverflowError):
             exp_i0_identity_rhs(800.0, 1.0)
+
+
+_P = TwdpParams(k=8.0, gamma=0.5)
+_QPSK = ModulationSpec(4)
+# every public function of the average SNR gamma0, at valid other arguments
+_OF_GAMMA0 = {
+    "mgf_series": lambda g0: mgf_series(_P, g0, -1.0),
+    "mgf_series_grid": lambda g0: mgf_series_grid(_P, g0, [-1.0]),
+    "mgf_closed": lambda g0: mgf_closed(_P, g0, -1.0),
+    "cdf_snr": lambda g0: cdf_snr(_P, g0, 1.0),
+    "asep_exact": lambda g0: asep_exact(_P, _QPSK, g0),
+    "asep_exact_grid": lambda g0: asep_exact_grid(_P, _QPSK, [10.0, g0]),
+    "asep_asymptotic": lambda g0: asep_asymptotic(_P, _QPSK, g0),
+    "asep_quadrature": lambda g0: asep_quadrature(_P, _QPSK, g0),
+    "simulate_psk_ser": lambda g0: simulate_psk_ser(_P, _QPSK, g0, SimConfig(n_samples=1000)),
+}
+
+
+@pytest.mark.parametrize("gamma0", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("fn", sorted(_OF_GAMMA0))
+def test_gamma0_must_be_positive_and_finite(fn, gamma0):
+    with pytest.raises(InvalidParameterError, match="gamma0"):
+        _OF_GAMMA0[fn](gamma0)
 
 
 class TestSeriesTypes:
