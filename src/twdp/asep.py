@@ -12,14 +12,14 @@ Three routes:
                                - F1(3/2; 1/2, 1+m; 5/2; sin^2(pi/M), -(1+K)/g0) ]
 
   Both bracket factors are Euler integrals over t in (0, 1) whose integrands
-  differ across m only through a power (1 - y t)^{-(1+m)}, so a single
-  tanh-sinh node set evaluates the whole family: per order m the node vector
-  is multiplied by the cached base once more.  That keeps every factor at
-  working-precision relative accuracy, which the outer alternating sum needs
-  because its terms grow far past the result before decaying.  The 2F1
-  argument uses sin^2(pi/M): substituting th = pi/2 into the indefinite
-  integral fixes the power, and the quadrature route confirms it numerically
-  (the sin^1 variant misses by ~1e-2 relative).
+  differ across m only through a power (1 + y t)^{-(1+m)}, and integrating
+  by parts ties three consecutive orders together: a three-term recurrence
+  in m (see _bracket_family) gives each further order in O(1) operations
+  per point, at working-precision relative accuracy, which the outer
+  alternating sum needs because its terms grow far past the result before
+  decaying.  The 2F1 argument uses sin^2(pi/M): substituting th = pi/2 into
+  the indefinite integral fixes the power, and the quadrature route
+  confirms it numerically (the sin^1 variant misses by ~1e-2 relative).
 * asep_asymptotic: the large-g0 closed form
   (1+K)/(2 pi g0) (pi - pi/M + sin(2 pi/M)/2)/sin^2(pi/M) e^{-K} I_0(2 Gamma K/(1+Gamma^2)).
 
@@ -27,8 +27,8 @@ asep_exact_grid follows the same long-double-then-escalate pattern as the
 other alternating series, in three tiers.  The first pass runs on long
 doubles over the whole SNR sweep.  The points whose cancellation calls for
 more digits rerun together in double-longdouble numpy arithmetic, bracket
-family and outer sum alike (each bracket factor within 22 m u^2, u = 2^-64,
-measured near 1e-37; about 34 digits in all, see specfun._DD_EPS).  Only
+recurrence and outer sum alike (each bracket factor measured within 75 u^2,
+u = 2^-64, over 500 orders; about 34 digits in all, see specfun._DD_EPS).  Only
 the points that pass cannot vouch for rerun in mpmath at the digits their
 cancellation calls for, again together, on object arrays of mpf values.  One
 bracket family serves all three tiers.  A point whose series has not
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
 import scipy  # scipy.integrate loads on first use, not at import
 
@@ -51,7 +52,6 @@ from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
-    _MAX_TERMS,
     _ARITH_LD,
     _check_gamma0,
     _exp_i0,
@@ -60,17 +60,10 @@ from .specfun import (
     _raise_lost,
     _sum_series,
     run_with_rescue,
-    tanh_sinh_rule,
     term_hump_guard,
 )
 
 _LD = np.longdouble
-# tanh-sinh levels of the bracket family: the long-double pass keeps its
-# finer table, the rescue tiers share the 2^-7 step
-_TS_LEVEL_LD = 8
-_TS_LEVEL = 7
-# relative size below which a node term is dropped from the dd bracket sums
-_DD_DROP = _LD(2) ** -140
 
 
 @dataclass(frozen=True)
@@ -89,60 +82,97 @@ class ModulationSpec:
         object.__setattr__(self, "sin2_pim", s * s)
 
 
+def _f1_seeds(x: float, y, be):
+    """1.5 J_1(x, y) and 1.5 J_2(x, y) at x < 1 and every y > 0, in be's
+    arithmetic.
+
+    With theta = arcsin sqrt(x), phi = arcsin sqrt((x+y)/(1+y)) and b = x + y
+    (substitute t = s^2/(1 + x s^2) and split into partial fractions),
+
+        J_1 = 2 (theta/sqrt(x) - phi/sqrt(b))/y,
+        J_2 = (phi/sqrt(b) - sqrt(1-x)/(1+y))/b.
+
+    J_1 cancels by up to about 5 (1+y)/y and J_2 by up to about 1.5/x, so
+    each point is evaluated in mpmath with that many bits, and 24 more,
+    beyond those be's eps asks for, and then rounded to be.
+    """
+    base = int(-math.log2(be.eps)) + 24
+    out = []
+    for v in y.tolist():
+        with mp.workprec(base + int(math.log2(1 + v) - math.log2(v) - math.log2(x)) + 3):
+            X, Y = mp.mpf(x), mp.mpf(v)
+            b = X + Y
+            f = mp.asin(mp.sqrt(b / (1 + Y))) / mp.sqrt(b)
+            out += [3 * (mp.asin(mp.sqrt(X)) / mp.sqrt(X) - f) / Y,
+                    (f - mp.sqrt(1 - X) / (1 + Y)) * 1.5 / b]
+    vals = be.from_mpf(out)
+    return vals[0::2], vals[1::2]
+
+
 def _bracket_family(x0: float, lam, y0_abs, be):
     """The factors 2F1(3/2,1+m;2;-lam) and F1(3/2;1/2,1+m;5/2;x0,-y0_abs)
     for m = 0, 1, ... at every entry of lam and y0_abs, in be's arithmetic.
 
     Returns next_order(live): its m-th call gives the order-m factors as a
     (2, points) array, at the points marked live (0 elsewhere); a point left
-    out once stays out.  The node terms are a rows x points x nodes array;
-    the node axis stays last and contiguous, so each row sum adds the nodes
-    in the same order as a sum over one point's nodes.  For M = 2 (x0 = 1,
-    so lam = y0_abs) both integrands are the same, and one row serves both.
-    Every node term is positive, so an order costs one product per node and
-    a row sum (by exact extraction in dd, where the factors of the first
-    _MAX_TERMS orders stay within specfun's dd product bound).
+    out once stays out.  Both factors are multiples c J_n(x, y) of
 
-    The dd pass drops node terms that stay below 2^-140 of their row sum at
-    every order, at every point, which costs under 2^-129 over all 1,457
-    nodes.  Since g <= 1, a node's first term bounds all its later ones, and
-    sum_k p_k g_k^_MAX_TERMS bounds the row sums from below, which drops the
-    far tails up front.  As the orders go on, a node dominated by a node of
-    smaller t (larger g) stays dominated, which drops the large-t side of
-    the peak.  The long-double pass keeps every node of its finer table: a
-    drop there would change which nodes its row sums add, and with them the
-    last digits of its values.
+        J_n(x, y) = int_0^1 sqrt(t) (1 - x t)^(-1/2) (1 + y t)^(-n) dt
+
+    at n = m + 1: the 2F1 one with c = 2/pi at x = 1, y = lam, the F1 one
+    with c = 3/2 at x = x0, y = y0_abs.  For M = 2 (x0 = 1, so lam = y0_abs)
+    one row serves both.  Integrating d/dt [t^(3/2) (1-xt)^(1/2) (1+yt)^(-n)]
+    over (0, 1) gives a three-term recurrence in n (at x = 1 Gauss's
+    contiguous relation in b, DLMF 15.5.E12), run here on the differences
+    D_n = V_n - V_{n+1} of the row values V_n = c J_n:
+
+        n (x + y) D_n = y (3/2 V_n - b_n) + (n - 2) x D_{n-1},
+        b_n = c sqrt(1 - x) (1 + y)^(-n).
+
+    J_n decays algebraically in n and the other solution like (x/(x+y))^n,
+    so the forward recursion is stable (Gil, Segura & Temme, Numerical
+    Methods for Special Functions, SIAM 2007, ch. 4).  As y -> 0 both
+    solutions flatten, and the three-term form itself loses digits at a rate
+    that grows with n (3.5e4 u after 500 orders at y = 1e-8, u the unit
+    roundoff); on the differences the rounding stays within about 130 u
+    over 500 orders for M up to 64.
+    The term in D_1 vanishes at n = 2, so J_1 and J_2 seed it: at x = 1,
+    2/pi J_1 = 2/(s (1 + s)) and 2/pi J_2 = s^-3 with s = sqrt(1 + lam);
+    at x0 < 1 see _f1_seeds.  An order costs O(1) operations per point.
     """
-    t, omt, w = tanh_sinh_rule(_TS_LEVEL_LD if be.name == "longdouble" else _TS_LEVEL, be)
-    rows = slice(1 if x0 == 1.0 else 2)
-    # 1 - x t = (1 - t) + (1 - x) t, exact near t = 1; x = 1 on the 2F1 row
-    x = be.cast(np.array([1.0, x0]))[rows, None, None]
-    y = be.cast(np.array([lam, y0_abs]))[rows, :, None]
-    g = 1 / (1 + y * t)
-    p = w * be.sqrt(t) / be.sqrt(omt + (1 - x) * t) * g
-    drop = be.name == "dd"
-    if drop:
-        floor = _DD_DROP * (p.hi * g.hi ** _MAX_TERMS).sum(axis=-1, keepdims=True)
-        live = np.flatnonzero((p.hi > floor).any(axis=(0, 1)))
-        p, g = p[..., live[0]:live[-1] + 1], g[..., live[0]:live[-1] + 1]
-    c1, c2 = 2 / be.pi, 1.5
+    rows = 1 if x0 == 1.0 else 2
+    x = be.cast(np.array([1.0, x0][:rows]))[:, None]
+    y = be.cast(np.array([lam, y0_abs][:rows]))
+    v, v_next = be.cast(np.zeros((2, rows, len(lam))))
+    s = be.sqrt(1 + y[0])
+    v[0], v_next[0] = 2 / (s * (1 + s)), 1 / (s * s * s)
+    b = v * 0
+    if rows == 2:
+        v[1], v_next[1] = _f1_seeds(x0, y0_abs, be)
+        b[1] = 1.5 * be.sqrt(1 - x[1]) / ((1 + y[1]) * (1 + y[1]))
+    else:
+        # at x0 = 1 the F1 factor is 3 pi/4 times the 2F1 one
+        with mp.workprec(int(-math.log2(be.eps)) + 24):
+            to_f1 = 3 * mp.pi / 4
+        to_f1 = be.from_mpf([to_f1])[0]
+    g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
+    d = v * 0
     idx = np.arange(len(lam))
-    m = 0
+    n = 2
 
     def next_order(live):
-        nonlocal p, g, idx, m
+        nonlocal v, v_next, b, g, q, r, d, idx, n
         keep = live[idx]
         if not keep.all():
-            p, g, idx = p[:, keep], g[:, keep], idx[keep]
+            v, v_next, b, g, q, r, d = (a[:, keep] for a in (v, v_next, b, g, q, r, d))
+            idx = idx[keep]
         out = be.cast(np.zeros((2, len(lam))))
-        sums = p.sum(axis=-1)
-        out[0, idx], out[1, idx] = c1 * sums[0], c2 * sums[-1]
-        p = p * g
-        m += 1
-        if drop and m % 8 == 0:
-            big = (p.hi > _DD_DROP * np.maximum.accumulate(p.hi, axis=-1)).any(axis=(0, 1))
-            keep = slice(0, np.flatnonzero(big)[-1] + 1)
-            p, g = p[..., keep], g[..., keep]
+        out[0, idx] = v[0]
+        out[1, idx] = v[1] if rows == 2 else to_f1 * v[0]
+        d = (q * (1.5 * v_next - b) + (n - 2) * (r * d)) / n
+        v, v_next = v_next, v_next - d
+        b = b * g
+        n += 1
         return out
 
     return next_order

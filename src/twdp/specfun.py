@@ -90,9 +90,10 @@ class _Arith:
 
     Functions and `cast` act elementwise on arrays: long-double arrays,
     _DD arrays, or object arrays of mpf values at the current mpmath
-    precision.  `eps` bounds the relative rounding error of a term.
-    `points` indexes the points of the grid the pass runs on (None: all of
-    them).
+    precision.  `from_mpf` rounds a list of mpf values, computed at higher
+    precision, to this arithmetic.  `eps` bounds the relative rounding error
+    of a term.  `points` indexes the points of the grid the pass runs on
+    (None: all of them).
     """
 
     name: str
@@ -100,6 +101,7 @@ class _Arith:
     exp: Callable
     expm1: Callable
     sqrt: Callable
+    from_mpf: Callable
     eps: float
     pi: object
     points: np.ndarray | None = None
@@ -115,6 +117,7 @@ _ARITH_LD = _Arith(
     exp=np.exp,
     expm1=np.expm1,
     sqrt=np.sqrt,
+    from_mpf=lambda values: _dd_from_mpf(values).hi,
     eps=_LD_EPS,
     pi=_LD(np.pi),
 )
@@ -130,12 +133,14 @@ def _to_mpf(x):
 
 def _arith_mp(points=None) -> _Arith:
     """mpmath context bound to the *current* working precision."""
+    cast = np.frompyfunc(_to_mpf, 1, 1)
     return _Arith(
         name=f"mp{mp.mp.dps}",
-        cast=np.frompyfunc(_to_mpf, 1, 1),
+        cast=cast,
         exp=np.frompyfunc(mp.exp, 1, 1),
         expm1=np.frompyfunc(mp.expm1, 1, 1),
         sqrt=np.frompyfunc(mp.sqrt, 1, 1),
+        from_mpf=cast,
         eps=float(mp.mpf(10) ** (-mp.mp.dps)),
         pi=+mp.pi,
         points=points,
@@ -246,12 +251,8 @@ def run_with_rescue(pass_fn: Callable, size: int, what: Callable = str) -> list:
     eps: one long-double pass runs over all points, then one
     double-longdouble pass over every point that fails the check (where long
     double is the x87 format).  The points left rerun in mpmath with the
-    digits their own ratio calls for, so a point's precision and tier
-    depend on the other points only where pass_fn makes the ratio it
-    measures depend on them.  One pass does: the dd pass of the asep
-    bracket family drops node terms for its whole batch at once, which can
-    move a heavily cancelled point's ratio, and with it the point's digits
-    and outcome.  A heavily cancelled sum reports a ratio
+    digits their own ratio calls for, so a point's precision and tier never
+    depend on the other points.  A heavily cancelled sum reports a ratio
     that is only a lower bound (the computed total is then noise at the
     working epsilon), so each point rerun is re-checked and its precision
     grows at least geometrically.  Points that need the same precision rerun
@@ -552,69 +553,6 @@ def exp_i0_identity_rhs(a: float, b: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# tanh-sinh rule (shared by the error-rate bracket integrals)
-
-
-_TS_CACHE: dict = {}
-
-
-def tanh_sinh_rule(level: int, be: _Arith = _ARITH_LD):
-    """Nodes and weights for int_0^1 f(t) dt, tolerant of endpoint singularities.
-
-    Returns (t, 1-t, w) as arrays in be's arithmetic, with 1-t carried
-    separately so integrands such as (1-t)^(-1/2) keep full precision near
-    t = 1.  Spacing h = 2^-level; nodes stop once the weight cannot
-    influence the target precision even against an inverse-square-root
-    endpoint factor.  The dd table is the 40-digit mpmath one rounded to
-    hi/lo pairs, so each entry holds about 38 digits; the mpmath one holds
-    mpf values at the current precision.
-    """
-    key = (level, be.name)
-    cached = _TS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if be.name == "longdouble":
-        h = np.longdouble(0.5) ** level
-        # weight ~ exp(-pi/2 sinh(u)); stop when even e^{+s} growth is buried
-        smax = 2.0 * (-math.log(be.eps)) + 20.0
-        umax = math.asinh(2.0 * smax / math.pi)
-        ks = np.arange(-int(umax / float(h)) - 1, int(umax / float(h)) + 2)
-        u = ks.astype(np.longdouble) * h
-        s = np.sinh(u) * np.longdouble(math.pi / 2)
-        e2s = np.exp(-2 * np.abs(s))
-        omt_mag = e2s / (1 + e2s)  # 1/(1+e^{2|s|})
-        t = np.where(s >= 0, 1 - omt_mag, omt_mag)
-        omt = np.where(s >= 0, omt_mag, 1 - omt_mag)
-        sech2 = 4 * e2s / (1 + e2s) ** 2
-        w = h * np.longdouble(math.pi / 4) * np.cosh(u) * sech2
-        keep = w > np.longdouble(1e-4000)
-        out = (t[keep], omt[keep], w[keep])
-    elif be.name == "dd":
-        with mp.workdps(40):
-            out = tuple(_dd_from_mpf(col) for col in tanh_sinh_rule(level, _arith_mp()))
-    else:
-        with mp.extraprec(20):
-            h = mp.mpf(1) / (1 << level)
-            smax = mp.mpf(2.3) * mp.mp.dps * 2 + 20
-            umax = mp.asinh(2 * smax / mp.pi)
-            kmax = int(umax / h) + 1
-            t, omt, w = [], [], []
-            for k in range(kmax + 1):
-                u = k * h
-                e2s = mp.exp(-2 * (mp.pi / 2 * mp.sinh(u)))
-                mag = e2s / (1 + e2s)
-                t.append(1 - mag)
-                omt.append(mag)
-                w.append(h * mp.pi / 4 * mp.cosh(u) * 4 * e2s / (1 + e2s) ** 2)
-        # sinh is odd and cosh even: the node at -k is the node at k with t
-        # and 1 - t swapped
-        out = tuple(np.array(left[:0:-1] + right, dtype=object)
-                    for left, right in ((omt, t), (t, omt), (w, w)))
-    _TS_CACHE[key] = out
-    return out
-
-
-# ----------------------------------------------------------------------------
 # double-longdouble arithmetic
 #
 # A dd value is a pair (hi, lo) of long doubles whose unevaluated sum carries
@@ -628,15 +566,20 @@ _DD_SPLITTER = _LD(2**32 + 1)
 
 # _DD_EPS bounds the relative rounding error of one term of a dd pass, which
 # is what needs_rescue rechecks a dd pass with.  Relative errors add along a
-# chain of operations.  Each recurrence in the order m (the bracket family's
-# powers of g, the coefficient a^m/m!, the Legendre and Laguerre
-# recurrences) takes one dd product (8u^2) and one quotient (13u^2) or sum
-# (3u^2) per order on factors already within their bound, so a term after m
-# orders is within 22 m u^2 per chain: 11,000 u^2 over the _MAX_TERMS = 500
-# orders a sum may take.  A Miller ladder step I_{k-1} = I_{k+1} + (2k/x) I_k
-# adds positive values and costs a quotient, a product and a sum (24u^2), so
-# a ladder of at most 1,000 steps (order 500 plus the seed offset up to
-# x ~ 300) adds 24,000 u^2.  Together 35,000 u^2 = 1.0e-34: about 34 digits.
+# chain of operations.  Each product recurrence in the order m (the
+# coefficient a^m/m!, the Legendre and Laguerre recurrences) takes one dd
+# product (8u^2) and one quotient (13u^2) or sum (3u^2) per order on factors
+# already within their bound, so a term after m orders is within 22 m u^2
+# per chain: 11,000 u^2 over the _MAX_TERMS = 500 orders a sum may take.  A
+# Miller ladder step I_{k-1} = I_{k+1} + (2k/x) I_k adds positive values and
+# costs a quotient, a product and a sum (24u^2), so a ladder of at most 1,000
+# steps (order 500 plus the seed offset up to x ~ 300) adds 24,000 u^2.
+# Together 35,000 u^2 = 1.0e-34: about 34 digits.  An error-rate term takes
+# two chains and a bracket factor from the three-term recurrence of
+# asep._bracket_family, which is stable, so its rounding does not grow by a
+# bound per order: against the same recurrence at 60 digits it measured at
+# most 75 u^2 over 500 orders (M = 2 to 64, y = 1e-8 to 1e4).  Even a
+# hundred times that keeps the term within 30,000 u^2, inside the bound.
 _DD_EPS = (22 * _MAX_TERMS + 24 * 1000) * 2.0**-128
 
 
@@ -660,14 +603,11 @@ def _split(a):
     return hi, a - hi
 
 
-def _two_prod(a, b, b_split=None):
-    """(p, e) with p = fl(a b) and p + e == a b exactly (Dekker).
-
-    b_split is _split(b), for a factor reused across many products.
-    """
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e == a b exactly (Dekker)."""
     p = a * b
     ah, al = _split(a)
-    bh, bl = _split(b) if b_split is None else b_split
+    bh, bl = _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -684,7 +624,7 @@ def _dd_mul(a, b):
     """a b within 8u^2 relative: with a.hi b.hi = p + e exactly, the
     product drops a.lo b.lo (u^2) and rounds a.hi b.lo and a.lo b.hi (u^2
     each), their sum (2u^2) and e plus that sum (3u^2)."""
-    p, e = _two_prod(a.hi, b.hi, b.hi_split())
+    p, e = _two_prod(a.hi, b.hi)
     return _DD(*_fast_two_sum(p, e + (a.hi * b.lo + a.lo * b.hi)))
 
 
@@ -722,31 +662,17 @@ class _DD:
 
     Arithmetic with ints, floats, long doubles and other _DD arrays runs the
     dd operations above; negation, abs and comparisons are exact.  It
-    indexes like its parts, sums over its last axis, and np.where and
-    np.append accept it (the only numpy functions the series passes apply
-    to their values), so the passes run on it unchanged.  The Veltkamp split
-    of hi is kept once a product has needed it: a factor reused at every
-    order (the bracket family's g) splits once.
+    indexes like its parts, and np.where and np.append accept it (the only
+    numpy functions the series passes apply to their values), so the passes
+    run on it unchanged.
     """
 
-    __slots__ = ("hi", "lo", "_hi_split")
+    __slots__ = ("hi", "lo")
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
     __hash__ = None
 
     def __init__(self, hi, lo):
         self.hi, self.lo = hi, lo
-        self._hi_split = None
-
-    def hi_split(self):
-        """_split(hi), computed on first use and kept until an entry is set
-        (through this _DD: writes through another view of hi go unseen)."""
-        if self._hi_split is None:
-            self._hi_split = _split(self.hi)
-        return self._hi_split
-
-    @property
-    def ndim(self):
-        return np.ndim(self.hi)
 
     def __add__(self, other):
         return _dd_add(self, _dd(other))
@@ -799,13 +725,6 @@ class _DD:
     def __setitem__(self, idx, value):
         v = _dd(value)
         self.hi[idx], self.lo[idx] = v.hi, v.lo
-        self._hi_split = None
-
-    def sum(self, axis):
-        """Sums over the last axis (axis=-1, the only one), see _dd_row_sums."""
-        if axis != -1:
-            raise ValueError("a _DD sums over its last axis only")
-        return _dd_row_sums(self)
 
     def __len__(self):
         return len(self.hi)
@@ -829,34 +748,6 @@ class _DD:
             a, b = (_dd(v) for v in args)
             return _DD(np.append(a.hi, b.hi), np.append(a.lo, b.lo))
         return NotImplemented
-
-
-def _extract(x, sigma):
-    """(q, x - q): q is x rounded to the grid of ulp(sigma), sigma a power of
-    two; both parts are exact, and |x - q| <= 2^-64 sigma."""
-    q = (sigma + x) - sigma
-    return q, x - q
-
-
-def _dd_row_sums(a):
-    """Row sums (over the last axis) of a _DD with hi >= 0, within 2^-119.
-
-    The exact-extraction parts are within 2^-120 of each row sum (Rump,
-    Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008).  A power of two sigma
-    above twice the row sum puts every hi on a grid whose partial sums stay
-    below sigma, so they add exactly.  The remainders are below 2^-64 sigma
-    each, so a grid 2^bits >= n + 2 times above that sums them exactly too,
-    leaving parts below 2^-100 of the row sum.  Those and the lo parts,
-    below 2^-64 of theirs, are summed with rounding, and joining the parts
-    into one dd value rounds once more (u^2).
-    """
-    hi, lo = a.hi, a.lo
-    _, e = np.frexp(hi.sum(axis=-1, keepdims=True))
-    sigma = np.ldexp(_LD(1), e + 1)
-    q, r = _extract(hi, sigma)
-    qr, rr = _extract(r, np.ldexp(sigma, (hi.shape[-1] + 2).bit_length() - 64))
-    s, e = _two_sum(q.sum(axis=-1), qr.sum(axis=-1))
-    return _DD(*_fast_two_sum(s, e + (rr.sum(axis=-1) + lo.sum(axis=-1))))
 
 
 def _dd_from_mpf(values):
@@ -894,7 +785,7 @@ def _arith_dd():
     with mp.workdps(40):
         pi = _dd_from_mpf([+mp.pi])[0]
     return _Arith(name="dd", cast=_dd, exp=_dd_map(mp.exp), expm1=_dd_map(mp.expm1),
-                  sqrt=_dd_sqrt, eps=_DD_EPS, pi=pi)
+                  sqrt=_dd_sqrt, from_mpf=_dd_from_mpf, eps=_DD_EPS, pi=pi)
 
 
 _ARITH_DD = _arith_dd()

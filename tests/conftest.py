@@ -405,8 +405,11 @@ def mgf_pass_scalar(p, gamma0: float, s_arg: float):
 
 
 def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
-    """The long-double exact M-PSK error-rate pass at one average SNR."""
-    from twdp.specfun import tanh_sinh_rule, term_hump_guard
+    """The long-double exact M-PSK error-rate pass at one average SNR, its
+    bracket factors from the recurrence of asep._bracket_family run one
+    point at a time."""
+    from twdp.asep import _f1_seeds
+    from twdp.specfun import _ARITH_LD, term_hump_guard
 
     LD = np.longdouble
     K, g2 = LD(p.k), LD(p.gamma) ** 2
@@ -415,39 +418,33 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     sp = np.sqrt(x0)
     lam, y0_abs = float((1 + K) / (g0 * x0)), float((1 + K) / g0)
     c_bracket = 3 * LD(np.pi) / (2 * sp * x0)
-    t, omt, w = tanh_sinh_rule(8)
-    g1, g2n = 1 / (1 + LD(lam) * t), 1 / (1 + LD(y0_abs) * t)
-    p1 = w * np.sqrt(t) / np.sqrt(omt) * g1
-    p2 = w * np.sqrt(t) / np.sqrt(omt + (1 - x0) * t) * g2n
+
+    def row(x, y, v, v_next, b):
+        g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
+        d, n = LD(0), 2
+        while True:
+            yield v
+            d = (q * (1.5 * v_next - b) + (n - 2) * (r * d)) / n
+            v, v_next = v_next, v_next - d
+            b, n = b * g, n + 1
+
+    s = np.sqrt(1 + LD(lam))
+    f2f1 = row(LD(1), LD(lam), 2 / (s * (1 + s)), 1 / (s * s * s), LD(0))
+    if sin2_pim < 1.0:
+        y = LD(y0_abs)
+        (v,), (v_next,) = _f1_seeds(sin2_pim, np.array([y0_abs]), _ARITH_LD)
+        f1 = row(x0, y, v, v_next, 1.5 * np.sqrt(1 - x0) / ((1 + y) * (1 + y)))
+    else:
+        with mp.workprec(87):  # the family's bits for long double: 63 + 24
+            to_f1 = 3 * mp.pi / 4
+        to_f1 = _ARITH_LD.from_mpf([to_f1])[0]
 
     def terms():
-        nonlocal p1, p2
         cm = LD(1.0)
         for m, leg in enumerate(legendre_2f1(g2)):
-            t1, f1 = LD(2.0) / LD(np.pi) * p1.sum(), LD(1.5) * p2.sum()
-            yield cm * leg * (c_bracket * t1 - f1)
-            p1, p2 = p1 * g1, p2 * g2n
+            t1 = next(f2f1)
+            yield cm * leg * (c_bracket * t1 - (next(f1) if sin2_pim < 1.0 else to_f1 * t1))
             cm = cm * (-a) / (m + 1)
 
     s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
     return _finish(sp * (1 + K) / (3 * LD(np.pi) * g0), s, n, last, pos)
-
-
-def tanh_sinh_mp_full(level: int):
-    """(t, 1-t, w) of the mpmath tanh-sinh rule at the current precision,
-    every node k in [-kmax, kmax] computed on its own (no mirroring)."""
-    with mp.extraprec(20):
-        h = mp.mpf(1) / (1 << level)
-        smax = mp.mpf(2.3) * mp.mp.dps * 2 + 20
-        umax = mp.asinh(2 * smax / mp.pi)
-        kmax = int(umax / h) + 1
-        t, omt, w = [], [], []
-        for k in range(-kmax, kmax + 1):
-            u = k * h
-            s = mp.pi / 2 * mp.sinh(u)
-            e2s = mp.exp(-2 * abs(s))
-            mag = e2s / (1 + e2s)
-            t.append(1 - mag if s >= 0 else mag)
-            omt.append(mag if s >= 0 else 1 - mag)
-            w.append(h * mp.pi / 4 * mp.cosh(u) * 4 * e2s / (1 + e2s) ** 2)
-    return t, omt, w

@@ -1,5 +1,6 @@
 """M-PSK symbol error probability: series, quadrature, and asymptote."""
 
+import functools
 import logging
 import math
 import re
@@ -38,6 +39,64 @@ class TestModulationSpec:
     def test_rejects_bad_order(self):
         with pytest.raises(InvalidParameterError):
             ModulationSpec(1)
+
+
+@functools.cache
+def bracket_reference(m_order: int, y0: float, m: int) -> tuple:
+    """The order-m bracket factors at 50 digits: 2F1(3/2, 1+m; 2; -y0/x0) by
+    mpmath's hyp2f1, and F1(3/2; 1/2, 1+m; 5/2; x0, -y0) as 3/2 times its
+    Euler integral by mp.quad, x0 = sin^2(pi/M).  The integral is taken in
+    s = sqrt(1 - t), which removes the endpoint singularity at t = 1 for
+    M = 2, with breakpoints down to the scale of the integrand's peak near
+    t = 0."""
+    x0 = ModulationSpec(m_order).sin2_pim
+    with mp.workdps(60):
+        x, y = mp.mpf(x0), mp.mpf(y0)
+        f2f1 = mp.hyp2f1(1.5, 1 + m, 2, -mp.mpf(y0 / x0))
+        pts, c = [mp.mpf(1)], 1 / ((1 + m) * y)
+        while c < 1:
+            pts.append(mp.sqrt(1 - c))
+            c *= 8
+
+        def euler(s):
+            t = 1 - s * s
+            # s (1 - x t)^(-1/2), 1 - x t = (1 - x) + x s^2 exactly as s -> 0
+            w = s / mp.sqrt((1 - x) + x * s * s) if s else mp.mpf(x == 1)
+            return 2 * w * mp.sqrt(t) * (1 + y * t) ** -(1 + m)
+
+        f1 = 1.5 * mp.quad(euler, [0] + pts[::-1])
+    return f2f1, f1
+
+
+class TestBracketFamily:
+    """The error-rate bracket factors of every tier against 50-digit mpmath
+    values computed without the recurrence."""
+
+    ORDERS = (0, 1, 2, 10, 100, 499)
+    Y0 = (1e-8, 1e-6, 1e-3, 1.0, 1e4)
+
+    @pytest.mark.parametrize("tier", ["longdouble", pytest.param("dd", marks=needs_dd), "mp48"])
+    @pytest.mark.parametrize("m_order", [2, 4, 8, 16])
+    def test_against_50_digit_mpmath(self, tier, m_order):
+        # within 256 units of each arithmetic's last place, u = 2^-64 for long
+        # double, u^2 for dd and 2^-163 at 48 digits; the recurrence's
+        # rounding grows to about 130 u over 500 orders
+        x0 = ModulationSpec(m_order).sin2_pim
+        y0 = np.array(self.Y0)
+        with mp.workdps(48):
+            be, u, exact = {
+                "longdouble": (specfun._ARITH_LD, 2.0**-64, specfun._to_mpf),
+                "dd": (specfun._ARITH_DD, 2.0**-128,
+                       lambda v: specfun._to_mpf(v.hi) + specfun._to_mpf(v.lo)),
+            }.get(tier) or (_arith_mp(), 2.0**-mp.mp.prec, lambda v: v)
+            next_order = asep._bracket_family(x0, y0 / x0, y0, be)
+            for m in range(max(self.ORDERS) + 1):
+                out = next_order(np.ones(len(y0), dtype=bool))
+                if m not in self.ORDERS:
+                    continue
+                for i, y in enumerate(self.Y0):
+                    for got, want in zip(out[:, i], bracket_reference(m_order, y, m)):
+                        assert abs(exact(got) / want - 1) <= 256 * u, (m, y)
 
 
 class TestRayleighClosedForms:
@@ -214,7 +273,6 @@ class TestRescueTiers:
         def unavailable(*args):
             raise AssertionError("mpmath arithmetic called")
 
-        specfun.tanh_sinh_rule(asep._TS_LEVEL, specfun._ARITH_DD)  # the dd table is built in mpmath
         monkeypatch.setattr(specfun, "_arith_mp", unavailable)
         p = TwdpParams(k=14.0, gamma=1.0)
         for m_order in (2, 16):

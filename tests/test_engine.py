@@ -9,6 +9,7 @@ operations are the same, only their batching differs.
 
 import logging
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -170,14 +171,33 @@ class TestRescuedTogether:
         mp_passes = []
 
         def arith_mp(points=None):
-            if points is not None:  # not the dd node table built in mpmath
-                mp_passes.append((mp.mp.dps, list(points)))
+            mp_passes.append((mp.mp.dps, list(points)))
             return _arith_mp(points)
 
         monkeypatch.setattr(specfun, "_arith_mp", arith_mp)
         grid = asep_exact_grid(p, mod, g0s)
         assert mp_passes == [(48, [0, 1, 2])]
         assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
+
+    def test_asep_exact_grid_over_a_rescued_sweep(self):
+        # K=30: the sweep's points rerun in dd and at 40 and 48 digits
+        p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
+        g0s = 10.0 ** (np.arange(0.0, 41.0, 5.0) / 10.0)
+        grid = asep_exact_grid(p, mod, g0s)
+        assert {res.tier for res in grid} == {"dd", "mp40", "mp48"}
+        assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
+
+    @needs_dd
+    def test_asep_dd_pass_does_not_depend_on_the_sweep(self):
+        # K=90, gamma0 = 10: the dd pass measures the same cancellation,
+        # and sums the same value, alone and inside the 0:40:10 dB sweep
+        p, mod = TwdpParams(k=90.0, gamma=1.0), ModulationSpec(2)
+        g0s = 10.0 ** (np.arange(0.0, 41.0, 10.0) / 10.0)
+        dd = specfun._ARITH_DD
+        value, _, n, trunc, ratio, ok = _asep_pass(p, mod, g0s, replace(dd, points=np.arange(5)))
+        alone = _asep_pass(p, mod, g0s, replace(dd, points=np.array([1])))
+        assert ratio[1] > 1e38
+        assert (value[1], n[1], trunc[1], ratio[1], ok[1]) == tuple(v[0] for v in alone[:1] + alone[2:])
 
     def test_k40_cdf_and_mgf_grids(self):
         # left-tail cdf points and MGF points that rerun in mpmath at

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,16 +30,12 @@ from twdp import (
     simulate_psk_ser,
 )
 from twdp.specfun import (
-    _ARITH_DD,
     _DD,
     _MAX_TERMS,
-    _arith_mp,
-    _dd_row_sums,
     _fast_two_sum,
     _split,
     _two_prod,
     _two_sum,
-    tanh_sinh_rule,
 )
 
 from conftest import (
@@ -51,7 +46,6 @@ from conftest import (
     hyp1f1_poly,
     hyp2f1_3half,
     hyp2f1_poly,
-    tanh_sinh_mp_full,
 )
 
 
@@ -333,28 +327,6 @@ class TestSeriesTypes:
         assert r.terms_used <= _MAX_TERMS
 
 
-class TestTanhSinhRule:
-    def test_plain_polynomial(self):
-        t, _, w = tanh_sinh_rule(6)
-        assert float(np.sum(w * t ** 3)) == pytest.approx(0.25, rel=1e-14, abs=0)
-
-    def test_endpoint_singularity(self):
-        # int_0^1 sqrt(t / (1 - t)) dt = pi / 2
-        t, omt, w = tanh_sinh_rule(8)
-        val = float(np.sum(w * np.sqrt(t) / np.sqrt(omt)))
-        assert val == pytest.approx(math.pi / 2, rel=1e-15, abs=0)
-
-    @pytest.mark.parametrize("dps, nodes", [(40, 1457), (57, 1533)])
-    def test_mp_table_mirrors_full_loop(self, dps, nodes):
-        # the error-rate rescues' level; the mpmath table builds k >= 0 only
-        with mp.workdps(dps):
-            got = tanh_sinh_rule(7, _arith_mp())
-            want = tanh_sinh_mp_full(7)
-        assert len(want[0]) == nodes
-        for col, ref in zip(got, want):
-            assert col.tolist() == ref
-
-
 # long doubles with a full 64-bit significand, either sign, moderate exponent
 long_doubles = st.builds(
     lambda man, exp, neg: np.ldexp(np.longdouble(-man if neg else man), exp),
@@ -381,11 +353,6 @@ dd_values = st.builds(
     long_doubles,
     st.integers(-(2**35), 2**35),
 )
-
-
-def mpf_exact(x) -> Fraction:
-    man, exp = x.man_exp  # unsigned mantissa
-    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
 
 
 def significant_bits(x) -> int:
@@ -445,34 +412,3 @@ class TestDoubleLongdouble:
     def test_dd_div_within_13u2(self, a, b):
         want = exact_dd(a) / exact_dd(b)
         assert abs(exact_dd(a / b) - want) <= 13 * U**2 * abs(want)
-
-    @given(st.lists(st.tuples(long_doubles, st.integers(-(2**40), 2**40)),
-                    min_size=1, max_size=60))
-    def test_row_sums_within_2_to_minus_119(self, items):
-        # positive dd values hi + lo with |lo| far below ulp(hi)
-        hi = np.array([abs(h) for h, _ in items])
-        lo = np.array([np.ldexp(np.longdouble(k), -110) * h for h, (_, k) in zip(hi, items)])
-        sums = _dd_row_sums(_DD(np.stack((hi, hi[::-1])), np.stack((lo, lo[::-1]))))
-        want = sum(exact(h) + exact(l) for h, l in zip(hi, lo))
-        for row in range(2):
-            assert abs(exact_dd(sums[row]) - want) <= want / 2**119
-
-    def test_setitem_resets_split_cache(self):
-        third = np.longdouble(1) / 3
-        a = _DD(np.array([third, 2 * third]), np.zeros(2, dtype=np.longdouble))
-        b = _DD(np.array([third, third]), np.zeros(2, dtype=np.longdouble))
-        split = a.hi_split()
-        assert a.hi_split() is split  # kept for the next product
-        a[1] = _DD(third / 7, third * 2.0**-70)
-        assert a.hi_split() is not split
-        fresh = _DD(a.hi.copy(), a.lo.copy())
-        got, want = b * a, b * fresh
-        assert (got.hi == want.hi).all() and (got.lo == want.lo).all()
-
-    @pytest.mark.skipif(_ARITH_DD is None, reason="the dd tier needs x87 80-bit long doubles")
-    def test_node_table_holds_38_digits(self):
-        with mp.workdps(40):
-            ref = tanh_sinh_rule(7, _arith_mp())
-        for dd, col in zip(tanh_sinh_rule(7, _ARITH_DD), ref):
-            for h, l, r in list(zip(dd.hi, dd.lo, col))[::50]:
-                assert abs((exact(h) + exact(l)) / mpf_exact(r) - 1) < Fraction(1, 2**126)
