@@ -41,13 +41,12 @@ from .asep import (
     asep_exact_grid,
     asep_quadrature,
 )
-from .mcsim import Histogram, SerEstimate, SimConfig, histogram, sample_envelope, simulate_psk_ser
+from .mcsim import SerEstimate, SimConfig, simulate_psk_ser
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CancellationLossError",
-    "Histogram",
     "InvalidParameterError",
     "ModulationSpec",
     "PhysicalMagnitudes",
@@ -72,7 +71,6 @@ __all__ = [
     "delta_from_gamma",
     "exp_i0_identity_rhs",
     "gamma_from_delta",
-    "histogram",
     "k_from_rice_delta",
     "k_from_rice_gamma",
     "marcum_q1",
@@ -83,6 +81,5 @@ __all__ = [
     "pdf_grid",
     "pdf_rayleigh",
     "pdf_rician",
-    "sample_envelope",
     "simulate_psk_ser",
 ]

@@ -33,9 +33,11 @@ the points that pass cannot vouch for rerun in mpmath at the digits their
 cancellation calls for, again together, on object arrays of mpf values.  One
 bracket family serves all three tiers.  A point whose series has not
 converged within specfun._MAX_TERMS terms gets a SeriesDivergenceError in
-place of its result, and one that would need more than 120 digits
-(specfun._MAX_DPS) a CancellationLossError, so callers (the CLI does this)
-can substitute asep_quadrature; asep_exact raises either.
+place of its result, and so does, before any pass, one whose (1+K)/(g0
+sin^2(pi/M)) overflows double (g0 below about 1e-307, -3070 dB); one that
+would need more than 120 digits (specfun._MAX_DPS) gets a
+CancellationLossError, so callers (the CLI does this) can substitute
+asep_quadrature; asep_exact raises either.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 import scipy  # scipy.integrate loads on first use, not at import
 
-from .errors import InvalidParameterError, QuadratureError
+from .errors import InvalidParameterError, QuadratureError, SeriesDivergenceError
 from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
@@ -96,6 +97,7 @@ def _f1_seeds(x: float, y, be):
     each point is evaluated in mpmath with that many bits, and 24 more,
     beyond those be's eps asks for, and then rounded to be.
     """
+    import mpmath as mp
     base = int(-math.log2(be.eps)) + 24
     out = []
     for v in y.tolist():
@@ -152,6 +154,7 @@ def _bracket_family(x0: float, lam, y0_abs, be):
         b[1] = 1.5 * be.sqrt(1 - x[1]) / ((1 + y[1]) * (1 + y[1]))
     else:
         # at x0 = 1 the F1 factor is 3 pi/4 times the 2F1 one
+        import mpmath as mp
         with mp.workprec(int(-math.log2(be.eps)) + 24):
             to_f1 = 3 * mp.pi / 4
         to_f1 = be.from_mpf([to_f1])[0]
@@ -223,16 +226,26 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
 
     Returns a SeriesResult per point, or in its place the
     SeriesDivergenceError of a point where the series does not converge
-    within its term budget, or the CancellationLossError of one where it
-    would need more than 120 digits (callers such as the CLI substitute
-    asep_quadrature there).
+    within its term budget or cannot be summed at all, or the
+    CancellationLossError of one where it would need more than 120 digits
+    (callers such as the CLI substitute asep_quadrature there).
     """
     g0 = np.array([_check_gamma0(v) for v in np.asarray(gamma0s, dtype=float).ravel()])
-    return run_with_rescue(
-        lambda be: _asep_pass(p, mod, g0, be),
-        len(g0),
-        what=lambda i: f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}",
-    )
+
+    def what(i):
+        return f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}"
+
+    # the bracket family takes lam = (1+K)/(gamma0 sin^2(pi/M)), computed as
+    # in _asep_pass, as a double; a point where it overflows gets no pass
+    with np.errstate(over="ignore"):
+        lam = ((1 + _LD(p.k)) / (g0.astype(_LD) * _LD(mod.sin2_pim))).astype(float)
+    fits = np.isfinite(lam)
+    idx = np.flatnonzero(fits)
+    summed = iter(run_with_rescue(lambda be: _asep_pass(p, mod, g0[idx], be), len(idx),
+                                  what=lambda j: what(idx[j])))
+    return [next(summed) if ok else SeriesDivergenceError(
+        f"{what(i)} cannot be summed: (1+K)/(gamma0 sin^2(pi/M)) overflows double", 0)
+        for i, ok in enumerate(fits)]
 
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:

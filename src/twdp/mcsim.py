@@ -1,19 +1,25 @@
-"""Monte Carlo reference for the analytic TWDP machinery.
+"""Monte Carlo M-PSK symbol error rate: the simulation check of the
+analytic error-rate routes.
 
-Envelope samples are drawn directly from the channel construction:
-|V1 e^{j Phi1} + V2 e^{j Phi2} + n| with independent uniform phases and
-complex Gaussian n whose real and imaginary parts are N(0, sigma^2) each
-(total diffuse power 2 sigma^2, so E[r^2] = Omega).
+The TWDP envelope |V1 e^{j Phi1} + V2 e^{j Phi2} + n_d| depends on the
+ray phases only through their difference theta = Phi2 - Phi1 (Durgin,
+Rappaport & de Wolf, IEEE Trans. Commun. 50(6), 2002): the diffuse term
+n_d, complex Gaussian with N(0, sigma^2) real and imaginary parts, is
+circularly symmetric, so rotating the sum by -Phi1 leaves its law unchanged
+and a trial draws r = |V1 + V2 e^{j theta} + n_d| with theta uniform on
+[0, 2 pi).  The additive noise and the nearest-phase detector are both
+invariant under rotation by 2 pi/M, so every M-PSK symbol has the same
+conditional error rate and every trial sends symbol 0.  With the fading
+amplitude scaled to sqrt(2 gamma0) r/sqrt(Omega) (symbol SNR r^2 gamma0 /
+Omega, gamma0 the linear average SNR) and unit-variance noise w, a trial
+is an error when |atan2(w_im, sqrt(2 gamma0) r/sqrt(Omega) + w_re)| >= pi/M.
 
-Randomness is counter-based for reproducibility: the sample stream is cut
-into fixed blocks of 65536 draws and block i uses Philox(key=seed,
-counter=i << 64).  Blocks are mapped across a thread pool and reduced in
-block order, so results are bit-identical for any worker count.
-
-Symbol-error simulation is quasi-static per symbol: every trial draws a
-fresh fading amplitude (normalized to unit mean square), transmits a uniform
-random M-PSK symbol at symbol SNR r^2 gamma0, with gamma0 the linear average
-SNR, adds complex Gaussian noise, and detects by nearest phase.
+Randomness is counter-based for reproducibility: the trials are cut into
+fixed blocks of 65536 and block i uses Philox(key=seed, counter=i << 64).
+Its draws are theta for each trial, then 4 x n standard normals: diffuse
+re, diffuse im, noise re and noise im, a row of n each.  Blocks are mapped
+across a thread pool and reduced in block order, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -50,15 +56,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Equal-width histogram over [0, max sample]."""
-
-    edges: np.ndarray
-    density: np.ndarray
-    counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class SerEstimate:
     """Symbol error rate with a normal-approximation 95% interval."""
 
@@ -78,56 +75,31 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _envelope_block(p: TwdpParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    v1, v2 = p.v1, p.v2
-    sigma = math.sqrt(p.sigma2)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(2, n))
-    noise = rng.standard_normal(size=(2, n)) * sigma
-    re = v1 * np.cos(phases[0]) + v2 * np.cos(phases[1]) + noise[0]
-    im = v1 * np.sin(phases[0]) + v2 * np.sin(phases[1]) + noise[1]
-    return np.hypot(re, im)
-
-
-def sample_envelope(p: TwdpParams, cfg: SimConfig) -> np.ndarray:
-    """Draw cfg.n_samples envelope values; deterministic in (seed, n_samples)."""
-    n_blocks = (cfg.n_samples + BLOCK - 1) // BLOCK
-
-    def one(i: int) -> np.ndarray:
-        size = min(BLOCK, cfg.n_samples - i * BLOCK)
-        return _envelope_block(p, size, _block_rng(cfg.seed, i))
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        parts = list(pool.map(one, range(n_blocks)))
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
-def histogram(samples, n_bins: int = 20) -> Histogram:
-    """Equal-width histogram of n_bins bins over [0, max(samples)]: the raw
-    per-bin counts and the density, which integrates to one."""
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size == 0:
-        raise InvalidParameterError("histogram requires at least one sample")
-    if n_bins < 1:
-        raise InvalidParameterError(f"n_bins must be >= 1, got {n_bins}")
-    top = float(arr.max())
-    if top <= 0.0:
-        top = 1.0
-    counts, edges = np.histogram(arr, bins=n_bins, range=(0.0, top))
-    density = counts / (arr.size * (edges[1] - edges[0]))
-    return Histogram(edges=edges, density=density, counts=counts)
+    """n envelope values |v1 + v2 e^{j theta} + n_d|: theta uniform on
+    [0, 2 pi), then the diffuse parts (re, im) as a (2, n) normal draw."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    diffuse = rng.standard_normal(size=(2, n))
+    diffuse *= math.sqrt(p.sigma2)
+    re, im = diffuse
+    re += p.v1
+    re += p.v2 * np.cos(theta)
+    im += p.v2 * np.sin(theta, out=theta)
+    return np.hypot(re, im, out=re)
 
 
 def _ser_block(
     p: TwdpParams, mod: ModulationSpec, gamma0: float, n: int, rng: np.random.Generator
 ) -> int:
-    m_order = mod.m_order
-    r = _envelope_block(p, n, rng) / math.sqrt(p.omega)
-    symbols = rng.integers(0, m_order, size=n)
-    noise_scale = math.sqrt(1.0 / (2.0 * gamma0))
-    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * noise_scale
-    y = r * np.exp(2j * math.pi * symbols / m_order) + noise
-    detected = np.floor(np.angle(y) * m_order / (2.0 * math.pi) + 0.5).astype(np.int64)
-    detected %= m_order
-    return int(np.count_nonzero(detected != symbols))
+    """Errors among n trials of symbol 0; the noise (re, im) is a (2, n)
+    unit normal draw after the envelope's."""
+    # scale the fading amplitude, not the noise: sqrt(2 gamma0) stays finite
+    # over the whole double range of gamma0, 1/sqrt(2 gamma0) does not
+    a = _envelope_block(p, n, rng)
+    a *= math.sqrt(2.0) * math.sqrt(gamma0) / math.sqrt(p.omega)
+    w_re, w_im = rng.standard_normal(size=(2, n))
+    a += w_re
+    phase = np.abs(np.arctan2(w_im, a, out=a), out=a)
+    return int(np.count_nonzero(phase >= math.pi / mod.m_order))
 
 
 def simulate_psk_ser(

@@ -28,12 +28,12 @@ the same precision in one pass.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 import scipy  # scipy.special loads on first use, not at import
 
@@ -125,6 +125,7 @@ _ARITH_LD = _Arith(
 
 def _to_mpf(x):
     """x as an mpf, exactly for long doubles too (mpmath rejects them)."""
+    import mpmath as mp
     if isinstance(x, np.longdouble):
         man, exp = np.frexp(x)
         return mp.mpf((int(np.ldexp(man, 64)), int(exp) - 64))
@@ -133,6 +134,7 @@ def _to_mpf(x):
 
 def _arith_mp(points=None) -> _Arith:
     """mpmath context bound to the *current* working precision."""
+    import mpmath as mp
     cast = np.frompyfunc(_to_mpf, 1, 1)
     return _Arith(
         name=f"mp{mp.mp.dps}",
@@ -282,17 +284,18 @@ def run_with_rescue(pass_fn: Callable, size: int, what: Callable = str) -> list:
     tier = [_ARITH_LD.name] * size
     passes = np.ones(size, dtype=np.int64)
     todo = to_rerun(np.arange(size), ok, _ARITH_LD.eps)
-    if todo.size and _ARITH_DD is not None:
+    dd = _arith_dd() if todo.size else None
+    if dd is not None:
         for i in todo:
             _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning in dd arithmetic",
                        what(i), ratio[i], tier[i])
-            tier[i] = _ARITH_DD.name
+            tier[i] = dd.name
         passes[todo] += 1
-        value[todo], _, n[todo], trunc[todo], ratio[todo], ok = pass_fn(
-            replace(_ARITH_DD, points=todo))
-        todo = to_rerun(todo, ok, _ARITH_DD.eps)
+        value[todo], _, n[todo], trunc[todo], ratio[todo], ok = pass_fn(replace(dd, points=todo))
+        todo = to_rerun(todo, ok, dd.eps)
     dps = np.zeros(size, dtype=np.int64)
     while todo.size:
+        import mpmath as mp
         for i in todo:
             est = rescue_dps(ratio[i] if math.isfinite(ratio[i]) else 1e30)
             dps[i] = max(est, 2 * dps[i]) if dps[i] else est
@@ -752,6 +755,8 @@ class _DD:
 
 def _dd_from_mpf(values):
     """The _DD nearest to a sequence of mpf values."""
+    import mpmath as mp
+
     def to_ld(x):  # exact for x with at most 64 significant bits
         man, exp = x.man_exp  # unsigned mantissa
         return np.ldexp(_LD(-man if x < 0 else man), exp)
@@ -769,6 +774,7 @@ def _dd_map(fn):
     """An mpmath function applied to each value of a _DD at 40 digits and
     rounded back to dd; passes call it once per point, not per term."""
     def apply(x):
+        import mpmath as mp
         with mp.workdps(40):
             out = _dd_from_mpf([fn(_to_mpf(h) + _to_mpf(l))
                                 for h, l in zip(np.ravel(x.hi), np.ravel(x.lo))])
@@ -777,15 +783,15 @@ def _dd_map(fn):
     return apply
 
 
+@functools.cache
 def _arith_dd():
     """The dd arithmetic, or None where long double is not the x87 format
-    whose 64-bit significand the bounds above assume."""
+    whose 64-bit significand the bounds above assume.  Built on first use,
+    so that mpmath, which gives its pi, loads only when a pass needs it."""
     if np.finfo(np.longdouble).nmant != 63:
         return None
+    import mpmath as mp
     with mp.workdps(40):
         pi = _dd_from_mpf([+mp.pi])[0]
     return _Arith(name="dd", cast=_dd, exp=_dd_map(mp.exp), expm1=_dd_map(mp.expm1),
                   sqrt=_dd_sqrt, from_mpf=_dd_from_mpf, eps=_DD_EPS, pi=pi)
-
-
-_ARITH_DD = _arith_dd()

@@ -28,7 +28,6 @@ from twdp import (
     cdf_snr,
     delta_from_gamma,
     gamma_from_delta,
-    histogram,
     k_from_rice_delta,
     k_from_rice_gamma,
     marcum_q1,
@@ -37,11 +36,17 @@ from twdp import (
     pdf,
     pdf_rayleigh,
     pdf_rician,
-    sample_envelope,
     simulate_psk_ser,
 )
 
-from conftest import FIGURE_SETS, rayleigh_bpsk, rayleigh_mpsk, rician_mgf
+from conftest import (
+    FIGURE_SETS,
+    histogram,
+    rayleigh_bpsk,
+    rayleigh_mpsk,
+    rician_mgf,
+    sample_envelope,
+)
 
 M_ORDERS = (2, 4, 8, 16)
 SNR_DB_GRID = tuple(range(0, 41, 5))

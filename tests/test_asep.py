@@ -14,9 +14,11 @@ from twdp import (
     CancellationLossError,
     InvalidParameterError,
     ModulationSpec,
+    SeriesDivergenceError,
     TwdpParams,
     asep_asymptotic,
     asep_exact,
+    asep_exact_grid,
     asep_quadrature,
     pdf,
 )
@@ -24,7 +26,7 @@ from twdp import (
 from twdp import specfun
 from twdp.specfun import _arith_mp, run_with_rescue
 
-needs_dd = pytest.mark.skipif(specfun._ARITH_DD is None,
+needs_dd = pytest.mark.skipif(specfun._arith_dd() is None,
                               reason="the dd tier needs x87 80-bit long doubles")
 
 from conftest import FIGURE_SETS, rayleigh_bpsk, rayleigh_mpsk, rician_mpsk_quad
@@ -86,7 +88,7 @@ class TestBracketFamily:
         with mp.workdps(48):
             be, u, exact = {
                 "longdouble": (specfun._ARITH_LD, 2.0**-64, specfun._to_mpf),
-                "dd": (specfun._ARITH_DD, 2.0**-128,
+                "dd": (specfun._arith_dd(), 2.0**-128,
                        lambda v: specfun._to_mpf(v.hi) + specfun._to_mpf(v.lo)),
             }.get(tier) or (_arith_mp(), 2.0**-mp.mp.prec, lambda v: v)
             next_order = asep._bracket_family(x0, y0 / x0, y0, be)
@@ -247,6 +249,16 @@ class TestDiagnostics:
     def test_invalid_gamma0(self):
         with pytest.raises(InvalidParameterError):
             asep_exact(TwdpParams(k=1.0, gamma=0.0), ModulationSpec(2), 0.0)
+
+    @pytest.mark.parametrize("m_order", [2, 16])
+    def test_bracket_argument_past_double_range(self, m_order):
+        # (1+K)/(gamma0 sin^2(pi/M)) overflows a double at gamma0 = 1e-320:
+        # that point alone gets its error, and no pass runs on it
+        p, mod = TwdpParams(k=3.0, gamma=0.5), ModulationSpec(m_order)
+        lost, kept = asep_exact_grid(p, mod, [1e-320, 1.0])
+        assert isinstance(lost, SeriesDivergenceError) and lost.terms_used == 0
+        assert "overflows double" in str(lost)
+        assert kept == asep_exact(p, mod, 1.0)
 
 
 class TestRescueTiers:

@@ -237,6 +237,20 @@ class TestSimulateCommand:
         ser, ci = float(rows[0][1]), float(rows[0][2])
         assert abs(ser - rayleigh_bpsk(10.0)) <= 2 * ci
 
+    def test_extreme_snr_stays_finite(self, capsys):
+        # sqrt(2 gamma0) scales the fading amplitude: at -3200 dB (gamma0 a
+        # subnormal 1e-320) every symbol is a guess, at 3000 dB none errs
+        argv = ("simulate", "--k", "1", "--mod-order", "16", "--samples", "200000")
+        code, out, _ = run_cli(capsys, *argv, "--snr-db=-3200:-3200:1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        ser, trials = float(rows[0][1]), int(rows[0][4])
+        assert abs(ser - 15 / 16) <= 6 * math.sqrt(15 / 256 / trials)
+        code, out, _ = run_cli(capsys, *argv, "--snr-db=3000:3000:1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert int(rows[0][3]) == 0
+
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
@@ -353,6 +367,17 @@ class TestExitCodes:
             assert row[4] == "quadrature-fallback"
             assert row[1] == row[3]
 
+    def test_asep_at_subnormal_snr_falls_back(self, capsys):
+        # (1+K)/gamma0 overflows a double at gamma0 = 1e-320
+        code, out, _ = run_cli(capsys, "asep", "--k", "3", "--gamma", "0.5",
+                               "--mod-order", "16", "--snr-db=-3200:-3199:1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert row[4] == "quadrature-fallback"
+            assert float(row[1]) == pytest.approx(15 / 16, rel=0, abs=1e-8)
+
 
 def subprocess_env():
     """The environment for a fresh interpreter that imports this twdp."""
@@ -391,6 +416,18 @@ class TestSubprocess:
                               env=subprocess_env(), timeout=120)
         assert proc.returncode == 0 and proc.stderr == b""
         assert proc.stdout.decode() == run_cli(capsys, *argv)[1]
+
+
+class TestLazyMpmath:
+    def test_import_leaves_mpmath_unloaded(self):
+        script = ("import sys, twdp, twdp.cli; print('mpmath' in sys.modules); "
+                  "twdp.asep_exact(twdp.TwdpParams(k=1, gamma=0), twdp.ModulationSpec(4), 10.0); "
+                  "print('mpmath' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=subprocess_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        # the error-rate series seeds its bracket factors in mpmath
+        assert proc.stdout.decode().split() == ["False", "True"]
 
 
 # scipy.special and scipy.integrate in sys.modules after each step, printed

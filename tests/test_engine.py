@@ -44,7 +44,7 @@ from conftest import (
 )
 
 FAST = settings(max_examples=40, deadline=None)
-needs_dd = pytest.mark.skipif(specfun._ARITH_DD is None,
+needs_dd = pytest.mark.skipif(specfun._arith_dd() is None,
                               reason="the dd tier needs x87 80-bit long doubles")
 
 # both sides of the small-x branch at 0.5, and far up the ladder
@@ -193,7 +193,7 @@ class TestRescuedTogether:
         # and sums the same value, alone and inside the 0:40:10 dB sweep
         p, mod = TwdpParams(k=90.0, gamma=1.0), ModulationSpec(2)
         g0s = 10.0 ** (np.arange(0.0, 41.0, 10.0) / 10.0)
-        dd = specfun._ARITH_DD
+        dd = specfun._arith_dd()
         value, _, n, trunc, ratio, ok = _asep_pass(p, mod, g0s, replace(dd, points=np.arange(5)))
         alone = _asep_pass(p, mod, g0s, replace(dd, points=np.array([1])))
         assert ratio[1] > 1e38
@@ -264,7 +264,7 @@ class TestDoubleLongdoubleRescue:
     def test_ladder_against_50_digit_mpmath(self):
         # both sides of the small-x branch, and far up the ladder
         x = np.array([0.0, 1e-3, 0.3, 0.5, 2.0, 30.0, 300.0])
-        rows = _ive_ladder(x, 20, specfun._ARITH_DD)
+        rows = _ive_ladder(x, 20, specfun._arith_dd())
         with mp.workdps(50):
             ref = _ive_ladder(x, 20, _arith_mp())
             for nu in range(21):

@@ -13,14 +13,13 @@ from twdp import (
     TwdpParams,
     asep_quadrature,
     cdf_grid,
-    histogram,
-    sample_envelope,
     simulate_psk_ser,
 )
 
+from twdp import mcsim
 from twdp.cli import main
 
-from conftest import rayleigh_bpsk
+from conftest import FIGURE_SETS, histogram, rayleigh_bpsk, sample_envelope
 
 
 def cdf_callable(p, r_top, points=2001):
@@ -72,6 +71,31 @@ class TestSampleEnvelope:
         ]
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
+
+
+class TestPhaseDifferenceKernel:
+    @pytest.mark.parametrize("k,g", FIGURE_SETS)
+    def test_envelope_matches_direct_construction(self, k, g):
+        # one phase, the rays' difference, against both absolute phases
+        p = TwdpParams(k=k, gamma=g)
+        n = 1 << 18
+        fast = mcsim._envelope_block(p, n, mcsim._block_rng(41, 0))
+        direct = sample_envelope(p, SimConfig(n_samples=n, seed=42))
+        assert stats.ks_2samp(fast, direct).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m_order", [2, 16])
+    def test_block_draws_and_detector(self, m_order):
+        # block draws: theta, then 4 x n normals (diffuse re, diffuse im,
+        # noise re, noise im); symbol 0 sent, nearest-phase detection
+        p, gamma0, n = TwdpParams(k=8.0, gamma=0.5), 10.0, 5000
+        rng = mcsim._block_rng(7, 3)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        z = rng.standard_normal(size=(4, n))
+        h = p.v1 + p.v2 * np.exp(1j * theta) + math.sqrt(p.sigma2) * (z[0] + 1j * z[1])
+        y = np.abs(h) / math.sqrt(p.omega) + (z[2] + 1j * z[3]) / math.sqrt(2 * gamma0)
+        detected = np.floor(np.angle(y) * m_order / (2 * math.pi) + 0.5).astype(int) % m_order
+        got = mcsim._ser_block(p, ModulationSpec(m_order), gamma0, n, mcsim._block_rng(7, 3))
+        assert got == np.count_nonzero(detected)
 
 
 class TestHistogram:
