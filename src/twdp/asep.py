@@ -4,6 +4,8 @@ Three routes:
 
 * asep_quadrature: (1/pi) int_0^{pi - pi/M} M(-sin^2(pi/M)/sin^2 th) dth with
   the closed-form MGF.  Unambiguous, treated as ground truth by the tests.
+  At low g0 the integrand rises within a layer at th = 0 of width
+  sqrt(sin^2(pi/M) g0/(1+K)); geometric breakpoints resolve a thin one.
 * asep_exact: the explicit series
 
     P = sin(pi/M) (1+K)/(3 pi g0) sum_m (1/m!) (-K/(1+Gamma^2))^m
@@ -267,16 +269,27 @@ def asep_quadrature(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
 
     def integrand(theta: float) -> float:
         st = math.sin(theta)
-        if st <= 0.0:
+        st2 = st * st
+        if st2 <= 0.0:  # theta = 0, or sin^2 underflows in the breakpoints' reach
             return 0.0
-        s = -c / (st * st)
+        s = -c / st2
         if not math.isfinite(s):
             return 0.0
         return mgf_closed(p, gamma0, s)
 
     upper = math.pi - math.pi / mod.m_order
+    # at low SNR the integrand climbs from 0 to about 1 within a layer of
+    # width w = sqrt(sin^2(pi/M) gamma0 / (1+K)) at theta = 0, too thin for
+    # quad to find unaided; geometric breakpoints w 8^j lead it there
+    w = math.sqrt(c) * math.sqrt(gamma0 / (1.0 + p.k))
+    points = []
+    if 0.0 < w < 0.01 * upper:
+        while w < upper / 2:
+            points.append(w)
+            w *= 8.0
     out = scipy.integrate.quad(
-        integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-10, limit=200, full_output=1
+        integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-10, limit=200 + len(points),
+        points=points or None, full_output=1,
     )
     val, err = out[0], out[1]
     if len(out) > 3:  # ier != 0 message appended

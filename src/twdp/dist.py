@@ -19,6 +19,9 @@ and the SNR CDF is the same series at x = (gamma/gamma0)(1+K), because the
 instantaneous SNR is gamma = r^2 Es/N0 and its average, the linear gamma0
 that cdf_snr takes, is Omega Es/N0 = 2 sigma^2 (1+K) Es/N0.
 
+Rician (Gamma = 0) and Rayleigh (K = 0) fading are special cases of both
+series.
+
 Both series alternate and cancel heavily when K (1+Gamma)^2/(1+Gamma^2) is
 large; sums run on 80-bit long doubles and rerun in double-longdouble
 arithmetic, or beyond its reach in mpmath, whenever the recorded
@@ -37,7 +40,6 @@ import numpy as np
 
 from .errors import CancellationLossError, InvalidParameterError
 from .params import TwdpParams
-from . import specfun
 from .specfun import (
     SeriesResult,
     _MAX_TERMS,
@@ -48,7 +50,6 @@ from .specfun import (
     _pass_result,
     _raise_lost,
     _sum_series,
-    marcum_q1,
     run_with_rescue,
     term_hump_guard,
 )
@@ -201,50 +202,3 @@ def cdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
     x = r.astype(_LD) ** 2 / (2 * _LD(p.sigma2))
     return _cdf_grid_x(p, x)
-
-
-# ----------------------------------------------------------------------------
-# Rayleigh / Rician closed forms (oracles for the series expressions)
-
-
-def pdf_rayleigh(sigma2: float, r: float) -> float:
-    """Rayleigh density (r/sigma^2) exp(-r^2 / (2 sigma^2))."""
-    if sigma2 <= 0:
-        raise InvalidParameterError(f"sigma2 must be positive, got {sigma2}")
-    if r < 0:
-        raise InvalidParameterError(f"r must be >= 0, got {r}")
-    return r / sigma2 * math.exp(-r * r / (2.0 * sigma2))
-
-
-def cdf_rayleigh(sigma2: float, r: float) -> float:
-    """Rayleigh distribution function 1 - exp(-r^2 / (2 sigma^2))."""
-    if sigma2 <= 0:
-        raise InvalidParameterError(f"sigma2 must be positive, got {sigma2}")
-    if r < 0:
-        raise InvalidParameterError(f"r must be >= 0, got {r}")
-    return -math.expm1(-r * r / (2.0 * sigma2))
-
-
-def pdf_rician(k: float, sigma2: float, r: float) -> float:
-    """Rician density with specular power 2 sigma^2 K.
-
-    (r/sigma^2) exp(-r^2/(2 sigma^2) - K) I_0(r sqrt(2K)/sigma), assembled in
-    scaled form so the exponent is -(r/(sqrt(2) sigma) - sqrt(K))^2 <= 0.
-    """
-    if sigma2 <= 0:
-        raise InvalidParameterError(f"sigma2 must be positive, got {sigma2}")
-    if k < 0 or r < 0:
-        raise InvalidParameterError("k and r must be >= 0")
-    sig = math.sqrt(sigma2)
-    xarg = r * math.sqrt(2.0 * k) / sig
-    expo = -((r / (math.sqrt(2.0) * sig) - math.sqrt(k)) ** 2)
-    return r / sigma2 * math.exp(expo) * specfun.bessel_i_scaled(0, xarg)
-
-
-def cdf_rician(k: float, sigma2: float, r: float) -> float:
-    """Rician distribution function 1 - Q_1(sqrt(2K), r/sigma)."""
-    if sigma2 <= 0:
-        raise InvalidParameterError(f"sigma2 must be positive, got {sigma2}")
-    if k < 0 or r < 0:
-        raise InvalidParameterError("k and r must be >= 0")
-    return 1.0 - marcum_q1(math.sqrt(2.0 * k), r / math.sqrt(sigma2))

@@ -45,7 +45,3 @@ class QuadratureError(TwdpError, ArithmeticError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
-
-
-class RangeOverflowError(TwdpError, OverflowError):
-    """The exact result exceeds the representable floating-point range."""

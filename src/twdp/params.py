@@ -16,32 +16,9 @@ Total average power is Omega = V1^2 + V2^2 + 2 sigma^2 = 2 sigma^2 (1 + K).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-
-
-@dataclass(frozen=True)
-class PhysicalMagnitudes:
-    """Raw ray magnitudes and diffuse power (amplitude, amplitude, power units).
-
-    Construction swaps v1/v2 if needed so that v2 <= v1; the model is symmetric
-    in the two rays.
-    """
-
-    v1: float
-    v2: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0 or not math.isfinite(self.sigma2):
-            raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.v1 < 0 or self.v2 < 0:
-            raise InvalidParameterError("ray magnitudes must be nonnegative")
-        if self.v2 > self.v1:
-            v1, v2 = self.v2, self.v1
-            object.__setattr__(self, "v1", v1)
-            object.__setattr__(self, "v2", v2)
 
 
 @dataclass(frozen=True)
@@ -55,32 +32,17 @@ class TwdpParams:
 
     k: float
     gamma: float
-    sigma2: float = field(default=-1.0)
+    sigma2: float | None = None
 
     def __post_init__(self):
         if self.k < 0 or not math.isfinite(self.k):
             raise InvalidParameterError(f"k must be nonnegative, got {self.k}")
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidParameterError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.sigma2 == -1.0:
+        if self.sigma2 is None:
             object.__setattr__(self, "sigma2", 1.0 / (2.0 * (1.0 + self.k)))
         if self.sigma2 <= 0 or not math.isfinite(self.sigma2):
             raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}")
-
-    @classmethod
-    def from_magnitudes(cls, m: PhysicalMagnitudes) -> "TwdpParams":
-        """Convert (V1, V2, sigma2) to (K, Gamma, sigma2).
-
-        Gamma is defined as 0 when both rays vanish (pure Rayleigh).
-        """
-        k = (m.v1 ** 2 + m.v2 ** 2) / (2.0 * m.sigma2)
-        gamma = 0.0 if m.v1 == 0.0 else m.v2 / m.v1
-        return cls(k=k, gamma=gamma, sigma2=m.sigma2)
-
-    @classmethod
-    def from_delta(cls, k: float, delta: float, sigma2: float = -1.0) -> "TwdpParams":
-        """Build from the legacy (K, Delta) pair."""
-        return cls(k=k, gamma=gamma_from_delta(delta), sigma2=sigma2)
 
     @property
     def omega(self) -> float:
@@ -104,9 +66,6 @@ class TwdpParams:
     def k_rice(self) -> float:
         """Rician K-factor of the dominant ray alone, V1^2 / (2 sigma^2)."""
         return self.k / (1.0 + self.gamma ** 2)
-
-    def magnitudes(self) -> PhysicalMagnitudes:
-        return PhysicalMagnitudes(v1=self.v1, v2=self.v2, sigma2=self.sigma2)
 
 
 def delta_from_gamma(gamma: float) -> float:

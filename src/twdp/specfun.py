@@ -7,6 +7,8 @@ distribution and error-rate code.
   overflow, and callers assemble exponents symbolically and exponentiate once.
 * 2F1(-m, -m; 1; b), the coefficient shared by the cdf, MGF and error-rate
   series, runs on the stable upward Legendre recurrence in the order m.
+* exp(lin) I_0(x), the closed-form MGF's and the high-SNR error rate's
+  factor, takes one exponentiation against scipy's scaled i0e (_exp_i0).
 
 Every series in the package is summed by one engine, _sum_series, over an
 array of points: each point keeps its own compensated sum and stops on its
@@ -40,7 +42,6 @@ import scipy  # scipy.special loads on first use, not at import
 from .errors import (
     CancellationLossError,
     InvalidParameterError,
-    RangeOverflowError,
     SeriesDivergenceError,
 )
 
@@ -451,15 +452,6 @@ def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
     return out
 
 
-def bessel_i_scaled(nu: int, x: float) -> float:
-    """Exponentially scaled modified Bessel function exp(-x) I_nu(x)."""
-    if not isinstance(nu, (int, np.integer)) or nu < 0:
-        raise InvalidParameterError(f"nu must be a nonnegative integer, got {nu}")
-    if x < 0 or not math.isfinite(x):
-        raise InvalidParameterError(f"x must be finite and >= 0, got {x}")
-    return float(_ive_ladder(np.array([x]), int(nu))[int(nu), 0])
-
-
 # ----------------------------------------------------------------------------
 # hypergeometric coefficients
 
@@ -476,44 +468,6 @@ def _legendre_2f1_next(m: int, f, f_prev, b):
 
 
 # ----------------------------------------------------------------------------
-# Marcum Q
-
-
-def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q-function Q_1(a, b).
-
-    Series of Poisson(a^2/2) weights against the Poisson(b^2/2) CDF:
-    Q_1(a, b) = sum_k e^{-a^2/2} (a^2/2)^k / k! * e^{-b^2/2} sum_{j<=k} (b^2/2)^j / j!.
-    All terms are positive; truncation error is bounded by the remaining
-    Poisson weight.
-    """
-    if a < 0 or b < 0:
-        raise InvalidParameterError("marcum_q1 requires a >= 0 and b >= 0")
-    h = _LD(a) * _LD(a) / 2
-    x = _LD(b) * _LD(b) / 2
-    if float(h) > 5000.0:
-        raise InvalidParameterError("marcum_q1 limited to a^2/2 <= 5000")
-    w = np.exp(-h)  # Poisson weight at k = 0
-    g = np.exp(-x)  # Poisson pmf of x at j = 0
-    zero = _LD(0.0)
-    cdf, cdf_c = _kahan_add(zero, zero, g)
-    acc = acc_c = wsum = wsum_c = zero
-    k = 0
-    while True:
-        acc, acc_c = _kahan_add(acc, acc_c, w * cdf)
-        wsum, wsum_c = _kahan_add(wsum, wsum_c, w)
-        if 1.0 - float(wsum) < 1e-19 and k > float(h):
-            break
-        k += 1
-        if k > 100000:
-            break
-        w = w * h / k
-        g = g * x / k
-        cdf, cdf_c = _kahan_add(cdf, cdf_c, g)
-    return min(1.0, max(0.0, float(acc)))
-
-
-# ----------------------------------------------------------------------------
 # exp * I0 products
 
 
@@ -524,35 +478,6 @@ def _exp_i0(pref, lin, x) -> float:
     exponentiation, so I_0 itself never overflows.
     """
     return float((pref * np.exp(lin + x)) * scipy.special.i0e(float(x)))
-
-
-def exp_i0_identity_rhs(a: float, b: float) -> float:
-    """exp(a + a b) I_0(2 a sqrt(b)) with one exponentiation.
-
-    Writing I_0(x) = e^x ive_0(x) turns the product into
-    exp(a (1 + sqrt(b))^2) ive_0(2 a sqrt(b)), a single exponent plus a
-    scaled Bessel (scipy.special.i0e), so intermediate overflow cannot occur
-    before the result itself leaves the double range.
-    """
-    if a < 0 or not math.isfinite(a):
-        raise InvalidParameterError(f"a must be finite and >= 0, got {a}")
-    if not 0.0 <= b <= 1.0:
-        raise InvalidParameterError(f"b must lie in [0, 1], got {b}")
-    ab = _LD(a)
-    bb = _LD(b)
-    xarg = 2 * ab * np.sqrt(bb)
-    lin = ab + ab * bb
-    expo = lin + xarg  # = a (1 + sqrt(b))^2
-    if float(expo) > 11300.0:
-        raise RangeOverflowError(
-            f"exp(a(1+sqrt(b))^2) with exponent {float(expo):.1f} is not representable"
-        )
-    out = _exp_i0(1, lin, xarg)
-    if math.isinf(out):
-        raise RangeOverflowError(
-            f"exp(a+ab) I0(2a sqrt(b)) overflows float64 for a={a}, b={b}"
-        )
-    return out
 
 
 # ----------------------------------------------------------------------------

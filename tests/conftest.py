@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import settings
+from scipy import integrate, special, stats
 
 from twdp import (
     InvalidParameterError,
@@ -24,6 +25,11 @@ from twdp import mcsim, specfun
 
 # (K, Gamma) sets used for every figure-style check
 FIGURE_SETS = [(0.0, 0.0), (8.0, 0.0), (8.0, 0.5), (14.0, 1.0)]
+
+# property tests draw the same examples on every machine and run untimed:
+# a draw that reaches mpmath may take a second
+settings.register_profile("twdp", deadline=None, derandomize=True)
+settings.load_profile("twdp")
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +77,92 @@ def rician_mpsk_quad(k: float, m_order: int, gamma0: float) -> float:
     v, _ = integrate.quad(f, 0.0, math.pi - math.pi / m_order,
                           epsabs=1e-14, epsrel=1e-12, limit=200)
     return v / math.pi
+
+
+# ---------------------------------------------------------------------------
+# phase-average oracle for the envelope pdf and cdf
+#
+# Conditioned on the phase difference theta of its two rays, TWDP fading is
+# Rician with specular amplitude s(theta)^2 = V1^2 + V2^2 + 2 V1 V2 cos theta
+# (Durgin, Rappaport & de Wolf, IEEE Trans. Commun. 50(6), 2002).  The pdf
+# and cdf are averages over theta in [0, pi] of Rician forms whose terms are
+# all positive, so the average keeps full relative accuracy in both tails.
+# The integrand is periodic and analytic in theta, so the trapezoid rule
+# converges geometrically; every average is taken at two node counts that
+# must agree.  At Gamma = 0 or K = 0 there is nothing to average: the oracle
+# is the Rician (Rayleigh) form itself.  The same construction as
+# bench/oracle.py, which must not import twdp.
+
+_THETA_NODES = 1024
+_THETA_AGREE = 1e-13
+
+
+def _theta_average(rician, p, r) -> np.ndarray:
+    """Mean over theta of rician(r, s(theta)) at every r, for r of shape
+    (n, 1) and s of shape (1, m)."""
+    r = np.asarray(r, dtype=float).ravel()[:, None]
+    g2 = 1.0 + p.gamma * p.gamma
+    theta = np.linspace(0.0, math.pi, _THETA_NODES + 1)
+    if p.gamma == 0.0 or p.k == 0.0:
+        theta = theta[:1]
+    s = np.sqrt(2.0 * p.sigma2 * p.k * (g2 + 2.0 * p.gamma * np.cos(theta)) / g2)
+    vals = rician(r, s[None, :])
+    if theta.size == 1:
+        return vals[:, 0]
+    w = np.ones(theta.size)
+    w[0] = w[-1] = 0.5
+    fine = vals @ w / _THETA_NODES
+    wc = np.ones((theta.size + 1) // 2)
+    wc[0] = wc[-1] = 0.5
+    coarse = vals[:, ::2] @ wc / (_THETA_NODES // 2)
+    bad = np.abs(fine - coarse) > _THETA_AGREE * np.abs(fine)
+    if bad.any():
+        raise ArithmeticError(f"theta average not converged at r={r[bad][0]} for {p}")
+    return fine
+
+
+def phase_average_pdf(p, r) -> np.ndarray:
+    """Envelope density at every r: the theta average of the scaled Rician
+    density (r / sigma2) exp(-(r - s)^2 / (2 sigma2)) i0e(r s / sigma2)."""
+    def rician(r, s):
+        return (r / p.sigma2 * np.exp(-((r - s) ** 2) / (2.0 * p.sigma2))
+                * special.i0e(r * s / p.sigma2))
+
+    return _theta_average(rician, p, r)
+
+
+def phase_average_cdf(p, r) -> np.ndarray:
+    """Envelope distribution function at every r: the theta average of the
+    Rician distribution function ncx2.cdf(r^2 / sigma2; 2, s^2 / sigma2)."""
+    def rician(r, s):
+        # scipy's ncx2 misses by 1.5e-4 at a subnormal noncentrality, whose
+        # true effect on the cdf is below 1e-300 relative
+        nc = s * s / p.sigma2
+        return stats.ncx2.cdf(r * r / p.sigma2, 2, np.where(nc < np.finfo(float).tiny, 0.0, nc))
+
+    return _theta_average(rician, p, r)
+
+
+def rician_cdf_mp(k: float, sigma2: float, r: float) -> float:
+    """Rician distribution function 1 - Q_1(sqrt(2K), r/sigma) as its
+    defining integral from 0, int_0^r (t/sigma2) exp(-(t^2 + nu^2) /
+    (2 sigma2)) I_0(t nu / sigma2) dt with nu^2 = 2 sigma2 K, in mpmath at
+    30 digits; the integrand is positive."""
+    with mp.workdps(30):
+        s2 = mp.mpf(sigma2)
+        nu = mp.sqrt(2 * s2 * k)
+        return float(mp.quad(
+            lambda t: t / s2 * mp.exp(-(t * t + nu * nu) / (2 * s2)) * mp.besseli(0, t * nu / s2),
+            [0, r]))
+
+
+def identity_rhs_mp(a: float, b: float) -> float:
+    """exp(a + a b) I_0(2 a sqrt(b)), the right side of the identity
+    sum_m a^m/m! 2F1(-m,-m;1;b) = exp(a+ab) I_0(2a sqrt b), in mpmath at
+    30 digits."""
+    with mp.workdps(30):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return float(mp.exp(a + a * b) * mp.besseli(0, 2 * a * mp.sqrt(b)))
 
 
 def gauss_2f1_series(a: float, b: float, c: float, z: float, n: int = 400) -> float:

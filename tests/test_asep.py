@@ -123,6 +123,20 @@ class TestRayleighClosedForms:
         p = TwdpParams(k=3.0, gamma=0.7)
         assert asep_quadrature(p, ModulationSpec(2), 1e-6) == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("m_order", [2, 16])
+    def test_quadrature_at_low_snr(self, m_order):
+        # the integrand climbs from 0 within a layer at theta = 0 whose width
+        # shrinks like sqrt(gamma0); unresolved, quad returns (M-1)/M
+        mod = ModulationSpec(m_order)
+        for db in range(-40, -201, -20):
+            g0 = 10.0 ** (db / 10)
+            assert asep_quadrature(TwdpParams(k=0.0, gamma=0.0), mod, g0) == pytest.approx(
+                rayleigh_mpsk(m_order, g0), rel=1e-10, abs=0)
+            for k, g in ((8.0, 0.5), (14.0, 1.0)):
+                p = TwdpParams(k=k, gamma=g)
+                assert asep_quadrature(p, mod, g0) == pytest.approx(
+                    asep_exact(p, mod, g0).value, rel=1e-10, abs=0)
+
 
 class TestExactVsQuadrature:
     def test_spec_example_point(self):

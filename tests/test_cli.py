@@ -123,6 +123,11 @@ class TestCurveCommands:
             main(["pdf", "--k", "1", "--gamma", "0.5", "--delta", "0.5"])
         assert err.value.code == 2
 
+    def test_negative_sigma2_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "pdf", "--k", "1", "--gamma", "0",
+                                 "--points", "3", "--sigma2=-1")
+        assert code == 2 and out == "" and "sigma2" in err
+
 
 class TestAsepCommand:
     def test_methods_consistent_at_high_snr(self, capsys):

@@ -11,16 +11,11 @@ from twdp import (
     TwdpParams,
     cdf,
     cdf_grid,
-    cdf_rayleigh,
-    cdf_rician,
     cdf_snr,
-    marcum_q1,
     pdf,
-    pdf_rayleigh,
-    pdf_rician,
 )
 
-from conftest import FIGURE_SETS
+from conftest import FIGURE_SETS, phase_average_cdf, phase_average_pdf, rician_cdf_mp
 
 
 class TestPdf:
@@ -31,7 +26,8 @@ class TestPdf:
 
     def test_rician_oracle_point(self):
         p = TwdpParams(k=8.0, gamma=0.0, sigma2=1.0)
-        assert pdf(p, 4.0).value == pytest.approx(pdf_rician(8.0, 1.0, 4.0), rel=1e-13, abs=0)
+        ref = phase_average_pdf(p, [4.0])[0]
+        assert pdf(p, 4.0).value == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_zero_is_exact(self):
         p = TwdpParams(k=8.0, gamma=0.5)
@@ -50,15 +46,15 @@ class TestPdf:
     def test_rician_reduction_grid(self):
         for k in (0.5, 2.0, 8.0, 14.0):
             p = TwdpParams(k=k, gamma=0.0, sigma2=0.7)
-            for r in np.linspace(0.05, 4.0, 40):
-                ref = pdf_rician(k, 0.7, float(r))
-                assert pdf(p, float(r)).value == pytest.approx(ref, rel=1e-12, abs=1e-300)
+            rs = np.linspace(0.05, 4.0, 40)
+            for r, ref in zip(rs, phase_average_pdf(p, rs)):
+                assert pdf(p, float(r)).value == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_rayleigh_reduction_grid(self):
         p = TwdpParams(k=0.0, gamma=0.0, sigma2=1.3)
-        for r in np.linspace(0.0, 5.0, 40):
-            ref = pdf_rayleigh(1.3, float(r))
-            assert pdf(p, float(r)).value == pytest.approx(ref, rel=1e-14, abs=1e-300)
+        rs = np.linspace(0.0, 5.0, 40)
+        for r, ref in zip(rs, phase_average_pdf(p, rs)):
+            assert pdf(p, float(r)).value == pytest.approx(ref, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("k,g", FIGURE_SETS)
     def test_truncation_within_35_terms(self, k, g, rel_tol_1e6):
@@ -77,12 +73,12 @@ class TestCdf:
     def test_rayleigh_closed_form(self):
         p = TwdpParams(k=0.0, gamma=0.0, sigma2=0.5)
         for r in (0.2, 1.0, 2.5):
-            assert cdf(p, r).value == pytest.approx(cdf_rayleigh(0.5, r), rel=1e-13, abs=0)
+            assert cdf(p, r).value == pytest.approx(-math.expm1(-r * r), rel=1e-13, abs=0)
 
     def test_rician_marcum_oracle(self):
         # F(3) = 1 - Q1(sqrt(16), 3) for K = 8, sigma^2 = 1
         p = TwdpParams(k=8.0, gamma=0.0, sigma2=1.0)
-        ref = 1.0 - marcum_q1(4.0, 3.0)
+        ref = rician_cdf_mp(8.0, 1.0, 3.0)
         assert cdf(p, 3.0).value == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_limit_is_one(self):
@@ -118,9 +114,9 @@ class TestCdf:
     def test_rician_reduction_grid(self):
         for k in (0.5, 2.0, 8.0):
             p = TwdpParams(k=k, gamma=0.0, sigma2=0.8)
-            for r in np.linspace(0.1, 3.5, 30):
-                ref = cdf_rician(k, 0.8, float(r))
-                assert cdf(p, float(r)).value == pytest.approx(ref, rel=1e-10, abs=1e-13)
+            rs = np.linspace(0.1, 3.5, 30)
+            for r, ref in zip(rs, phase_average_cdf(p, rs)):
+                assert cdf(p, float(r)).value == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_double_precision_truncation_target(self):
         # 1e-26 tail control is out of reach in binary64; 1e-12 is the contract
@@ -171,19 +167,25 @@ class TestCdfSnr:
 
 
 class TestReferenceForms:
+    """The phase-average oracle of conftest, which the reductions above
+    rest on, at its Rayleigh and Rician ends."""
+
     def test_rayleigh_pdf_zero(self):
-        assert pdf_rayleigh(0.5, 0.0) == 0.0
+        assert phase_average_pdf(TwdpParams(k=0.0, gamma=0.0, sigma2=0.5), [0.0])[0] == 0.0
 
     def test_rician_cdf_definition(self):
-        ref = 1.0 - marcum_q1(4.0, 3.0)
-        assert cdf_rician(8.0, 1.0, 3.0) == pytest.approx(ref, rel=1e-15, abs=0)
+        # 1 - Q1(sqrt(16), 3) for K = 8, sigma^2 = 1
+        got = phase_average_cdf(TwdpParams(k=8.0, gamma=0.0, sigma2=1.0), [3.0])[0]
+        assert got == pytest.approx(rician_cdf_mp(8.0, 1.0, 3.0), rel=1e-14, abs=0)
 
     def test_rician_pdf_normalizes(self):
-        val, _ = integrate.quad(lambda r: pdf_rician(8.0, 1.0, r), 0.0, 30.0,
+        p = TwdpParams(k=8.0, gamma=0.0, sigma2=1.0)
+        val, _ = integrate.quad(lambda r: phase_average_pdf(p, [r])[0], 0.0, 30.0,
                                 limit=200, epsabs=1e-12)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_rician_large_k_is_finite(self):
         # scaled assembly keeps the huge-K density representable
-        v = pdf_rician(500.0, 1.0, math.sqrt(2 * 500.0))
+        p = TwdpParams(k=500.0, gamma=0.0, sigma2=1.0)
+        v = phase_average_pdf(p, [math.sqrt(2 * 500.0)])[0]
         assert math.isfinite(v) and v > 0

@@ -43,7 +43,7 @@ from conftest import (
     pdf_pass_scalar,
 )
 
-FAST = settings(max_examples=40, deadline=None)
+FAST = settings(max_examples=40)
 needs_dd = pytest.mark.skipif(specfun._arith_dd() is None,
                               reason="the dd tier needs x87 80-bit long doubles")
 
@@ -97,7 +97,7 @@ def test_mgf_pass_matches_scalar_loop(p, gamma0, ss):
                         [mgf_pass_scalar(p, gamma0, v) for v in s])
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.builds(TwdpParams, k=st.floats(0.0, 14.0), gamma=st.floats(0.0, 1.0)),
        st.sampled_from([2, 4, 8, 16]),
        st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5))

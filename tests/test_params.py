@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 
 from twdp import (
     InvalidParameterError,
-    PhysicalMagnitudes,
     TwdpParams,
     delta_from_gamma,
     gamma_from_delta,
@@ -17,36 +16,41 @@ from twdp import (
 )
 
 
+def from_magnitudes(v1: float, v2: float, sigma2: float) -> TwdpParams:
+    """(K, Gamma) by their definitions K = (V1^2 + V2^2) / (2 sigma^2) and
+    Gamma = V2 / V1 (0 without specular power)."""
+    k = (v1 * v1 + v2 * v2) / (2.0 * sigma2)
+    return TwdpParams(k=k, gamma=0.0 if v1 == 0.0 else v2 / v1, sigma2=sigma2)
+
+
 class TestFromMagnitudes:
+    """TwdpParams.v1 and v2 are the ray magnitudes that K and Gamma define."""
+
     def test_pure_diffuse_is_rayleigh(self):
-        p = TwdpParams.from_magnitudes(PhysicalMagnitudes(0.0, 0.0, 1.0))
+        p = from_magnitudes(0.0, 0.0, 1.0)
         assert p.k == 0.0 and p.gamma == 0.0
+        assert p.v1 == 0.0 and p.v2 == 0.0
 
     def test_equal_rays(self):
-        p = TwdpParams.from_magnitudes(PhysicalMagnitudes(1.0, 1.0, 0.5))
-        assert p.k == pytest.approx(2.0, abs=0) and p.gamma == 1.0
+        p = TwdpParams(k=2.0, gamma=1.0, sigma2=0.5)
+        assert p.v1 == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert p.v2 == p.v1
 
     def test_hand_computed(self):
-        p = TwdpParams.from_magnitudes(PhysicalMagnitudes(2.0, 1.0, 1.0))
-        assert p.k == pytest.approx(2.5, rel=1e-15, abs=0)
-        assert p.gamma == pytest.approx(0.5, rel=1e-15, abs=0)
-
-    def test_swap_on_construction(self):
-        m = PhysicalMagnitudes(1.0, 2.0, 1.0)
-        assert (m.v1, m.v2) == (2.0, 1.0)
+        p = TwdpParams(k=2.5, gamma=0.5, sigma2=1.0)
+        assert p.v1 == pytest.approx(2.0, rel=1e-15, abs=0)
+        assert p.v2 == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_sigma2_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
-            PhysicalMagnitudes(1.0, 0.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            PhysicalMagnitudes(1.0, 0.0, -1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                TwdpParams(k=1.0, gamma=0.0, sigma2=bad)
 
     def test_magnitude_round_trip(self):
         for v1, v2, s2 in [(2.0, 1.0, 0.7), (1.3, 0.0, 2.0), (0.4, 0.4, 0.1)]:
-            p = TwdpParams.from_magnitudes(PhysicalMagnitudes(v1, v2, s2))
-            m = p.magnitudes()
-            assert m.v1 == pytest.approx(v1, rel=1e-12, abs=1e-12)
-            assert m.v2 == pytest.approx(v2, rel=1e-12, abs=1e-12)
+            p = from_magnitudes(v1, v2, s2)
+            assert p.v1 == pytest.approx(v1, rel=1e-12, abs=1e-12)
+            assert p.v2 == pytest.approx(v2, rel=1e-12, abs=1e-12)
 
 
 class TestDeltaGamma:
@@ -143,10 +147,9 @@ class TestTwdpParams:
     @example(k=5e-324, gamma=1.0, sigma2=0.5)
     def test_magnitude_reconstruction_property(self, k, gamma, sigma2):
         p = TwdpParams(k=k, gamma=gamma, sigma2=sigma2)
-        m = p.magnitudes()
-        q = TwdpParams.from_magnitudes(m)
-        assert q.magnitudes().v1 == pytest.approx(m.v1, rel=1e-12, abs=1e-12)
-        assert q.magnitudes().v2 == pytest.approx(m.v2, rel=1e-12, abs=1e-12)
+        q = from_magnitudes(p.v1, p.v2, sigma2)
+        assert q.v1 == pytest.approx(p.v1, rel=1e-12, abs=1e-12)
+        assert q.v2 == pytest.approx(p.v2, rel=1e-12, abs=1e-12)
         assert q.k == pytest.approx(k, rel=1e-12, abs=1e-12)
         if k > 0:  # gamma carries no information without specular power
             assert q.gamma == pytest.approx(gamma, rel=1e-12, abs=1e-12)
@@ -158,7 +161,3 @@ class TestTwdpParams:
             TwdpParams(k=1.0, gamma=1.5)
         with pytest.raises(InvalidParameterError):
             TwdpParams(k=1.0, gamma=0.5, sigma2=0.0)
-
-    def test_from_delta(self):
-        p = TwdpParams.from_delta(k=6.0, delta=0.8)
-        assert p.gamma == pytest.approx(0.5, abs=1e-15)

@@ -6,12 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, special
+from scipy import special
 
 from twdp import (
     InvalidParameterError,
     ModulationSpec,
-    RangeOverflowError,
     SeriesDivergenceError,
     SeriesResult,
     SimConfig,
@@ -20,10 +19,8 @@ from twdp import (
     asep_exact,
     asep_exact_grid,
     asep_quadrature,
-    bessel_i_scaled,
+    cdf,
     cdf_snr,
-    exp_i0_identity_rhs,
-    marcum_q1,
     mgf_closed,
     mgf_series,
     mgf_series_grid,
@@ -32,7 +29,9 @@ from twdp import (
 from twdp.specfun import (
     _DD,
     _MAX_TERMS,
+    _exp_i0,
     _fast_two_sum,
+    _ive_ladder,
     _split,
     _two_prod,
     _two_sum,
@@ -46,6 +45,8 @@ from conftest import (
     hyp1f1_poly,
     hyp2f1_3half,
     hyp2f1_poly,
+    identity_rhs_mp,
+    rician_cdf_mp,
 )
 
 
@@ -57,25 +58,30 @@ def ive_maclaurin(nu: int, x: float, terms: int = 40) -> float:
     return math.exp(-x) * total
 
 
+def ive(nu: int, x: float) -> float:
+    """exp(-x) I_nu(x) from the library's Bessel ladder, one order at one x."""
+    return float(_ive_ladder(np.array([x]), nu)[nu, 0])
+
+
 class TestBesselIScaled:
     def test_at_zero(self):
-        assert bessel_i_scaled(0, 0.0) == 1.0
-        assert bessel_i_scaled(3, 0.0) == 0.0
+        assert ive(0, 0.0) == 1.0
+        assert ive(3, 0.0) == 0.0
 
     def test_i0_of_two_against_maclaurin(self):
         # 30-term power series of I_0(2), exponentially scaled
-        assert bessel_i_scaled(0, 2.0) == pytest.approx(ive_maclaurin(0, 2.0, 30), rel=1e-14, abs=0)
+        assert ive(0, 2.0) == pytest.approx(ive_maclaurin(0, 2.0, 30), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("nu", [0, 1, 2, 3, 5, 10])
     def test_power_series_oracle_small_x(self, nu):
         for x in [1e-8, 1e-3, 0.1, 0.7, 2.0, 7.5, 18.0, 30.0]:
-            assert bessel_i_scaled(nu, x) == pytest.approx(
+            assert ive(nu, x) == pytest.approx(
                 ive_maclaurin(nu, x, 80), rel=1e-13, abs=5e-300
             )
 
     def test_range_and_order_monotonicity(self):
         for x in [0.0, 0.4, 3.0, 42.0, 900.0]:
-            vals = [bessel_i_scaled(nu, x) for nu in range(8)]
+            vals = [ive(nu, x) for nu in range(8)]
             assert 0.0 < vals[0] <= 1.0
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -83,22 +89,20 @@ class TestBesselIScaled:
         # ive_{nu-1}(x) - ive_{nu+1}(x) = (2 nu / x) ive_nu(x)
         for x in np.geomspace(0.5, 50.0, 12):
             for nu in (1, 2, 7, 20, 40):
-                lhs = bessel_i_scaled(nu - 1, float(x)) - bessel_i_scaled(nu + 1, float(x))
-                rhs = 2 * nu / float(x) * bessel_i_scaled(nu, float(x))
+                lhs = ive(nu - 1, float(x)) - ive(nu + 1, float(x))
+                rhs = 2 * nu / float(x) * ive(nu, float(x))
                 assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-280)
 
     def test_against_scipy(self):
         for x in [0.3, 4.2, 77.0, 1300.0]:
             for nu in (0, 1, 6, 25):
-                assert bessel_i_scaled(nu, x) == pytest.approx(
+                assert ive(nu, x) == pytest.approx(
                     float(special.ive(nu, x)), rel=5e-14, abs=1e-300
                 )
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidParameterError):
-            bessel_i_scaled(-1, 1.0)
-        with pytest.raises(InvalidParameterError):
-            bessel_i_scaled(0, -0.5)
+            ive(0, -0.5)
 
 
 def hyp1f1_pochhammer_oracle(m: int, x: float) -> float:
@@ -226,38 +230,38 @@ class TestAppellF1:
             appell_f1(0, 0.5, 0.1)
 
 
-def marcum_q1_integral_oracle(a: float, b: float) -> float:
-    """Defining integral with a scaled Bessel factor to avoid overflow."""
-
-    def f(t):
-        return t * math.exp(-0.5 * (t - a) ** 2) * float(special.ive(0, a * t))
-
-    v, _ = integrate.quad(f, b, np.inf, epsabs=1e-14, epsrel=1e-13, limit=300)
-    return v
-
-
 class TestMarcumQ1:
+    """The Gamma = 0 envelope cdf is Rician, F(r) = 1 - Q_1(sqrt(2K), r/sigma):
+    at sigma^2 = 1 it gives 1 - Q_1(a, b) at K = a^2/2, r = b."""
+
+    @staticmethod
+    def one_minus_q1(a: float, b: float) -> float:
+        return cdf(TwdpParams(k=a * a / 2, gamma=0.0, sigma2=1.0), b).value
+
     def test_corner_values(self):
-        assert marcum_q1(0.0, 0.0) == 1.0
+        assert self.one_minus_q1(0.0, 0.0) == 0.0
         for b in (0.3, 1.0, 2.5):
-            assert marcum_q1(0.0, b) == pytest.approx(math.exp(-b * b / 2), rel=1e-14, abs=0)
-        assert marcum_q1(3.0, 0.0) == 1.0
+            # Q_1(0, b) = exp(-b^2 / 2)
+            assert self.one_minus_q1(0.0, b) == pytest.approx(-math.expm1(-b * b / 2), rel=1e-14, abs=0)
+        assert self.one_minus_q1(3.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("a,b", [(2.0, 1.0), (0.7, 2.2), (4.0, 4.0), (5.5, 1.1)])
     def test_integral_oracle(self, a, b):
-        assert marcum_q1(a, b) == pytest.approx(marcum_q1_integral_oracle(a, b), rel=1e-12, abs=0)
+        ref = rician_cdf_mp(a * a / 2, 1.0, b)
+        assert self.one_minus_q1(a, b) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_monotonicity(self):
-        a_grid = np.linspace(0.0, 5.0, 21)
-        vals = [marcum_q1(float(a), 2.0) for a in a_grid]
-        assert all(y >= x for x, y in zip(vals, vals[1:]))
-        b_grid = np.linspace(0.0, 5.0, 21)
-        vals = [marcum_q1(2.0, float(b)) for b in b_grid]
+        # Q_1 rises with a and falls with b
+        vals = [self.one_minus_q1(float(a), 2.0) for a in np.linspace(0.0, 5.0, 21)]
         assert all(y <= x for x, y in zip(vals, vals[1:]))
+        vals = [self.one_minus_q1(2.0, float(b)) for b in np.linspace(0.0, 5.0, 21)]
+        assert all(y >= x for x, y in zip(vals, vals[1:]))
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(InvalidParameterError):
-            marcum_q1(-1.0, 0.0)
+            self.one_minus_q1(1.0, -0.5)
+        with pytest.raises(InvalidParameterError):
+            TwdpParams(k=-0.5, gamma=0.0)
 
 
 def identity_lhs_series(a: float, b: float, terms: int) -> float:
@@ -270,31 +274,41 @@ def identity_lhs_series(a: float, b: float, terms: int) -> float:
     return float(acc)
 
 
+def exp_i0(a: float, b: float) -> float:
+    """The library's exp * I0 kernel at the identity's right side."""
+    ld = np.longdouble
+    return _exp_i0(ld(1), ld(a) + ld(a) * ld(b), 2 * ld(a) * np.sqrt(ld(b)))
+
+
 class TestExpI0Identity:
+    """sum_m a^m/m! 2F1(-m,-m;1;b) = exp(a+ab) I_0(2a sqrt b), the identity
+    that links the MGF series to its closed form, and specfun._exp_i0, the
+    closed form's kernel, on its right side."""
+
     def test_trivial_points(self):
-        assert exp_i0_identity_rhs(0.0, 0.3) == 1.0
-        assert exp_i0_identity_rhs(1.0, 0.0) == pytest.approx(math.e, rel=1e-15, abs=0)
+        assert identity_lhs_series(0.0, 0.3, 10) == 1.0
+        assert identity_lhs_series(1.0, 0.0, 30) == pytest.approx(math.e, rel=1e-15, abs=0)
+        assert exp_i0(0.0, 0.3) == 1.0
+        assert exp_i0(1.0, 0.0) == pytest.approx(math.e, rel=1e-15, abs=0)
 
     def test_sixty_term_series_match(self):
         lhs = identity_lhs_series(5.0, 0.25, 60)
-        assert exp_i0_identity_rhs(5.0, 0.25) == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert identity_rhs_mp(5.0, 0.25) == pytest.approx(lhs, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 5.0, 20.0])
     @pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 1.0])
     def test_identity_grid(self, a, b):
         # run the series to convergence; 60 terms is far from enough at a = 20
         lhs = identity_lhs_series(a, b, 500)
-        rhs = exp_i0_identity_rhs(a, b)
+        rhs = identity_rhs_mp(a, b)
         assert abs(lhs - rhs) / rhs <= 1e-11
+        assert exp_i0(a, b) == pytest.approx(rhs, rel=1e-14, abs=0)
 
     def test_large_scale_survives(self):
         # naive exp(a + a b) I0(...) would overflow well before this
-        v = exp_i0_identity_rhs(690.0, 0.0)
+        v = exp_i0(690.0, 0.0)
         assert math.isfinite(v) and v > 1e299
-
-    def test_overflow_raises(self):
-        with pytest.raises(RangeOverflowError):
-            exp_i0_identity_rhs(800.0, 1.0)
+        assert v == pytest.approx(identity_rhs_mp(690.0, 0.0), rel=1e-14, abs=0)
 
 
 _P = TwdpParams(k=8.0, gamma=0.5)
