@@ -59,6 +59,7 @@ from .specfun import (
     _check_gamma0,
     _exp_i0,
     _legendre_2f1_next,
+    _legendre_coefs,
     _pass_result,
     _raise_lost,
     _sum_series,
@@ -197,6 +198,7 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, be):
 
     next_order = _bracket_family(mod.sin2_pim, lam, y0_abs, be)
     leg_prev, leg = be.cast(0.0), be.cast(1.0)
+    coefs = _legendre_coefs(g2)
     cm = be.cast(1.0)
 
     def term(m, live):
@@ -204,11 +206,11 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, be):
         t1, f1 = next_order(live)
         # array operand first: an mpf meeting an array tries (slowly) to convert it
         t = (t1 * c_bracket - f1) * (cm * leg)
-        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, g2)
+        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
         cm = cm * (-a) / (m + 1)
         return t
 
-    s, n, last, possum, ok = _sum_series(term, len(g0), min_terms=term_hump_guard(p.k, p.gamma))
+    s, n, last, possum, ok = _sum_series(term, len(g0), be, min_terms=term_hump_guard(p.k, p.gamma))
     pref = sp * (1 + K) / (3 * be.pi * g0)
     return _pass_result(pref, s, n, last, possum, ok)
 
@@ -251,7 +253,11 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
 
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
-    """High-SNR closed-form M-PSK symbol error probability."""
+    """High-SNR closed-form M-PSK symbol error probability.
+
+    It grows like 1/gamma0, so at a subnormal gamma0 it overflows double:
+    that raises InvalidParameterError.
+    """
     _check_gamma0(gamma0)
     M = mod.m_order
     k = _LD(p.k)
@@ -259,7 +265,11 @@ def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     angle = _LD(math.pi - math.pi / M + 0.5 * math.sin(2.0 * math.pi / M))
     xarg = 2 * g * k / (1 + g * g)  # <= K, so the joint exponent stays <= 0
     scale = (1 + k) / (2 * _ARITH_LD.pi * _LD(gamma0) * _LD(mod.sin2_pim))
-    return _exp_i0(scale * angle, -k, xarg)
+    value = _exp_i0(scale * angle, -k, xarg)
+    if not math.isfinite(value):
+        raise InvalidParameterError(
+            f"the asymptotic error rate at gamma0={gamma0} overflows double")
+    return value
 
 
 def asep_quadrature(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:

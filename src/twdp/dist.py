@@ -46,6 +46,7 @@ from .specfun import (
     _check_gamma0,
     _ive_ladder,
     _legendre_2f1_next,
+    _legendre_coefs,
     _grid,
     _pass_result,
     _raise_lost,
@@ -96,7 +97,7 @@ def _pdf_pass(p: TwdpParams, r, be):
             return t
 
         s[todo], n[todo], last[todo], possum[todo], ok[todo] = _sum_series(
-            term, len(todo), n_limit=nu + 1
+            term, len(todo), be, n_limit=nu + 1
         )
         todo = todo[~ok[todo]]
         if not todo.size or nu >= _MAX_TERMS:
@@ -144,6 +145,7 @@ def _cdf_pass(p: TwdpParams, x, be):
     # form cancels completely for m beyond ~45 where x < 4m
     lag_prev, lag = xb * 0, xb * 0 + 1
     leg_prev, leg = be.cast(0.0), be.cast(1.0)
+    coefs = _legendre_coefs(g2)
     cm = be.cast(1.0)
 
     def term(m, _live):
@@ -154,11 +156,11 @@ def _cdf_pass(p: TwdpParams, x, be):
             h1 = lag
             lag_prev, lag = lag, ((2 * m - xb) * lag - (m - 1) * lag_prev) / (m + 1)
         t = h1 * cm * leg  # array first: an mpf meeting an array tries (slowly) to convert it
-        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, g2)
+        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
         cm = cm * (-a) / (m + 1)
         return t
 
-    s, n, last, possum, ok = _sum_series(term, len(xb), min_terms=term_hump_guard(p.k, p.gamma))
+    s, n, last, possum, ok = _sum_series(term, len(xb), be, min_terms=term_hump_guard(p.k, p.gamma))
     return _pass_result(xb * be.exp(-xb), s, n, last, possum, ok)
 
 

@@ -34,6 +34,7 @@ from .specfun import (
     _exp_i0,
     _grid,
     _legendre_2f1_next,
+    _legendre_coefs,
     _pass_result,
     _raise_lost,
     _sum_series,
@@ -57,15 +58,16 @@ def _mgf_series_pass(p: TwdpParams, gamma0: float, s, be):
     q = a * u
     cm = u * 0 + 1
     leg_prev, leg = be.cast(0.0), be.cast(1.0)
+    coefs = _legendre_coefs(g2)
 
     def term(m, _live):
         nonlocal cm, leg_prev, leg
         t = cm * leg
-        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, g2)
+        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
         cm = cm * q / (m + 1)
         return t
 
-    ssum, n, last, possum, ok = _sum_series(term, len(u), min_terms=term_hump_guard(p.k, p.gamma))
+    ssum, n, last, possum, ok = _sum_series(term, len(u), be, min_terms=term_hump_guard(p.k, p.gamma))
     return _pass_result((1 + be.cast(p.k)) / den, ssum, n, last, possum, ok)
 
 

@@ -11,21 +11,26 @@ distribution and error-rate code.
   factor, takes one exponentiation against scipy's scaled i0e (_exp_i0).
 
 Every series in the package is summed by one engine, _sum_series, over an
-array of points: each point keeps its own compensated sum and stops on its
-own under the one fixed stopping rule (_REL_TOL, _CONSEC_BELOW and
-_MAX_TERMS below), which no caller sets.  A point that runs out of terms
-gets a SeriesDivergenceError of its own; the other points are unaffected.
-The envelope/SNR series alternate and can cancel by many orders of magnitude
-for strong specular power, so a pass runs on 80-bit long doubles first and
-reports the cancellation ratio sum|t_m| / |sum t_m| of every point.
-run_with_rescue reruns only the points whose ratio, times the pass's
-rounding bound, would breach the relative accuracy target (needs_rescue),
-all of them in one pass of double-longdouble arithmetic (_DD, hi/lo pairs
-of long doubles built from error-free transformations, section at the end;
-about 34 digits once its rounding is bounded, see _DD_EPS).  Only the
-points that pass cannot vouch for rerun in mpmath (numpy object arrays of
-mpf values), at digits rounded up to a multiple of 8, all points that need
-the same precision in one pass.
+array of points: each point keeps its own sum and stops on its own under the
+one fixed stopping rule (_REL_TOL, _CONSEC_BELOW and _MAX_TERMS below), which
+no caller sets.  A point that runs out of terms gets a SeriesDivergenceError
+of its own; the other points are unaffected.  The envelope/SNR series
+alternate and can cancel by many orders of magnitude for strong specular
+power, so a pass runs on 80-bit long doubles first, with compensated
+(Kahan) sums, and reports the cancellation ratio sum|t_m| / |sum t_m| of
+every point.  run_with_rescue reruns only the points whose ratio, times the
+pass's rounding bound, would breach the relative accuracy target
+(needs_rescue), all of them in one pass of double-longdouble arithmetic
+(_DD, hi/lo pairs of long doubles built from error-free transformations,
+section at the end; about 34 digits once its rounding is bounded, see
+_DD_EPS).  Only the points that pass cannot vouch for rerun in mpmath
+(numpy object arrays of mpf values), at digits rounded up to a multiple of
+8, all points that need the same precision in one pass.  The dd and mpmath
+passes sum plainly: their bounds count the summation's rounding, which
+costs them no extra digit, so they skip the compensation's three extra
+operations per add.  On a shared 2-core x86-64 machine a dd pass costs
+0.15-0.35 ms per point of a pdf, cdf or MGF series at K = 14-20, Gamma = 1
+(a pdf's Bessel ladder most of its pass), an mpmath pass 2-6 ms per point.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -85,6 +91,22 @@ class SeriesResult:
     passes: int = 1
 
 
+def _kahan_add(total, comp, x):
+    """One compensated (Kahan) step: (total, compensation) after adding x."""
+    y = x - comp
+    t = total + y
+    return t, (t - total) - y
+
+
+def _plain_add(total, comp, x):
+    """One uncompensated step, in _kahan_add's form; comp stays as it is."""
+    return total + x, comp
+
+
+def _itself(x):
+    return x
+
+
 @dataclass(frozen=True)
 class _Arith:
     """The arithmetic of one summation pass and the points it runs on.
@@ -93,8 +115,12 @@ class _Arith:
     _DD arrays, or object arrays of mpf values at the current mpmath
     precision.  `from_mpf` rounds a list of mpf values, computed at higher
     precision, to this arithmetic.  `eps` bounds the relative rounding error
-    of a term.  `points` indexes the points of the grid the pass runs on
-    (None: all of them).
+    of a term, summation included.  `add` is one step of a running sum
+    (_kahan_add where eps leaves no room for the summation's own rounding,
+    _plain_add where eps counts it).  `lead` gives a value to the precision
+    that the stopping rule and sum|t_m| need: the value itself, or a dd
+    value's long-double leading part.  `points` indexes the points of the
+    grid the pass runs on (None: all of them).
     """
 
     name: str
@@ -105,6 +131,8 @@ class _Arith:
     from_mpf: Callable
     eps: float
     pi: object
+    add: Callable = _plain_add
+    lead: Callable = _itself
     points: np.ndarray | None = None
 
     def pick(self, values):
@@ -121,6 +149,7 @@ _ARITH_LD = _Arith(
     from_mpf=lambda values: _dd_from_mpf(values).hi,
     eps=_LD_EPS,
     pi=_LD(np.pi),
+    add=_kahan_add,
 )
 
 
@@ -134,7 +163,14 @@ def _to_mpf(x):
 
 
 def _arith_mp(points=None) -> _Arith:
-    """mpmath context bound to the *current* working precision."""
+    """mpmath context bound to the *current* working precision.
+
+    Its sums run plainly: each add rounds within 10^-dps of a partial sum,
+    at most sum|t_m|, so a sum of _MAX_TERMS terms adds _MAX_TERMS 10^-dps
+    to the term's own 10^-dps in eps.  The digits rescue_dps picks still
+    pass needs_rescue with that eps at a ratio 500 times the one they were
+    picked for.
+    """
     import mpmath as mp
     cast = np.frompyfunc(_to_mpf, 1, 1)
     return _Arith(
@@ -144,32 +180,25 @@ def _arith_mp(points=None) -> _Arith:
         expm1=np.frompyfunc(mp.expm1, 1, 1),
         sqrt=np.frompyfunc(mp.sqrt, 1, 1),
         from_mpf=cast,
-        eps=float(mp.mpf(10) ** (-mp.mp.dps)),
+        eps=(1 + _MAX_TERMS) * float(mp.mpf(10) ** (-mp.mp.dps)),
         pi=+mp.pi,
         points=points,
     )
 
 
-def _kahan_add(total, comp, x):
-    """One compensated (Kahan) step: (total, compensation) after adding x.
-
-    Elementwise on arrays; works for float, long double and mpf alike.
-    """
-    y = x - comp
-    t = total + y
-    return t, (t - total) - y
-
-
-def _sum_series(term: Callable, size: int, min_terms: int = 0, n_limit: int | None = None):
-    """Sum term(0) + term(1) + ... at every one of `size` points.
+def _sum_series(term: Callable, size: int, be: _Arith, min_terms: int = 0,
+                n_limit: int | None = None):
+    """Sum term(0) + term(1) + ... at every one of `size` points in be's
+    arithmetic.
 
     term(m, live) returns the m-th terms of all points as one array (long
     double, _DD or mpf objects); it is called for m = 0, 1, 2, ... in order, so
     it may advance recurrences.  Only the terms at the points marked in the
     boolean array `live` are used, so a costly term may skip the others.
-    Every point keeps a Kahan sum of its terms and of their magnitudes, and
-    stops on its own under the stopping rule above, and its sums stop with
-    it, so its result does not depend on the other points of the grid.
+    Every point keeps a sum of its terms (be.add) and of their magnitudes
+    (be.lead), and stops on its own under the stopping rule above; its sums
+    are kept as they are at the term where it stops, so its result does not
+    depend on the other points of the grid.
 
     `min_terms` disarms the stopping rule for the first terms.  The
     alternating sums here have envelopes that dip right after the leading
@@ -183,25 +212,35 @@ def _sum_series(term: Callable, size: int, min_terms: int = 0, n_limit: int | No
     """
     limit = _MAX_TERMS if n_limit is None else min(_MAX_TERMS, n_limit)
     guard = min(min_terms, limit)
-    n = below = np.zeros(size, dtype=np.int64)
-    done = np.zeros(size, dtype=bool)
+    n, below = np.zeros((2, size), dtype=np.int64)
+    live, converged = np.ones(size, dtype=bool), np.zeros(size, dtype=bool)
+    tol = be.lead(be.cast(_REL_TOL))  # cast once, not per point of an mpf pass
     for m in range(limit):
-        t = term(m, ~done)
-        t_abs = abs(t)
+        t = term(m, live)
+        t_abs = abs(be.lead(t))
         if m == 0:
-            s = comp = pos = pos_comp = t * 0
-        new = (*_kahan_add(s, comp, t), *_kahan_add(pos, pos_comp, t_abs), t_abs)
+            s = comp = t * 0
+            pos = pos_comp = t_abs * 0
+            kept = [t * 0, t_abs * 0, t_abs * 0]
+        s, comp = be.add(s, comp, t)
+        pos, pos_comp = be.add(pos, pos_comp, t_abs)
         falling = m == 0 or t_abs <= last
-        if done.any():
-            new = [np.where(done, old, v) for old, v in zip((s, comp, pos, pos_comp, last), new)]
-        s, comp, pos, pos_comp, last = new
-        small = m + 1 >= guard and (t_abs <= _REL_TOL * abs(s)) & falling
+        last = t_abs
+        # array operand first: an mpf meeting an array tries (slowly) to convert it
+        small = m + 1 >= guard and (t_abs <= abs(be.lead(s)) * tol) & falling
         below = np.where(small, below + 1, 0)
-        n = np.where(done, n, m + 1)
-        done = done | (below >= _CONSEC_BELOW)
-        if done.all():
-            break
-    return s, n, last, pos, done
+        done = live & (below >= _CONSEC_BELOW)
+        converged |= done
+        stop = np.flatnonzero(live if m + 1 == limit else done)
+        if stop.size:
+            for k, v in zip(kept, (s, last, pos)):
+                k[stop] = v[stop]
+            n[stop] = m + 1
+            live[stop] = False
+            if not live.any():
+                break
+    s, last, pos = kept
+    return s, n, last, pos, converged
 
 
 def _pass_result(pref, s, n, last, pos, converged):
@@ -391,26 +430,25 @@ def _miller_ladder(x, start: list, nu_max: int, be: _Arith) -> list:
     start[i] is the seed order of x[i], in descending order; the points
     already seeded are a prefix of the arrays.
     """
-    zero, seed = be.cast(0.0), be.cast(1e-12)
     ip1 = ik = norm = comp = ()  # no point seeded yet
-    ladder = [zero] * (nu_max + 1)
+    ladder = [None] * (nu_max + 1)
     seeded, size = 0, len(start)
     for k in range(start[0], 0, -1):
         if seeded < size and start[seeded] >= k:
             now = seeded
             while now < size and start[now] >= k:
                 now += 1
-            xa, fresh = x[:now], x[seeded:now] * 0
-            ip1, ik, norm, comp = (np.append(v, fresh + fill) for v, fill in
-                                   zip((ip1, ik, norm, comp), (zero, seed, zero, zero)))
+            xa, zero = x[:now], x[seeded:now] * 0
+            ip1, ik, norm, comp = (np.append(v, fill) for v, fill in
+                                   zip((ip1, ik, norm, comp), (zero, zero + 1e-12, zero, zero)))
             seeded = now
         im1 = ip1 + (2 * k / xa) * ik
         if k - 1 <= nu_max:
             ladder[k - 1] = im1
         # orders k >= 1 enter the normalization twice
-        norm, comp = _kahan_add(norm, comp, 2 * ik)
+        norm, comp = be.add(norm, comp, 2 * ik)
         ip1, ik = ik, im1
-    total, _ = _kahan_add(norm, comp, ik)  # the k = 0 value enters once
+    total, _ = be.add(norm, comp, ik)  # the k = 0 value enters once
     for i, v in enumerate(ladder):  # in place: a rescue group's rows hold many mpf values
         ladder[i] = v / total
     return ladder
@@ -456,15 +494,23 @@ def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
 # hypergeometric coefficients
 
 
-def _legendre_2f1_next(m: int, f, f_prev, b):
-    """2F1(-(m+1), -(m+1); 1; b) from its values f at m and f_prev at m - 1.
+def _legendre_coefs(b):
+    """The point-independent factors (1 + b, (1 - b)^2) of the recurrence of
+    _legendre_2f1_next, computed once per pass."""
+    return 1 + b, (1 - b) * (1 - b)
+
+
+def _legendre_2f1_next(m: int, f, f_prev, coefs):
+    """2F1(-(m+1), -(m+1); 1; b) from its values f at m and f_prev at m - 1,
+    with coefs = _legendre_coefs(b).
 
     2F1(-m, -m; 1; b) = (1-b)^m P_m((1+b)/(1-b)) with P_m the Legendre
     polynomial, giving F_{m+1} = ((2m+1)(1+b) F_m - m (1-b)^2 F_{m-1})/(m+1),
     F_0 = 1, F_{-1} = 0.  All quantities are positive for b in [0, 1]; the
     recurrence tracks the dominant solution, so it is stable upward.
     """
-    return ((2 * m + 1) * (1 + b) * f - m * ((1 - b) * (1 - b)) * f_prev) / (m + 1)
+    bp, bm2 = coefs
+    return ((2 * m + 1) * bp * f - m * bm2 * f_prev) / (m + 1)
 
 
 # ----------------------------------------------------------------------------
@@ -492,23 +538,28 @@ def _exp_i0(pref, lin, x) -> float:
 
 _DD_SPLITTER = _LD(2**32 + 1)
 
-# _DD_EPS bounds the relative rounding error of one term of a dd pass, which
-# is what needs_rescue rechecks a dd pass with.  Relative errors add along a
-# chain of operations.  Each product recurrence in the order m (the
-# coefficient a^m/m!, the Legendre and Laguerre recurrences) takes one dd
-# product (8u^2) and one quotient (13u^2) or sum (3u^2) per order on factors
-# already within their bound, so a term after m orders is within 22 m u^2
-# per chain: 11,000 u^2 over the _MAX_TERMS = 500 orders a sum may take.  A
-# Miller ladder step I_{k-1} = I_{k+1} + (2k/x) I_k adds positive values and
-# costs a quotient, a product and a sum (24u^2), so a ladder of at most 1,000
-# steps (order 500 plus the seed offset up to x ~ 300) adds 24,000 u^2.
-# Together 35,000 u^2 = 1.0e-34: about 34 digits.  An error-rate term takes
+# _DD_EPS bounds the relative rounding error of one term of a dd pass, its
+# share of the summation included, which is what needs_rescue rechecks a dd
+# pass with.  Relative errors add along a chain of operations.  Each product
+# recurrence in the order m (the coefficient a^m/m!, the Legendre and
+# Laguerre recurrences) takes one dd product (8u^2) and one quotient (13u^2)
+# or sum (3u^2) per order on factors already within their bound, so a term
+# after m orders is within 22 m u^2 per chain: 11,000 u^2 over the
+# _MAX_TERMS = 500 orders a sum may take.  A Miller ladder step I_{k-1} =
+# I_{k+1} + (2k/x) I_k adds positive values and costs a quotient, a product
+# and a sum (24u^2), so a ladder of at most 1,000 steps (order 500 plus the
+# seed offset up to x ~ 300) adds 24,000 u^2.  The sums run uncompensated:
+# each add is within 3u^2 of a partial sum, and a partial sum is at most
+# sum|t_m| (the outer sum) or the total (the ladder's positive
+# normalization), so 500 outer and 1,000 ladder adds cost 4,500 u^2 more.
+# Together 39,500 u^2 = 1.2e-34: about 34 digits.  An error-rate term takes
 # two chains and a bracket factor from the three-term recurrence of
 # asep._bracket_family, which is stable, so its rounding does not grow by a
 # bound per order: against the same recurrence at 60 digits it measured at
 # most 75 u^2 over 500 orders (M = 2 to 64, y = 1e-8 to 1e4).  Even a
-# hundred times that keeps the term within 30,000 u^2, inside the bound.
-_DD_EPS = (22 * _MAX_TERMS + 24 * 1000) * 2.0**-128
+# hundred times that, with the outer sum's 1,500 u^2, keeps the term within
+# 31,000 u^2, inside the bound.
+_DD_EPS = (22 * _MAX_TERMS + 24 * 1000 + 3 * (_MAX_TERMS + 1000)) * 2.0**-128
 
 
 def _two_sum(a, b):
@@ -532,9 +583,12 @@ def _split(a):
 
 
 def _two_prod(a, b):
-    """(p, e) with p = fl(a b) and p + e == a b exactly (Dekker)."""
+    """(p, e) with p = fl(a b) and p + e == a b exactly (Dekker); an int b
+    of at most 32 bits is its own upper half."""
     p = a * b
     ah, al = _split(a)
+    if type(b) is int and -2**32 < b < 2**32:
+        return p, (ah * b - p) + al * b
     bh, bl = _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
@@ -548,12 +602,30 @@ def _dd_add(a, b):
     return _DD(*_fast_two_sum(s, e + f))
 
 
+def _dd_add_fp(a, b):
+    """a + b for a long double (int, float) b within 2u^2 / (1 - 2u)
+    relative, cancellation included (DWPlusFP; Joldes, Muller & Popescu)."""
+    s, e = _two_sum(a.hi, b)
+    return _DD(*_fast_two_sum(s, a.lo + e))
+
+
 def _dd_mul(a, b):
     """a b within 8u^2 relative: with a.hi b.hi = p + e exactly, the
     product drops a.lo b.lo (u^2) and rounds a.hi b.lo and a.lo b.hi (u^2
     each), their sum (2u^2) and e plus that sum (3u^2)."""
     p, e = _two_prod(a.hi, b.hi)
     return _DD(*_fast_two_sum(p, e + (a.hi * b.lo + a.lo * b.hi)))
+
+
+def _dd_mul_fp(a, b):
+    """a b for a long double (int, float) b within 3u^2 / (1 - 2u) relative:
+    with a.hi b = p + e exactly, a.lo b rounds (u^2) and so does e plus it
+    (2u^2) (DWTimesFP2; Joldes, Muller & Popescu).  An int power of two
+    (or 0) scales both parts exactly."""
+    if type(b) is int and not b & (b - 1):
+        return _DD(a.hi * b, a.lo * b)
+    p, e = _two_prod(a.hi, b)
+    return _DD(*_fast_two_sum(p, e + a.lo * b))
 
 
 def _dd_div(a, b):
@@ -564,6 +636,15 @@ def _dd_div(a, b):
     p, e = _two_prod(q, b.hi)
     r = (((a.hi - p) - e) + a.lo) - q * b.lo
     return _DD(*_fast_two_sum(q, r / b.hi))
+
+
+def _dd_div_fp(a, b):
+    """a / b for a long double (int, float) b within 4u^2 / (1 - 2u)
+    relative: with q = fl(a.hi / b), the remainder a.hi - q b is exact, and
+    adding a.lo to it (2u^2) and dividing the sum by b (2u^2) round."""
+    q = a.hi / b
+    p, e = _two_prod(q, b)
+    return _DD(*_fast_two_sum(q, (((a.hi - p) - e) + a.lo) / b))
 
 
 def _dd_sqrt(a):
@@ -588,11 +669,12 @@ class _DD:
     """An array of dd values: long-double arrays (or scalars) hi and lo of
     one shape.
 
-    Arithmetic with ints, floats, long doubles and other _DD arrays runs the
-    dd operations above; negation, abs and comparisons are exact.  It
-    indexes like its parts, and np.where and np.append accept it (the only
-    numpy functions the series passes apply to their values), so the passes
-    run on it unchanged.
+    Arithmetic with other _DD arrays runs the dd operations above, and with
+    ints, floats and long doubles (scalars or arrays) their cheaper mixed
+    forms; negation, abs and comparisons are exact.  It indexes like its
+    parts, and np.where and np.append accept it (the only numpy functions
+    the series passes apply to their values), so the passes run on it
+    unchanged.
     """
 
     __slots__ = ("hi", "lo")
@@ -603,26 +685,26 @@ class _DD:
         self.hi, self.lo = hi, lo
 
     def __add__(self, other):
-        return _dd_add(self, _dd(other))
+        return _dd_add(self, other) if isinstance(other, _DD) else _dd_add_fp(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _dd_add(self, -_dd(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return _dd_add(_dd(other), -self)
+        return _dd_add_fp(-self, other)
 
     def __mul__(self, other):
-        return _dd_mul(self, _dd(other))
+        return _dd_mul(self, other) if isinstance(other, _DD) else _dd_mul_fp(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _dd_div(self, _dd(other))
+        return _dd_div(self, other) if isinstance(other, _DD) else _dd_div_fp(self, other)
 
     def __rtruediv__(self, other):
-        return _dd_div(_dd(other), self)
+        return _dd_div(_DD(other, 0), self)
 
     def __pow__(self, n: int):
         out = self
@@ -719,4 +801,5 @@ def _arith_dd():
     with mp.workdps(40):
         pi = _dd_from_mpf([+mp.pi])[0]
     return _Arith(name="dd", cast=_dd, exp=_dd_map(mp.exp), expm1=_dd_map(mp.expm1),
-                  sqrt=_dd_sqrt, from_mpf=_dd_from_mpf, eps=_DD_EPS, pi=pi)
+                  sqrt=_dd_sqrt, from_mpf=_dd_from_mpf, eps=_DD_EPS, pi=pi,
+                  lead=operator.attrgetter("hi"))

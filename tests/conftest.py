@@ -65,17 +65,30 @@ def rician_mgf(k: float, gamma0: float, s: float) -> float:
 
 
 def rician_mpsk_quad(k: float, m_order: int, gamma0: float) -> float:
-    """M-PSK error probability over Rician fading by direct MGF integration."""
+    """M-PSK error probability over Rician fading by direct MGF integration.
+
+    At low gamma0 the integrand climbs from 0 to about 1 within a layer of
+    width w = sqrt(sin^2(pi/M) gamma0 / (1+K)) at theta = 0; geometric
+    breakpoints w 8^j lead quad there, as in asep_quadrature.
+    """
     c = math.sin(math.pi / m_order) ** 2
 
     def f(theta):
-        st = math.sin(theta)
-        if st <= 0.0:
+        st2 = math.sin(theta) ** 2
+        if st2 <= 0.0:
             return 0.0
-        return rician_mgf(k, gamma0, -c / (st * st))
+        s = -c / st2
+        return rician_mgf(k, gamma0, s) if math.isfinite(s) else 0.0
 
-    v, _ = integrate.quad(f, 0.0, math.pi - math.pi / m_order,
-                          epsabs=1e-14, epsrel=1e-12, limit=200)
+    upper = math.pi - math.pi / m_order
+    w = math.sqrt(c) * math.sqrt(gamma0 / (1.0 + k))
+    points = []
+    if 0.0 < w < 0.01 * upper:
+        while w < upper / 2:
+            points.append(w)
+            w *= 8.0
+    v, _ = integrate.quad(f, 0.0, upper, epsabs=1e-14, epsrel=1e-12,
+                          limit=200 + len(points), points=points or None)
     return v / math.pi
 
 

@@ -138,6 +138,16 @@ class TestRayleighClosedForms:
                     asep_exact(p, mod, g0).value, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("m_order", [2, 4, 16])
+def test_rician_quadrature_oracle_at_low_snr(m_order):
+    # the tests' own quadrature needs the same breakpoints as asep_quadrature:
+    # without them it returned 0.5000000000000034 at K=0, M=2, -100 dB
+    for db in range(-40, -121, -20):
+        g0 = 10.0 ** (db / 10)
+        assert rician_mpsk_quad(0.0, m_order, g0) == pytest.approx(
+            rayleigh_mpsk(m_order, g0), rel=1e-11, abs=0)
+
+
 class TestExactVsQuadrature:
     def test_spec_example_point(self):
         p = TwdpParams(k=8.0, gamma=0.5)
@@ -218,6 +228,14 @@ class TestAsymptotic:
     def test_huge_k_stays_finite(self):
         v = asep_asymptotic(TwdpParams(k=600.0, gamma=1.0), ModulationSpec(2), 1e3)
         assert math.isfinite(v) and v > 0.0
+
+    def test_overflow_raises(self):
+        # it grows like 1/gamma0: finite near the bottom of the normal range,
+        # past the double range at a subnormal gamma0
+        p, mod = TwdpParams(k=3.0, gamma=0.5), ModulationSpec(16)
+        assert math.isfinite(asep_asymptotic(p, mod, 1e-307))
+        with pytest.raises(InvalidParameterError, match="overflows double"):
+            asep_asymptotic(p, mod, 1e-320)
 
 
 class TestOrderings:

@@ -375,13 +375,25 @@ class TestExitCodes:
     def test_asep_at_subnormal_snr_falls_back(self, capsys):
         # (1+K)/gamma0 overflows a double at gamma0 = 1e-320
         code, out, _ = run_cli(capsys, "asep", "--k", "3", "--gamma", "0.5",
-                               "--mod-order", "16", "--snr-db=-3200:-3199:1")
+                               "--mod-order", "16", "--snr-db=-3200:-3199:1",
+                               "--method=exact")
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 2
         for row in rows:
-            assert row[4] == "quadrature-fallback"
+            assert row[2] == "quadrature-fallback"
             assert float(row[1]) == pytest.approx(15 / 16, rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("method", ["asymptotic", "all"])
+    def test_asep_asymptote_past_the_double_range_is_usage_error(self, capsys, method):
+        # the asymptote grows like 1/gamma0 and overflows a double at 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "asep", "--k", "3", "--gamma", "0.5",
+                                     "--mod-order", "16", "--snr-db=-3200:-3199:1",
+                                     f"--method={method}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "overflows double" in err
 
 
 def subprocess_env():

@@ -29,6 +29,7 @@ from twdp import (
     pdf,
     pdf_grid,
 )
+from twdp import asep, dist
 from twdp.asep import _asep_pass
 from twdp.dist import _cdf_pass, _pdf_pass
 from twdp.mgf import _mgf_series_pass
@@ -214,6 +215,52 @@ class TestRescuedTogether:
         assert grid == [mgf_series(p, gamma0, s) for s in ss]
 
 
+class TestGridIndependence:
+    """A point's SeriesResult (value, terms, truncation, ratio, tier and
+    passes) is the same bit for bit alone and inside a grid whose other
+    points stop at other terms and rerun in other tiers."""
+
+    GAMMA0 = 10.0
+    GRIDS = {
+        "pdf": [0.2, 0.7, 1.1, 1.6, 2.4, 3.0, 3.4],
+        "cdf": [0.2, 0.7, 1.1, 1.6, 2.4, 3.0, 3.4],
+        "mgf": [-100.0, -30.0, -10.0, -3.0, -0.5, 0.0],
+        "asep": [1.0, 10.0, 100.0, 1e3, 1e4],
+        "cdf-left": [0.01, 0.02, 0.05, 0.1, 0.2, 0.8],
+        "mgf-k40": [-100.0, -30.0, -10.0, -8.0, -4.0, -1.0],
+    }
+
+    def evaluate(self, kind, p):
+        xs, g0, mod = self.GRIDS[kind], self.GAMMA0, ModulationSpec(16)
+        if kind == "pdf":
+            return pdf_grid(p, xs), [pdf(p, x) for x in xs]
+        if kind.startswith("cdf"):
+            return cdf_grid(p, xs), [cdf(p, x) for x in xs]
+        if kind.startswith("mgf"):
+            return mgf_series_grid(p, g0, xs), [mgf_series(p, g0, s) for s in xs]
+        return asep_exact_grid(p, mod, xs), [asep_exact(p, mod, v) for v in xs]
+
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf", "asep"])
+    @pytest.mark.parametrize("k,gamma,tier", [
+        (8.0, 0.5, "longdouble"),
+        pytest.param(14.0, 1.0, "dd", marks=needs_dd),
+        pytest.param(20.0, 1.0, "dd", marks=needs_dd),
+    ])
+    def test_long_double_and_dd(self, kind, k, gamma, tier):
+        grid, alone = self.evaluate(kind, TwdpParams(k=k, gamma=gamma))
+        assert tier in {res.tier for res in grid}
+        assert len({res.terms_used for res in grid}) > 1
+        assert grid == alone
+
+    @needs_dd
+    @pytest.mark.parametrize("kind", ["cdf-left", "mgf-k40"])
+    def test_mpmath(self, kind):
+        grid, alone = self.evaluate(kind, TwdpParams(k=40.0, gamma=0.0))
+        tiers = {res.tier for res in grid}
+        assert "dd" in tiers and any(t.startswith("mp") for t in tiers)
+        assert grid == alone
+
+
 def rescue_case(kind, p):
     """A grid of points whose long-double sums cannot be trusted: the public
     grid evaluation on it, and its series pass for a given arithmetic."""
@@ -259,6 +306,37 @@ class TestDoubleLongdoubleRescue:
         for res, want in zip(grid(), at_digits(series, 64)):
             assert res.cancellation_ratio > 1e8
             assert res.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    @needs_dd
+    @pytest.mark.parametrize("case", ["pdf-tail", "asep"])
+    def test_uncompensated_dd_pass_within_its_bound(self, case, monkeypatch):
+        # the dd pass sums without compensation; its rounding, the sums'
+        # included, stays within _ERR_SAFETY _DD_EPS sum|t_m| of the same pass
+        # at 60 digits
+        if case == "pdf-tail":
+            p = TwdpParams(k=20.0, gamma=1.0)
+            r = np.linspace(2.5, 3.5, 5) * math.sqrt(p.omega)
+            module, series = dist, lambda be: _pdf_pass(p, r, be)
+        else:
+            p, mod = TwdpParams(k=14.0, gamma=1.0), ModulationSpec(16)
+            g0 = 10.0 ** (np.arange(0.0, 41.0, 5.0) / 10.0)
+            module, series = asep, lambda be: _asep_pass(p, mod, g0, be)
+        sums = []
+
+        def keep(pref, s, *rest):
+            sums.append(pref * s)
+            return specfun._pass_result(pref, s, *rest)
+
+        monkeypatch.setattr(module, "_pass_result", keep)
+        _, _, n, _, ratio, ok = series(specfun._arith_dd())
+        assert ok.all() and (ratio > 1e6).all()
+        with mp.workdps(60):
+            _, _, n_ref, *_ = series(_arith_mp())
+            assert list(n) == list(n_ref)
+            for i, want in enumerate(sums[1]):
+                got = specfun._to_mpf(sums[0].hi[i]) + specfun._to_mpf(sums[0].lo[i])
+                bound = specfun._ERR_SAFETY * specfun._DD_EPS * ratio[i]
+                assert abs(got - want) <= bound * abs(want)
 
     @needs_dd
     def test_ladder_against_50_digit_mpmath(self):

@@ -369,6 +369,17 @@ dd_values = st.builds(
 )
 
 
+# ints that _two_prod takes as their own upper half
+small_ints = st.integers(-(2**32) + 1, 2**32 - 1)
+# the operands the mixed dd operations take
+fp_operands = st.one_of(long_doubles, small_ints, st.integers(-(2**63), 2**63),
+                        st.floats(-1e300, 1e300))
+
+
+def fp_exact(x) -> Fraction:
+    return Fraction(x) if isinstance(x, (int, float)) else exact(x)
+
+
 def significant_bits(x) -> int:
     num = abs(exact(x).numerator)
     return (num >> ((num & -num).bit_length() - 1)).bit_length() if num else 0
@@ -426,3 +437,51 @@ class TestDoubleLongdouble:
     def test_dd_div_within_13u2(self, a, b):
         want = exact_dd(a) / exact_dd(b)
         assert abs(exact_dd(a / b) - want) <= 13 * U**2 * abs(want)
+
+    # mixed operands: a long double, a float or an int with a dd value
+
+    @given(long_doubles, small_ints)
+    def test_two_prod_with_small_int_is_error_free(self, a, b):
+        p, e = _two_prod(a, b)
+        assert p == a * b
+        assert exact(p) + exact(e) == exact(a) * b
+
+    @given(dd_values, fp_operands)
+    def test_dd_add_and_sub_fp_within_2u2(self, a, b):
+        self.check_add_sub_fp(a, b)
+
+    @given(dd_values, st.integers(-8, 8))
+    def test_dd_add_and_sub_fp_under_cancellation(self, a, ulps):
+        # b within a few ulps of -a.hi (and of a.hi for the difference)
+        _, e = np.frexp(a.hi)
+        self.check_add_sub_fp(a, -(a.hi + np.ldexp(np.longdouble(ulps), e - 64)))
+
+    @staticmethod
+    def check_add_sub_fp(a, b):
+        bound = 2 * U**2 / (1 - 2 * U)
+        x, y = exact_dd(a), fp_exact(b)
+        for got, want in ((a + b, x + y), (b + a, x + y), (a - b, x - y), (b - a, y - x)):
+            assert isinstance(got, _DD)
+            assert abs(exact_dd(got) - want) <= bound * abs(want)
+
+    @given(dd_values, fp_operands)
+    def test_dd_mul_fp_within_3u2(self, a, b):
+        want = exact_dd(a) * fp_exact(b)
+        for got in (a * b, b * a):
+            assert abs(exact_dd(got) - want) <= 3 * U**2 / (1 - 2 * U) * abs(want)
+
+    @given(dd_values, st.integers(0, 62))
+    def test_dd_mul_by_power_of_two_is_exact(self, a, j):
+        got = a * 2**j
+        assert exact_dd(got) == exact_dd(a) * 2**j
+        assert (got.hi, got.lo) == (a.hi * 2**j, a.lo * 2**j)
+
+    @given(dd_values, fp_operands.filter(bool))
+    def test_dd_div_fp_within_4u2(self, a, b):
+        want = exact_dd(a) / fp_exact(b)
+        assert abs(exact_dd(a / b) - want) <= 4 * U**2 / (1 - 2 * U) * abs(want)
+
+    @given(dd_values, fp_operands.filter(bool))
+    def test_fp_div_dd_within_13u2(self, a, b):
+        want = fp_exact(b) / exact_dd(a)
+        assert abs(exact_dd(b / a) - want) <= 13 * U**2 * abs(want)
