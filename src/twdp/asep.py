@@ -25,8 +25,8 @@ Three routes:
 * asep_asymptotic: the large-g0 closed form
   (1+K)/(2 pi g0) (pi - pi/M + sin(2 pi/M)/2)/sin^2(pi/M) e^{-K} I_0(2 Gamma K/(1+Gamma^2)).
 
-asep_exact_grid follows the same long-double-then-escalate pattern as the
-other alternating series, in three tiers.  The first pass runs on long
+asep_exact_grid sums the sweep in specfun.run_with_rescue's one loop, like
+the other alternating series, in three tiers.  The first pass runs on long
 doubles over the whole SNR sweep.  The points whose cancellation calls for
 more digits rerun together in double-longdouble numpy arithmetic, bracket
 recurrence and outer sum alike (each bracket factor measured within 75 u^2,
@@ -35,11 +35,12 @@ the points that pass cannot vouch for rerun in mpmath at the digits their
 cancellation calls for, again together, on object arrays of mpf values.  One
 bracket family serves all three tiers.  A point whose series has not
 converged within specfun._MAX_TERMS terms gets a SeriesDivergenceError in
-place of its result, and so does, before any pass, one whose (1+K)/(g0
-sin^2(pi/M)) overflows double (g0 below about 1e-307, -3070 dB); one whose
-measured cancellation calls for more than 120 digits (specfun._MAX_DPS), or
-that a 120-digit pass still cannot vouch for, gets a CancellationLossError
-(see specfun.run_with_rescue), so callers (the CLI does this) can substitute
+place of its result, and so does one whose (1+K)/(g0 sin^2(pi/M)) overflows
+double (g0 below about 1e-307, -3070 dB): a shortcut entry of the sweep's
+result list, which no pass sees.  One whose measured cancellation calls for
+more than 120 digits (specfun._MAX_DPS), or that a 120-digit pass still
+cannot vouch for, gets a CancellationLossError (see
+specfun.run_with_rescue), so callers (the CLI does this) can substitute
 asep_quadrature; asep_exact raises either.
 """
 
@@ -119,9 +120,11 @@ def _bracket_family(x0: float, lam, y0_abs, be):
     """The factors 2F1(3/2,1+m;2;-lam) and F1(3/2;1/2,1+m;5/2;x0,-y0_abs)
     for m = 0, 1, ... at every entry of lam and y0_abs, in be's arithmetic.
 
-    Returns next_order(live): its m-th call gives the order-m factors as a
-    (2, points) array, at the points marked live (0 elsewhere); a point left
-    out once stays out.  Both factors are multiples c J_n(x, y) of
+    Returns next_order(): its m-th call gives the order-m factors as a pair
+    (2F1 factors, F1 factors) of arrays over all points.  Each point's
+    recurrence is its own, so a point runs on unchanged after its outer sum
+    has stopped (_sum_series keeps that sum).  Both factors are multiples
+    c J_n(x, y) of
 
         J_n(x, y) = int_0^1 sqrt(t) (1 - x t)^(-1/2) (1 + y t)^(-n) dt
 
@@ -164,18 +167,11 @@ def _bracket_family(x0: float, lam, y0_abs, be):
         to_f1 = be.from_mpf([to_f1])[0]
     g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
     d = v * 0
-    idx = np.arange(len(lam))
     n = 2
 
-    def next_order(live):
-        nonlocal v, v_next, b, g, q, r, d, idx, n
-        keep = live[idx]
-        if not keep.all():
-            v, v_next, b, g, q, r, d = (a[:, keep] for a in (v, v_next, b, g, q, r, d))
-            idx = idx[keep]
-        out = be.cast(np.zeros((2, len(lam))))
-        out[0, idx] = v[0]
-        out[1, idx] = v[1] if rows == 2 else to_f1 * v[0]
+    def next_order():
+        nonlocal v, v_next, b, d, n
+        out = v[0], v[1] if rows == 2 else to_f1 * v[0]
         d = (q * (1.5 * v_next - b) + (n - 2) * (r * d)) / n
         v, v_next = v_next, v_next - d
         b = b * g
@@ -202,9 +198,9 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, be):
     coefs = _legendre_coefs(g2)
     cm = be.cast(1.0)
 
-    def term(m, live):
+    def term(m):
         nonlocal leg_prev, leg, cm
-        t1, f1 = next_order(live)
+        t1, f1 = next_order()
         # array operand first: an mpf meeting an array tries (slowly) to convert it
         t = (t1 * c_bracket - f1) * (cm * leg)
         leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
@@ -244,13 +240,10 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
     # in _asep_pass, as a double; a point where it overflows gets no pass
     with np.errstate(over="ignore"):
         lam = ((1 + _LD(p.k)) / (g0.astype(_LD) * _LD(mod.sin2_pim))).astype(float)
-    fits = np.isfinite(lam)
-    idx = np.flatnonzero(fits)
-    summed = iter(run_with_rescue(lambda be: _asep_pass(p, mod, g0[idx], be), len(idx),
-                                  what=lambda j: what(idx[j])))
-    return [next(summed) if ok else SeriesDivergenceError(
+    out = [None if math.isfinite(v) else SeriesDivergenceError(
         f"{what(i)} cannot be summed: (1+K)/(gamma0 sin^2(pi/M)) overflows double", 0)
-        for i, ok in enumerate(fits)]
+        for i, v in enumerate(lam)]
+    return run_with_rescue(lambda be: _asep_pass(p, mod, g0, be), out, what)
 
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:

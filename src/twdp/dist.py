@@ -27,8 +27,11 @@ large; sums run on 80-bit long doubles and rerun in double-longdouble
 arithmetic, or beyond its reach in mpmath, whenever the recorded
 cancellation would push the result past its accuracy target, ~1e-11
 relative however small the value, tails included.  For x > 600 the CDF is
-clamped to 1: the exact complement there is below e^{-200} while the
-series' partial sums would overflow even long doubles.
+clamped to 1 where its complement is below 2^-53: given the phases the
+envelope is Rician with specular power at most K' = K (1+Gamma)^2 /
+(1+Gamma^2) (in units of 2 sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b >
+a, bounds the complement by exp(-(sqrt(x) - sqrt(K'))^2).  A point whose
+e^x overflows long double cannot be summed: SeriesDivergenceError.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CancellationLossError, InvalidParameterError
+from .errors import CancellationLossError, InvalidParameterError, SeriesDivergenceError
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
@@ -88,7 +91,7 @@ def _pdf_pass(p: TwdpParams, r, be):
         iv1, iv3 = iv[:, :-1], iv[:, -1]
         iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2[todo], nu, be)  # x2 = Gamma x1
 
-        def term(m, _live):
+        def term(m):
             t = iv1[m] * iv2[m] * iv3[m]
             if m:
                 t = 2 * t
@@ -117,16 +120,12 @@ def pdf(p: TwdpParams, r: float) -> SeriesResult:
 def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope probability density along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
-    out = [SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)] * len(r)
-    live = np.flatnonzero(r > 0)
-    results = _raise_lost(run_with_rescue(
-        lambda be: _pdf_pass(p, r[live], be),
-        len(live),
-        what=lambda i: f"envelope pdf at r={float(r[live[i]])}",
+    zero = SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)
+    return _raise_lost(run_with_rescue(
+        lambda be: _pdf_pass(p, r, be),
+        [None if v > 0 else zero for v in r],
+        what=lambda i: f"envelope pdf at r={float(r[i])}",
     ))
-    for i, res in zip(live, results):
-        out[i] = res
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
 
 
 def _cdf_pass(p: TwdpParams, x, be):
-    """The cdf series at the points x[be.points], all in (0, _CDF_X_CLAMP]."""
+    """The cdf series at the points x[be.points], all > 0."""
     K = be.cast(p.k)
     G = be.cast(p.gamma)
     g2 = G * G
@@ -148,7 +147,7 @@ def _cdf_pass(p: TwdpParams, x, be):
     coefs = _legendre_coefs(g2)
     cm = be.cast(1.0)
 
-    def term(m, _live):
+    def term(m):
         nonlocal lag_prev, lag, leg_prev, leg, cm
         if m == 0:
             h1 = be.expm1(xb) / xb
@@ -166,25 +165,30 @@ def _cdf_pass(p: TwdpParams, x, be):
 
 def _cdf_grid_x(p: TwdpParams, x) -> list[SeriesResult]:
     """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0."""
-    out = [SeriesResult(0.0 if xi == 0 else 1.0, 0, 0.0, 1.0, "none", 0) for xi in x]
-    # above the clamp the complement is below exp(-((sqrt(x) - sqrt(2K))^2)/2-ish) < 1e-180
-    live = np.flatnonzero((x > 0) & (x <= _CDF_X_CLAMP))
-    xs = x[live]
+    # the clamp's complement bound and the series' e^x: see the module docstring
+    gap = np.sqrt(x) - math.sqrt(p.k * (1 + p.gamma) ** 2 / (1 + p.gamma ** 2))
+    one = (x > _CDF_X_CLAMP) & (gap > 0) & (np.exp(-gap * gap) < 2.0**-53)
+    with np.errstate(over="ignore"):
+        summable = np.isfinite(np.expm1(x))
+    out = [SeriesResult(float(c), 0, 0.0, 1.0, "none", 0) if xi == 0 or c
+           else None if ok
+           else SeriesDivergenceError(
+               f"envelope cdf at x={float(xi)} cannot be summed: e^x overflows long double", 0)
+           for xi, c, ok in zip(x, one, summable)]
     results = _raise_lost(run_with_rescue(
-        lambda be: _cdf_pass(p, xs, be),
-        len(live),
-        what=lambda i: f"envelope cdf at x={float(xs[i])}",
+        lambda be: _cdf_pass(p, x, be),
+        out,
+        what=lambda i: f"envelope cdf at x={float(x[i])}",
     ))
-    for i, res in zip(live, results):
+    for i, res in enumerate(results):
         if not -1e-9 <= res.value <= 1.0 + 1e-9:
             raise CancellationLossError(
                 f"cdf series lost too many digits: value {res.value} at x={float(x[i])}",
                 res.cancellation_ratio,
             )
         if not 0.0 < res.value <= 1.0:
-            res = replace(res, value=min(1.0, max(0.0, res.value)))
-        out[i] = res
-    return out
+            results[i] = replace(res, value=min(1.0, max(0.0, res.value)))
+    return results
 
 
 def cdf(p: TwdpParams, r: float) -> SeriesResult:

@@ -113,9 +113,12 @@ def simulate_psk_ser(
 
     Runs cfg.n_samples trials, or, when min_errors is given, adds whole
     blocks (in block order, so the result stays deterministic for any
-    worker count) until min_errors error events or cfg.n_samples trials.
+    worker count) until min_errors error events or cfg.n_samples trials;
+    min_errors below 1 raises InvalidParameterError.
     """
     _check_gamma0(gamma0)
+    if min_errors is not None and min_errors < 1:
+        raise InvalidParameterError(f"min_errors must be >= 1, got {min_errors}")
     errors = 0
     trials = 0
     next_block = 0

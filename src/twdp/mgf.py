@@ -60,7 +60,7 @@ def _mgf_series_pass(p: TwdpParams, gamma0: float, s, be):
     leg_prev, leg = be.cast(0.0), be.cast(1.0)
     coefs = _legendre_coefs(g2)
 
-    def term(m, _live):
+    def term(m):
         nonlocal cm, leg_prev, leg
         t = cm * leg
         leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
@@ -82,7 +82,7 @@ def mgf_series_grid(p: TwdpParams, gamma0: float, ss) -> list[SeriesResult]:
     s = _grid(ss, lambda v: np.isfinite(v) & (v <= 0), "s must be finite and <= 0")
     return _raise_lost(run_with_rescue(
         lambda be: _mgf_series_pass(p, gamma0, s, be),
-        len(s),
+        [None] * len(s),
         what=lambda i: f"mgf series at s={float(s[i])}",
     ))
 

@@ -18,13 +18,13 @@ of its own; the other points are unaffected.  The envelope/SNR series
 alternate and can cancel by many orders of magnitude for strong specular
 power, so a pass runs on 80-bit long doubles first, with compensated
 (Kahan) sums, and reports the cancellation ratio sum|t_m| / |sum t_m| of
-every point.  run_with_rescue reruns only the points whose ratio, times the
-pass's rounding bound, would breach the relative accuracy target
-(needs_rescue), all of them in one pass of double-longdouble arithmetic
-(_DD, hi/lo pairs of long doubles built from error-free transformations,
-section at the end; about 34 digits once its rounding is bounded, see
-_DD_EPS).  Only the points that pass cannot vouch for rerun in mpmath
-(numpy object arrays of mpf values), at digits rounded up to a multiple of
+every point.  run_with_rescue, one loop over a grid's result list, reruns
+only the points whose ratio, times the pass's rounding bound, would breach
+the relative accuracy target (needs_rescue): in double-longdouble
+arithmetic (_DD, hi/lo pairs of long doubles built from error-free
+transformations, section at the end; about 34 digits once its rounding is
+bounded, see _DD_EPS), and those that pass cannot vouch for in mpmath
+(numpy object arrays of mpf values) at digits rounded up to a multiple of
 8, all points that need the same precision in one pass.  The dd and mpmath
 passes sum plainly: their bounds count the summation's rounding, which
 costs them no extra digit, so they skip the compensation's three extra
@@ -35,6 +35,7 @@ operations per add.  On a shared 2-core x86-64 machine a dd pass costs
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -194,14 +195,13 @@ def _sum_series(term: Callable, size: int, be: _Arith, min_terms: int = 0,
     """Sum term(0) + term(1) + ... at every one of `size` points in be's
     arithmetic.
 
-    term(m, live) returns the m-th terms of all points as one array (long
-    double, _DD or mpf objects); it is called for m = 0, 1, 2, ... in order, so
-    it may advance recurrences.  Only the terms at the points marked in the
-    boolean array `live` are used, so a costly term may skip the others.
-    Every point keeps a sum of its terms (be.add) and of their magnitudes
-    (be.lead), and stops on its own under the stopping rule above; its sums
-    are kept as they are at the term where it stops, so its result does not
-    depend on the other points of the grid.
+    term(m) returns the m-th terms of all points as one array (long double,
+    _DD or mpf objects); it is called for m = 0, 1, 2, ... in order, so it
+    may advance recurrences, and it runs on at every point until the last
+    one stops.  Every point keeps a sum of its terms (be.add) and of their
+    magnitudes (be.lead), and stops on its own under the stopping rule
+    above; its sums are kept as they are at the term where it stops, so its
+    result does not depend on the other points of the grid.
 
     `min_terms` disarms the stopping rule for the first terms.  The
     alternating sums here have envelopes that dip right after the leading
@@ -219,7 +219,7 @@ def _sum_series(term: Callable, size: int, be: _Arith, min_terms: int = 0,
     live, converged = np.ones(size, dtype=bool), np.zeros(size, dtype=bool)
     tol = be.lead(be.cast(_REL_TOL))  # cast once, not per point of an mpf pass
     for m in range(limit):
-        t = term(m, live)
+        t = term(m)
         t_abs = abs(be.lead(t))
         if m == 0:
             s = comp = t * 0
@@ -248,13 +248,15 @@ def _sum_series(term: Callable, size: int, be: _Arith, min_terms: int = 0,
 
 def _pass_result(pref, s, n, last, pos, converged):
     """A pass's return value from its sums: (value, terms, terms_used,
-    trunc, ratio, converged), see run_with_rescue."""
+    trunc, ratio, converged), see run_with_rescue; a quantity past the
+    double range (an unconverged partial sum) becomes inf without a warning."""
     s_abs = abs(s)
     nonzero = s_abs > 0
     safe = np.where(nonzero, s_abs, 1)
-    trunc = np.where(nonzero, (last / safe).astype(float), math.inf)
-    ratio = np.where(nonzero, (pos / safe).astype(float), math.inf)
-    return (pref * s).astype(float), int(n.sum()), n, trunc, ratio, converged
+    with np.errstate(over="ignore"):
+        trunc = np.where(nonzero, (last / safe).astype(float), math.inf)
+        ratio = np.where(nonzero, (pos / safe).astype(float), math.inf)
+        return (pref * s).astype(float), int(n.sum()), n, trunc, ratio, converged
 
 
 def term_hump_guard(k: float, gamma: float) -> int:
@@ -283,98 +285,84 @@ def rescue_dps(cancellation_ratio: float) -> int:
     return -(-digits // 8) * 8
 
 
-def run_with_rescue(pass_fn: Callable, size: int, what: Callable = str) -> list:
-    """Sum a series at `size` points, rerunning the untrustworthy ones in
-    more precise arithmetic.
+@contextlib.contextmanager
+def _pass_arith(key: int, points):
+    """The arithmetic of a pass over `points`: long double for key 0, dd for
+    key 1, else mpmath at key digits, which it sets for the pass."""
+    if key < 2:
+        yield replace(_arith_dd() if key else _ARITH_LD, points=points)
+        return
+    import mpmath as mp
+    with mp.workdps(key):
+        yield _arith_mp(points)
 
-    pass_fn(be) sums the series at the points be.points (all when None) in
-    be's arithmetic and returns (value, terms, terms_used, trunc, ratio,
-    converged): `terms` is the number of terms summed over all those points
-    (the work of the pass, which the per-layer tracer in bench/tracing.py
-    counts), the rest are arrays over them.  Every pass is judged by
-    needs_rescue alone, from its cancellation ratios and its arithmetic's
-    eps: one long-double pass runs over all points, then one
-    double-longdouble pass over every point that fails the check (where long
-    double is the x87 format).  The points left rerun in mpmath with the
-    digits their own ratio calls for, so a point's precision and tier never
-    depend on the other points.  Each point rerun is re-checked.  A pass
-    whose rounding bound stays below _TRUST_BOUND of its sum vouches for the
-    ratio it measured, and the next pass takes the digits that ratio calls
-    for, at least 8 more than the last; past _MAX_DPS the point is given up
-    at once.  A heavily cancelled sum reports a ratio that is only a lower
-    bound (the computed total is then noise at the working epsilon), so
-    after such a pass the digits double, clamped at _MAX_DPS, and the point
-    is given up only after a _MAX_DPS pass falls short.  Points that need
-    the same precision rerun together.  A point that has not converged after
-    _MAX_TERMS terms in some pass is not rerun: more digits do not shorten
-    its series.  Each rerun is logged at DEBUG level on the "twdp" logger,
-    under the name what(i) of the point.
 
-    Returns a SeriesResult per point, with the tier of its last pass and
-    the number of passes it took, or in its place a SeriesDivergenceError
-    for a point that did not converge, or a CancellationLossError for a
-    point that would need more than _MAX_DPS digits.
+def run_with_rescue(pass_fn: Callable, out: list, what: Callable = str) -> list:
+    """Fill a grid's result list `out`: sum a series at its None entries,
+    rerunning the untrustworthy ones in more precise arithmetic.
+
+    Its other entries are the results or errors of shortcut points, which
+    no pass sees.  pass_fn(be) sums the series at the grid points be.points
+    in be's arithmetic and returns (value, terms, terms_used, trunc, ratio,
+    converged): `terms` is the number of terms summed over those points (the
+    work of the pass, which the per-layer tracer in bench/tracing.py
+    counts), the rest are arrays over them.  Each point carries the
+    arithmetic of its next pass (see _pass_arith), and each round of one
+    loop runs one pass per arithmetic in use.  A point whose pass fails
+    needs_rescue reruns: after long double in double-longdouble (where long
+    double is the x87 format), then in mpmath at the digits its own ratio
+    calls for, so a point's tier never depends on the other points.  After
+    an mpmath pass whose rounding bound stays below _TRUST_BOUND of its sum,
+    which so vouches for its ratio, the next takes the digits that ratio
+    calls for, at least 8 more; past _MAX_DPS the point is given up.  A
+    heavily cancelled sum reports only a lower bound of its ratio, so after
+    such a pass the digits double, clamped at _MAX_DPS, and the point is
+    given up only after a _MAX_DPS pass falls short.  A point that has not
+    converged within _MAX_TERMS terms is not rerun: more digits do not
+    shorten its series.  Each rerun is logged at DEBUG level on the "twdp"
+    logger, under the name what(i) of grid point i.
+
+    Returns `out` with, at each None entry, a SeriesResult carrying the tier
+    of the point's last pass and its number of passes, or in its place a
+    SeriesDivergenceError for a point that did not converge or a
+    CancellationLossError for one that would need more than _MAX_DPS digits.
     """
-    if not size:
-        return []
-    out: list = [None] * size
-
-    def to_rerun(pts, ok, eps):
-        """The points of pts that converged in a pass of rounding bound eps
-        but need more precision; those that did not converge get their error."""
-        for i in pts[~ok]:
-            out[i] = SeriesDivergenceError(
-                f"{what(i)} did not converge in {n[i]} terms", int(n[i]))
-        return pts[ok & needs_rescue(ratio[pts], eps)]
-
-    value, _, n, trunc, ratio, ok = pass_fn(_ARITH_LD)
-    tier = [_ARITH_LD.name] * size
-    passes = np.ones(size, dtype=np.int64)
-    todo = to_rerun(np.arange(size), ok, _ARITH_LD.eps)
-    dd = _arith_dd() if todo.size else None
-    if dd is not None:
-        for i in todo:
-            _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning in dd arithmetic",
-                       what(i), ratio[i], tier[i])
-            tier[i] = dd.name
-        passes[todo] += 1
-        value[todo], _, n[todo], trunc[todo], ratio[todo], ok = pass_fn(replace(dd, points=todo))
-        todo = to_rerun(todo, ok, dd.eps)
-    dps = np.zeros(size, dtype=np.int64)
-    trusted = np.zeros(size, dtype=bool)
+    size = len(out)
+    value, trunc, ratio = np.zeros((3, size))
+    n, passes, key = np.zeros((3, size), dtype=np.int64)
+    trusted, tier = np.zeros(size, dtype=bool), np.full(size, "", dtype=object)
+    todo = np.flatnonzero([res is None for res in out])
     while todo.size:
-        import mpmath as mp
-        for i in todo:
-            if trusted[i] or not dps[i]:
-                est = rescue_dps(ratio[i] if math.isfinite(ratio[i]) else 1e30)
-                dps[i] = max(est, dps[i] + 8)
-            else:  # a lower bound: double the digits, clamped at the cap, then give up
-                dps[i] = min(2 * dps[i], _MAX_DPS) if dps[i] < _MAX_DPS else 2 * _MAX_DPS
-            if dps[i] > _MAX_DPS:
-                out[i] = CancellationLossError(
-                    f"{what(i)} needs about {dps[i]} digits "
-                    f"(cancellation ratio {ratio[i]:.2e})",
-                    float(ratio[i]),
-                )
-        todo = todo[dps[todo] <= _MAX_DPS]
         again = []
-        for digits in np.unique(dps[todo]).tolist():
-            pts = todo[dps[todo] == digits]
-            with mp.workdps(digits):
-                be = _arith_mp(pts)
-                for i in pts:
-                    _log.debug(
-                        "%s: cancellation ratio %.3g in the %s pass; "
-                        "rerunning at %d digits in mp arithmetic",
-                        what(i), ratio[i], tier[i], digits,
-                    )
-                    tier[i] = be.name
-                passes[pts] += 1
+        for k in np.unique(key[todo]).tolist():
+            pts = todo[key[todo] == k]
+            how = "in dd arithmetic" if k == 1 else f"at {k} digits in mp arithmetic"
+            with _pass_arith(k, pts) as be:
+                for i in pts[passes[pts] > 0]:
+                    _log.debug("%s: cancellation ratio %.3g in the %s pass; rerunning %s",
+                               what(i), ratio[i], tier[i], how)
+                tier[pts], passes[pts] = be.name, passes[pts] + 1
                 value[pts], _, n[pts], trunc[pts], ratio[pts], ok = pass_fn(be)
-                trusted[pts] = _ERR_SAFETY * be.eps * ratio[pts] < _TRUST_BOUND
-            again.append(to_rerun(pts, ok, be.eps))
-        todo = np.concatenate(again) if again else todo
-    for i in range(size):
+            trusted[pts] = _ERR_SAFETY * be.eps * ratio[pts] < _TRUST_BOUND
+            for i in pts[~ok]:
+                out[i] = SeriesDivergenceError(
+                    f"{what(i)} did not converge in {n[i]} terms", int(n[i]))
+            again.append(pts[ok & needs_rescue(ratio[pts], be.eps)])
+        todo = np.concatenate(again)
+        for i in todo:
+            dps = key[i] if key[i] > 1 else 0
+            if not key[i] and _arith_dd() is not None:
+                key[i] = 1
+            elif trusted[i] or not dps:
+                key[i] = max(rescue_dps(ratio[i] if math.isfinite(ratio[i]) else 1e30), dps + 8)
+            else:  # a lower bound: double the digits, clamped at the cap, then give up
+                key[i] = min(2 * dps, _MAX_DPS) if dps < _MAX_DPS else 2 * _MAX_DPS
+            if key[i] > _MAX_DPS:
+                out[i] = CancellationLossError(
+                    f"{what(i)} needs about {key[i]} digits (cancellation ratio {ratio[i]:.2e})",
+                    float(ratio[i]))
+        todo = todo[key[todo] <= _MAX_DPS]
+    for i in np.flatnonzero(passes):
         if out[i] is None:
             out[i] = SeriesResult(float(value[i]), int(n[i]), float(trunc[i]), float(ratio[i]),
                                   tier[i], int(passes[i]))
@@ -751,16 +739,10 @@ class _DD:
     def __len__(self):
         return len(self.hi)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def astype(self, dtype):
         """The values rounded to dtype (float), lo deciding ties of hi."""
         d = self.hi.astype(dtype)
         return d + ((self.hi - d) + self.lo).astype(dtype)
-
-    def __float__(self):
-        return float(self.astype(float))
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.where:

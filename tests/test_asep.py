@@ -4,6 +4,7 @@ import functools
 import logging
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -92,11 +93,11 @@ class TestBracketFamily:
             }.get(tier) or (_arith_mp(), 2.0**-mp.mp.prec, lambda v: v)
             next_order = asep._bracket_family(x0, y0 / x0, y0, be)
             for m in range(max(self.ORDERS) + 1):
-                out = next_order(np.ones(len(y0), dtype=bool))
+                t1, f1 = next_order()
                 if m not in self.ORDERS:
                     continue
                 for i, y in enumerate(self.Y0):
-                    for got, want in zip(out[:, i], bracket_reference(m_order, y, m)):
+                    for got, want in zip((t1[i], f1[i]), bracket_reference(m_order, y, m)):
                         assert abs(exact(got) / want - 1) <= 256 * u, (m, y)
 
 
@@ -274,6 +275,14 @@ class TestDiagnostics:
             asep_exact(p, ModulationSpec(2), 1.0)
         assert err.value.terms_used == 500
 
+    def test_out_of_terms_without_a_warning(self):
+        # at K = 1e4 the unconverged partial sum lies past the double range:
+        # the point gets its error, and no RuntimeWarning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (res,) = asep_exact_grid(TwdpParams(k=1e4, gamma=0.0), ModulationSpec(2), [10.0])
+        assert isinstance(res, SeriesDivergenceError) and res.terms_used == 500
+
     def test_quadrature_fallback_agrees_where_series_flags(self):
         p = TwdpParams(k=130.0, gamma=1.0)
         v = asep_quadrature(p, ModulationSpec(2), 10.0)
@@ -348,13 +357,13 @@ class TestRescueTiers:
         seen = []
 
         def pass_fn(be):
-            pts = np.arange(6) if be.points is None else be.points
+            pts = be.points
             seen.append((be.name, pts.tolist()))
             n = len(pts)
             ok = np.ones(n, dtype=bool)
             return size[pts], n, np.ones(n, dtype=np.int64), np.zeros(n), ratio[pts], ok
 
-        out = run_with_rescue(pass_fn, 6)
+        out = run_with_rescue(pass_fn, [None] * 6)
         assert seen == [("longdouble", [0, 1, 2, 3, 4, 5]), ("dd", [1, 2, 3, 4, 5]),
                         ("mp40", [2]), ("mp48", [3, 4])]
         assert [res.value for res in out] == size.tolist()
@@ -370,14 +379,14 @@ class TestRescueTiers:
         seen = []
 
         def pass_fn(be):
-            pts = np.arange(4) if be.points is None else be.points
+            pts = be.points
             seen.append((be.name, pts.tolist()))
             n = len(pts)
             ok = pts != (1 if be.name == "longdouble" else 2)
             terms = np.where(ok, 7, specfun._MAX_TERMS)
             return np.ones(n), int(terms.sum()), terms, np.zeros(n), ratio[pts], ok
 
-        out = run_with_rescue(pass_fn, 4, what=lambda i: f"point {i}")
+        out = run_with_rescue(pass_fn, [None] * 4, what=lambda i: f"point {i}")
         assert seen == [("longdouble", [0, 1, 2, 3]), ("dd", [2, 3])]
         assert [type(res).__name__ for res in out] == [
             "SeriesResult", "SeriesDivergenceError", "SeriesDivergenceError", "SeriesResult"]

@@ -471,6 +471,16 @@ class TestSubprocess:
         assert err == b""
         assert out.decode().splitlines()[1].endswith(",exact")
 
+    def test_unconverged_series_prints_nothing(self):
+        # at K = 1e6 the error-rate series runs out of terms with a partial
+        # sum past the double range; the point falls back without a warning
+        proc = self.start("asep", "--k", "1e6", "--gamma", "0", "--snr-db", "10:10:1",
+                          "--method", "exact", stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+        assert out.decode().splitlines()[1].endswith(",quadrature-fallback")
+
     def test_package_runs_as_module(self, capsys):
         argv = ["convert", "--gamma", "0.5", "--k-rice", "2"]
         proc = subprocess.run([sys.executable, "-m", "twdp", *argv], capture_output=True,

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from twdp import (
     InvalidParameterError,
+    SeriesDivergenceError,
     TwdpParams,
     cdf,
     cdf_grid,
@@ -95,6 +96,28 @@ class TestCdf:
         assert [(res.tier, res.passes) for res in shortcuts] == [("none", 0)] * 3
         summed = cdf(p, 1.0)
         assert (summed.tier, summed.passes) == ("longdouble", 1)
+
+    def test_clamp_only_where_the_complement_is_negligible(self):
+        # x = r^2 (1+K) > 600 alone is no shortcut: at K = 300, Gamma = 1,
+        # r = 1.42 (x = 607, K (1+Gamma)^2/(1+Gamma^2) = 600) the cdf is
+        # 0.9486 and at K = 1e6, r = 0.5 it is 0; both used to come back 1.0.
+        # Their series cannot give them: the first runs out of terms, and
+        # the second's e^x (x = 250,000) overflows long double.
+        p300, p1e6 = TwdpParams(k=300.0, gamma=1.0), TwdpParams(k=1e6, gamma=0.0)
+        assert phase_average_cdf(p300, [1.42])[0] == pytest.approx(0.9486, abs=1e-4)
+        assert phase_average_cdf(p1e6, [0.5])[0] == 0.0
+        with pytest.raises(SeriesDivergenceError, match="did not converge in 500 terms"):
+            cdf(p300, 1.42)
+        with pytest.raises(SeriesDivergenceError, match="did not converge in 500 terms"):
+            cdf_snr(p300, 1.0, 1.42 ** 2)  # the same x
+        with pytest.raises(SeriesDivergenceError, match="cannot be summed"):
+            cdf(p1e6, 0.5)
+        with pytest.raises(SeriesDivergenceError, match="cannot be summed"):
+            cdf_snr(p1e6, 1.0, 0.25)
+        # (sqrt(x) - sqrt(K'))^2 = 41 at K = 170, Gamma = 1, r = 1.9: the
+        # complement is below e^-41 < 2^-53
+        res = cdf(TwdpParams(k=170.0, gamma=1.0), 1.9)
+        assert (res.value, res.tier, res.passes) == (1.0, "none", 0)
 
     @pytest.mark.parametrize("k,g", FIGURE_SETS)
     def test_monotone(self, k, g):

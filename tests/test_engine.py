@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from twdp import (
     ModulationSpec,
+    SeriesDivergenceError,
+    SeriesResult,
     TwdpParams,
     asep_exact,
     asep_exact_grid,
@@ -259,6 +261,99 @@ class TestGridIndependence:
         tiers = {res.tier for res in grid}
         assert "dd" in tiers and any(t.startswith("mp") for t in tiers)
         assert grid == alone
+
+
+def outcome(res):
+    """A grid entry in a form that compares by value, errors included."""
+    return res if isinstance(res, SeriesResult) else (type(res), str(res))
+
+
+class TestShortcutPoints:
+    """A shortcut point (r = 0, the cdf clamp, an error rate whose lambda
+    overflows double) keeps its own entry of the grid's result list: no
+    pass of any tier runs on it, and the points around it get what they
+    get alone."""
+
+    GRIDS = {
+        "pdf": (TwdpParams(k=40.0, gamma=1.0), [0.0, 0.2, 0.7, 1.0, 0.0]),
+        "cdf": (TwdpParams(k=40.0, gamma=0.0), [0.0, 0.01, 0.2, 0.5, 1.3, 5.0]),
+        "asep": (TwdpParams(k=30.0, gamma=1.0), [1e-310, 1.0, 10.0, 100.0]),
+    }
+    SHORTCUTS = {"pdf": [0, 4], "cdf": [0, 5], "asep": [0]}
+
+    @staticmethod
+    def evaluate(kind, p, xs):
+        if kind == "pdf":
+            return pdf_grid(p, xs)
+        if kind == "cdf":
+            return cdf_grid(p, xs)
+        return asep_exact_grid(p, ModulationSpec(2), xs)
+
+    @staticmethod
+    def trace_passes(monkeypatch):
+        """The (tier, points) of every pass the series modules run."""
+        passes = []
+
+        def run_with_rescue(pass_fn, out, what=str):
+            def traced(be):
+                passes.append((be.name, be.points.tolist()))
+                return pass_fn(be)
+            return specfun.run_with_rescue(traced, out, what)
+
+        for module in (dist, asep):
+            monkeypatch.setattr(module, "run_with_rescue", run_with_rescue)
+        return passes
+
+    @staticmethod
+    def stub_pass(ratio, seen):
+        """A series pass that returns 1 at every point, with the given
+        cancellation ratio, and records its tier and points."""
+        def pass_fn(be):
+            seen.append((be.name, be.points.tolist()))
+            n = len(be.points)
+            return (np.ones(n), n, np.ones(n, dtype=np.int64), np.zeros(n), ratio[be.points],
+                    np.ones(n, dtype=bool))
+        return pass_fn
+
+    @needs_dd
+    def test_entries_come_back_as_the_same_objects(self):
+        # points 2 and 4 cancel past long double's and dd's bounds (1e24: 41
+        # digits, run at 48); points 1 and 3 are shortcuts
+        done = SeriesResult(0.5, 0, 0.0, 1.0, "none", 0)
+        lost = SeriesDivergenceError("cannot be summed", 0)
+        ratio = np.array([1.0, 0.0, 1e15, 0.0, 1e24])
+        seen = []
+        out = [None, done, None, lost, None]
+        assert specfun.run_with_rescue(self.stub_pass(ratio, seen), out) is out
+        assert out[1] is done and out[3] is lost
+        assert seen == [("longdouble", [0, 2, 4]), ("dd", [2, 4]), ("mp48", [4])]
+        assert [(res.tier, res.passes) for res in out[::2]] == [
+            ("longdouble", 1), ("dd", 2), ("mp48", 3)]
+
+    def test_all_shortcut_grid_runs_no_pass(self, monkeypatch):
+        seen = []
+        out = [SeriesResult(0.0, 0, 0.0, 1.0, "none", 0), SeriesDivergenceError("lost", 0)]
+        entries = list(out)
+        assert specfun.run_with_rescue(self.stub_pass(np.ones(2), seen), out) is out
+        assert seen == [] and all(a is b for a, b in zip(out, entries))
+        passes = self.trace_passes(monkeypatch)
+        for kind, (p, xs) in self.GRIDS.items():
+            shortcuts = [xs[i] for i in self.SHORTCUTS[kind]]
+            grid = self.evaluate(kind, p, shortcuts)
+            assert all(isinstance(res, SeriesDivergenceError) or res.passes == 0 for res in grid)
+        assert passes == []
+
+    @needs_dd
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "asep"])
+    def test_mixed_grid(self, kind, monkeypatch):
+        p, xs = self.GRIDS[kind]
+        passes = self.trace_passes(monkeypatch)
+        grid = self.evaluate(kind, p, xs)
+        tiers = {name for name, _ in passes}
+        assert "dd" in tiers and any(name.startswith("mp") for name in tiers)
+        assert all(not set(pts) & set(self.SHORTCUTS[kind]) for _, pts in passes)
+        assert [outcome(res) for res in grid] == [
+            outcome(self.evaluate(kind, p, [x])[0]) for x in xs]
 
 
 def rescue_case(kind, p):

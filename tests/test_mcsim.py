@@ -213,6 +213,17 @@ class TestSimConfig:
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=-1)
 
+    @pytest.mark.parametrize("min_errors", [0, -3])
+    def test_min_errors_below_one_rejected(self, min_errors, capsys):
+        # a stop at "min_errors" events below 1 came after the first block
+        with pytest.raises(InvalidParameterError, match="min_errors"):
+            simulate_psk_ser(TwdpParams(k=8.0, gamma=0.0), ModulationSpec(2), 10.0,
+                             SimConfig(n_samples=1000), min_errors=min_errors)
+        assert main(["simulate", "--k", "8", "--gamma", "0", "--snr-db", "10:10:1",
+                     "--samples", "1000", "--min-errors", str(min_errors)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "min_errors must be >= 1" in err
+
     def test_fewer_samples_than_histogram_bins(self, capsys):
         # simulate makes no histogram, so a 5-sample run is valid
         assert main(["simulate", "--k", "1", "--samples", "5"]) == 0
