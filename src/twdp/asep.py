@@ -60,13 +60,9 @@ from .specfun import (
     _ARITH_LD,
     _check_gamma0,
     _exp_i0,
-    _legendre_2f1_next,
-    _legendre_coefs,
-    _pass_result,
     _raise_lost,
-    _sum_series,
+    coef_series,
     run_with_rescue,
-    term_hump_guard,
 )
 
 _LD = np.longdouble
@@ -182,10 +178,8 @@ def _bracket_family(x0: float, lam, y0_abs, be):
 
 
 def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, be):
-    """The series at the average SNRs gamma0[be.points]."""
+    """The series at the average SNRs gamma0[be.points]: coef_series, u = -1."""
     K = be.cast(p.k)
-    g2 = be.cast(p.gamma) ** 2
-    a = K / (1 + g2)
     x0 = be.cast(mod.sin2_pim)
     sp = be.sqrt(x0)
     g0 = be.cast(be.pick(gamma0))
@@ -194,22 +188,13 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, be):
     c_bracket = 3 * be.pi / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
     next_order = _bracket_family(mod.sin2_pim, lam, y0_abs, be)
-    leg_prev, leg = be.cast(0.0), be.cast(1.0)
-    coefs = _legendre_coefs(g2)
-    cm = be.cast(1.0)
 
-    def term(m):
-        nonlocal leg_prev, leg, cm
+    def bracket(m):
         t1, f1 = next_order()
         # array operand first: an mpf meeting an array tries (slowly) to convert it
-        t = (t1 * c_bracket - f1) * (cm * leg)
-        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
-        cm = cm * (-a) / (m + 1)
-        return t
+        return t1 * c_bracket - f1
 
-    s, n, last, possum, ok = _sum_series(term, len(g0), be, min_terms=term_hump_guard(p.k, p.gamma))
-    pref = sp * (1 + K) / (3 * be.pi * g0)
-    return _pass_result(pref, s, n, last, possum, ok)
+    return coef_series(p, be, -1, bracket, len(g0), sp * (1 + K) / (3 * be.pi * g0))
 
 
 def asep_exact(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> SeriesResult:

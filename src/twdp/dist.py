@@ -26,12 +26,13 @@ Both series alternate and cancel heavily when K (1+Gamma)^2/(1+Gamma^2) is
 large; sums run on 80-bit long doubles and rerun in double-longdouble
 arithmetic, or beyond its reach in mpmath, whenever the recorded
 cancellation would push the result past its accuracy target, ~1e-11
-relative however small the value, tails included.  For x > 600 the CDF is
-clamped to 1 where its complement is below 2^-53: given the phases the
-envelope is Rician with specular power at most K' = K (1+Gamma)^2 /
-(1+Gamma^2) (in units of 2 sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b >
-a, bounds the complement by exp(-(sqrt(x) - sqrt(K'))^2).  A point whose
-e^x overflows long double cannot be summed: SeriesDivergenceError.
+relative however small the value, tails included.  The CDF is 1 wherever
+its complement is below 2^-53: given the phases the envelope is Rician with
+specular power at most K' = K (1+Gamma)^2 / (1+Gamma^2) (in units of 2
+sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b > a, bounds the complement by
+exp(-(sqrt(x) - sqrt(K'))^2).  The density is 0 wherever its prefactor,
+which bounds it, is below 2^-1076.  A point whose e^x overflows long
+double cannot be summed: SeriesDivergenceError.
 """
 
 from __future__ import annotations
@@ -45,38 +46,44 @@ from .errors import CancellationLossError, InvalidParameterError, SeriesDivergen
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
+    _ARITH_LD,
     _MAX_TERMS,
     _check_gamma0,
     _ive_ladder,
-    _legendre_2f1_next,
-    _legendre_coefs,
     _grid,
     _pass_result,
     _raise_lost,
     _sum_series,
+    coef_series,
     run_with_rescue,
-    term_hump_guard,
 )
 
 _LD = np.longdouble
-_CDF_X_CLAMP = 600.0
 
 
 # ----------------------------------------------------------------------------
 # envelope PDF
 
 
-def _pdf_pass(p: TwdpParams, r, be):
-    """The pdf series at the envelope values r[be.points] (all > 0)."""
+def _pdf_args(p: TwdpParams, rb, be):
+    """(b1 r, b2 r, c, prefactor) of the pdf series at the values rb.  The
+    prefactor bounds the density: |sum| <= sum_m eps_m ive_m(b1 r) = 1."""
     K = be.cast(p.k)
     G = be.cast(p.gamma)
     s2 = be.cast(p.sigma2)
-    rb = be.cast(be.pick(r))
     g2 = G * G
     b1 = 2 * be.sqrt(K / (2 * s2) / (1 + g2))
     b2 = G * b1
     c = 2 * K * G / (1 + g2)
-    x1, x2 = rb * b1, rb * b2  # array first: an mpf meeting an array tries (slowly) to convert it
+    expo = -rb * rb / (2 * s2) - K + rb * (b1 + b2) + c
+    # array first: an mpf meeting an array tries (slowly) to convert it
+    return rb * b1, rb * b2, c, rb / s2 * be.exp(expo)
+
+
+def _pdf_pass(p: TwdpParams, r, be):
+    """The pdf series at the envelope values r[be.points] (all > 0)."""
+    rb = be.cast(be.pick(r))
+    x1, x2, c, pref = _pdf_args(p, rb, be)
 
     # each point sums terms up to the ladder order nu; the points that
     # need more rerun on a ladder twice as long
@@ -107,8 +114,6 @@ def _pdf_pass(p: TwdpParams, r, be):
             break
         nu = min(2 * nu, _MAX_TERMS)
 
-    expo = -rb * rb / (2 * s2) - K + rb * (b1 + b2) + c
-    pref = rb / s2 * be.exp(expo)
     return _pass_result(pref, s, n, last, possum, ok)
 
 
@@ -120,10 +125,12 @@ def pdf(p: TwdpParams, r: float) -> SeriesResult:
 def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope probability density along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
+    # r = 0 and a tail whose bound rounds to 0 in double need no series
+    summed = _pdf_args(p, r.astype(_LD), _ARITH_LD)[3] >= np.ldexp(_LD(1), -1076)
     zero = SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)
     return _raise_lost(run_with_rescue(
         lambda be: _pdf_pass(p, r, be),
-        [None if v > 0 else zero for v in r],
+        [None if v else zero for v in summed],
         what=lambda i: f"envelope pdf at r={float(r[i])}",
     ))
 
@@ -134,40 +141,28 @@ def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
 
 def _cdf_pass(p: TwdpParams, x, be):
     """The cdf series at the points x[be.points], all > 0."""
-    K = be.cast(p.k)
-    G = be.cast(p.gamma)
-    g2 = G * G
     xb = be.cast(be.pick(x))
-    a = K / (1 + g2)
     # 1F1(1-m; 2; x) = L_{m-1}^{(1)}(x) / m runs on the Laguerre recurrence
     # (m+1) G_{m+1} = (2m - x) G_m - (m-1) G_{m-1}, G_1 = 1; its monomial
     # form cancels completely for m beyond ~45 where x < 4m
     lag_prev, lag = xb * 0, xb * 0 + 1
-    leg_prev, leg = be.cast(0.0), be.cast(1.0)
-    coefs = _legendre_coefs(g2)
-    cm = be.cast(1.0)
 
-    def term(m):
-        nonlocal lag_prev, lag, leg_prev, leg, cm
+    def laguerre(m):
+        nonlocal lag_prev, lag
         if m == 0:
-            h1 = be.expm1(xb) / xb
-        else:
-            h1 = lag
-            lag_prev, lag = lag, ((2 * m - xb) * lag - (m - 1) * lag_prev) / (m + 1)
-        t = h1 * cm * leg  # array first: an mpf meeting an array tries (slowly) to convert it
-        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
-        cm = cm * (-a) / (m + 1)
-        return t
+            return be.expm1(xb) / xb
+        h1 = lag
+        lag_prev, lag = lag, ((2 * m - xb) * lag - (m - 1) * lag_prev) / (m + 1)
+        return h1
 
-    s, n, last, possum, ok = _sum_series(term, len(xb), be, min_terms=term_hump_guard(p.k, p.gamma))
-    return _pass_result(xb * be.exp(-xb), s, n, last, possum, ok)
+    return coef_series(p, be, -1, laguerre, len(xb), xb * be.exp(-xb))
 
 
 def _cdf_grid_x(p: TwdpParams, x) -> list[SeriesResult]:
     """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0."""
     # the clamp's complement bound and the series' e^x: see the module docstring
     gap = np.sqrt(x) - math.sqrt(p.k * (1 + p.gamma) ** 2 / (1 + p.gamma ** 2))
-    one = (x > _CDF_X_CLAMP) & (gap > 0) & (np.exp(-gap * gap) < 2.0**-53)
+    one = (gap > 0) & (np.exp(-gap * gap) < 2.0**-53)
     with np.errstate(over="ignore"):
         summable = np.isfinite(np.expm1(x))
     out = [SeriesResult(float(c), 0, 0.0, 1.0, "none", 0) if xi == 0 or c

@@ -33,13 +33,9 @@ from .specfun import (
     _check_gamma0,
     _exp_i0,
     _grid,
-    _legendre_2f1_next,
-    _legendre_coefs,
-    _pass_result,
     _raise_lost,
-    _sum_series,
+    coef_series,
     run_with_rescue,
-    term_hump_guard,
 )
 
 
@@ -51,24 +47,10 @@ def _snr_ratio(k, gamma0, s, be):
 
 
 def _mgf_series_pass(p: TwdpParams, gamma0: float, s, be):
-    """The series at the points s[be.points]."""
-    g2 = be.cast(p.gamma) ** 2
-    a = be.cast(p.k) / (1 + g2)
+    """The series at the points s[be.points]: specfun.coef_series at the
+    SNR ratio u with factor 1."""
     u, den = _snr_ratio(p.k, gamma0, be.pick(s), be)
-    q = a * u
-    cm = u * 0 + 1
-    leg_prev, leg = be.cast(0.0), be.cast(1.0)
-    coefs = _legendre_coefs(g2)
-
-    def term(m):
-        nonlocal cm, leg_prev, leg
-        t = cm * leg
-        leg_prev, leg = leg, _legendre_2f1_next(m, leg, leg_prev, coefs)
-        cm = cm * q / (m + 1)
-        return t
-
-    ssum, n, last, possum, ok = _sum_series(term, len(u), be, min_terms=term_hump_guard(p.k, p.gamma))
-    return _pass_result((1 + be.cast(p.k)) / den, ssum, n, last, possum, ok)
+    return coef_series(p, be, u, lambda m: 1, len(u), (1 + be.cast(p.k)) / den)
 
 
 def mgf_series(p: TwdpParams, gamma0: float, s: float) -> SeriesResult:

@@ -5,8 +5,9 @@ distribution and error-rate code.
   exp(-x) I_nu(x), produced by a downward Miller recurrence normalized with
   ive_0(x) + 2 sum_k ive_k(x) = 1.  Only ratios enter, so the ladder cannot
   overflow, and callers assemble exponents symbolically and exponentiate once.
-* 2F1(-m, -m; 1; b), the coefficient shared by the cdf, MGF and error-rate
-  series, runs on the stable upward Legendre recurrence in the order m.
+* coef_series sums the cdf, MGF and error-rate series, which share one
+  coefficient (K u/(1+Gamma^2))^m/m! 2F1(-m, -m; 1; Gamma^2) and differ in
+  u and a factor per order; 2F1 runs on the upward Legendre recurrence.
 * exp(lin) I_0(x), the closed-form MGF's and the high-SNR error rate's
   factor, takes one exponentiation against scipy's scaled i0e (_exp_i0).
 
@@ -152,7 +153,7 @@ _ARITH_LD = _Arith(
     sqrt=np.sqrt,
     from_mpf=lambda values: _dd_from_mpf(values).hi,
     eps=_LD_EPS,
-    pi=_LD(np.pi),
+    pi=_LD("3.141592653589793238462643383279502884"),
     add=_kahan_add,
 )
 
@@ -491,26 +492,34 @@ def _ive_ladder(x, nu_max: int, be: _Arith = _ARITH_LD):
 
 
 # ----------------------------------------------------------------------------
-# hypergeometric coefficients
+# the TWDP coefficient series
 
 
-def _legendre_coefs(b):
-    """The point-independent factors (1 + b, (1 - b)^2) of the recurrence of
-    _legendre_2f1_next, computed once per pass."""
-    return 1 + b, (1 - b) * (1 - b)
+def coef_series(p, be: _Arith, u, factor: Callable, size: int, pref):
+    """A pass (see _pass_result) of pref sum_m factor(m) c_m F_m at `size`
+    points in be's arithmetic: c_m = (K u/(1+Gamma^2))^m / m!, u = -1 (cdf,
+    error rate) or the MGF's SNR ratio per point, and F_m = 2F1(-m, -m; 1;
+    b) = (1-b)^m P_m((1+b)/(1-b)), b = Gamma^2, on the Legendre recurrence
+    F_{m+1} = ((2m+1)(1+b) F_m - m (1-b)^2 F_{m-1})/(m+1), F_0 = 1, F_{-1}
+    = 0, which tracks the dominant solution and so is stable upward.
+    factor(m) is called for m = 0, 1, ... in order: it may advance
+    recurrences."""
+    g = be.cast(p.gamma)
+    b = g * g
+    q = be.cast(p.k) / (1 + b) * u
+    bp, bm2 = 1 + b, (1 - b) * (1 - b)
+    f_prev, f, c = be.cast(0.0), be.cast(1.0), u * 0 + 1
 
+    def term(m):
+        nonlocal f_prev, f, c
+        # array operand first: an mpf meeting an array tries (slowly) to convert it
+        t = factor(m) * c * f
+        f_prev, f = f, ((2 * m + 1) * bp * f - m * bm2 * f_prev) / (m + 1)
+        c = c * q / (m + 1)
+        return t
 
-def _legendre_2f1_next(m: int, f, f_prev, coefs):
-    """2F1(-(m+1), -(m+1); 1; b) from its values f at m and f_prev at m - 1,
-    with coefs = _legendre_coefs(b).
-
-    2F1(-m, -m; 1; b) = (1-b)^m P_m((1+b)/(1-b)) with P_m the Legendre
-    polynomial, giving F_{m+1} = ((2m+1)(1+b) F_m - m (1-b)^2 F_{m-1})/(m+1),
-    F_0 = 1, F_{-1} = 0.  All quantities are positive for b in [0, 1]; the
-    recurrence tracks the dominant solution, so it is stable upward.
-    """
-    bp, bm2 = coefs
-    return ((2 * m + 1) * bp * f - m * bm2 * f_prev) / (m + 1)
+    s, n, last, pos, ok = _sum_series(term, size, be, min_terms=term_hump_guard(p.k, p.gamma))
+    return _pass_result(pref, s, n, last, pos, ok)
 
 
 # ----------------------------------------------------------------------------
@@ -705,12 +714,6 @@ class _DD:
 
     def __rtruediv__(self, other):
         return _dd_div(_DD(other, 0), self)
-
-    def __pow__(self, n: int):
-        out = self
-        for _ in range(n - 1):  # small integer powers only
-            out = out * self
-        return out
 
     def __neg__(self):
         return _DD(-self.hi, -self.lo)

@@ -524,7 +524,7 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     x0, g0 = LD(sin2_pim), LD(gamma0)
     sp = np.sqrt(x0)
     lam, y0_abs = float((1 + K) / (g0 * x0)), float((1 + K) / g0)
-    c_bracket = 3 * LD(np.pi) / (2 * sp * x0)
+    c_bracket = 3 * _ARITH_LD.pi / (2 * sp * x0)
 
     def row(x, y, v, v_next, b):
         g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
@@ -550,11 +550,11 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
         cm = LD(1.0)
         for m, leg in enumerate(legendre_2f1(g2)):
             t1 = next(f2f1)
-            yield cm * leg * (c_bracket * t1 - (next(f1) if sin2_pim < 1.0 else to_f1 * t1))
+            yield (c_bracket * t1 - (next(f1) if sin2_pim < 1.0 else to_f1 * t1)) * cm * leg
             cm = cm * (-a) / (m + 1)
 
     s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
-    return _finish(sp * (1 + K) / (3 * LD(np.pi) * g0), s, n, last, pos)
+    return _finish(sp * (1 + K) / (3 * _ARITH_LD.pi * g0), s, n, last, pos)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,13 @@ class TestCurveCommands:
             assert float(row[1]) == pytest.approx(scale * f(p, 6.0 * x).value, rel=1e-11, abs=0)
             assert float(raw_row[1]) == pytest.approx(f(p, x).value, rel=1e-11, abs=0)
 
+    def test_pdf_far_upper_tail_is_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "pdf", "--k", "14", "--gamma", "1", "--rmax", "1e6",
+                               "--points", "3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(row[1]) for row in rows] == [0.0] * 3
+
     def test_cdf_reaches_one(self, capsys):
         code, out, _ = run_cli(capsys, "cdf", "--k", "14", "--gamma", "1",
                                "--points", "60", "--rmax", "4")

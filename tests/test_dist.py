@@ -90,10 +90,16 @@ class TestCdf:
         assert cdf(TwdpParams(k=5.0, gamma=0.2), 0.0).value == 0.0
 
     def test_shortcuts_sum_no_series(self):
-        p = TwdpParams(k=8.0, gamma=0.5)
-        # r = 0 for both, and x = r^2 / (2 sigma^2) past the clamp for the cdf
-        shortcuts = [pdf(p, 0.0), *cdf_grid(p, [0.0, 40.0])]
-        assert [(res.tier, res.passes) for res in shortcuts] == [("none", 0)] * 3
+        p, p40 = TwdpParams(k=8.0, gamma=0.5), TwdpParams(k=40.0, gamma=0.0)
+        # r = 0 for both; the pdf at r = 1e6, where its prefactor, which
+        # bounds it, is below 2^-1076 (the Bessel ladder, limited to
+        # arguments up to 1e7, never runs); the cdf where its complement is
+        # below 2^-53, at x = r^2 / (2 sigma^2) = 14,400 and, at K = 40,
+        # Gamma = 0, at x = 369 (below e^-166)
+        shortcuts = [pdf(p, 0.0), pdf(TwdpParams(k=14.0, gamma=1.0), 1e6),
+                     *cdf_grid(p, [0.0, 40.0]), cdf(p40, 3.0 * math.sqrt(p40.omega))]
+        assert [(res.value, res.tier, res.passes) for res in shortcuts] == [
+            (v, "none", 0) for v in (0.0, 0.0, 0.0, 1.0, 1.0)]
         summed = cdf(p, 1.0)
         assert (summed.tier, summed.passes) == ("longdouble", 1)
 

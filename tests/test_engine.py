@@ -398,8 +398,14 @@ class TestDoubleLongdoubleRescue:
     @pytest.mark.parametrize("k", [14.0, 20.0, 30.0])
     def test_pdf_tail_against_64_digit_mpmath(self, k):
         grid, series = rescue_case("pdf-tail", TwdpParams(k=k, gamma=1.0))
-        for res, want in zip(grid(), at_digits(series, 64)):
-            assert res.cancellation_ratio > 1e8
+        results = grid()
+        for i, (res, want) in enumerate(zip(results, at_digits(series, 64))):
+            if k == 30.0 and i == len(results) - 1:
+                # r/sqrt(Omega) = 7 underflows double at K = 30: a shortcut,
+                # and the 64-digit pass agrees
+                assert (res.tier, res.passes, want) == ("none", 0, 0.0)
+            else:
+                assert res.cancellation_ratio > 1e8
             assert res.value == pytest.approx(want, rel=1e-12, abs=0)
 
     @needs_dd
@@ -415,12 +421,12 @@ class TestDoubleLongdoubleRescue:
         else:
             p, mod = TwdpParams(k=14.0, gamma=1.0), ModulationSpec(16)
             g0 = 10.0 ** (np.arange(0.0, 41.0, 5.0) / 10.0)
-            module, series = asep, lambda be: _asep_pass(p, mod, g0, be)
-        sums = []
+            module, series = specfun, lambda be: _asep_pass(p, mod, g0, be)
+        sums, pass_result = [], specfun._pass_result
 
         def keep(pref, s, *rest):
             sums.append(pref * s)
-            return specfun._pass_result(pref, s, *rest)
+            return pass_result(pref, s, *rest)
 
         monkeypatch.setattr(module, "_pass_result", keep)
         _, _, n, _, ratio, ok = series(specfun._arith_dd())
