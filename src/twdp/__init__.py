@@ -1,7 +1,6 @@
 """Exact statistics and M-PSK error rates for the TWDP fading model."""
 
 from .errors import (
-    CancellationLossError,
     InvalidParameterError,
     QuadratureError,
     SeriesDivergenceError,
@@ -35,7 +34,6 @@ from .mcsim import SerEstimate, SimConfig, simulate_psk_ser
 __version__ = "0.1.0"
 
 __all__ = [
-    "CancellationLossError",
     "InvalidParameterError",
     "ModulationSpec",
     "QuadratureError",

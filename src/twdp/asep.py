@@ -26,22 +26,25 @@ Three routes:
   (1+K)/(2 pi g0) (pi - pi/M + sin(2 pi/M)/2)/sin^2(pi/M) e^{-K} I_0(2 Gamma K/(1+Gamma^2)).
 
 asep_exact_grid sums the sweep in specfun.run_with_rescue's one loop, like
-the other alternating series, in three tiers.  The first pass runs on long
-doubles over the whole SNR sweep.  The points whose cancellation calls for
-more digits rerun together in double-longdouble numpy arithmetic, bracket
-recurrence and outer sum alike (each bracket factor measured within 75 u^2,
-u = 2^-64, over 500 orders; about 34 digits in all, see specfun._DD_EPS).  Only
-the points that pass cannot vouch for rerun in mpmath at the digits their
-cancellation calls for, again together, on object arrays of mpf values.  One
-bracket family serves all three tiers.  A point whose series has not
-converged within specfun._MAX_TERMS terms gets a SeriesDivergenceError in
-place of its result, and so does one whose (1+K)/(g0 sin^2(pi/M)) overflows
-double (g0 below about 1e-307, -3070 dB): a shortcut entry of the sweep's
-result list, which no pass sees.  One whose measured cancellation calls for
-more than 120 digits (specfun._MAX_DPS), or that a 120-digit pass still
-cannot vouch for, gets a CancellationLossError (see
-specfun.run_with_rescue), so callers (the CLI does this) can substitute
-asep_quadrature; asep_exact raises either.
+the other alternating series.  The first pass runs on long doubles over the
+whole SNR sweep.  The points whose cancellation calls for more digits, or
+whose series does not converge within specfun._MAX_TERMS terms, rerun
+together as the positive mixture
+
+    P = (1/pi) sum_k w_k E_(k+1),    E_n = int_0^{pi - pi/M} h^n dphi,
+    h = sin^2 phi / (sin^2 phi + g),  g = sin^2(pi/M) g0/(1+K),
+
+over the model's Poisson mixing weights w_k: given the phases, TWDP is
+Rician, a Poisson mixture of Nakagami-(k+1) fading, and (1/pi) E_(k+1) is
+M-PSK's error rate over Nakagami-(k+1) fading (Simon & Alouini, Digital
+Communication over Fading Channels, 2nd ed., ch. 8).  _nakagami_orders gives
+E_n from a recurrence in n.  A point whose mixture needs more than
+specfun._MIX_MAX_TERMS terms gets a SeriesDivergenceError in place of its
+result, and so does one whose (1+K)/(g0 sin^2(pi/M)) overflows double (g0
+below about 1e-307, -3070 dB): a shortcut entry of the sweep's result list,
+which no pass sees.  Callers (the CLI does this) can substitute
+asep_quadrature there; asep_exact raises it.  mpmath serves only the
+long-double seeds of the bracket family (_f1_seeds).
 """
 
 from __future__ import annotations
@@ -56,16 +59,22 @@ from .errors import InvalidParameterError, QuadratureError, SeriesDivergenceErro
 from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
+    _LD_EPS,
+    _MIX_MAX_TERMS,
+    _PI,
     SeriesResult,
-    _ARITH_LD,
     _check_gamma0,
     _exp_i0,
     _raise_lost,
     coef_series,
+    mixture_series,
+    mixture_terms,
     run_with_rescue,
 )
 
 _LD = np.longdouble
+# 3 pi/4, the F1 factor over the 2F1 one at M = 2, as the nearest long double
+_THREE_PI_4 = _LD("2.356194490192344928846982537459627163")
 
 
 @dataclass(frozen=True)
@@ -84,9 +93,9 @@ class ModulationSpec:
         object.__setattr__(self, "sin2_pim", s * s)
 
 
-def _f1_seeds(x: float, y, be):
-    """1.5 J_1(x, y) and 1.5 J_2(x, y) at x < 1 and every y > 0, in be's
-    arithmetic.
+def _f1_seeds(x: float, y):
+    """1.5 J_1(x, y) and 1.5 J_2(x, y) at x < 1 and every y > 0, as long
+    doubles.
 
     With theta = arcsin sqrt(x), phi = arcsin sqrt((x+y)/(1+y)) and b = x + y
     (substitute t = s^2/(1 + x s^2) and split into partial fractions),
@@ -96,10 +105,10 @@ def _f1_seeds(x: float, y, be):
 
     J_1 cancels by up to about 5 (1+y)/y and J_2 by up to about 1.5/x, so
     each point is evaluated in mpmath with that many bits, and 24 more,
-    beyond those be's eps asks for, and then rounded to be.
+    beyond a long double's, and then rounded to the nearest long double.
     """
     import mpmath as mp
-    base = int(-math.log2(be.eps)) + 24
+    base = int(-math.log2(_LD_EPS)) + 24
     out = []
     for v in y.tolist():
         with mp.workprec(base + int(math.log2(1 + v) - math.log2(v) - math.log2(x)) + 3):
@@ -108,13 +117,15 @@ def _f1_seeds(x: float, y, be):
             f = mp.asin(mp.sqrt(b / (1 + Y))) / mp.sqrt(b)
             out += [3 * (mp.asin(mp.sqrt(X)) / mp.sqrt(X) - f) / Y,
                     (f - mp.sqrt(1 - X) / (1 + Y)) * 1.5 / b]
-    vals = be.from_mpf(out)
+    with mp.workprec(64):  # a long double's significand: ldexp is exact (J > 0)
+        vals = np.array([np.ldexp(_LD(man), exp) for man, exp in ((+v).man_exp for v in out)],
+                        dtype=_LD)
     return vals[0::2], vals[1::2]
 
 
-def _bracket_family(x0: float, lam, y0_abs, be):
+def _bracket_family(x0: float, lam, y0_abs):
     """The factors 2F1(3/2,1+m;2;-lam) and F1(3/2;1/2,1+m;5/2;x0,-y0_abs)
-    for m = 0, 1, ... at every entry of lam and y0_abs, in be's arithmetic.
+    for m = 0, 1, ... at every entry of lam and y0_abs, in long double.
 
     Returns next_order(): its m-th call gives the order-m factors as a pair
     (2F1 factors, F1 factors) of arrays over all points.  Each point's
@@ -146,28 +157,23 @@ def _bracket_family(x0: float, lam, y0_abs, be):
     at x0 < 1 see _f1_seeds.  An order costs O(1) operations per point.
     """
     rows = 1 if x0 == 1.0 else 2
-    x = be.cast(np.array([1.0, x0][:rows]))[:, None]
-    y = be.cast(np.array([lam, y0_abs][:rows]))
-    v, v_next = be.cast(np.zeros((2, rows, len(lam))))
-    s = be.sqrt(1 + y[0])
+    x = np.array([1.0, x0][:rows], dtype=_LD)[:, None]
+    y = np.array([lam, y0_abs][:rows], dtype=_LD)
+    v, v_next = np.zeros((2, rows, len(lam)), dtype=_LD)
+    s = np.sqrt(1 + y[0])
     v[0], v_next[0] = 2 / (s * (1 + s)), 1 / (s * s * s)
     b = v * 0
     if rows == 2:
-        v[1], v_next[1] = _f1_seeds(x0, y0_abs, be)
-        b[1] = 1.5 * be.sqrt(1 - x[1]) / ((1 + y[1]) * (1 + y[1]))
-    else:
-        # at x0 = 1 the F1 factor is 3 pi/4 times the 2F1 one
-        import mpmath as mp
-        with mp.workprec(int(-math.log2(be.eps)) + 24):
-            to_f1 = 3 * mp.pi / 4
-        to_f1 = be.from_mpf([to_f1])[0]
+        v[1], v_next[1] = _f1_seeds(x0, y0_abs)
+        b[1] = 1.5 * np.sqrt(1 - x[1]) / ((1 + y[1]) * (1 + y[1]))
     g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
     d = v * 0
     n = 2
 
     def next_order():
         nonlocal v, v_next, b, d, n
-        out = v[0], v[1] if rows == 2 else to_f1 * v[0]
+        # at x0 = 1 the F1 factor is 3 pi/4 times the 2F1 one
+        out = v[0], v[1] if rows == 2 else _THREE_PI_4 * v[0]
         d = (q * (1.5 * v_next - b) + (n - 2) * (r * d)) / n
         v, v_next = v_next, v_next - d
         b = b * g
@@ -177,32 +183,99 @@ def _bracket_family(x0: float, lam, y0_abs, be):
     return next_order
 
 
-def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, be):
-    """The series at the average SNRs gamma0[be.points]: coef_series, u = -1."""
-    K = be.cast(p.k)
-    x0 = be.cast(mod.sin2_pim)
-    sp = be.sqrt(x0)
-    g0 = be.cast(be.pick(gamma0))
+def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ps):
+    """The error rate at the average SNRs gamma0[ps.points] in the tier
+    ps.name: coef_series with u = -1, or the mixture."""
+    K = _LD(p.k)
+    x0 = _LD(mod.sin2_pim)
+    g0 = gamma0[ps.points].astype(_LD)
+    if ps.name == "mixture":
+        return _asep_mixture(p, mod, x0 * g0 / (1 + K))
+    sp = np.sqrt(x0)
     lam = ((1 + K) / (g0 * x0)).astype(float)
     y0_abs = ((1 + K) / g0).astype(float)
-    c_bracket = 3 * be.pi / (2 * sp * x0)  # 3 pi / (2 sin^3)
+    c_bracket = 3 * _PI / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
-    next_order = _bracket_family(mod.sin2_pim, lam, y0_abs, be)
+    next_order = _bracket_family(mod.sin2_pim, lam, y0_abs)
 
     def bracket(m):
         t1, f1 = next_order()
-        # array operand first: an mpf meeting an array tries (slowly) to convert it
         return t1 * c_bracket - f1
 
-    return coef_series(p, be, -1, bracket, len(g0), sp * (1 + K) / (3 * be.pi * g0))
+    return coef_series(p, -1, bracket, len(g0), sp * (1 + K) / (3 * _PI * g0))
+
+
+def _asep_mixture(p: TwdpParams, mod: ModulationSpec, g):
+    """The mixture error rate (1/pi) sum_k w_k E_(k+1) at g = sin^2(pi/M)
+    g0/(1+K) per point; E_(n+1) <= E_n/(1+g), since h <= 1/(1+g)."""
+    n = mixture_terms(p)
+    # past the term budget mixture_series sums nothing
+    e = np.array([_nakagami_orders(v, mod, n) for v in g]) if n <= _MIX_MAX_TERMS else None
+    return mixture_series(p, len(g), lambda k: e[:, k], lambda k: 1 / (1 + g), 1 / _PI)
+
+
+def _tails(terms, rho, total):
+    """sum_{j>=i} t_j at every i of the positive terms t of a sequence whose
+    terms past them fall by rho or less each and which sums to `total`: the
+    suffix sums of the terms plus the rest past them, total less their sum,
+    clipped into [0, t_last rho/(1-rho)]."""
+    suffix = np.cumsum(terms[::-1])[::-1]
+    bound = terms[-1] * rho / (1 - rho) if rho < 1 else np.inf
+    return suffix + min(max(total - suffix[0], _LD(0)), bound)
+
+
+def _nakagami_orders(g, mod: ModulationSpec, n: int):
+    """E_1..E_n, E_m = int_0^{pi-pi/M} h^m dphi with h = sin^2 phi /
+    (sin^2 phi + g), at one long double g > 0.
+
+    With beta = 1+g and H = sin^2(pi/M)/(sin^2(pi/M) + g), the substitution
+    h(phi) maps [0, pi/2] onto [0, 1/beta] and [pi/2, pi-pi/M] back onto
+    [H, 1/beta], so
+
+        E_m - E_(m+1) = P_m = (sqrt(g)/2) (2 Q_m(1/beta) - Q_m(H)),
+        Q_m(H) = int_0^H h^(m-1/2) (1 - beta h)^(-1/2) dh,
+
+    and integrating d/dh [h^(m+1/2) (1 - beta h)^(1/2)] gives (m+1/2) Q_m -
+    beta (m+1) Q_(m+1) = H^(m+1/2) (1 - beta H)^(1/2), Q_0(H) =
+    2 arcsin(sqrt(beta H))/sqrt(beta).  At H = 1/beta the right side
+    vanishes: Q_m(1/beta) = pi/sqrt(beta) L_m, L_m = prod_{i<m} (i+1/2) /
+    (beta (i+1)).  Below it the recurrence, solved backward, is a sum of
+    positive terms: Q_m(H) = L_m sum_{j>=m} r_j, r_0 = 2 sqrt(H (1 - beta
+    H)), r_(j+1)/r_j = beta H (j+1)/(j+3/2).  E_m = sum_{j>=m} P_j, whose
+    terms fall by 1/beta or faster.  Each tail (_tails) sums its terms over
+    a window past the orders needed, long enough for them to fall by e^-46,
+    but at most 8 times those orders: where that cuts it short, the terms
+    fall so slowly that taking the rest as the total less the window's sum
+    loses under 6 bits.  At M = 2, H = 1/beta and P_m = (sqrt(g)/2)
+    Q_m(1/beta).
+    """
+    def window(rate, m):
+        return m + int(min(math.ceil(46 / rate) if rate > 0 else math.inf, 8 * m + 64))
+
+    beta = 1 + g
+    n_p = window(float(np.log1p(g)), n + 1)
+    i = np.arange(1, n_p, dtype=_LD)
+    lm = np.cumprod(np.append(_LD(1), (i - _LD(0.5)) / (beta * i)))
+    q_top = _PI / np.sqrt(beta) * lm
+    if mod.m_order == 2:
+        p_m = np.sqrt(g) / 2 * q_top
+    else:
+        s = _LD(mod.sin2_pim)
+        bh = beta * s / (s + g)
+        n_q = window(float(np.log1p(g / s) - np.log1p(g)), n_p)
+        j = np.arange(1, n_q, dtype=_LD)
+        r = (2 * np.sqrt(s / (s + g) * (g * (1 - s) / (s + g)))
+             * np.cumprod(np.append(_LD(1), bh * j / (j + _LD(0.5)))))
+        q_h = lm * _tails(r, bh, 2 * np.arcsin(np.sqrt(bh)) / np.sqrt(beta))[:n_p]
+        p_m = np.sqrt(g) / 2 * (2 * q_top - q_h)
+    return _tails(p_m, 1 / beta, _PI - _PI / mod.m_order)[1:n + 1]
 
 
 def asep_exact(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> SeriesResult:
     """Exact M-PSK symbol error probability from the explicit series.
 
-    Raises SeriesDivergenceError where the series does not converge within
-    its term budget, and CancellationLossError where it would need more
-    than 120 digits.
+    Raises SeriesDivergenceError where neither the series nor its mixture
+    converges within its term budget.
     """
     return _raise_lost(asep_exact_grid(p, mod, [gamma0]))[0]
 
@@ -211,10 +284,9 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
     """Exact M-PSK symbol error probability along a sweep of average SNRs.
 
     Returns a SeriesResult per point, or in its place the
-    SeriesDivergenceError of a point where the series does not converge
-    within its term budget or cannot be summed at all, or the
-    CancellationLossError of one where it would need more than 120 digits
-    (callers such as the CLI substitute asep_quadrature there).
+    SeriesDivergenceError of a point where neither the series nor its
+    mixture converges within its term budget, or that cannot be summed at
+    all (callers such as the CLI substitute asep_quadrature there).
     """
     g0 = np.array([_check_gamma0(v) for v in np.asarray(gamma0s, dtype=float).ravel()])
 
@@ -228,7 +300,7 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
     out = [None if math.isfinite(v) else SeriesDivergenceError(
         f"{what(i)} cannot be summed: (1+K)/(gamma0 sin^2(pi/M)) overflows double", 0)
         for i, v in enumerate(lam)]
-    return run_with_rescue(lambda be: _asep_pass(p, mod, g0, be), out, what)
+    return run_with_rescue(lambda ps: _asep_pass(p, mod, g0, ps), out, what)
 
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
@@ -243,7 +315,7 @@ def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     g = _LD(p.gamma)
     angle = _LD(math.pi - math.pi / M + 0.5 * math.sin(2.0 * math.pi / M))
     xarg = 2 * g * k / (1 + g * g)  # <= K, so the joint exponent stays <= 0
-    scale = (1 + k) / (2 * _ARITH_LD.pi * _LD(gamma0) * _LD(mod.sin2_pim))
+    scale = (1 + k) / (2 * _PI * _LD(gamma0) * _LD(mod.sin2_pim))
     value = _exp_i0(scale * angle, -k, xarg)
     if not math.isfinite(value):
         raise InvalidParameterError(

@@ -5,9 +5,9 @@ cells use %.12e formatting, header rows are always present, and rows are
 ordered by ascending x.  Average SNR is accepted in dB on every flag and
 converted to the library's linear gamma0 in one place, _snr_linear.
 
-Exit codes: 0 success, 2 usage error, 3 series convergence/cancellation
-failure, 4 quadrature failure, 5 I/O failure, 1 stdout closed early (as by
-`| head`).
+Exit codes: 0 success, 2 usage error, 3 series failure (a point past the
+mixture's term budget, or one no series can sum), 4 quadrature failure,
+5 I/O failure, 1 stdout closed early (as by `| head`).
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ import numpy as np
 
 from . import dist, mcsim, params
 from .asep import ModulationSpec, asep_asymptotic, asep_exact_grid, asep_quadrature
-from .errors import (
-    CancellationLossError,
-    InvalidParameterError,
-    QuadratureError,
-    SeriesDivergenceError,
-)
+from .errors import InvalidParameterError, QuadratureError, SeriesDivergenceError
 from .mgf import mgf_closed, mgf_series_grid
 from .params import TwdpParams
 
@@ -134,11 +129,11 @@ def _curve(p: TwdpParams, which: str, xs, normalized: bool) -> list:
 
 def _asep_exact_with_fallback(p, mod, gamma0s):
     """(value, terms, tag) per average SNR; substitutes quadrature at the
-    points where the series does not converge or flags unrecoverable
-    cancellation."""
+    points where the series cannot be summed or its mixture would pass its
+    term budget."""
     out = []
     for gamma0, res in zip(gamma0s, asep_exact_grid(p, mod, gamma0s)):
-        if isinstance(res, (SeriesDivergenceError, CancellationLossError)):
+        if isinstance(res, SeriesDivergenceError):
             out.append((asep_quadrature(p, mod, gamma0), 0, "quadrature-fallback"))
         else:
             out.append((res.value, res.terms_used, "exact"))
@@ -434,7 +429,7 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SeriesDivergenceError, CancellationLossError) as exc:
+    except SeriesDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SERIES
     except QuadratureError as exc:

@@ -23,16 +23,21 @@ Rician (Gamma = 0) and Rayleigh (K = 0) fading are special cases of both
 series.
 
 Both series alternate and cancel heavily when K (1+Gamma)^2/(1+Gamma^2) is
-large; sums run on 80-bit long doubles and rerun in double-longdouble
-arithmetic, or beyond its reach in mpmath, whenever the recorded
+large; sums run on 80-bit long doubles, and a point whose recorded
 cancellation would push the result past its accuracy target, ~1e-11
-relative however small the value, tails included.  The CDF is 1 wherever
-its complement is below 2^-53: given the phases the envelope is Rician with
-specular power at most K' = K (1+Gamma)^2 / (1+Gamma^2) (in units of 2
-sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b > a, bounds the complement by
-exp(-(sqrt(x) - sqrt(K'))^2).  The density is 0 wherever its prefactor,
-which bounds it, is below 2^-1076.  A point whose e^x overflows long
-double cannot be summed: SeriesDivergenceError.
+relative however small the value, tails included, or whose series does not
+converge within its term budget, is summed again as a positive mixture
+(specfun.mixture_series):
+
+    f_R(r) = (r/sigma^2) sum_j w_j pi_j(x),    F_R(r) = sum_{j>=1} W_(j-1) pi_j(x),
+
+with pi_j(x) = e^{-x} x^j/j!, the mixing weights w_j and their running sums
+W_j.  The CDF is 1 wherever its complement is below 2^-53: given the phases
+the envelope is Rician with specular power at most K' = K (1+Gamma)^2 /
+(1+Gamma^2) (in units of 2 sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b > a,
+bounds the complement by exp(-(sqrt(x) - sqrt(K'))^2).  The density is 0
+wherever its prefactor, which bounds it, is below 2^-1076.  A point whose e^x
+overflows long double cannot be summed: SeriesDivergenceError.
 """
 
 from __future__ import annotations
@@ -42,11 +47,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CancellationLossError, InvalidParameterError, SeriesDivergenceError
+from .errors import InvalidParameterError, SeriesDivergenceError
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
-    _ARITH_LD,
     _MAX_TERMS,
     _check_gamma0,
     _ive_ladder,
@@ -55,7 +59,10 @@ from .specfun import (
     _raise_lost,
     _sum_series,
     coef_series,
+    k_top,
+    mixture_series,
     run_with_rescue,
+    running_product,
 )
 
 _LD = np.longdouble
@@ -65,25 +72,28 @@ _LD = np.longdouble
 # envelope PDF
 
 
-def _pdf_args(p: TwdpParams, rb, be):
-    """(b1 r, b2 r, c, prefactor) of the pdf series at the values rb.  The
-    prefactor bounds the density: |sum| <= sum_m eps_m ive_m(b1 r) = 1."""
-    K = be.cast(p.k)
-    G = be.cast(p.gamma)
-    s2 = be.cast(p.sigma2)
+def _pdf_args(p: TwdpParams, rb):
+    """(b1 r, b2 r, c, prefactor) of the pdf series at the long-double
+    values rb.  The prefactor bounds the density: |sum| <= sum_m eps_m
+    ive_m(b1 r) = 1."""
+    K = _LD(p.k)
+    G = _LD(p.gamma)
+    s2 = _LD(p.sigma2)
     g2 = G * G
-    b1 = 2 * be.sqrt(K / (2 * s2) / (1 + g2))
+    b1 = 2 * np.sqrt(K / (2 * s2) / (1 + g2))
     b2 = G * b1
     c = 2 * K * G / (1 + g2)
     expo = -rb * rb / (2 * s2) - K + rb * (b1 + b2) + c
-    # array first: an mpf meeting an array tries (slowly) to convert it
-    return rb * b1, rb * b2, c, rb / s2 * be.exp(expo)
+    return rb * b1, rb * b2, c, rb / s2 * np.exp(expo)
 
 
-def _pdf_pass(p: TwdpParams, r, be):
-    """The pdf series at the envelope values r[be.points] (all > 0)."""
-    rb = be.cast(be.pick(r))
-    x1, x2, c, pref = _pdf_args(p, rb, be)
+def _pdf_pass(p: TwdpParams, r, ps):
+    """The pdf at the envelope values r[ps.points] (all > 0), in the tier
+    ps.name."""
+    rb = r[ps.points].astype(_LD)
+    if ps.name == "mixture":
+        return _pdf_mixture(p, rb)
+    x1, x2, c, pref = _pdf_args(p, rb)
 
     # each point sums terms up to the ladder order nu; the points that
     # need more rerun on a ladder twice as long
@@ -94,9 +104,9 @@ def _pdf_pass(p: TwdpParams, r, be):
     nu = 48
     while True:
         # c rides along as one more point of the first ladder
-        iv = _ive_ladder(np.append(x1[todo], c), nu, be)
+        iv = _ive_ladder(np.append(x1[todo], c), nu)
         iv1, iv3 = iv[:, :-1], iv[:, -1]
-        iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2[todo], nu, be)  # x2 = Gamma x1
+        iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2[todo], nu)  # x2 = Gamma x1
 
         def term(m):
             t = iv1[m] * iv2[m] * iv3[m]
@@ -107,7 +117,7 @@ def _pdf_pass(p: TwdpParams, r, be):
             return t
 
         s[todo], n[todo], last[todo], possum[todo], ok[todo] = _sum_series(
-            term, len(todo), be, n_limit=nu + 1
+            term, len(todo), limit=min(nu + 1, _MAX_TERMS)
         )
         todo = todo[~ok[todo]]
         if not todo.size or nu >= _MAX_TERMS:
@@ -115,6 +125,15 @@ def _pdf_pass(p: TwdpParams, r, be):
         nu = min(2 * nu, _MAX_TERMS)
 
     return _pass_result(pref, s, n, last, possum, ok)
+
+
+def _pdf_mixture(p: TwdpParams, rb):
+    """The mixture pdf at the long-double values rb > 0: factors pi_j(x),
+    whose terms peak below max(K', sqrt(K' x))."""
+    x = rb * rb / (2 * _LD(p.sigma2))
+    step = lambda j: x / (j + 1)  # pi_(j+1)(x) / pi_j(x), falling in j
+    return mixture_series(p, len(x), running_product(np.exp(-x), step), step, rb / _LD(p.sigma2),
+                          j_peak=math.sqrt(k_top(p.k, p.gamma) * float(x.max())))
 
 
 def pdf(p: TwdpParams, r: float) -> SeriesResult:
@@ -126,10 +145,10 @@ def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope probability density along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
     # r = 0 and a tail whose bound rounds to 0 in double need no series
-    summed = _pdf_args(p, r.astype(_LD), _ARITH_LD)[3] >= np.ldexp(_LD(1), -1076)
+    summed = _pdf_args(p, r.astype(_LD))[3] >= np.ldexp(_LD(1), -1076)
     zero = SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)
     return _raise_lost(run_with_rescue(
-        lambda be: _pdf_pass(p, r, be),
+        lambda ps: _pdf_pass(p, r, ps),
         [None if v else zero for v in summed],
         what=lambda i: f"envelope pdf at r={float(r[i])}",
     ))
@@ -139,9 +158,12 @@ def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
 # envelope / SNR CDF, one series in the variable x
 
 
-def _cdf_pass(p: TwdpParams, x, be):
-    """The cdf series at the points x[be.points], all > 0."""
-    xb = be.cast(be.pick(x))
+def _cdf_pass(p: TwdpParams, x, ps):
+    """The cdf at the long-double points x[ps.points], all > 0, in the
+    tier ps.name."""
+    xb = x[ps.points]
+    if ps.name == "mixture":
+        return _cdf_mixture(p, xb)
     # 1F1(1-m; 2; x) = L_{m-1}^{(1)}(x) / m runs on the Laguerre recurrence
     # (m+1) G_{m+1} = (2m - x) G_m - (m-1) G_{m-1}, G_1 = 1; its monomial
     # form cancels completely for m beyond ~45 where x < 4m
@@ -150,18 +172,26 @@ def _cdf_pass(p: TwdpParams, x, be):
     def laguerre(m):
         nonlocal lag_prev, lag
         if m == 0:
-            return be.expm1(xb) / xb
+            return np.expm1(xb) / xb
         h1 = lag
         lag_prev, lag = lag, ((2 * m - xb) * lag - (m - 1) * lag_prev) / (m + 1)
         return h1
 
-    return coef_series(p, be, -1, laguerre, len(xb), xb * be.exp(-xb))
+    return coef_series(p, -1, laguerre, len(xb), xb * np.exp(-xb))
+
+
+def _cdf_mixture(p: TwdpParams, xb):
+    """The mixture cdf at the long-double points xb > 0: factors
+    pi_(j+1)(x), whose terms peak below max(K', x)."""
+    step = lambda j: xb / (j + 2)  # pi_(j+2)(x) / pi_(j+1)(x), falling in j
+    return mixture_series(p, len(xb), running_product(xb * np.exp(-xb), step), step, 1,
+                          j_peak=float(xb.max()), cumulative=True)
 
 
 def _cdf_grid_x(p: TwdpParams, x) -> list[SeriesResult]:
     """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0."""
     # the clamp's complement bound and the series' e^x: see the module docstring
-    gap = np.sqrt(x) - math.sqrt(p.k * (1 + p.gamma) ** 2 / (1 + p.gamma ** 2))
+    gap = np.sqrt(x) - math.sqrt(k_top(p.k, p.gamma))
     one = (gap > 0) & (np.exp(-gap * gap) < 2.0**-53)
     with np.errstate(over="ignore"):
         summable = np.isfinite(np.expm1(x))
@@ -171,16 +201,14 @@ def _cdf_grid_x(p: TwdpParams, x) -> list[SeriesResult]:
                f"envelope cdf at x={float(xi)} cannot be summed: e^x overflows long double", 0)
            for xi, c, ok in zip(x, one, summable)]
     results = _raise_lost(run_with_rescue(
-        lambda be: _cdf_pass(p, x, be),
+        lambda ps: _cdf_pass(p, x, ps),
         out,
         what=lambda i: f"envelope cdf at x={float(x[i])}",
     ))
     for i, res in enumerate(results):
         if not -1e-9 <= res.value <= 1.0 + 1e-9:
-            raise CancellationLossError(
-                f"cdf series lost too many digits: value {res.value} at x={float(x[i])}",
-                res.cancellation_ratio,
-            )
+            raise ArithmeticError(
+                f"cdf value {res.value} at x={float(x[i])} lies outside [0, 1]")
         if not 0.0 < res.value <= 1.0:
             results[i] = replace(res, value=min(1.0, max(0.0, res.value)))
     return results

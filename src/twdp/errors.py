@@ -23,18 +23,6 @@ class SeriesDivergenceError(TwdpError, ArithmeticError):
         self.terms_used = terms_used
 
 
-class CancellationLossError(TwdpError, ArithmeticError):
-    """An alternating sum cancelled too heavily for the available precision.
-
-    Attributes:
-        cancellation_ratio: sum of |terms| divided by |result|.
-    """
-
-    def __init__(self, message: str, cancellation_ratio: float):
-        super().__init__(message)
-        self.cancellation_ratio = cancellation_ratio
-
-
 class QuadratureError(TwdpError, ArithmeticError):
     """Adaptive quadrature could not reach the requested tolerance.
 

@@ -14,9 +14,11 @@ closed form is the cheap production path; the series is the form that term-
 by-term manipulations (error-probability integrals) build on, and each serves
 as the other's cross-check.  u is computed as (1+K)/(1+K - g0 s) - 1, which
 stays exact as s -> -inf.  The closed form takes exp(-x) I_0(x) from
-scipy.special.i0e (within 4e-16 relative).  The series alternates and is
-rerun in double-longdouble arithmetic, or beyond its reach in mpmath, when
-its recorded cancellation exceeds the long-double budget.
+scipy.special.i0e (within 4e-16 relative).  The series alternates; a point
+whose recorded cancellation exceeds the long-double budget, or which does
+not converge within its term budget, is summed again as the positive
+mixture M(s) = sum_k w_k a^(k+1), a = 1 + u = (1+K)/(1+K - s g0), over the
+model's Poisson mixing weights w_k (specfun.mixture_series).
 """
 
 from __future__ import annotations
@@ -29,28 +31,36 @@ from .errors import InvalidParameterError
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
-    _ARITH_LD,
     _check_gamma0,
     _exp_i0,
     _grid,
     _raise_lost,
     coef_series,
+    mixture_series,
     run_with_rescue,
+    running_product,
 )
 
-
-def _snr_ratio(k, gamma0, s, be):
-    """u = g0 s / (1+K - g0 s), computed as (1+K)/(1+K - g0 s) - 1."""
-    t = be.cast(gamma0) * be.cast(s)
-    den = 1 + be.cast(k) - t
-    return (1 + be.cast(k)) / den - 1, den
+_LD = np.longdouble
 
 
-def _mgf_series_pass(p: TwdpParams, gamma0: float, s, be):
-    """The series at the points s[be.points]: specfun.coef_series at the
-    SNR ratio u with factor 1."""
-    u, den = _snr_ratio(p.k, gamma0, be.pick(s), be)
-    return coef_series(p, be, u, lambda m: 1, len(u), (1 + be.cast(p.k)) / den)
+def _snr_ratio(k, gamma0, s):
+    """u = g0 s / (1+K - g0 s), computed as (1+K)/(1+K - g0 s) - 1, in long
+    double."""
+    t = _LD(gamma0) * np.asarray(s, dtype=_LD)
+    den = 1 + _LD(k) - t
+    return (1 + _LD(k)) / den - 1, den
+
+
+def _mgf_series_pass(p: TwdpParams, gamma0: float, s, ps):
+    """The series at the points s[ps.points] in the tier ps.name:
+    specfun.coef_series at the SNR ratio u with factor 1, or the mixture,
+    with factors a^(k+1), a = 1 + u."""
+    u, den = _snr_ratio(p.k, gamma0, s[ps.points])
+    if ps.name == "longdouble":
+        return coef_series(p, u, lambda m: 1, len(u), (1 + _LD(p.k)) / den)
+    a = 1 + u
+    return mixture_series(p, len(a), running_product(a, lambda k: a), lambda k: a, 1)
 
 
 def mgf_series(p: TwdpParams, gamma0: float, s: float) -> SeriesResult:
@@ -63,7 +73,7 @@ def mgf_series_grid(p: TwdpParams, gamma0: float, ss) -> list[SeriesResult]:
     _check_gamma0(gamma0)
     s = _grid(ss, lambda v: np.isfinite(v) & (v <= 0), "s must be finite and <= 0")
     return _raise_lost(run_with_rescue(
-        lambda be: _mgf_series_pass(p, gamma0, s, be),
+        lambda ps: _mgf_series_pass(p, gamma0, s, ps),
         [None] * len(s),
         what=lambda i: f"mgf series at s={float(s[i])}",
     ))
@@ -74,9 +84,8 @@ def mgf_closed(p: TwdpParams, gamma0: float, s: float) -> float:
     _check_gamma0(gamma0)
     if s > 0 or not math.isfinite(s):
         raise InvalidParameterError(f"s must be finite and <= 0, got {s}")
-    be = _ARITH_LD
-    k = be.cast(p.k)
-    g = be.cast(p.gamma)
-    u, den = _snr_ratio(p.k, gamma0, s, be)
+    k = _LD(p.k)
+    g = _LD(p.gamma)
+    u, den = _snr_ratio(p.k, gamma0, s)
     xarg = 2 * g * k * (-u) / (1 + g * g)  # >= 0, and xarg <= |k u|
     return _exp_i0((1 + k) / den, k * u, xarg)

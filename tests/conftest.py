@@ -4,6 +4,7 @@ The oracles here deliberately avoid the library's own evaluation routes:
 closed forms, brute-force series, and direct numerical integrals only.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -154,6 +155,67 @@ def phase_average_cdf(p, r) -> np.ndarray:
         return stats.ncx2.cdf(r * r / p.sigma2, 2, np.where(nc < np.finfo(float).tiny, 0.0, nc))
 
     return _theta_average(rician, p, r)
+
+
+@functools.cache
+def phase_average_pdf_mp(p, r: float, dps: int) -> float:
+    """Envelope density at one r: the theta average of the Rician density
+    (r/sigma2) exp(-(r^2 + nu^2)/(2 sigma2)) I_0(r nu/sigma2), nu(theta)^2 =
+    2 sigma2 K (1 + Gamma^2 + 2 Gamma cos theta)/(1 + Gamma^2), by mpmath
+    Gauss-Legendre quadrature at dps digits on 32 equal subintervals; the
+    integrand is positive and analytic.  (mpmath's default tanh-sinh rule
+    missed by 3.7e-7 at K = 14, Gamma = 1, r/sqrt(Omega) = 7.)"""
+    with mp.workdps(dps):
+        k, g, s2, r = (mp.mpf(float(v)) for v in (p.k, p.gamma, p.sigma2, r))
+        g2 = 1 + g * g
+
+        def rician(theta):
+            nu2 = 2 * s2 * k * (g2 + 2 * g * mp.cos(theta)) / g2
+            return r / s2 * mp.exp(-(r * r + nu2) / (2 * s2)) * mp.besseli(0, r * mp.sqrt(nu2) / s2)
+
+        return float(mp.quad(rician, mp.linspace(0, mp.pi, 33), method="gauss-legendre") / mp.pi)
+
+
+def mgf_mp(p, gamma0, s, dps: int = 30):
+    """SNR MGF in closed form, (1+K)/den exp(K u) I_0(2 Gamma K |u|/(1+Gamma^2)),
+    u = g0 s/den, den = 1+K - g0 s, in mpmath at dps digits."""
+    with mp.workdps(dps):
+        k, g = mp.mpf(p.k), mp.mpf(p.gamma)
+        den = 1 + k - mp.mpf(gamma0) * s
+        u = mp.mpf(gamma0) * s / den
+        return (1 + k) / den * mp.exp(k * u) * mp.besseli(0, 2 * g * k * abs(u) / (1 + g * g))
+
+
+def asep_oracle(p, m_order: int, gamma0: float) -> float:
+    """M-PSK symbol error probability, (1/pi) int_0^{pi-pi/M} M(-sin^2(pi/M)/
+    sin^2 phi) dphi, with the closed-form MGF assembled from scipy's i0e (no
+    absolute tolerance, unlike asep_quadrature, so tiny values keep their
+    relative accuracy).  Breakpoints: asep_quadrature's geometric ones into
+    the layer at phi = 0 at low SNR, and phi = pi/2, where the integrand
+    peaks sharply at high SNR and large K."""
+    k, g, c = p.k, p.gamma, math.sin(math.pi / m_order) ** 2
+    g2 = 1.0 + g * g
+
+    def integrand(phi):
+        st2 = math.sin(phi) ** 2
+        if st2 == 0.0:
+            return 0.0
+        den = 1.0 + k + gamma0 * c / st2
+        au = gamma0 * c / st2 / den  # |u|
+        return (1.0 + k) / den * math.exp(-k * au * (1.0 - g) ** 2 / g2) * float(
+            special.i0e(2.0 * g * k * au / g2))
+
+    upper = math.pi - math.pi / m_order
+    w = math.sqrt(c * gamma0 / (1.0 + k))
+    points = [math.pi / 2] if m_order > 2 else []
+    while w < upper / 2:
+        points.append(w)
+        w *= 8.0
+    v, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-13, limit=400,
+                            points=sorted(points) or None)
+    if not err <= 1e-12 * v:
+        raise ArithmeticError(f"error-rate oracle reached only {err:.1e} on {v:.6e}")
+    return v / math.pi
 
 
 def rician_cdf_mp(k: float, sigma2: float, r: float) -> float:
@@ -391,6 +453,19 @@ def appell_f1(m: int, x: float, y: float) -> float:
 # scalar long-double references for the array kernels and series passes
 
 
+def to_mpf(x):
+    """A long double (or float) as an mpf, exactly."""
+    man, exp = np.frexp(np.longdouble(x))
+    return mp.mpf((int(np.ldexp(man, 64)), int(exp) - 64))
+
+
+def ld_from_mpf(x):
+    """The long double nearest to an mpf value."""
+    with mp.workprec(64):
+        man, exp = (+x).man_exp
+        return np.ldexp(np.longdouble(-man if x < 0 else man), exp)
+
+
 def ive_ladder_scalar(x, nu_max: int):
     """exp(-x) I_nu(x), nu = 0..nu_max, at one x >= 0 in long double: the
     scalar Miller ladder with its small-x power series."""
@@ -431,6 +506,18 @@ def ive_ladder_scalar(x, nu_max: int):
     y = ik - comp
     total = norm + y
     return [v / total for v in ladder]
+
+
+def paper_pdf_pass(p, r):
+    """(terms_used, trunc) of the paper's pdf series at the envelope values
+    r: its long-double pass, whatever tier the public result then takes."""
+    from twdp.dist import _pdf_pass
+    from twdp.specfun import Pass
+
+    r = np.asarray(r, dtype=float)
+    _, _, n, trunc, _, converged = _pdf_pass(p, r, Pass("longdouble", np.arange(len(r))))
+    assert converged.all()
+    return n, trunc
 
 
 def _finish(pref, s, n, last, pos):
@@ -511,12 +598,25 @@ def mgf_pass_scalar(p, gamma0: float, s_arg: float):
     return _finish((1 + LD(p.k)) / den, s, n, last, pos)
 
 
+def bracket_row(x, y, v, v_next, b):
+    """The row values V_n of one bracket factor of asep._bracket_family, n =
+    1, 2, ..., from its seeds V_1, V_2 and b = b_2, by the recurrence on the
+    differences D_n = V_n - V_{n+1}, in the arithmetic of its arguments."""
+    g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
+    d, n = v * 0, 2
+    while True:
+        yield v
+        d = (q * (1.5 * v_next - b) + (n - 2) * (r * d)) / n
+        v, v_next = v_next, v_next - d
+        b, n = b * g, n + 1
+
+
 def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     """The long-double exact M-PSK error-rate pass at one average SNR, its
     bracket factors from the recurrence of asep._bracket_family run one
     point at a time."""
     from twdp.asep import _f1_seeds
-    from twdp.specfun import _ARITH_LD, term_hump_guard
+    from twdp.specfun import _PI, term_hump_guard
 
     LD = np.longdouble
     K, g2 = LD(p.k), LD(p.gamma) ** 2
@@ -524,27 +624,17 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     x0, g0 = LD(sin2_pim), LD(gamma0)
     sp = np.sqrt(x0)
     lam, y0_abs = float((1 + K) / (g0 * x0)), float((1 + K) / g0)
-    c_bracket = 3 * _ARITH_LD.pi / (2 * sp * x0)
-
-    def row(x, y, v, v_next, b):
-        g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
-        d, n = LD(0), 2
-        while True:
-            yield v
-            d = (q * (1.5 * v_next - b) + (n - 2) * (r * d)) / n
-            v, v_next = v_next, v_next - d
-            b, n = b * g, n + 1
+    c_bracket = 3 * _PI / (2 * sp * x0)
 
     s = np.sqrt(1 + LD(lam))
-    f2f1 = row(LD(1), LD(lam), 2 / (s * (1 + s)), 1 / (s * s * s), LD(0))
+    f2f1 = bracket_row(LD(1), LD(lam), 2 / (s * (1 + s)), 1 / (s * s * s), LD(0))
     if sin2_pim < 1.0:
         y = LD(y0_abs)
-        (v,), (v_next,) = _f1_seeds(sin2_pim, np.array([y0_abs]), _ARITH_LD)
-        f1 = row(x0, y, v, v_next, 1.5 * np.sqrt(1 - x0) / ((1 + y) * (1 + y)))
+        (v,), (v_next,) = _f1_seeds(sin2_pim, np.array([y0_abs]))
+        f1 = bracket_row(x0, y, v, v_next, 1.5 * np.sqrt(1 - x0) / ((1 + y) * (1 + y)))
     else:
         with mp.workprec(87):  # the family's bits for long double: 63 + 24
-            to_f1 = 3 * mp.pi / 4
-        to_f1 = _ARITH_LD.from_mpf([to_f1])[0]
+            to_f1 = ld_from_mpf(3 * mp.pi / 4)
 
     def terms():
         cm = LD(1.0)
@@ -554,7 +644,79 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
             cm = cm * (-a) / (m + 1)
 
     s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
-    return _finish(sp * (1 + K) / (3 * _ARITH_LD.pi * g0), s, n, last, pos)
+    return _finish(sp * (1 + K) / (3 * _PI * g0), s, n, last, pos)
+
+
+# ---------------------------------------------------------------------------
+# the paper's series summed in mpmath, where its cancellation costs no digits
+# that matter
+
+
+def cdf_series_mp(p, r: float, dps: int = 50) -> float:
+    """Envelope distribution function at one r > 0: the paper's cdf series,
+    the terms of cdf_pass_scalar, summed in mpmath at dps digits under the
+    stopping rule of specfun."""
+    from twdp.specfun import term_hump_guard
+
+    with mp.workdps(dps):
+        g2 = mp.mpf(p.gamma) ** 2
+        a = mp.mpf(p.k) / (1 + g2)
+        x = mp.mpf(r) ** 2 / (2 * mp.mpf(p.sigma2))
+
+        def terms():
+            cm, gm1, gm = mp.mpf(1), mp.mpf(0), mp.mpf(1)
+            for m, leg in enumerate(legendre_2f1(g2)):
+                if m == 0:
+                    h1 = mp.expm1(x) / x
+                else:
+                    h1 = gm
+                    gm1, gm = gm, ((2 * m - x) * gm - (m - 1) * gm1) / (m + 1)
+                yield cm * h1 * leg
+                cm = cm * (-a) / (m + 1)
+
+        s, *_, ok = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+        assert ok
+        return float(x * mp.exp(-x) * s)
+
+
+def asep_series_mp(p, m_order: int, gamma0: float, dps: int = 50) -> float:
+    """M-PSK symbol error probability: the paper's exact series, the terms
+    of asep_pass_scalar, summed in mpmath at dps digits under the stopping
+    rule of specfun.  The bracket factors run the recurrence of
+    bracket_row from their closed-form seeds, taken with 30 more digits
+    for the cancellation in J_1 and J_2 at small y."""
+    from twdp.asep import ModulationSpec
+    from twdp.specfun import term_hump_guard
+
+    sin2_pim = ModulationSpec(m_order).sin2_pim
+    with mp.workdps(dps):
+        K, g2 = mp.mpf(p.k), mp.mpf(p.gamma) ** 2
+        a = K / (1 + g2)
+        x0, g0 = mp.mpf(sin2_pim), mp.mpf(gamma0)
+        sp = mp.sqrt(x0)
+        lam, y = (1 + K) / (g0 * x0), (1 + K) / g0
+        c_bracket = 3 * mp.pi / (2 * sp * x0)
+        s = mp.sqrt(1 + lam)
+        f2f1 = bracket_row(mp.mpf(1), lam, 2 / (s * (1 + s)), 1 / s**3, mp.mpf(0))
+        if sin2_pim < 1.0:
+            with mp.workdps(dps + 30):
+                b = x0 + y
+                f = mp.asin(mp.sqrt(b / (1 + y))) / mp.sqrt(b)
+                v = 3 * (mp.asin(sp) / sp - f) / y
+                v_next = (f - mp.sqrt(1 - x0) / (1 + y)) * 1.5 / b
+            f1 = bracket_row(x0, y, +v, +v_next, 1.5 * mp.sqrt(1 - x0) / (1 + y) ** 2)
+
+        def terms():
+            cm = mp.mpf(1)
+            for m, leg in enumerate(legendre_2f1(g2)):
+                t1 = next(f2f1)
+                f1_m = next(f1) if sin2_pim < 1.0 else 3 * mp.pi / 4 * t1
+                yield (c_bracket * t1 - f1_m) * cm * leg
+                cm = cm * (-a) / (m + 1)
+
+        total, *_, ok = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+        assert ok
+        return float(sp * (1 + K) / (3 * mp.pi * g0) * total)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 
 from twdp import asep
 from twdp import (
@@ -24,12 +25,17 @@ from twdp import (
 )
 
 from twdp import specfun
-from twdp.specfun import _arith_mp, run_with_rescue
+from twdp.specfun import Pass, run_with_rescue
 
-needs_dd = pytest.mark.skipif(specfun._arith_dd() is None,
-                              reason="the dd tier needs x87 80-bit long doubles")
-
-from conftest import FIGURE_SETS, rayleigh_bpsk, rayleigh_mpsk, rician_mpsk_quad
+from conftest import (
+    FIGURE_SETS,
+    asep_oracle,
+    asep_series_mp,
+    rayleigh_bpsk,
+    rayleigh_mpsk,
+    rician_mpsk_quad,
+    to_mpf,
+)
 
 
 class TestModulationSpec:
@@ -71,34 +77,74 @@ def bracket_reference(m_order: int, y0: float, m: int) -> tuple:
 
 
 class TestBracketFamily:
-    """The error-rate bracket factors of every tier against 50-digit mpmath
-    values computed without the recurrence."""
+    """The error-rate bracket factors against 50-digit mpmath values
+    computed without the recurrence."""
 
     ORDERS = (0, 1, 2, 10, 100, 499)
     Y0 = (1e-8, 1e-6, 1e-3, 1.0, 1e4)
 
-    @pytest.mark.parametrize("tier", ["longdouble", pytest.param("dd", marks=needs_dd), "mp48"])
+    # the one arithmetic the bracket family runs in
+    @pytest.mark.parametrize("tier", ["longdouble"])
     @pytest.mark.parametrize("m_order", [2, 4, 8, 16])
     def test_against_50_digit_mpmath(self, tier, m_order):
-        # within 256 units of each arithmetic's last place, u = 2^-64 for long
-        # double, u^2 for dd and 2^-163 at 48 digits; the recurrence's
-        # rounding grows to about 130 u over 500 orders
+        # within 256 units of the long double's last place, u = 2^-64; the
+        # recurrence's rounding grows to about 130 u over 500 orders
         x0 = ModulationSpec(m_order).sin2_pim
         y0 = np.array(self.Y0)
+        next_order = asep._bracket_family(x0, y0 / x0, y0)
         with mp.workdps(48):
-            be, u, exact = {
-                "longdouble": (specfun._ARITH_LD, 2.0**-64, specfun._to_mpf),
-                "dd": (specfun._arith_dd(), 2.0**-128,
-                       lambda v: specfun._to_mpf(v.hi) + specfun._to_mpf(v.lo)),
-            }.get(tier) or (_arith_mp(), 2.0**-mp.mp.prec, lambda v: v)
-            next_order = asep._bracket_family(x0, y0 / x0, y0, be)
             for m in range(max(self.ORDERS) + 1):
                 t1, f1 = next_order()
                 if m not in self.ORDERS:
                     continue
                 for i, y in enumerate(self.Y0):
                     for got, want in zip((t1[i], f1[i]), bracket_reference(m_order, y, m)):
-                        assert abs(exact(got) / want - 1) <= 256 * u, (m, y)
+                        assert abs(to_mpf(got) / want - 1) <= 256 * 2.0**-64, (m, y)
+
+
+@functools.cache
+def sin2_nodes(m_order: int, degree: int) -> list:
+    """(sin^2 phi, weight) at the Gauss-Legendre nodes of the given degree on
+    128 equal subintervals of [0, pi - pi/M], at 60 digits."""
+    rule = GaussLegendre(mp.mp)
+    with mp.workdps(60):
+        pts = mp.linspace(0, mp.pi - mp.pi / m_order, 129)
+        return [(mp.sin(phi) ** 2, w) for a, b in zip(pts, pts[1:])
+                for phi, w in rule.get_nodes(a, b, degree, mp.mp.prec)]
+
+
+def nakagami_reference(m_order: int, g: float, orders) -> list:
+    """E_n = int_0^{pi-pi/M} (sin^2 phi/(sin^2 phi + g))^n dphi at 60 digits,
+    by Gauss-Legendre quadrature on 128 equal subintervals, which resolve the
+    integrand's peak at phi = pi/2 at high orders (mpmath's default rule on a
+    few breakpoints missed by up to 1e-2 there), at two degrees that must
+    agree."""
+    with mp.workdps(60):
+        g = mp.mpf(g)
+        coarse, fine = ([mp.fsum(w * (s2 / (s2 + g)) ** n for s2, w in sin2_nodes(m_order, d))
+                         for n in orders] for d in (4, 5))
+        assert all(abs(c / f - 1) < 1e-17 for c, f in zip(coarse, fine))
+        return fine
+
+
+class TestNakagamiOrders:
+    """The mixture's error-rate factors E_n against 60-digit quadrature, from
+    the regime where they barely decay over the orders (small g, where the
+    tails are cut short) to the one where they fall by 1e4 per order."""
+
+    ORDERS = (1, 10, 100, 400)
+
+    @pytest.mark.parametrize("m_order", [2, 3, 4, 16])
+    @pytest.mark.parametrize("g", [1e-4, 0.05, 1.0, 1e4])
+    def test_against_60_digit_quadrature(self, m_order, g):
+        rows = asep._nakagami_orders(np.longdouble(g), ModulationSpec(m_order), 400)
+        with mp.workdps(40):
+            for n, want in zip(self.ORDERS, nakagami_reference(m_order, g, self.ORDERS)):
+                assert abs(to_mpf(rows[n - 1]) / want - 1) <= 1e-15, n
+
+    def test_decreasing_in_the_order(self):
+        rows = asep._nakagami_orders(np.longdouble(0.3), ModulationSpec(8), 300)
+        assert (np.diff(rows) < 0).all() and rows[0] < np.pi
 
 
 class TestRayleighClosedForms:
@@ -265,23 +311,25 @@ class TestDiagnostics:
         assert res.trunc_estimate < 1e-6
         assert res.terms_used <= 92
 
-    def test_out_of_terms_at_the_precision_cap(self):
-        # the hump sits near m = 180 here; the measured cancellation grows
-        # with every rerun (1e22, 4e40, then 1.7e66 at 64 digits, more than
-        # that pass can vouch for), so the digits double to the 120-digit
-        # cap, where the series runs out of its 500 terms
-        p = TwdpParams(k=90.0, gamma=1.0)
-        with pytest.raises(SeriesDivergenceError) as err:
-            asep_exact(p, ModulationSpec(2), 1.0)
-        assert err.value.terms_used == 500
+    @pytest.mark.parametrize("m_order", [2, 16])
+    def test_hump_past_the_term_budget_goes_to_the_mixture(self, m_order):
+        # the hump sits near m = 180 here and the paper's series cancels by
+        # about 1e66: it runs out of its 500 terms, and the mixture sums it
+        p, mod = TwdpParams(k=90.0, gamma=1.0), ModulationSpec(m_order)
+        g0s = 10.0 ** (np.arange(0.0, 41.0, 10.0) / 10.0)
+        for res, g0 in zip(asep_exact_grid(p, mod, g0s), g0s):
+            assert res.tier == "mixture"
+            assert res.value == pytest.approx(asep_oracle(p, m_order, g0), rel=1e-11, abs=0)
 
     def test_out_of_terms_without_a_warning(self):
-        # at K = 1e4 the unconverged partial sum lies past the double range:
-        # the point gets its error, and no RuntimeWarning escapes
+        # at K = 1e4 the unconverged partial sum lies past the double range,
+        # and the mixture would need more than its 5,000-term budget: the
+        # point gets its error, and no RuntimeWarning escapes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (res,) = asep_exact_grid(TwdpParams(k=1e4, gamma=0.0), ModulationSpec(2), [10.0])
-        assert isinstance(res, SeriesDivergenceError) and res.terms_used == 500
+        assert isinstance(res, SeriesDivergenceError)
+        assert res.terms_used == specfun._MIX_MAX_TERMS
 
     def test_quadrature_fallback_agrees_where_series_flags(self):
         p = TwdpParams(k=130.0, gamma=1.0)
@@ -304,107 +352,103 @@ class TestDiagnostics:
 
 
 class TestRescueTiers:
-    """Rescued passes rerun in double-longdouble arithmetic, bracket family
-    and outer sum alike; only points the dd pass cannot vouch for rerun in
-    mpmath."""
+    """A point the long-double pass cannot vouch for reruns as the positive
+    mixture, together with the sweep's other such points; the tier follows
+    the point's own ratio."""
 
     @pytest.mark.parametrize("k", [14.0, 20.0, 25.0])
     def test_against_50_digit_mpmath_series(self, k):
+        # the paper's series summed at 50 digits, where its cancellation (up
+        # to about 5e21 at K = 25) leaves some 28 digits
         p = TwdpParams(k=k, gamma=1.0)
         for m_order in (2, 16):
             mod = ModulationSpec(m_order)
             for db in (0.0, 20.0, 40.0):
                 g0 = 10.0 ** (db / 10.0)
                 value = asep_exact(p, mod, g0).value
-                with mp.workdps(50):
-                    ref, *_, ok = asep._asep_pass(p, mod, np.array([g0]), _arith_mp())
-                assert ok.all()
-                assert value == pytest.approx(ref[0], rel=1e-12, abs=0)
+                assert value == pytest.approx(asep_series_mp(p, m_order, g0), rel=1e-12, abs=0)
                 assert value == pytest.approx(asep_quadrature(p, mod, g0), rel=1e-8, abs=0)
 
-    @needs_dd
-    def test_k14_needs_no_mpmath_brackets(self, monkeypatch):
-        def unavailable(*args):
-            raise AssertionError("mpmath arithmetic called")
+    @pytest.mark.parametrize("k", [14.0, 20.0, 25.0, 60.0])
+    def test_against_quadrature_oracle(self, k):
+        p = TwdpParams(k=k, gamma=1.0)
+        for m_order in (2, 16):
+            mod = ModulationSpec(m_order)
+            for db in (0.0, 20.0, 40.0):
+                g0 = 10.0 ** (db / 10.0)
+                value = asep_exact(p, mod, g0).value
+                assert value == pytest.approx(asep_oracle(p, m_order, g0), rel=1e-12, abs=0)
 
-        monkeypatch.setattr(specfun, "_arith_mp", unavailable)
+    def test_k14_needs_no_mpmath_brackets(self, monkeypatch):
+        # the mixture pass, unlike the long-double one, takes no mpmath seeds
+        def unavailable(*args):
+            raise AssertionError("mpmath called")
+
+        monkeypatch.setattr(mp, "mpf", unavailable)
         p = TwdpParams(k=14.0, gamma=1.0)
         for m_order in (2, 16):
             mod = ModulationSpec(m_order)
-            for g0 in (1.0, 1e4):
-                res = asep_exact(p, mod, g0)
-                assert res.cancellation_ratio > 1e6  # a rescued pass
-                assert res.value == pytest.approx(asep_quadrature(p, mod, g0), rel=1e-8, abs=0)
+            g0 = np.array([1.0, 1e4])
+            value, *_, ok = asep._asep_pass(p, mod, g0, Pass("mixture", np.arange(2)))
+            assert ok.all()
+            for v, g in zip(value, g0):
+                assert v == pytest.approx(asep_quadrature(p, mod, g), rel=1e-8, abs=0)
 
-    @needs_dd
-    def test_past_dd_bound_mpmath_brackets(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="twdp")
-        # the dd pass measures a 9.8e23 cancellation: 41 digits, rounded up to 48
-        p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
-        value = asep_exact(p, mod, 100.0).value
-        mp_runs = [r.getMessage() for r in caplog.records if "mp arithmetic" in r.getMessage()]
-        assert len(mp_runs) == 1 and "rerunning at 48 digits in mp arithmetic" in mp_runs[0]
-        assert value == pytest.approx(asep_quadrature(p, mod, 100.0), rel=1e-8, abs=0)
-
-    @needs_dd
     def test_tier_rule(self):
-        # a stub series: point 0 does not cancel, point 1 cancels within
-        # the dd bound, points 2-4 past it (40, 41 and 42 digits, run at 40,
-        # 48 and 48), and point 5, a value far below double's smallest
-        # normal, within it: the tier follows the ratio alone
-        ratio = np.array([1.0, 1e15, 1e23, 1e24, 1e25, 1e12])
+        # a stub series: point 0 does not cancel, points 1-4 cancel past the
+        # long double's bound, and point 5, a value far below double's
+        # smallest normal, within it: the tier follows the ratio alone
+        ratio = np.array([1.0, 1e15, 1e23, 1e24, 1e25, 1e6])
         size = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 4.5e-320])
         seen = []
 
-        def pass_fn(be):
-            pts = be.points
-            seen.append((be.name, pts.tolist()))
+        def pass_fn(ps):
+            pts = ps.points
+            seen.append((ps.name, pts.tolist()))
             n = len(pts)
             ok = np.ones(n, dtype=bool)
             return size[pts], n, np.ones(n, dtype=np.int64), np.zeros(n), ratio[pts], ok
 
         out = run_with_rescue(pass_fn, [None] * 6)
-        assert seen == [("longdouble", [0, 1, 2, 3, 4, 5]), ("dd", [1, 2, 3, 4, 5]),
-                        ("mp40", [2]), ("mp48", [3, 4])]
+        assert seen == [("longdouble", [0, 1, 2, 3, 4, 5]), ("mixture", [1, 2, 3, 4])]
         assert [res.value for res in out] == size.tolist()
         assert [(res.tier, res.passes) for res in out] == [
-            ("longdouble", 1), ("dd", 2), ("mp40", 3), ("mp48", 3), ("mp48", 3), ("dd", 2)]
+            ("longdouble", 1), ("mixture", 2), ("mixture", 2), ("mixture", 2), ("mixture", 2),
+            ("longdouble", 1)]
 
-    @needs_dd
     def test_unconverged_point_is_reported_alone(self):
-        # a stub series: point 1 runs out of terms in the long-double pass,
-        # point 2 in the dd pass; neither is rerun, and the points around
-        # them keep their results
-        ratio = np.array([1.0, 1e15, 1e15, 1e15])
+        # a stub series: points 1 and 2 run out of terms in the long-double
+        # pass and rerun in the mixture, where point 2 runs out of its
+        # budget; the points around them keep their results
+        ratio = np.array([1.0, 1.0, 1.0, 1e15])
         seen = []
 
-        def pass_fn(be):
-            pts = be.points
-            seen.append((be.name, pts.tolist()))
+        def pass_fn(ps):
+            pts = ps.points
+            seen.append((ps.name, pts.tolist()))
             n = len(pts)
-            ok = pts != (1 if be.name == "longdouble" else 2)
-            terms = np.where(ok, 7, specfun._MAX_TERMS)
+            ok = (pts != 2) & ((pts != 1) | (ps.name == "mixture"))
+            terms = np.where(ok, 7, specfun._MAX_TERMS if ps.name == "longdouble"
+                             else specfun._MIX_MAX_TERMS)
             return np.ones(n), int(terms.sum()), terms, np.zeros(n), ratio[pts], ok
 
         out = run_with_rescue(pass_fn, [None] * 4, what=lambda i: f"point {i}")
-        assert seen == [("longdouble", [0, 1, 2, 3]), ("dd", [2, 3])]
+        assert seen == [("longdouble", [0, 1, 2, 3]), ("mixture", [1, 2, 3])]
         assert [type(res).__name__ for res in out] == [
-            "SeriesResult", "SeriesDivergenceError", "SeriesDivergenceError", "SeriesResult"]
-        assert str(out[1]) == f"point 1 did not converge in {specfun._MAX_TERMS} terms"
-        assert out[1].terms_used == out[2].terms_used == specfun._MAX_TERMS
-        assert [(res.tier, res.terms_used) for res in (out[0], out[3])] == [
-            ("longdouble", 7), ("dd", 7)]
+            "SeriesResult", "SeriesResult", "SeriesDivergenceError", "SeriesResult"]
+        assert str(out[2]) == f"point 2 did not converge in {specfun._MIX_MAX_TERMS} terms"
+        assert out[2].terms_used == specfun._MIX_MAX_TERMS
+        assert [(res.tier, res.terms_used) for res in (out[0], out[1], out[3])] == [
+            ("longdouble", 7), ("mixture", 7), ("mixture", 7)]
 
-    @needs_dd
     def test_result_reports_tier_and_passes(self):
         rayleigh = pdf(TwdpParams(k=0.0, gamma=0.0), 1.0)
         assert (rayleigh.tier, rayleigh.passes) == ("longdouble", 1)
-        k14 = asep_exact(TwdpParams(k=14.0, gamma=1.0), ModulationSpec(2), 100.0)
-        assert (k14.tier, k14.passes) == ("dd", 2)
-        k30 = asep_exact(TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2), 100.0)
-        assert (k30.tier, k30.passes) == ("mp48", 3)
+        for k in (14.0, 30.0):
+            res = asep_exact(TwdpParams(k=k, gamma=1.0), ModulationSpec(2), 100.0)
+            assert (res.tier, res.passes, res.cancellation_ratio) == ("mixture", 2, 1.0)
+            assert res.trunc_estimate <= np.finfo(np.longdouble).eps
 
-    @needs_dd
     def test_escalation_logged(self, caplog):
         caplog.set_level(logging.DEBUG, logger="twdp")
         asep_exact(TwdpParams(k=14.0, gamma=1.0), ModulationSpec(2), 100.0)
@@ -413,4 +457,4 @@ class TestRescueTiers:
         msg = rec.getMessage()
         assert msg.startswith("asep series at K=14.0, Gamma=1.0, gamma0=100.0:")
         assert re.search(r"ratio \d\.\d\de\+\d+ in the longdouble pass", msg)
-        assert msg.endswith("rerunning in dd arithmetic")
+        assert msg.endswith("rerunning in the mixture")

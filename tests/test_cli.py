@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import twdp
-from twdp import TwdpParams, cdf, pdf
+from twdp import ModulationSpec, TwdpParams, asep_quadrature, cdf, pdf
 from twdp.cli import main
 
-from conftest import rayleigh_bpsk
+from conftest import phase_average_cdf, rayleigh_bpsk
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -386,10 +386,22 @@ class TestExitCodes:
         assert code == 2
 
     def test_series_failure_exit(self, capsys):
-        # the cdf terms climb to a hump near m = 600, past the 500-term budget
-        code, _, err = run_cli(capsys, "cdf", "--k", "300", "--gamma", "1", "--points", "6")
+        # the cdf terms climb to a hump near m = 6,000, past the paper's
+        # 500-term budget, and the mixture would need more than its 5,000
+        code, _, err = run_cli(capsys, "cdf", "--k", "3000", "--gamma", "1", "--points", "6")
         assert code == 3
-        assert "did not converge in 500 terms" in err
+        assert "did not converge in 5000 terms" in err
+
+    def test_cdf_past_the_paper_term_budget(self, capsys):
+        # r/sqrt(Omega) <= 0.3 at K = 90, Gamma = 1 climbs to a hump past the
+        # paper's 500 terms; the mixture gives the whole curve
+        code, out, _ = run_cli(capsys, "cdf", "--k", "90", "--gamma", "1", "--points", "401")
+        assert code == 0
+        _, rows = parse_csv(out)
+        p = TwdpParams(k=90.0, gamma=1.0)
+        x, y = np.array([[float(row[0]), float(row[1])] for row in rows]).T
+        ref = phase_average_cdf(p, x * math.sqrt(p.omega))
+        assert y == pytest.approx(ref, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("argv", [
         ("mgf", "--k", "1", "--gamma0-db", "4000"),
@@ -411,8 +423,8 @@ class TestExitCodes:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("k,snr_db,n_rows", [
-        ("90", "0:0:1", 1),     # at the 120-digit cap the series runs out of terms
-        ("300", "0:40:10", 5),  # the terms climb to a hump past the 500-term budget
+        ("2500", "0:0:1", 1),   # the mixture would need 5,748 terms, past its 5,000
+        ("1e4", "0:40:10", 5),  # and here 21,455
     ])
     def test_asep_sweep_falls_back_per_point(self, capsys, k, snr_db, n_rows):
         code, out, _ = run_cli(capsys, "asep", "--k", k, "--gamma", "1", "--snr-db", snr_db)
@@ -422,6 +434,19 @@ class TestExitCodes:
         for row in rows:
             assert row[4] == "quadrature-fallback"
             assert row[1] == row[3]
+
+    def test_asep_past_the_paper_term_budget_is_exact(self, capsys):
+        # the paper's series runs out of terms at K = 90, Gamma = 1 and 0 dB;
+        # the mixture gives every row
+        code, out, _ = run_cli(capsys, "asep", "--k", "90", "--gamma", "1", "--mod-order", "2",
+                               "--snr-db", "0:40:10", "--method", "exact")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[2] for row in rows] == ["exact"] * 5
+        p, mod = TwdpParams(k=90.0, gamma=1.0), ModulationSpec(2)
+        for row in rows:
+            ref = asep_quadrature(p, mod, 10.0 ** (float(row[0]) / 10.0))
+            assert float(row[1]) == pytest.approx(ref, rel=1e-9, abs=0)
 
     def test_asep_at_subnormal_snr_falls_back(self, capsys):
         # (1+K)/gamma0 overflows a double at gamma0 = 1e-320
@@ -543,6 +568,12 @@ class TestLazyScipy:
         ["cdf", *_PARAMS, "--points", "21"],
         ["mgf", *_PARAMS, "--points", "11", "--method", "series"],
         ["asep", *_PARAMS, "--snr-db", "0:20:10", "--method", "exact"],
+        # points rescued by the mixture, which is numpy alone
+        ["pdf", "--k", "14", "--gamma", "1", "--points", "21"],
+        ["cdf", "--k", "14", "--gamma", "1", "--points", "21"],
+        ["mgf", "--k", "40", "--gamma", "0", "--points", "11", "--method", "series"],
+        ["asep", "--k", "14", "--gamma", "1", "--mod-order", "16", "--snr-db", "0:20:10",
+         "--method", "exact"],
         ["simulate", *_PARAMS, "--snr-db", "0:20:10", "--samples", "2000"],
         ["convert", "--gamma", "0.5", "--k-rice", "2"],
     ]

@@ -1,5 +1,5 @@
 """The array series engine against scalar long-double loops, bit for bit,
-and its double-longdouble rescues against 50-digit mpmath passes.
+and its mixture rescue against independent oracles.
 
 Every series pass sums all points of a grid at once; the references in
 conftest sum one point at a time in the order the arithmetic was written
@@ -9,7 +9,6 @@ operations are the same, only their batching differs.
 
 import logging
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -36,19 +35,22 @@ from twdp.asep import _asep_pass
 from twdp.dist import _cdf_pass, _pdf_pass
 from twdp.mgf import _mgf_series_pass
 from twdp import specfun
-from twdp.specfun import _ARITH_LD, _arith_mp, _ive_ladder
+from twdp.specfun import Pass, _ive_ladder
 
 from conftest import (
     asep_pass_scalar,
     cdf_pass_scalar,
+    cdf_series_mp,
     ive_ladder_scalar,
+    mgf_mp,
     mgf_pass_scalar,
     pdf_pass_scalar,
+    phase_average_pdf_mp,
+    rician_cdf_mp,
+    to_mpf,
 )
 
 FAST = settings(max_examples=40)
-needs_dd = pytest.mark.skipif(specfun._arith_dd() is None,
-                              reason="the dd tier needs x87 80-bit long doubles")
 
 # both sides of the small-x branch at 0.5, and far up the ladder
 ladder_args = st.one_of(
@@ -58,6 +60,11 @@ ladder_args = st.one_of(
     st.floats(2.0, 600.0),
 )
 params = st.builds(TwdpParams, k=st.floats(0.0, 20.0), gamma=st.floats(0.0, 1.0))
+
+
+def every(tier, size):
+    """The pass of a tier over all `size` points of a grid."""
+    return Pass(tier, np.arange(size))
 
 
 def assert_pass_matches(grid_out, refs):
@@ -82,21 +89,23 @@ def test_ive_ladder_matches_scalar_loop(xs, nu):
 @given(params, st.lists(st.floats(0.01, 3.5), min_size=1, max_size=6))
 def test_pdf_pass_matches_scalar_loop(p, rn):
     r = np.array(rn) * math.sqrt(p.omega)
-    assert_pass_matches(_pdf_pass(p, r, _ARITH_LD), [pdf_pass_scalar(p, v) for v in r])
+    assert_pass_matches(_pdf_pass(p, r, every("longdouble", len(r))),
+                        [pdf_pass_scalar(p, v) for v in r])
 
 
 @FAST
 @given(params, st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=6))
 def test_cdf_pass_matches_scalar_loop(p, xs):
     x = np.array(xs, dtype=np.longdouble)
-    assert_pass_matches(_cdf_pass(p, x, _ARITH_LD), [cdf_pass_scalar(p, v) for v in x])
+    assert_pass_matches(_cdf_pass(p, x, every("longdouble", len(x))),
+                        [cdf_pass_scalar(p, v) for v in x])
 
 
 @FAST
 @given(params, st.floats(0.1, 1e3), st.lists(st.floats(-100.0, 0.0), min_size=1, max_size=6))
 def test_mgf_pass_matches_scalar_loop(p, gamma0, ss):
     s = np.array(ss)
-    assert_pass_matches(_mgf_series_pass(p, gamma0, s, _ARITH_LD),
+    assert_pass_matches(_mgf_series_pass(p, gamma0, s, every("longdouble", len(s))),
                         [mgf_pass_scalar(p, gamma0, v) for v in s])
 
 
@@ -107,7 +116,7 @@ def test_mgf_pass_matches_scalar_loop(p, gamma0, ss):
 def test_asep_pass_matches_scalar_loop(p, m_order, dbs):
     mod = ModulationSpec(m_order)
     g0 = 10.0 ** (np.array(dbs) / 10.0)
-    assert_pass_matches(_asep_pass(p, mod, g0, _ARITH_LD),
+    assert_pass_matches(_asep_pass(p, mod, g0, every("longdouble", len(g0))),
                         [asep_pass_scalar(p, mod.sin2_pim, v) for v in g0])
 
 
@@ -133,7 +142,7 @@ class TestScalarIsGridOfOne:
 
 
 class TestRescuedTogether:
-    """Points that rerun together at one precision get the values they get
+    """Points that rerun together in the mixture get the values they get
     when rerun alone."""
 
     P = TwdpParams(k=14.0, gamma=1.0)
@@ -141,7 +150,7 @@ class TestRescuedTogether:
     def test_pdf_grid(self):
         rs = np.linspace(0.2, 0.9, 8)
         grid = pdf_grid(self.P, rs)
-        assert sum(res.cancellation_ratio > 1e6 for res in grid) >= 4
+        assert sum(res.tier == "mixture" for res in grid) >= 4
         assert grid == [pdf(self.P, float(r)) for r in rs]
 
     def test_cdf_grid(self):
@@ -149,7 +158,7 @@ class TestRescuedTogether:
         # long-double sums ran on to the last point's stop
         rs = np.linspace(0.2, 3.0, 8)
         grid = cdf_grid(self.P, rs)
-        assert sum(res.cancellation_ratio > 1e6 for res in grid) >= 2
+        assert sum(res.tier == "mixture" for res in grid) >= 2
         assert grid == [cdf(self.P, float(r)) for r in rs]
 
     def test_mgf_series_grid(self):
@@ -162,65 +171,57 @@ class TestRescuedTogether:
         mod = ModulationSpec(2)
         g0s = [1e3, 2e3, 1e4]
         grid = asep_exact_grid(self.P, mod, g0s)
-        assert all(res.cancellation_ratio > 1e6 for res in grid)
+        assert all(res.tier == "mixture" for res in grid)
         assert grid == [asep_exact(self.P, mod, g0) for g0 in g0s]
 
-    @needs_dd
-    def test_asep_exact_grid_in_mpmath(self, monkeypatch):
-        # at K=30 all three points pass the dd bound; they need 41, 41 and
-        # 43 digits, rounded up to 48, and rerun in one mpmath pass
+    def test_asep_exact_grid_in_one_mixture_pass(self, monkeypatch):
+        # at K=30 all three points rerun, in one mixture pass
         p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
         g0s = [10.0 ** 1.8, 100.0, 1000.0]
-        mp_passes = []
-
-        def arith_mp(points=None):
-            mp_passes.append((mp.mp.dps, list(points)))
-            return _arith_mp(points)
-
-        monkeypatch.setattr(specfun, "_arith_mp", arith_mp)
+        passes = TestShortcutPoints.trace_passes(monkeypatch)
         grid = asep_exact_grid(p, mod, g0s)
-        assert mp_passes == [(48, [0, 1, 2])]
+        assert passes == [("longdouble", [0, 1, 2]), ("mixture", [0, 1, 2])]
         assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
 
     def test_asep_exact_grid_over_a_rescued_sweep(self):
-        # K=30: the sweep's points rerun in dd and at 40 and 48 digits
+        # K=30: every point of the sweep reruns in the mixture
         p, mod = TwdpParams(k=30.0, gamma=1.0), ModulationSpec(2)
         g0s = 10.0 ** (np.arange(0.0, 41.0, 5.0) / 10.0)
         grid = asep_exact_grid(p, mod, g0s)
-        assert {res.tier for res in grid} == {"dd", "mp40", "mp48"}
+        assert {(res.tier, res.passes, res.cancellation_ratio) for res in grid} == {
+            ("mixture", 2, 1.0)}
         assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
 
-    @needs_dd
-    def test_asep_dd_pass_does_not_depend_on_the_sweep(self):
-        # K=90, gamma0 = 10: the dd pass measures the same cancellation,
-        # and sums the same value, alone and inside the 0:40:10 dB sweep
-        p, mod = TwdpParams(k=90.0, gamma=1.0), ModulationSpec(2)
+    def test_asep_mixture_pass_does_not_depend_on_the_sweep(self):
+        # K=90, gamma0 = 10: the mixture pass sums the same value in the
+        # same terms alone and inside the 0:40:10 dB sweep
+        p, mod = TwdpParams(k=90.0, gamma=1.0), ModulationSpec(16)
         g0s = 10.0 ** (np.arange(0.0, 41.0, 10.0) / 10.0)
-        dd = specfun._arith_dd()
-        value, _, n, trunc, ratio, ok = _asep_pass(p, mod, g0s, replace(dd, points=np.arange(5)))
-        alone = _asep_pass(p, mod, g0s, replace(dd, points=np.array([1])))
-        assert ratio[1] > 1e38
-        assert (value[1], n[1], trunc[1], ratio[1], ok[1]) == tuple(v[0] for v in alone[:1] + alone[2:])
+        value, _, n, trunc, ratio, ok = _asep_pass(p, mod, g0s, every("mixture", 5))
+        alone = _asep_pass(p, mod, g0s, Pass("mixture", np.array([1])))
+        assert ok.all() and (ratio == 1.0).all()
+        assert (value[1], n[1], trunc[1], ratio[1], ok[1]) == tuple(
+            v[0] for v in alone[:1] + alone[2:])
 
     def test_k40_cdf_and_mgf_grids(self):
-        # left-tail cdf points and MGF points that rerun in mpmath at
-        # several precisions: each keeps the tier its own ratio calls for
+        # left-tail cdf points and MGF points: each keeps the tier its own
+        # long-double ratio calls for
         p = TwdpParams(k=40.0, gamma=0.0)
-        rs = [0.01, 0.02, 0.05, 0.1, 0.2]
+        rs = [0.01, 0.02, 0.05, 0.1, 0.2, 1.3]
         grid = cdf_grid(p, rs)
-        assert len({res.tier for res in grid}) >= 2
+        assert {res.tier for res in grid} == {"longdouble", "mixture"}
         assert grid == [cdf(p, r) for r in rs]
         gamma0 = 10.0
         ss = [-100.0, -30.0, -10.0, -8.0]
         grid = mgf_series_grid(p, gamma0, ss)
-        assert any(res.tier.startswith("mp") for res in grid)
+        assert any(res.tier == "mixture" for res in grid)
         assert grid == [mgf_series(p, gamma0, s) for s in ss]
 
 
 class TestGridIndependence:
     """A point's SeriesResult (value, terms, truncation, ratio, tier and
     passes) is the same bit for bit alone and inside a grid whose other
-    points stop at other terms and rerun in other tiers."""
+    points stop at other terms and rerun in the other tier."""
 
     GAMMA0 = 10.0
     GRIDS = {
@@ -228,7 +229,7 @@ class TestGridIndependence:
         "cdf": [0.2, 0.7, 1.1, 1.6, 2.4, 3.0, 3.4],
         "mgf": [-100.0, -30.0, -10.0, -3.0, -0.5, 0.0],
         "asep": [1.0, 10.0, 100.0, 1e3, 1e4],
-        "cdf-left": [0.01, 0.02, 0.05, 0.1, 0.2, 0.8],
+        "cdf-left": [0.01, 0.02, 0.05, 0.1, 0.2, 1.3],
         "mgf-k40": [-100.0, -30.0, -10.0, -8.0, -4.0, -1.0],
     }
 
@@ -245,22 +246,28 @@ class TestGridIndependence:
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf", "asep"])
     @pytest.mark.parametrize("k,gamma,tier", [
         (8.0, 0.5, "longdouble"),
-        pytest.param(14.0, 1.0, "dd", marks=needs_dd),
-        pytest.param(20.0, 1.0, "dd", marks=needs_dd),
+        (14.0, 1.0, "mixture"),
+        (20.0, 1.0, "mixture"),
     ])
     def test_long_double_and_dd(self, kind, k, gamma, tier):
+        # named for the double-longdouble tier that rescued these grids
+        # before the mixture
         grid, alone = self.evaluate(kind, TwdpParams(k=k, gamma=gamma))
         assert tier in {res.tier for res in grid}
         assert len({res.terms_used for res in grid}) > 1
         assert grid == alone
 
-    @needs_dd
     @pytest.mark.parametrize("kind", ["cdf-left", "mgf-k40"])
     def test_mpmath(self, kind):
-        grid, alone = self.evaluate(kind, TwdpParams(k=40.0, gamma=0.0))
-        tiers = {res.tier for res in grid}
-        assert "dd" in tiers and any(t.startswith("mp") for t in tiers)
+        # the K=40 grids, each with long-double and mixture points, and their
+        # values against 50-digit mpmath
+        p = TwdpParams(k=40.0, gamma=0.0)
+        grid, alone = self.evaluate(kind, p)
+        assert {res.tier for res in grid} == {"longdouble", "mixture"}
         assert grid == alone
+        refs = ([cdf_series_mp(p, r) for r in self.GRIDS[kind]] if kind == "cdf-left" else
+                [float(mgf_mp(p, self.GAMMA0, s, 50)) for s in self.GRIDS[kind]])
+        assert [res.value for res in grid] == pytest.approx(refs, rel=1e-12, abs=0)
 
 
 def outcome(res):
@@ -271,7 +278,7 @@ def outcome(res):
 class TestShortcutPoints:
     """A shortcut point (r = 0, the cdf clamp, an error rate whose lambda
     overflows double) keeps its own entry of the grid's result list: no
-    pass of any tier runs on it, and the points around it get what they
+    pass of either tier runs on it, and the points around it get what they
     get alone."""
 
     GRIDS = {
@@ -295,9 +302,9 @@ class TestShortcutPoints:
         passes = []
 
         def run_with_rescue(pass_fn, out, what=str):
-            def traced(be):
-                passes.append((be.name, be.points.tolist()))
-                return pass_fn(be)
+            def traced(ps):
+                passes.append((ps.name, ps.points.tolist()))
+                return pass_fn(ps)
             return specfun.run_with_rescue(traced, out, what)
 
         for module in (dist, asep):
@@ -308,17 +315,16 @@ class TestShortcutPoints:
     def stub_pass(ratio, seen):
         """A series pass that returns 1 at every point, with the given
         cancellation ratio, and records its tier and points."""
-        def pass_fn(be):
-            seen.append((be.name, be.points.tolist()))
-            n = len(be.points)
-            return (np.ones(n), n, np.ones(n, dtype=np.int64), np.zeros(n), ratio[be.points],
+        def pass_fn(ps):
+            seen.append((ps.name, ps.points.tolist()))
+            n = len(ps.points)
+            return (np.ones(n), n, np.ones(n, dtype=np.int64), np.zeros(n), ratio[ps.points],
                     np.ones(n, dtype=bool))
         return pass_fn
 
-    @needs_dd
     def test_entries_come_back_as_the_same_objects(self):
-        # points 2 and 4 cancel past long double's and dd's bounds (1e24: 41
-        # digits, run at 48); points 1 and 3 are shortcuts
+        # points 2 and 4 cancel past long double's bound; points 1 and 3
+        # are shortcuts
         done = SeriesResult(0.5, 0, 0.0, 1.0, "none", 0)
         lost = SeriesDivergenceError("cannot be summed", 0)
         ratio = np.array([1.0, 0.0, 1e15, 0.0, 1e24])
@@ -326,9 +332,9 @@ class TestShortcutPoints:
         out = [None, done, None, lost, None]
         assert specfun.run_with_rescue(self.stub_pass(ratio, seen), out) is out
         assert out[1] is done and out[3] is lost
-        assert seen == [("longdouble", [0, 2, 4]), ("dd", [2, 4]), ("mp48", [4])]
+        assert seen == [("longdouble", [0, 2, 4]), ("mixture", [2, 4])]
         assert [(res.tier, res.passes) for res in out[::2]] == [
-            ("longdouble", 1), ("dd", 2), ("mp48", 3)]
+            ("longdouble", 1), ("mixture", 2), ("mixture", 2)]
 
     def test_all_shortcut_grid_runs_no_pass(self, monkeypatch):
         seen = []
@@ -343,14 +349,12 @@ class TestShortcutPoints:
             assert all(isinstance(res, SeriesDivergenceError) or res.passes == 0 for res in grid)
         assert passes == []
 
-    @needs_dd
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "asep"])
     def test_mixed_grid(self, kind, monkeypatch):
         p, xs = self.GRIDS[kind]
         passes = self.trace_passes(monkeypatch)
         grid = self.evaluate(kind, p, xs)
-        tiers = {name for name, _ in passes}
-        assert "dd" in tiers and any(name.startswith("mp") for name in tiers)
+        assert [name for name, _ in passes] == ["longdouble", "mixture"]
         assert all(not set(pts) & set(self.SHORTCUTS[kind]) for _, pts in passes)
         assert [outcome(res) for res in grid] == [
             outcome(self.evaluate(kind, p, [x])[0]) for x in xs]
@@ -358,131 +362,104 @@ class TestShortcutPoints:
 
 def rescue_case(kind, p):
     """A grid of points whose long-double sums cannot be trusted: the public
-    grid evaluation on it, and its series pass for a given arithmetic."""
+    grid evaluation on it, and mpmath values at its points, at 50 digits
+    (64 in the pdf's upper tail): the pdf's phase average, the paper's cdf
+    series and the MGF's closed form."""
     if kind == "mgf":
         gamma0 = 10.0
         s = np.linspace(-10.0, -3.0, 6)
         return (lambda: mgf_series_grid(p, gamma0, s),
-                lambda be: _mgf_series_pass(p, gamma0, s, be))
+                [float(mgf_mp(p, gamma0, v, 50)) for v in s])
     if kind == "pdf":
         r = np.linspace(0.7, 1.8, 6)
-        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, be)
+        return lambda: pdf_grid(p, r), [phase_average_pdf_mp(p, v, 50) for v in r]
     if kind == "pdf-tail":
         # the upper tail down to 4.5e-208 at K=14: held to the relative
         # target however small the value
         r = np.append(np.linspace(3.0, 3.5, 6), 7.0) * math.sqrt(p.omega)
-        return lambda: pdf_grid(p, r), lambda be: _pdf_pass(p, r, be)
+        return lambda: pdf_grid(p, r), [phase_average_pdf_mp(p, v, 64) for v in r]
     # the K=40 left tail and the bulk
     r = np.array([0.01, 0.05, 0.1, 0.2, 0.8, 0.9]) if p.k == 40.0 else np.linspace(0.2, 0.8, 6)
-    x = r.astype(np.longdouble) ** 2 / (2 * np.longdouble(p.sigma2))
-    return lambda: cdf_grid(p, r), lambda be: _cdf_pass(p, x, be)
-
-
-def at_digits(series, digits=50):
-    with mp.workdps(digits):
-        value, *_, converged = series(_arith_mp())
-    assert converged.all()
-    return value
+    return lambda: cdf_grid(p, r), [cdf_series_mp(p, v) for v in r]
 
 
 class TestDoubleLongdoubleRescue:
+    """Points the long-double pass cannot vouch for, rerun as the positive
+    mixture.  (The class is named for the double-longdouble tier that
+    rescued them before the mixture.)"""
+
     @pytest.mark.parametrize("kind,k,gamma", [(kind, k, 1.0) for k in (14.0, 20.0)
                                               for kind in ("pdf", "cdf", "mgf")]
                              + [("cdf", 40.0, 0.0)])
     def test_against_50_digit_mpmath(self, kind, k, gamma):
-        grid, series = rescue_case(kind, TwdpParams(k=k, gamma=gamma))
-        for res, want in zip(grid(), at_digits(series)):
-            assert res.cancellation_ratio > 1e8
+        grid, refs = rescue_case(kind, TwdpParams(k=k, gamma=gamma))
+        for res, want in zip(grid(), refs):
+            assert (res.tier, res.cancellation_ratio) == ("mixture", 1.0)
             assert res.value == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("k", [14.0, 20.0, 30.0])
     def test_pdf_tail_against_64_digit_mpmath(self, k):
-        grid, series = rescue_case("pdf-tail", TwdpParams(k=k, gamma=1.0))
+        grid, refs = rescue_case("pdf-tail", TwdpParams(k=k, gamma=1.0))
         results = grid()
-        for i, (res, want) in enumerate(zip(results, at_digits(series, 64))):
+        for i, (res, want) in enumerate(zip(results, refs)):
             if k == 30.0 and i == len(results) - 1:
                 # r/sqrt(Omega) = 7 underflows double at K = 30: a shortcut,
-                # and the 64-digit pass agrees
+                # and the 64-digit quadrature agrees
                 assert (res.tier, res.passes, want) == ("none", 0, 0.0)
             else:
-                assert res.cancellation_ratio > 1e8
+                assert res.tier == "mixture"
             assert res.value == pytest.approx(want, rel=1e-12, abs=0)
 
-    @needs_dd
-    @pytest.mark.parametrize("case", ["pdf-tail", "asep"])
-    def test_uncompensated_dd_pass_within_its_bound(self, case, monkeypatch):
-        # the dd pass sums without compensation; its rounding, the sums'
-        # included, stays within _ERR_SAFETY _DD_EPS sum|t_m| of the same pass
-        # at 60 digits
-        if case == "pdf-tail":
-            p = TwdpParams(k=20.0, gamma=1.0)
-            r = np.linspace(2.5, 3.5, 5) * math.sqrt(p.omega)
-            module, series = dist, lambda be: _pdf_pass(p, r, be)
-        else:
-            p, mod = TwdpParams(k=14.0, gamma=1.0), ModulationSpec(16)
-            g0 = 10.0 ** (np.arange(0.0, 41.0, 5.0) / 10.0)
-            module, series = specfun, lambda be: _asep_pass(p, mod, g0, be)
-        sums, pass_result = [], specfun._pass_result
+    @pytest.mark.parametrize("kind", ["pdf", "pdf-tail", "cdf", "mgf"])
+    def test_truncation_estimate_bounds_the_error(self, kind):
+        # a mixture point's trunc_estimate bounds its omitted remainder, and
+        # it stops within a long double's rounding of its value
+        grid, refs = rescue_case(kind, TwdpParams(k=20.0, gamma=1.0))
+        for res, want in zip(grid(), refs):
+            if res.tier == "mixture":
+                assert res.trunc_estimate <= np.finfo(np.longdouble).eps
+                assert abs(res.value - want) <= (res.trunc_estimate + 1e-12) * want
 
-        def keep(pref, s, *rest):
-            sums.append(pref * s)
-            return pass_result(pref, s, *rest)
-
-        monkeypatch.setattr(module, "_pass_result", keep)
-        _, _, n, _, ratio, ok = series(specfun._arith_dd())
-        assert ok.all() and (ratio > 1e6).all()
-        with mp.workdps(60):
-            _, _, n_ref, *_ = series(_arith_mp())
-            assert list(n) == list(n_ref)
-            for i, want in enumerate(sums[1]):
-                got = specfun._to_mpf(sums[0].hi[i]) + specfun._to_mpf(sums[0].lo[i])
-                bound = specfun._ERR_SAFETY * specfun._DD_EPS * ratio[i]
-                assert abs(got - want) <= bound * abs(want)
-
-    @needs_dd
     def test_ladder_against_50_digit_mpmath(self):
         # both sides of the small-x branch, and far up the ladder
         x = np.array([0.0, 1e-3, 0.3, 0.5, 2.0, 30.0, 300.0])
-        rows = _ive_ladder(x, 20, specfun._arith_dd())
+        rows = _ive_ladder(x, 20)
         with mp.workdps(50):
-            ref = _ive_ladder(x, 20, _arith_mp())
             for nu in range(21):
-                for j, want in enumerate(ref[nu]):
-                    got = specfun._to_mpf(rows.hi[nu, j]) + specfun._to_mpf(rows.lo[nu, j])
-                    assert abs(got - want) <= 1e-36 * want
+                for j, v in enumerate(x):
+                    want = mp.besseli(nu, v) * mp.exp(-v)
+                    assert abs(to_mpf(rows[nu, j]) - want) <= 64 * 2.0**-64 * want
 
-    @needs_dd
     def test_k14_needs_no_mpmath(self, monkeypatch):
         def unavailable(*args):
-            raise AssertionError("mpmath arithmetic called")
+            raise AssertionError("mpmath called")
 
         p = TwdpParams(k=14.0, gamma=1.0)
         cases = [rescue_case(kind, p) for kind in ("pdf", "pdf-tail", "cdf", "mgf")]
-        refs = [at_digits(series) for _, series in cases]
-        monkeypatch.setattr(specfun, "_arith_mp", unavailable)
-        for (grid, _), ref in zip(cases, refs):
-            assert [res.value for res in grid()] == pytest.approx(list(ref), rel=1e-12, abs=0)
+        monkeypatch.setattr(mp, "mpf", unavailable)
+        for grid, refs in cases:
+            results = grid()
+            assert any(res.tier == "mixture" for res in results)
+            assert [res.value for res in results] == pytest.approx(list(refs), rel=1e-12, abs=0)
 
-    @needs_dd
-    def test_past_dd_bound_escalates_to_mpmath(self, caplog):
-        # the dd pass measures a 4.4e24 cancellation, past what it vouches for
+    def test_rerun_logged_with_the_long_double_ratio(self, caplog):
+        # the long-double pass measures a cancellation past what it vouches for
         caplog.set_level(logging.DEBUG, logger="twdp")
         p = TwdpParams(k=40.0, gamma=0.0)
         gamma0 = 10.0
         res = mgf_series(p, gamma0, -10.0)
-        assert [rec.getMessage().rsplit("; ", 1)[1] for rec in caplog.records] == [
-            "rerunning in dd arithmetic", "rerunning at 48 digits in mp arithmetic"]
+        (rec,) = caplog.records
+        assert rec.getMessage().startswith("mgf series at s=-10.0: cancellation ratio ")
+        assert rec.getMessage().endswith("in the longdouble pass; rerunning in the mixture")
         assert res.value == pytest.approx(mgf_closed(p, gamma0, -10.0), rel=1e-11, abs=0)
 
 
-def test_stop_waits_out_a_rising_hump(monkeypatch):
+def test_stop_waits_out_a_rising_hump():
     # at K=8, Gamma=0, x = 58.6 the cdf terms climb through 1e-12 of the sum
     # to a hump at m = 14, past the hump guard of 11 terms; a stop on that
     # rising edge dropped 7e-12 of the value
     p = TwdpParams(k=8.0, gamma=0.0)
     r = 2.551568472546093
-    value = cdf(p, r).value
-    x = np.array([r * r / (2 * p.sigma2)], dtype=np.longdouble)
-    monkeypatch.setattr(specfun, "_REL_TOL", 1e-30)  # the reference sums to 50 digits
-    ref = at_digits(lambda be: _cdf_pass(p, x, be))[0]
-    assert value == pytest.approx(ref, rel=1e-13, abs=0)
+    res = cdf(p, r)
+    assert res.tier == "longdouble"
+    assert res.value == pytest.approx(rician_cdf_mp(p.k, p.sigma2, r), rel=1e-13, abs=0)

@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate, special
 
 from twdp import (
-    CancellationLossError,
     InvalidParameterError,
     TwdpParams,
     cdf_snr,
@@ -58,15 +57,14 @@ class TestMgfSeries:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 1.0 for v in vals)
 
-    def test_cancellation_loss_beyond_the_digit_cap(self):
+    def test_past_any_long_double_cancellation(self):
         # at Gamma = 0 the series is sum (K u)^m / m!, u = g0 s/(1+K-s g0),
-        # which cancels by exactly exp(2K|u|) = 1.6e113, about 134 digits:
-        # the 120-digit pass measures that ratio and the point is given up
+        # which cancels by exactly exp(2K|u|) = 1.6e113; the mixture, whose
+        # terms are positive, sums it
         p, gamma0, s = TwdpParams(k=150.0, gamma=0.0), 10.0, -100.0
-        with pytest.raises(CancellationLossError) as err:
-            mgf_series(p, gamma0, s)
-        u = gamma0 * s / (1.0 + p.k - gamma0 * s)
-        assert err.value.cancellation_ratio == pytest.approx(math.exp(-2.0 * p.k * u), rel=1e-6)
+        res = mgf_series(p, gamma0, s)
+        assert (res.tier, res.passes, res.cancellation_ratio) == ("mixture", 2, 1.0)
+        assert res.value == pytest.approx(mgf_closed(p, gamma0, s), rel=1e-11, abs=0)
 
     def test_positive_s_rejected(self):
         p = TwdpParams(k=1.0, gamma=0.0)

@@ -1,11 +1,9 @@
 """Special-function kernel against brute-force and quadrature oracles."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy import special
 
 from twdp import (
@@ -26,16 +24,7 @@ from twdp import (
     mgf_series_grid,
     simulate_psk_ser,
 )
-from twdp.specfun import (
-    _DD,
-    _MAX_TERMS,
-    _exp_i0,
-    _fast_two_sum,
-    _ive_ladder,
-    _split,
-    _two_prod,
-    _two_sum,
-)
+from twdp.specfun import _MAX_TERMS, _exp_i0, _ive_ladder
 
 from conftest import (
     appell_f1,
@@ -339,149 +328,3 @@ class TestSeriesTypes:
         r = SeriesResult(1.0, 10, 1e-9)
         assert r.cancellation_ratio == 1.0
         assert r.terms_used <= _MAX_TERMS
-
-
-# long doubles with a full 64-bit significand, either sign, moderate exponent
-long_doubles = st.builds(
-    lambda man, exp, neg: np.ldexp(np.longdouble(-man if neg else man), exp),
-    st.integers(2**63, 2**64 - 1),
-    st.integers(-300, 240),
-    st.booleans(),
-)
-
-
-def exact(x) -> Fraction:
-    return Fraction(*x.as_integer_ratio())
-
-
-def exact_dd(x) -> Fraction:
-    return exact(x.hi) + exact(x.lo)
-
-
-U = Fraction(1, 2**64)  # unit roundoff of 64-bit significands
-
-
-# normalized dd values hi + lo, |lo| <= 2^-65 |hi|
-dd_values = st.builds(
-    lambda hi, k: _DD(*_fast_two_sum(hi, np.ldexp(np.longdouble(k), -100) * hi)),
-    long_doubles,
-    st.integers(-(2**35), 2**35),
-)
-
-
-# ints that _two_prod takes as their own upper half
-small_ints = st.integers(-(2**32) + 1, 2**32 - 1)
-# the operands the mixed dd operations take
-fp_operands = st.one_of(long_doubles, small_ints, st.integers(-(2**63), 2**63),
-                        st.floats(-1e300, 1e300))
-
-
-def fp_exact(x) -> Fraction:
-    return Fraction(x) if isinstance(x, (int, float)) else exact(x)
-
-
-def significant_bits(x) -> int:
-    num = abs(exact(x).numerator)
-    return (num >> ((num & -num).bit_length() - 1)).bit_length() if num else 0
-
-
-class TestDoubleLongdouble:
-    @given(long_doubles, long_doubles)
-    def test_two_sum_is_error_free(self, a, b):
-        s, e = _two_sum(a, b)
-        assert s == a + b
-        assert exact(s) + exact(e) == exact(a) + exact(b)
-
-    @given(long_doubles, long_doubles)
-    def test_fast_two_sum_is_error_free(self, a, b):
-        a, b = (a, b) if abs(a) >= abs(b) else (b, a)
-        s, e = _fast_two_sum(a, b)
-        assert exact(s) + exact(e) == exact(a) + exact(b)
-
-    @given(long_doubles)
-    def test_split_into_32_bit_halves(self, a):
-        hi, lo = _split(a)
-        assert exact(hi) + exact(lo) == exact(a)
-        assert significant_bits(hi) <= 32 and significant_bits(lo) <= 32
-
-    @given(long_doubles, long_doubles)
-    def test_two_prod_is_error_free(self, a, b):
-        p, e = _two_prod(a, b)
-        assert p == a * b
-        assert exact(p) + exact(e) == exact(a) * exact(b)
-
-    @given(dd_values, dd_values)
-    def test_dd_add_and_sub_within_3u2(self, a, b):
-        self.check_add_sub(a, b)
-
-    @given(dd_values, st.integers(-8, 8), st.integers(-(2**35), 2**35))
-    def test_dd_add_and_sub_under_cancellation(self, a, ulps, k):
-        # b within a few ulps of -a (and of a for the difference)
-        _, e = np.frexp(a.hi)
-        hi = a.hi + np.ldexp(np.longdouble(ulps), e - 64)
-        b = _DD(*_fast_two_sum(hi, np.ldexp(np.longdouble(k), -100) * hi))
-        self.check_add_sub(a, -b)
-
-    @staticmethod
-    def check_add_sub(a, b):
-        bound = 3 * U**2 / (1 - 4 * U)
-        for got, want in ((a + b, exact_dd(a) + exact_dd(b)), (a - b, exact_dd(a) - exact_dd(b))):
-            assert abs(exact_dd(got) - want) <= bound * abs(want)
-
-    @given(dd_values, dd_values)
-    def test_dd_mul_within_8u2(self, a, b):
-        want = exact_dd(a) * exact_dd(b)
-        assert abs(exact_dd(a * b) - want) <= 8 * U**2 * abs(want)
-
-    @given(dd_values, dd_values)
-    def test_dd_div_within_13u2(self, a, b):
-        want = exact_dd(a) / exact_dd(b)
-        assert abs(exact_dd(a / b) - want) <= 13 * U**2 * abs(want)
-
-    # mixed operands: a long double, a float or an int with a dd value
-
-    @given(long_doubles, small_ints)
-    def test_two_prod_with_small_int_is_error_free(self, a, b):
-        p, e = _two_prod(a, b)
-        assert p == a * b
-        assert exact(p) + exact(e) == exact(a) * b
-
-    @given(dd_values, fp_operands)
-    def test_dd_add_and_sub_fp_within_2u2(self, a, b):
-        self.check_add_sub_fp(a, b)
-
-    @given(dd_values, st.integers(-8, 8))
-    def test_dd_add_and_sub_fp_under_cancellation(self, a, ulps):
-        # b within a few ulps of -a.hi (and of a.hi for the difference)
-        _, e = np.frexp(a.hi)
-        self.check_add_sub_fp(a, -(a.hi + np.ldexp(np.longdouble(ulps), e - 64)))
-
-    @staticmethod
-    def check_add_sub_fp(a, b):
-        bound = 2 * U**2 / (1 - 2 * U)
-        x, y = exact_dd(a), fp_exact(b)
-        for got, want in ((a + b, x + y), (b + a, x + y), (a - b, x - y), (b - a, y - x)):
-            assert isinstance(got, _DD)
-            assert abs(exact_dd(got) - want) <= bound * abs(want)
-
-    @given(dd_values, fp_operands)
-    def test_dd_mul_fp_within_3u2(self, a, b):
-        want = exact_dd(a) * fp_exact(b)
-        for got in (a * b, b * a):
-            assert abs(exact_dd(got) - want) <= 3 * U**2 / (1 - 2 * U) * abs(want)
-
-    @given(dd_values, st.integers(0, 62))
-    def test_dd_mul_by_power_of_two_is_exact(self, a, j):
-        got = a * 2**j
-        assert exact_dd(got) == exact_dd(a) * 2**j
-        assert (got.hi, got.lo) == (a.hi * 2**j, a.lo * 2**j)
-
-    @given(dd_values, fp_operands.filter(bool))
-    def test_dd_div_fp_within_4u2(self, a, b):
-        want = exact_dd(a) / fp_exact(b)
-        assert abs(exact_dd(a / b) - want) <= 4 * U**2 / (1 - 2 * U) * abs(want)
-
-    @given(dd_values, fp_operands.filter(bool))
-    def test_fp_div_dd_within_13u2(self, a, b):
-        want = fp_exact(b) / exact_dd(a)
-        assert abs(exact_dd(b / a) - want) <= 13 * U**2 * abs(want)
