@@ -43,8 +43,8 @@ specfun._MIX_MAX_TERMS terms gets a SeriesDivergenceError in place of its
 result, and so does one whose (1+K)/(g0 sin^2(pi/M)) overflows double (g0
 below about 1e-307, -3070 dB): a shortcut entry of the sweep's result list,
 which no pass sees.  Callers (the CLI does this) can substitute
-asep_quadrature there; asep_exact raises it.  mpmath serves only the
-long-double seeds of the bracket family (_f1_seeds).
+asep_quadrature there; asep_exact raises it.  Every pass runs on long
+doubles, the bracket family's seeds (_f1_seeds) included.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .errors import InvalidParameterError, QuadratureError, SeriesDivergenceErro
 from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
-    _LD_EPS,
     _MIX_MAX_TERMS,
     _PI,
     SeriesResult,
@@ -93,34 +92,43 @@ class ModulationSpec:
         object.__setattr__(self, "sin2_pim", s * s)
 
 
+def _minus_sin(z):
+    """z - sin z at 0 <= z <= pi, by its power series."""
+    acc = 1
+    for j in range(17, 0, -1):
+        acc = 1 - z * z / ((2 * j + 2) * (2 * j + 3)) * acc
+    return z ** 3 / 6 * acc
+
+
+def _minus_atan(z):
+    """z - atan z at z >= 0: its power series below 3/4, directly (>= z/7) above."""
+    w, acc = np.minimum(z, 0.75) ** 2, 0
+    for j in range(72, 0, -1):
+        acc = 1 / _LD(2 * j + 1) - w * acc
+    return np.where(z < 0.75, z ** 3 * acc, z - np.arctan(z))
+
+
 def _f1_seeds(x: float, y):
     """1.5 J_1(x, y) and 1.5 J_2(x, y) at x < 1 and every y > 0, as long
-    doubles.
+    doubles, from sums of positive terms.  t = sin^2 phi/x gives J_(m+1) =
+    (2g/x^(3/2)) int_0^alpha h (1-h)^m dphi, alpha = arcsin sqrt(x), g =
+    x/y, h = sin^2 phi/(sin^2 phi + g).  With T^2 = x/(1-x), kappa =
+    sqrt(1+1/g), d = kappa-1 = 1/(g(kappa+1)), z = dT/(1+kappa T^2), b =
+    x+y and psi = atan sqrt(b/(1-x)), int_0^alpha h dphi = f/kappa, and
 
-    With theta = arcsin sqrt(x), phi = arcsin sqrt((x+y)/(1+y)) and b = x + y
-    (substitute t = s^2/(1 + x s^2) and split into partial fractions),
-
-        J_1 = 2 (theta/sqrt(x) - phi/sqrt(b))/y,
-        J_2 = (phi/sqrt(b) - sqrt(1-x)/(1+y))/b.
-
-    J_1 cancels by up to about 5 (1+y)/y and J_2 by up to about 1.5/x, so
-    each point is evaluated in mpmath with that many bits, and 24 more,
-    beyond a long double's, and then rounded to the nearest long double.
+        f = kappa alpha - atan(kappa T) = z - atan z
+            + d ((alpha - sin alpha cos alpha)(1+T^2) + alpha d T^2)/(1+kappa T^2),
+        1.5 J_1 = 3 f/(kappa y sqrt(x)),  1.5 J_2 = 0.75 (2 psi - sin 2 psi)/b^(3/2).
     """
-    import mpmath as mp
-    base = int(-math.log2(_LD_EPS)) + 24
-    out = []
-    for v in y.tolist():
-        with mp.workprec(base + int(math.log2(1 + v) - math.log2(v) - math.log2(x)) + 3):
-            X, Y = mp.mpf(x), mp.mpf(v)
-            b = X + Y
-            f = mp.asin(mp.sqrt(b / (1 + Y))) / mp.sqrt(b)
-            out += [3 * (mp.asin(mp.sqrt(X)) / mp.sqrt(X) - f) / Y,
-                    (f - mp.sqrt(1 - X) / (1 + Y)) * 1.5 / b]
-    with mp.workprec(64):  # a long double's significand: ldexp is exact (J > 0)
-        vals = np.array([np.ldexp(_LD(man), exp) for man, exp in ((+v).man_exp for v in out)],
-                        dtype=_LD)
-    return vals[0::2], vals[1::2]
+    x, y = _LD(x), y.astype(_LD)
+    t2 = x / (1 - x)
+    alpha, kappa = np.arctan(np.sqrt(t2)), np.sqrt(1 + y / x)
+    d, den = y / (x * (kappa + 1)), 1 + kappa * t2
+    f = (d * (_minus_sin(2 * alpha) / 2 * (1 + t2) + alpha * d * t2) / den
+         + _minus_atan(d * np.sqrt(t2) / den))
+    b = x + y
+    psi = np.arctan(np.sqrt(b / (1 - x)))
+    return 3 * f / (kappa * y * np.sqrt(x)), 0.75 * _minus_sin(2 * psi) / (b * np.sqrt(b))
 
 
 def _bracket_family(x0: float, lam, y0_abs):
@@ -154,7 +162,8 @@ def _bracket_family(x0: float, lam, y0_abs):
     over 500 orders for M up to 64.
     The term in D_1 vanishes at n = 2, so J_1 and J_2 seed it: at x = 1,
     2/pi J_1 = 2/(s (1 + s)) and 2/pi J_2 = s^-3 with s = sqrt(1 + lam);
-    at x0 < 1 see _f1_seeds.  An order costs O(1) operations per point.
+    at x0 < 1 the closed forms of _f1_seeds, in long double too.  An order
+    costs O(1) operations per point.
     """
     rows = 1 if x0 == 1.0 else 2
     x = np.array([1.0, x0][:rows], dtype=_LD)[:, None]

@@ -100,8 +100,10 @@ def _parse_snr_range(spec: str) -> np.ndarray:
         raise InvalidParameterError(f"bad --snr-db range {spec!r}")
     # a float step that reaches the stop may count one step short of it
     # (0.3 / 0.1 < 3) or overshoot it (3 * 0.1 > 0.3): allow for both
-    n = math.floor((stop - start) / step * (1 + 1e-9)) + 1
-    return np.minimum(start + step * np.arange(n), stop)
+    n = (stop - start) / step * (1 + 1e-9)
+    if not math.isfinite(n):
+        raise InvalidParameterError(f"--snr-db must give a finite number of points, got {spec!r}")
+    return np.minimum(start + step * np.arange(math.floor(n) + 1), stop)
 
 
 def _snr_linear(db) -> float:

@@ -81,14 +81,16 @@ class TestBracketFamily:
     computed without the recurrence."""
 
     ORDERS = (0, 1, 2, 10, 100, 499)
-    Y0 = (1e-8, 1e-6, 1e-3, 1.0, 1e4)
+    Y0 = (1e-8, 1e-6, 1e-3, 1.0, 1e4, 1e30)
 
     # the one arithmetic the bracket family runs in
     @pytest.mark.parametrize("tier", ["longdouble"])
-    @pytest.mark.parametrize("m_order", [2, 4, 8, 16])
+    @pytest.mark.parametrize("m_order", [2, 3, 4, 8, 16])
     def test_against_50_digit_mpmath(self, tier, m_order):
         # within 256 units of the long double's last place, u = 2^-64; the
-        # recurrence's rounding grows to about 130 u over 500 orders
+        # recurrence's rounding grows to about 130 u over 500 orders.  At
+        # y0 = 1e30, 1 - (x0+y0)/(1+y0) is about 1e-30: a seed through
+        # arcsin sqrt of that ratio misses by thousands of u there
         x0 = ModulationSpec(m_order).sin2_pim
         y0 = np.array(self.Y0)
         next_order = asep._bracket_family(x0, y0 / x0, y0)
@@ -100,6 +102,34 @@ class TestBracketFamily:
                 for i, y in enumerate(self.Y0):
                     for got, want in zip((t1[i], f1[i]), bracket_reference(m_order, y, m)):
                         assert abs(to_mpf(got) / want - 1) <= 256 * 2.0**-64, (m, y)
+
+
+class TestF1Seeds:
+    """The bracket family's long-double seeds 1.5 J_1 and 1.5 J_2 at x0 < 1
+    against their closed forms in arcsin,
+
+        J_1 = 2 (theta/sqrt(x0) - phi/sqrt(b))/y0,
+        J_2 = (phi/sqrt(b) - sqrt(1-x0)/(1+y0))/b,
+
+    theta = arcsin sqrt(x0), phi = arcsin sqrt(b/(1+y0)), b = x0 + y0, in
+    mpmath at 60 + |log10 y0| digits: J_1 cancels by about 1/y0 at small y0,
+    and phi's argument lies within about 1/y0 of 1 at large y0."""
+
+    Y0 = (1e-300, 1e-30, *(10.0 ** e for e in range(-12, 13)), 1e30, 1e300)
+
+    @pytest.mark.parametrize("m_order", [3, 4, 8, 16, 64, 1024])
+    def test_against_closed_forms(self, m_order):
+        x0 = ModulationSpec(m_order).sin2_pim
+        j1, j2 = asep._f1_seeds(x0, np.array(self.Y0))
+        for i, y0 in enumerate(self.Y0):
+            with mp.workdps(60 + abs(int(math.log10(y0)))):
+                x, y = mp.mpf(x0), mp.mpf(y0)
+                b = x + y
+                f = mp.asin(mp.sqrt(b / (1 + y))) / mp.sqrt(b)
+                want = (3 * (mp.asin(mp.sqrt(x)) / mp.sqrt(x) - f) / y,
+                        1.5 * (f - mp.sqrt(1 - x) / (1 + y)) / b)
+                for got, ref in zip((j1[i], j2[i]), want):
+                    assert abs(to_mpf(got) / ref - 1) <= 16 * 2.0**-64, y0
 
 
 @functools.cache
@@ -380,7 +410,9 @@ class TestRescueTiers:
                 assert value == pytest.approx(asep_oracle(p, m_order, g0), rel=1e-12, abs=0)
 
     def test_k14_needs_no_mpmath_brackets(self, monkeypatch):
-        # the mixture pass, unlike the long-double one, takes no mpmath seeds
+        # neither pass takes mpmath: the long-double one seeds its brackets in
+        # long double too, and loses digits only to its cancellation ratio
+        # (up to 1.4e12 here)
         def unavailable(*args):
             raise AssertionError("mpmath called")
 
@@ -389,10 +421,11 @@ class TestRescueTiers:
         for m_order in (2, 16):
             mod = ModulationSpec(m_order)
             g0 = np.array([1.0, 1e4])
-            value, *_, ok = asep._asep_pass(p, mod, g0, Pass("mixture", np.arange(2)))
-            assert ok.all()
-            for v, g in zip(value, g0):
-                assert v == pytest.approx(asep_quadrature(p, mod, g), rel=1e-8, abs=0)
+            for tier, rel in (("longdouble", 1e-7), ("mixture", 1e-8)):
+                value, *_, ok = asep._asep_pass(p, mod, g0, Pass(tier, np.arange(2)))
+                assert ok.all()
+                for v, g in zip(value, g0):
+                    assert v == pytest.approx(asep_quadrature(p, mod, g), rel=rel, abs=0)
 
     def test_tier_rule(self):
         # a stub series: point 0 does not cancel, points 1-4 cancel past the

@@ -196,7 +196,9 @@ class TestSweepValidation:
         assert len(body) == rows
         assert float(body[-1][0]) == last
 
-    @pytest.mark.parametrize("spec", ["0:nan:5", "0:inf:5", "nan:10:5", "-inf:10:5", "0:10:inf"])
+    # the last has finite bounds but more points than a float can count
+    @pytest.mark.parametrize("spec", ["0:nan:5", "0:inf:5", "nan:10:5", "-inf:10:5", "0:10:inf",
+                                      "0:1e300:1e-300"])
     def test_non_finite_snr_range_is_usage_error(self, capsys, spec):
         code, out, err = run_cli(capsys, "simulate", "--k", "1", f"--snr-db={spec}",
                                  "--samples", "100")
@@ -521,16 +523,29 @@ class TestSubprocess:
         assert proc.stdout.decode() == run_cli(capsys, *argv)[1]
 
 
+# whether mpmath is in sys.modules after each step, printed one per line
+_NO_MPMATH_SCRIPT = """
+import contextlib, io, sys
+import twdp, twdp.cli
+print("mpmath" in sys.modules)
+for m_order in (4, 16):
+    twdp.asep_exact(twdp.TwdpParams(k=1, gamma=0), twdp.ModulationSpec(m_order), 10.0)
+    print("mpmath" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = twdp.cli.main(["asep", "--k", "8", "--gamma", "0.5", "--mod-order", "16",
+                          "--method", "all"])
+print(code, "mpmath" in sys.modules)
+"""
+
+
 class TestLazyMpmath:
     def test_import_leaves_mpmath_unloaded(self):
-        script = ("import sys, twdp, twdp.cli; print('mpmath' in sys.modules); "
-                  "twdp.asep_exact(twdp.TwdpParams(k=1, gamma=0), twdp.ModulationSpec(4), 10.0); "
-                  "print('mpmath' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+        # mpmath never loads: it is a test-only dependency, and the error-rate
+        # series seeds its bracket factors in long double
+        proc = subprocess.run([sys.executable, "-c", _NO_MPMATH_SCRIPT], capture_output=True,
                               env=subprocess_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
-        # the error-rate series seeds its bracket factors in mpmath
-        assert proc.stdout.decode().split() == ["False", "True"]
+        assert proc.stdout.decode().split() == ["False", "False", "False", "0", "False"]
 
 
 # scipy.special and scipy.integrate in sys.modules after each step, printed
