@@ -34,6 +34,10 @@ EXIT_SERIES = 3
 EXIT_QUADRATURE = 4
 EXIT_IO = 5
 
+# the most points one grid may have: far above any curve's need, and a
+# larger count is refused before its array is built
+_MAX_POINTS = 10**6
+
 # the four parameter sets used throughout the figure reproductions
 FIGURE_SETS = (
     (0.0, 0.0, "k0_g0"),
@@ -45,8 +49,8 @@ FIGURE_SETS = (
 
 def _sweep(start: float, stop: float, points: int) -> np.ndarray:
     """points evenly spaced values from start to stop, both included."""
-    if points < 2:
-        raise InvalidParameterError(f"points must be >= 2, got {points}")
+    if not 2 <= points <= _MAX_POINTS:
+        raise InvalidParameterError(f"points must be in [2, {_MAX_POINTS}], got {points}")
     if not start < stop:
         raise InvalidParameterError("grid start must be below stop")
     return np.linspace(start, stop, points)
@@ -101,8 +105,9 @@ def _parse_snr_range(spec: str) -> np.ndarray:
     # a float step that reaches the stop may count one step short of it
     # (0.3 / 0.1 < 3) or overshoot it (3 * 0.1 > 0.3): allow for both
     n = (stop - start) / step * (1 + 1e-9)
-    if not math.isfinite(n):
-        raise InvalidParameterError(f"--snr-db must give a finite number of points, got {spec!r}")
+    if not n < _MAX_POINTS:
+        raise InvalidParameterError(
+            f"--snr-db must give a finite number of points, at most {_MAX_POINTS}, got {spec!r}")
     return np.minimum(start + step * np.arange(math.floor(n) + 1), stop)
 
 
@@ -234,8 +239,10 @@ def _cmd_convert(args, out) -> int:
 
 
 def _cmd_figures(args, out) -> int:
-    if not (math.isfinite(args.snr_step) and args.snr_step > 0):
-        raise InvalidParameterError(f"--snr-step must be positive, got {args.snr_step}")
+    if not (math.isfinite(args.snr_step) and args.snr_step > 0
+            and 40.0 / args.snr_step < _MAX_POINTS):
+        raise InvalidParameterError(f"--snr-step must be positive and give at most "
+                                    f"{_MAX_POINTS} points, got {args.snr_step}")
     v_ratio = _sweep(0.0, 1.0, args.points)
     r_norm = _sweep(0.0, 3.5, args.points)
     sim_cfg = mcsim.SimConfig(n_samples=args.samples, seed=args.seed, workers=args.workers)

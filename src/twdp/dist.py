@@ -26,8 +26,9 @@ Both series alternate and cancel heavily when K (1+Gamma)^2/(1+Gamma^2) is
 large; sums run on 80-bit long doubles, and a point whose recorded
 cancellation would push the result past its accuracy target, ~1e-11
 relative however small the value, tails included, or whose series does not
-converge within its term budget, is summed again as a positive mixture
-(specfun.mixture_series):
+converge within its term budget, 49 terms for the density (one 48-order
+Bessel ladder per argument) and 500 for the distribution function, is
+summed again as a positive mixture (specfun.mixture_series):
 
     f_R(r) = (r/sigma^2) sum_j w_j pi_j(x),    F_R(r) = sum_{j>=1} W_(j-1) pi_j(x),
 
@@ -36,8 +37,9 @@ W_j.  The CDF is 1 wherever its complement is below 2^-53: given the phases
 the envelope is Rician with specular power at most K' = K (1+Gamma)^2 /
 (1+Gamma^2) (in units of 2 sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b > a,
 bounds the complement by exp(-(sqrt(x) - sqrt(K'))^2).  The density is 0
-wherever its prefactor, which bounds it, is below 2^-1076.  A point whose e^x
-overflows long double cannot be summed: SeriesDivergenceError.
+wherever its prefactor, which bounds it, is below 2^-1076.  A point whose
+prefactor (density) or e^x (distribution function) overflows long double
+cannot be summed: SeriesDivergenceError.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .errors import InvalidParameterError, SeriesDivergenceError
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
-    _MAX_TERMS,
     _check_gamma0,
     _ive_ladder,
     _grid,
@@ -66,6 +67,9 @@ from .specfun import (
 )
 
 _LD = np.longdouble
+# the ladder orders of the pdf pass, one term each: a point the pass has not
+# stopped within them reruns in the mixture
+_PDF_ORDERS = 48
 
 
 # ----------------------------------------------------------------------------
@@ -89,42 +93,27 @@ def _pdf_args(p: TwdpParams, rb):
 
 def _pdf_pass(p: TwdpParams, r, ps):
     """The pdf at the envelope values r[ps.points] (all > 0), in the tier
-    ps.name."""
+    ps.name.  The long-double pass takes one _PDF_ORDERS-order ladder per
+    Bessel argument and so at most _PDF_ORDERS + 1 terms; a point it has not
+    stopped by then is reported unconverged."""
     rb = r[ps.points].astype(_LD)
     if ps.name == "mixture":
         return _pdf_mixture(p, rb)
     x1, x2, c, pref = _pdf_args(p, rb)
+    # c rides along as one more point of the first ladder
+    iv = _ive_ladder(np.append(x1, c), _PDF_ORDERS)
+    iv1, iv3 = iv[:, :-1], iv[:, -1]
+    iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2, _PDF_ORDERS)  # x2 = Gamma x1
 
-    # each point sums terms up to the ladder order nu; the points that
-    # need more rerun on a ladder twice as long
-    s, last, possum = (rb * 0 for _ in range(3))
-    n = np.zeros(len(rb), dtype=np.int64)
-    ok = np.zeros(len(rb), dtype=bool)
-    todo = np.arange(len(rb))
-    nu = 48
-    while True:
-        # c rides along as one more point of the first ladder
-        iv = _ive_ladder(np.append(x1[todo], c), nu)
-        iv1, iv3 = iv[:, :-1], iv[:, -1]
-        iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2[todo], nu)  # x2 = Gamma x1
+    def term(m):
+        t = iv1[m] * iv2[m] * iv3[m]
+        if m:
+            t = 2 * t
+            if m & 1:
+                t = -t
+        return t
 
-        def term(m):
-            t = iv1[m] * iv2[m] * iv3[m]
-            if m:
-                t = 2 * t
-                if m & 1:
-                    t = -t
-            return t
-
-        s[todo], n[todo], last[todo], possum[todo], ok[todo] = _sum_series(
-            term, len(todo), limit=min(nu + 1, _MAX_TERMS)
-        )
-        todo = todo[~ok[todo]]
-        if not todo.size or nu >= _MAX_TERMS:
-            break
-        nu = min(2 * nu, _MAX_TERMS)
-
-    return _pass_result(pref, s, n, last, possum, ok)
+    return _pass_result(pref, *_sum_series(term, len(rb), limit=_PDF_ORDERS + 1))
 
 
 def _pdf_mixture(p: TwdpParams, rb):
@@ -144,12 +133,21 @@ def pdf(p: TwdpParams, r: float) -> SeriesResult:
 def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope probability density along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
-    # r = 0 and a tail whose bound rounds to 0 in double need no series
-    summed = _pdf_args(p, r.astype(_LD))[3] >= np.ldexp(_LD(1), -1076)
+    # r = 0 and a tail whose bound rounds to 0 in double need no series; the
+    # prefactor's exponent, -(sqrt(x) - sqrt(K'))^2 + 2c, overflows only past
+    # the mixture's budget
+    with np.errstate(over="ignore"):
+        pref = _pdf_args(p, r.astype(_LD))[3]
     zero = SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)
+    out = [zero if not summed
+           else None if finite
+           else SeriesDivergenceError(
+               f"envelope pdf at r={ri} cannot be summed: its prefactor overflows long double", 0)
+           for ri, summed, finite in zip(r.tolist(), pref >= np.ldexp(_LD(1), -1076),
+                                         np.isfinite(pref))]
     return _raise_lost(run_with_rescue(
         lambda ps: _pdf_pass(p, r, ps),
-        [None if v else zero for v in summed],
+        out,
         what=lambda i: f"envelope pdf at r={float(r[i])}",
     ))
 

@@ -22,8 +22,8 @@ magnitude for strong specular power, so their pass sums with compensated
 every point.  run_with_rescue, one loop over a grid's result list, sends
 the points whose ratio, times the pass's rounding bound, would breach the
 relative accuracy target (needs_rescue), and those that did not converge
-within _MAX_TERMS terms, to one mixture pass, whose terms are all positive
-and so cannot cancel.
+within the pass's term budget (_MAX_TERMS; 49 for the pdf), to one mixture
+pass, whose terms are all positive and so cannot cancel.
 
 The mixture.  Given the phase difference theta of its two rays, TWDP is
 Rician with specular power K(theta) = K (1 + Gamma^2 + 2 Gamma cos theta) /
@@ -230,11 +230,11 @@ def run_with_rescue(pass_fn: Callable, out: list, what: Callable = str) -> list:
     trunc, ratio, converged): `terms` is the number of terms summed over
     those points (the work of the pass, which the per-layer tracer in
     bench/tracing.py counts), the rest are arrays over them.  A point whose
-    long-double pass fails needs_rescue, or did not converge within
-    _MAX_TERMS terms, reruns in the one mixture pass, together with the
-    other such points; each rerun is logged at DEBUG level on the "twdp"
-    logger, with the long-double cancellation ratio, under the name what(i)
-    of grid point i.
+    long-double pass fails needs_rescue, or did not converge within its term
+    budget, reruns in the one mixture pass, together with the other such
+    points; each rerun is logged at DEBUG level on the "twdp" logger, with
+    the long-double cancellation ratio, under the name what(i) of grid
+    point i.
 
     Returns `out` with, at each None entry, a SeriesResult carrying the tier
     of the point's last pass and its number of passes, or in its place a
@@ -312,25 +312,18 @@ def _ive_small_x(x, nu_max: int) -> np.ndarray:
     return s * np.exp(-x)
 
 
-def _miller_ladder(x, start: list, nu_max: int) -> list:
+def _miller_ladder(x, start, nu_max: int) -> list:
     """Rows nu = 0..nu_max of the normalized downward recurrence at x >= 0.5.
 
-    start[i] is the seed order of x[i], in descending order; the points
-    already seeded are a prefix of the arrays.
+    One loop runs down from the largest seed order over every point; point
+    i is seeded when k reaches its own start[i].  Above that order its rows
+    are exact zeros, which add exactly 0 to the compensated normalization.
     """
-    ip1 = ik = norm = comp = ()  # no point seeded yet
+    ip1, ik, norm, comp = (x * 0 for _ in range(4))
     ladder = [None] * (nu_max + 1)
-    seeded, size = 0, len(start)
-    for k in range(start[0], 0, -1):
-        if seeded < size and start[seeded] >= k:
-            now = seeded
-            while now < size and start[now] >= k:
-                now += 1
-            xa, zero = x[:now], x[seeded:now] * 0
-            ip1, ik, norm, comp = (np.append(v, fill) for v, fill in
-                                   zip((ip1, ik, norm, comp), (zero, zero + 1e-12, zero, zero)))
-            seeded = now
-        im1 = ip1 + (2 * k / xa) * ik
+    for k in range(int(start.max()), 0, -1):
+        ik[start == k] = 1e-12  # every seed lies above the rows kept
+        im1 = ip1 + (2 * k / x) * ik
         if k - 1 <= nu_max:
             ladder[k - 1] = im1
         # orders k >= 1 enter the normalization twice
@@ -340,38 +333,28 @@ def _miller_ladder(x, start: list, nu_max: int) -> list:
     return [v / total for v in ladder]
 
 
-def _ladder_start(x: float, nu_max: int):
-    """Seed order of the downward recurrence at x, or None below x = 0.5,
-    where the power series takes over."""
-    if not x >= 0:
-        raise InvalidParameterError(f"bessel argument must be >= 0, got {x}")
-    if x > 1e7:
-        raise InvalidParameterError("bessel ladder limited to x <= 1e7")
-    if x < 0.5:
-        return None
-    return nu_max + int(math.ceil(math.sqrt(2.6 * max(x, 1.0) * -math.log(_LD_EPS)))) + 14
-
-
 def _ive_ladder(x, nu_max: int):
-    """exp(-x) I_nu(x) for nu = 0..nu_max at every entry of the array x >= 0.
+    """exp(-x) I_nu(x) for nu = 0..nu_max at every entry of the array x in
+    [0, 1e7].
 
-    Row nu of the result holds ive_nu at every x.  Downward recurrence
-    I_{k-1} = I_{k+1} + (2k/x) I_k from a seed far enough above
+    Row nu of the result holds ive_nu at every x.  Below x = 0.5 a power
+    series per order; above, the downward recurrence I_{k-1} = I_{k+1} +
+    (2k/x) I_k, normalized via sum_k eps_k ive_k = 1, from each x's own seed
+    order nu_max + ceil(sqrt(2.6 max(x, 1) ln(1/eps))) + 14, far enough above
     max(nu_max, x) that the contamination of the minimal solution is below
-    working precision, then normalized via sum_k eps_k ive_k = 1.  Each x
-    has its own seed order.
+    working precision.
     """
     xb = np.asarray(x, dtype=_LD)
-    starts = [_ladder_start(v, nu_max) for v in xb.astype(float).tolist()]
+    xf = _grid(xb, lambda v: (v >= 0) & (v <= 1e7), "bessel argument must be in [0, 1e7]")
     out = np.zeros((nu_max + 1, len(xb)), dtype=_LD)
     out[0, xb == 0] = 1
-    small = [i for i, v in enumerate(starts) if v is None and xb[i] > 0]
-    if small:
+    small = (xb > 0) & (xf < 0.5)
+    if small.any():
         out[:, small] = _ive_small_x(xb[small], nu_max)
-    big = sorted((i for i, v in enumerate(starts) if v is not None), key=starts.__getitem__,
-                 reverse=True)
-    if big:
-        out[:, big] = _miller_ladder(xb[big], [starts[i] for i in big], nu_max)
+    big = xf >= 0.5
+    if big.any():
+        seed = np.ceil(np.sqrt(2.6 * np.maximum(xf[big], 1.0) * -math.log(_LD_EPS)))
+        out[:, big] = _miller_ladder(xb[big], nu_max + seed.astype(np.int64) + 14, nu_max)
     return out
 
 

@@ -527,7 +527,8 @@ def _finish(pref, s, n, last, pos):
 
 
 def pdf_pass_scalar(p, r: float):
-    """(value, terms_used, trunc, ratio) of the long-double pdf pass at r > 0."""
+    """(value, terms_used, trunc, ratio, converged) of the long-double pdf
+    pass at r > 0: at most 49 terms, on 48-order ladders."""
     LD = np.longdouble
     K, G, s2, rb = LD(p.k), LD(p.gamma), LD(p.sigma2), LD(r)
     g2 = G * G
@@ -535,23 +536,20 @@ def pdf_pass_scalar(p, r: float):
     b2 = G * b1
     c = 2 * K * G / (1 + g2)
     nu = 48
-    while True:
-        iv1, iv2, iv3 = (ive_ladder_scalar(x, nu) for x in (b1 * rb, b2 * rb, c))
-        def terms():
-            for m in range(nu + 1):
-                t = iv1[m] * iv2[m] * iv3[m]
-                if m:
-                    t = 2 * t
-                    if m & 1:
-                        t = -t
-                yield t
+    iv1, iv2, iv3 = (ive_ladder_scalar(x, nu) for x in (b1 * rb, b2 * rb, c))
 
-        s, n, last, pos, ok = scalar_series(terms(), max_terms=min(nu + 1, specfun._MAX_TERMS))
-        if ok:
-            break
-        nu = min(2 * nu, specfun._MAX_TERMS)
+    def terms():
+        for m in range(nu + 1):
+            t = iv1[m] * iv2[m] * iv3[m]
+            if m:
+                t = 2 * t
+                if m & 1:
+                    t = -t
+            yield t
+
+    s, n, last, pos, ok = scalar_series(terms(), max_terms=nu + 1)
     pref = rb / s2 * np.exp(-rb * rb / (2 * s2) - K + (b1 + b2) * rb + c)
-    return _finish(pref, s, n, last, pos)
+    return (*_finish(pref, s, n, last, pos), ok)
 
 
 def cdf_pass_scalar(p, x):

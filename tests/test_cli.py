@@ -14,7 +14,8 @@ import pytest
 
 import twdp
 from twdp import ModulationSpec, TwdpParams, asep_quadrature, cdf, pdf
-from twdp.cli import main
+from twdp.cli import _MAX_POINTS, _parse_snr_range, _sweep, main
+from twdp.errors import InvalidParameterError
 
 from conftest import phase_average_cdf, rayleigh_bpsk
 
@@ -211,10 +212,32 @@ class TestSweepValidation:
         assert (code, out) == (2, "")
         assert "points" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("asep", "--k", "1", "--snr-db", "0:1e20:1"),
+        ("simulate", "--k", "1", "--snr-db", "0:1e20:1", "--samples", "100"),
+        ("pdf", "--k", "1", "--points", str(_MAX_POINTS + 1)),
+        ("mgf", "--k", "1", "--points", str(_MAX_POINTS + 1)),
+    ])
+    def test_grid_past_the_point_bound_is_usage_error(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert str(_MAX_POINTS) in err
+
+    def test_point_bound_is_inclusive(self):
+        assert len(_parse_snr_range(f"0:{_MAX_POINTS - 1}:1")) == _MAX_POINTS
+        assert len(_sweep(0.0, 1.0, _MAX_POINTS)) == _MAX_POINTS
+        with pytest.raises(InvalidParameterError):
+            _parse_snr_range(f"0:{_MAX_POINTS}:1")
+
     @pytest.mark.parametrize("flags", [("--snr-step", "0"), ("--snr-step", "-2"),
                                        ("--snr-step", "nan"), ("--points", "1"),
                                        ("--samples", "0"), ("--workers", "0"),
-                                       ("--seed=-1",)])
+                                       ("--seed=-1",), ("--snr-step", "1e-20")])
     def test_figures_checked_before_writing(self, capsys, tmp_path, flags):
         outdir = tmp_path / "figs"
         code, out, _ = run_cli(capsys, "figures", "--outdir", str(outdir),

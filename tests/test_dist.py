@@ -1,6 +1,7 @@
 """Envelope/SNR distribution series against closed forms and quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ class TestPdf:
     def test_negative_r_rejected(self):
         with pytest.raises(InvalidParameterError):
             pdf(TwdpParams(k=1.0, gamma=0.0), -0.1)
+
+    def test_prefactor_overflow_cannot_be_summed(self):
+        # exp(-(sqrt(x) - sqrt(K'))^2 + 2c) overflows long double only for
+        # c = 2 K Gamma/(1+Gamma^2) > 5,678, past the mixture's budget
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesDivergenceError,
+                               match="cannot be summed: its prefactor overflows long double"):
+                pdf(TwdpParams(k=1e4, gamma=1.0), 1.0)
 
 
 class TestCdf:

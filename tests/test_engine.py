@@ -45,6 +45,7 @@ from conftest import (
     mgf_mp,
     mgf_pass_scalar,
     pdf_pass_scalar,
+    phase_average_pdf,
     phase_average_pdf_mp,
     rician_cdf_mp,
     to_mpf,
@@ -68,11 +69,14 @@ def every(tier, size):
 
 
 def assert_pass_matches(grid_out, refs):
+    """A pass against its scalar references, (value, terms_used, trunc,
+    ratio) and, where a reference gives it, the converged flag; without it
+    every point must converge."""
     value, terms, n, trunc, ratio, converged = grid_out
-    assert converged.all()
     assert terms == sum(r[1] for r in refs)
     for i, ref in enumerate(refs):
-        assert (value[i], n[i], trunc[i], ratio[i]) == ref
+        want = ref if len(ref) == 5 else (*ref, True)
+        assert (value[i], n[i], trunc[i], ratio[i], converged[i]) == want
 
 
 @FAST
@@ -419,6 +423,20 @@ class TestDoubleLongdoubleRescue:
             if res.tier == "mixture":
                 assert res.trunc_estimate <= np.finfo(np.longdouble).eps
                 assert abs(res.value - want) <= (res.trunc_estimate + 1e-12) * want
+
+    def test_pdf_past_its_49_terms_goes_to_the_mixture(self, caplog):
+        # the pdf pass stops at the end of its 48-order ladders
+        caplog.set_level(logging.DEBUG, logger="twdp")
+        p = TwdpParams(k=20.0, gamma=1.0)
+        r = np.array([3.2, 3.5]) * math.sqrt(p.omega)
+        _, _, n, _, _, converged = _pdf_pass(p, r, every("longdouble", len(r)))
+        assert n.tolist() == [49, 49] and not converged.any()
+        for res, want in zip(pdf_grid(p, r), phase_average_pdf(p, r)):
+            assert (res.tier, res.passes) == ("mixture", 2)
+            assert res.value == pytest.approx(want, rel=1e-11, abs=0)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"envelope pdf at r={v}: no convergence in 49 terms in the longdouble pass; "
+            "rerunning in the mixture" for v in r]
 
     def test_ladder_against_50_digit_mpmath(self):
         # both sides of the small-x branch, and far up the ladder

@@ -90,8 +90,13 @@ class TestBesselIScaled:
                 )
 
     def test_invalid_arguments(self):
+        # negative, NaN, past the ladder's 1e7, and one bad entry among
+        # valid ones: the whole array is refused
+        for x in (-0.5, math.nan, 2e7):
+            with pytest.raises(InvalidParameterError):
+                ive(0, x)
         with pytest.raises(InvalidParameterError):
-            ive(0, -0.5)
+            _ive_ladder(np.array([0.0, 0.3, 2.0, -1.0, 40.0]), 3)
 
 
 def hyp1f1_pochhammer_oracle(m: int, x: float) -> float:
