@@ -40,11 +40,10 @@ M-PSK's error rate over Nakagami-(k+1) fading (Simon & Alouini, Digital
 Communication over Fading Channels, 2nd ed., ch. 8).  _nakagami_orders gives
 E_n from a recurrence in n.  A point whose mixture needs more than
 specfun._MIX_MAX_TERMS terms gets a SeriesDivergenceError in place of its
-result, and so does one whose (1+K)/(g0 sin^2(pi/M)) overflows double (g0
-below about 1e-307, -3070 dB): a shortcut entry of the sweep's result list,
-which no pass sees.  Callers (the CLI does this) can substitute
-asep_quadrature there; asep_exact raises it.  Every pass runs on long
-doubles, the bracket family's seeds (_f1_seeds) included.
+result; callers (the CLI does this) can substitute asep_quadrature there,
+and asep_exact raises it.  Every pass runs on long doubles, the bracket
+family's seeds (_f1_seeds) included, and takes the average SNR as rho =
+(1+K)/g0 (specfun.snr_rho), finite at every double g0, subnormals included.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy  # scipy.integrate loads on first use, not at import
 
-from .errors import InvalidParameterError, QuadratureError, SeriesDivergenceError
+from .errors import InvalidParameterError, QuadratureError
 from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
@@ -69,6 +68,7 @@ from .specfun import (
     mixture_series,
     mixture_terms,
     run_with_rescue,
+    snr_rho,
 )
 
 _LD = np.longdouble
@@ -194,24 +194,22 @@ def _bracket_family(x0: float, lam, y0_abs):
 
 def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ps):
     """The error rate at the average SNRs gamma0[ps.points] in the tier
-    ps.name: coef_series with u = -1, or the mixture."""
-    K = _LD(p.k)
+    ps.name: coef_series with u = -1, or the mixture, at rho = (1+K)/g0:
+    lam = rho/sin^2(pi/M), y0_abs = rho and g = sin^2(pi/M)/rho."""
     x0 = _LD(mod.sin2_pim)
-    g0 = gamma0[ps.points].astype(_LD)
+    rho = snr_rho(p.k, gamma0[ps.points])
     if ps.name == "mixture":
-        return _asep_mixture(p, mod, x0 * g0 / (1 + K))
+        return _asep_mixture(p, mod, x0 / rho)
     sp = np.sqrt(x0)
-    lam = ((1 + K) / (g0 * x0)).astype(float)
-    y0_abs = ((1 + K) / g0).astype(float)
     c_bracket = 3 * _PI / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
-    next_order = _bracket_family(mod.sin2_pim, lam, y0_abs)
+    next_order = _bracket_family(mod.sin2_pim, rho / x0, rho)
 
     def bracket(m):
         t1, f1 = next_order()
         return t1 * c_bracket - f1
 
-    return coef_series(p, -1, bracket, len(g0), sp * (1 + K) / (3 * _PI * g0))
+    return coef_series(p, -1, bracket, len(rho), sp * rho / (3 * _PI))
 
 
 def _asep_mixture(p: TwdpParams, mod: ModulationSpec, g):
@@ -259,7 +257,7 @@ def _nakagami_orders(g, mod: ModulationSpec, n: int):
     Q_m(1/beta).
     """
     def window(rate, m):
-        return m + int(min(math.ceil(46 / rate) if rate > 0 else math.inf, 8 * m + 64))
+        return m + math.ceil(min(46 / rate if rate > 0 else math.inf, 8 * m + 64))
 
     beta = 1 + g
     n_p = window(float(np.log1p(g)), n + 1)
@@ -294,22 +292,15 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
 
     Returns a SeriesResult per point, or in its place the
     SeriesDivergenceError of a point where neither the series nor its
-    mixture converges within its term budget, or that cannot be summed at
-    all (callers such as the CLI substitute asep_quadrature there).
+    mixture converges within its term budget (callers such as the CLI
+    substitute asep_quadrature there).
     """
     g0 = np.array([_check_gamma0(v) for v in np.asarray(gamma0s, dtype=float).ravel()])
 
     def what(i):
         return f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}"
 
-    # the bracket family takes lam = (1+K)/(gamma0 sin^2(pi/M)), computed as
-    # in _asep_pass, as a double; a point where it overflows gets no pass
-    with np.errstate(over="ignore"):
-        lam = ((1 + _LD(p.k)) / (g0.astype(_LD) * _LD(mod.sin2_pim))).astype(float)
-    out = [None if math.isfinite(v) else SeriesDivergenceError(
-        f"{what(i)} cannot be summed: (1+K)/(gamma0 sin^2(pi/M)) overflows double", 0)
-        for i, v in enumerate(lam)]
-    return run_with_rescue(lambda ps: _asep_pass(p, mod, g0, ps), out, what)
+    return run_with_rescue(lambda ps: _asep_pass(p, mod, g0, ps), [None] * len(g0), what)
 
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
@@ -324,7 +315,7 @@ def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     g = _LD(p.gamma)
     angle = _LD(math.pi - math.pi / M + 0.5 * math.sin(2.0 * math.pi / M))
     xarg = 2 * g * k / (1 + g * g)  # <= K, so the joint exponent stays <= 0
-    scale = (1 + k) / (2 * _PI * _LD(gamma0) * _LD(mod.sin2_pim))
+    scale = snr_rho(p.k, gamma0) / (2 * _PI * _LD(mod.sin2_pim))
     value = _exp_i0(scale * angle, -k, xarg)
     if not math.isfinite(value):
         raise InvalidParameterError(

@@ -91,6 +91,22 @@ def _add_param_flags(sp):
                     help="diffuse half power; default normalizes total power to 1")
 
 
+def _snr_axis(start: float, stop: float, step: float, what: str) -> np.ndarray:
+    """The SNR axis start, start + step, ... up to stop in dB, checked before
+    it is built; `what` names its flag in the errors."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InvalidParameterError(f"{what}: bounds and step must be finite")
+    if step <= 0 or stop < start:
+        raise InvalidParameterError(f"{what}: step must be positive and stop not below start")
+    # a float step that reaches the stop may count one step short of it
+    # (0.3 / 0.1 < 3) or overshoot it (3 * 0.1 > 0.3): allow for both
+    n = (stop - start) / step * (1 + 1e-9)
+    if not n < _MAX_POINTS:
+        raise InvalidParameterError(
+            f"{what}: must give a finite number of points, at most {_MAX_POINTS}")
+    return np.minimum(start + step * np.arange(math.floor(n) + 1), stop)
+
+
 def _parse_snr_range(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
@@ -98,17 +114,7 @@ def _parse_snr_range(spec: str) -> np.ndarray:
         raise InvalidParameterError(
             f"--snr-db expects from:to:step, got {spec!r}"
         ) from exc
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise InvalidParameterError(f"--snr-db bounds must be finite, got {spec!r}")
-    if step <= 0 or stop < start:
-        raise InvalidParameterError(f"bad --snr-db range {spec!r}")
-    # a float step that reaches the stop may count one step short of it
-    # (0.3 / 0.1 < 3) or overshoot it (3 * 0.1 > 0.3): allow for both
-    n = (stop - start) / step * (1 + 1e-9)
-    if not n < _MAX_POINTS:
-        raise InvalidParameterError(
-            f"--snr-db must give a finite number of points, at most {_MAX_POINTS}, got {spec!r}")
-    return np.minimum(start + step * np.arange(math.floor(n) + 1), stop)
+    return _snr_axis(start, stop, step, f"--snr-db {spec!r}")
 
 
 def _snr_linear(db) -> float:
@@ -239,10 +245,7 @@ def _cmd_convert(args, out) -> int:
 
 
 def _cmd_figures(args, out) -> int:
-    if not (math.isfinite(args.snr_step) and args.snr_step > 0
-            and 40.0 / args.snr_step < _MAX_POINTS):
-        raise InvalidParameterError(f"--snr-step must be positive and give at most "
-                                    f"{_MAX_POINTS} points, got {args.snr_step}")
+    snrs = _snr_axis(0.0, 40.0, args.snr_step, f"--snr-step {args.snr_step:g} (0 to 40 dB)")
     v_ratio = _sweep(0.0, 1.0, args.points)
     r_norm = _sweep(0.0, 3.5, args.points)
     sim_cfg = mcsim.SimConfig(n_samples=args.samples, seed=args.seed, workers=args.workers)
@@ -282,7 +285,6 @@ def _cmd_figures(args, out) -> int:
               "max_terms_used": max(terms for curve in curves for _, terms in curve)})
 
     # exact / asymptotic / simulated symbol error rate, one file per PSK order
-    snrs = np.arange(0.0, 40.0 + 1e-9, args.snr_step)
     gamma0s = [_snr_linear(db) for db in snrs]
     for m_order, fname in ((2, "fig4a.csv"), (4, "fig4b.csv"), (8, "fig4c.csv"), (16, "fig4d.csv")):
         mod = ModulationSpec(m_order)

@@ -15,9 +15,9 @@ The distribution function is the algebraic series
     F_R(r) = x e^{-x} sum_m ((-1)^m / m!) (K/(1+Gamma^2))^m
              1F1(1-m; 2; x) 2F1(-m, -m; 1; Gamma^2),      x = r^2/(2 sigma^2)
 
-and the SNR CDF is the same series at x = (gamma/gamma0)(1+K), because the
-instantaneous SNR is gamma = r^2 Es/N0 and its average, the linear gamma0
-that cdf_snr takes, is Omega Es/N0 = 2 sigma^2 (1+K) Es/N0.
+and the SNR CDF is the same series at x = gamma rho, rho = (1+K)/gamma0
+(specfun.snr_rho), as the instantaneous SNR is gamma = r^2 Es/N0 and its
+average, the linear gamma0 of cdf_snr, is Omega Es/N0 = 2 sigma^2 (1+K) Es/N0.
 
 Rician (Gamma = 0) and Rayleigh (K = 0) fading are special cases of both
 series.
@@ -38,8 +38,9 @@ the envelope is Rician with specular power at most K' = K (1+Gamma)^2 /
 (1+Gamma^2) (in units of 2 sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b > a,
 bounds the complement by exp(-(sqrt(x) - sqrt(K'))^2).  The density is 0
 wherever its prefactor, which bounds it, is below 2^-1076.  A point whose
-prefactor (density) or e^x (distribution function) overflows long double
-cannot be summed: SeriesDivergenceError.
+prefactor (density) or e^x (distribution function) overflows long double,
+or one with a Bessel argument past the ladder's 1e7 (density), cannot be
+summed: SeriesDivergenceError.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .errors import InvalidParameterError, SeriesDivergenceError
 from .params import TwdpParams
 from .specfun import (
     SeriesResult,
+    _IVE_MAX_X,
     _check_gamma0,
     _ive_ladder,
     _grid,
@@ -64,6 +66,7 @@ from .specfun import (
     mixture_series,
     run_with_rescue,
     running_product,
+    snr_rho,
 )
 
 _LD = np.longdouble
@@ -134,17 +137,18 @@ def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope probability density along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
     # r = 0 and a tail whose bound rounds to 0 in double need no series; the
-    # prefactor's exponent, -(sqrt(x) - sqrt(K'))^2 + 2c, overflows only past
-    # the mixture's budget
+    # prefactor's exponent, -(sqrt(x) - sqrt(K'))^2 + 2c, overflows, and a
+    # Bessel argument leaves the ladder's range, only past the mixture's budget
     with np.errstate(over="ignore"):
-        pref = _pdf_args(p, r.astype(_LD))[3]
+        x1, _, c, pref = _pdf_args(p, r.astype(_LD))
+    why = np.where(~np.isfinite(pref), "its prefactor overflows long double",
+                   np.where(np.maximum(x1, c) > _IVE_MAX_X,
+                            f"a Bessel argument exceeds {_IVE_MAX_X:g}", ""))
     zero = SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)
     out = [zero if not summed
-           else None if finite
-           else SeriesDivergenceError(
-               f"envelope pdf at r={ri} cannot be summed: its prefactor overflows long double", 0)
-           for ri, summed, finite in zip(r.tolist(), pref >= np.ldexp(_LD(1), -1076),
-                                         np.isfinite(pref))]
+           else SeriesDivergenceError(f"envelope pdf at r={ri} cannot be summed: {w}", 0) if w
+           else None
+           for ri, summed, w in zip(r.tolist(), pref >= np.ldexp(_LD(1), -1076), why.tolist())]
     return _raise_lost(run_with_rescue(
         lambda ps: _pdf_pass(p, r, ps),
         out,
@@ -222,8 +226,7 @@ def cdf_snr(p: TwdpParams, gamma0: float, gamma: float) -> SeriesResult:
     _check_gamma0(gamma0)
     if gamma < 0 or not math.isfinite(gamma):
         raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
-    x = np.array([gamma * (1.0 + p.k) / gamma0], dtype=_LD)
-    return _cdf_grid_x(p, x)[0]
+    return _cdf_grid_x(p, _LD(gamma) * snr_rho(p.k, [gamma0]))[0]
 
 
 def cdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:

@@ -12,13 +12,13 @@ The two are linked by sum_m a^m/m! 2F1(-m,-m;1;b) = exp(a+ab) I_0(2a sqrt(b));
 I_0 is even, so the closed form takes the Bessel argument in magnitude.  The
 closed form is the cheap production path; the series is the form that term-
 by-term manipulations (error-probability integrals) build on, and each serves
-as the other's cross-check.  u is computed as (1+K)/(1+K - g0 s) - 1, which
-stays exact as s -> -inf.  The closed form takes exp(-x) I_0(x) from
-scipy.special.i0e (within 4e-16 relative).  The series alternates; a point
-whose recorded cancellation exceeds the long-double budget, or which does
-not converge within its term budget, is summed again as the positive
-mixture M(s) = sum_k w_k a^(k+1), a = 1 + u = (1+K)/(1+K - s g0), over the
-model's Poisson mixing weights w_k (specfun.mixture_series).
+as the other's cross-check.  Both take u = s/(rho - s) and a = 1 + u =
+rho/(rho - s), rho = (1+K)/g0 (specfun.snr_rho), neither of which cancels.
+The closed form takes exp(-x) I_0(x) from scipy.special.i0e (within 4e-16
+relative).  The series alternates; a point whose recorded cancellation
+exceeds the long-double budget, or which does not converge within its term
+budget, is summed again as the positive mixture M(s) = sum_k w_k a^(k+1)
+over the model's Poisson mixing weights w_k (specfun.mixture_series).
 """
 
 from __future__ import annotations
@@ -39,27 +39,27 @@ from .specfun import (
     mixture_series,
     run_with_rescue,
     running_product,
+    snr_rho,
 )
 
 _LD = np.longdouble
 
 
 def _snr_ratio(k, gamma0, s):
-    """u = g0 s / (1+K - g0 s), computed as (1+K)/(1+K - g0 s) - 1, in long
-    double."""
-    t = _LD(gamma0) * np.asarray(s, dtype=_LD)
-    den = 1 + _LD(k) - t
-    return (1 + _LD(k)) / den - 1, den
+    """(u, a) in long double: u = g0 s/(1+K - g0 s) = s/(rho - s) and a = 1
+    + u = rho/(rho - s), rho = (1+K)/g0."""
+    rho, s = snr_rho(k, gamma0), _LD(s)
+    d = rho - s
+    return s / d, rho / d
 
 
 def _mgf_series_pass(p: TwdpParams, gamma0: float, s, ps):
     """The series at the points s[ps.points] in the tier ps.name:
     specfun.coef_series at the SNR ratio u with factor 1, or the mixture,
     with factors a^(k+1), a = 1 + u."""
-    u, den = _snr_ratio(p.k, gamma0, s[ps.points])
+    u, a = _snr_ratio(p.k, gamma0, s[ps.points])
     if ps.name == "longdouble":
-        return coef_series(p, u, lambda m: 1, len(u), (1 + _LD(p.k)) / den)
-    a = 1 + u
+        return coef_series(p, u, lambda m: 1, len(u), a)
     return mixture_series(p, len(a), running_product(a, lambda k: a), lambda k: a, 1)
 
 
@@ -86,6 +86,6 @@ def mgf_closed(p: TwdpParams, gamma0: float, s: float) -> float:
         raise InvalidParameterError(f"s must be finite and <= 0, got {s}")
     k = _LD(p.k)
     g = _LD(p.gamma)
-    u, den = _snr_ratio(p.k, gamma0, s)
+    u, a = _snr_ratio(p.k, gamma0, s)
     xarg = 2 * g * k * (-u) / (1 + g * g)  # >= 0, and xarg <= |k u|
-    return _exp_i0((1 + k) / den, k * u, xarg)
+    return _exp_i0(a, k * u, xarg)

@@ -87,13 +87,24 @@ def gamma_from_delta(delta: float) -> float:
     return delta / (1.0 + math.sqrt((1.0 - delta) * (1.0 + delta)))
 
 
+def _check_k_rice(k_rice_value: float) -> None:
+    if not (k_rice_value >= 0 and math.isfinite(k_rice_value)):
+        raise InvalidParameterError(f"k_rice must be nonnegative and finite, got {k_rice_value}")
+
+
+def _finite_k(k: float) -> float:
+    """k, if the conversion gave a finite total K."""
+    if not math.isfinite(k):
+        raise InvalidParameterError("the total K overflows double")
+    return k
+
+
 def k_from_rice_gamma(k_rice_value: float, gamma: float) -> float:
     """Total K from the dominant-ray K and Gamma: K = K_rice (1 + Gamma^2)."""
-    if k_rice_value < 0:
-        raise InvalidParameterError("k_rice must be nonnegative")
+    _check_k_rice(k_rice_value)
     if not 0.0 <= gamma <= 1.0:
         raise InvalidParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    return k_rice_value * (1.0 + gamma * gamma)
+    return _finite_k(k_rice_value * (1.0 + gamma * gamma))
 
 
 def k_from_rice_delta(k_rice_value: float, delta: float) -> float:
@@ -103,10 +114,9 @@ def k_from_rice_delta(k_rice_value: float, delta: float) -> float:
     limit equal to K_rice.  Reuses the cancellation-safe Gamma conversion
     because 2 (1 - sqrt(1 - d^2)) / d^2 = 2 gamma_from_delta(d) / d.
     """
-    if k_rice_value < 0:
-        raise InvalidParameterError("k_rice must be nonnegative")
+    _check_k_rice(k_rice_value)
     if not 0.0 <= delta <= 1.0:
         raise InvalidParameterError(f"delta must lie in [0, 1], got {delta}")
     if delta == 0.0:
         return k_rice_value
-    return k_rice_value * 2.0 * gamma_from_delta(delta) / delta
+    return _finite_k(k_rice_value * 2.0 * gamma_from_delta(delta) / delta)

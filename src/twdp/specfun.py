@@ -81,6 +81,8 @@ _CONSEC_BELOW = 3
 _MAX_TERMS = 500
 # the most terms a mixture pass takes: the domain edge of the package
 _MIX_MAX_TERMS = 5000
+# the largest argument of the scaled Bessel ladder
+_IVE_MAX_X = 1e7
 
 _log = logging.getLogger("twdp")
 
@@ -131,7 +133,8 @@ def _sum_series(term: Callable, size: int, min_terms: int = 0, limit: int = _MAX
     Every point keeps a compensated sum of its terms and of their magnitudes
     and stops on its own; its sums are kept as they are at the term where it
     stops, so its result does not depend on the other points of the grid.
-    A point that has not stopped after `limit` terms did not converge.
+    A point that has not stopped after `limit` terms, or whose sum is not
+    finite, did not converge.
 
     Without `rest`, the stopping rule above applies.  `min_terms` disarms it
     for the first terms: the alternating sums here have envelopes that dip
@@ -181,7 +184,7 @@ def _sum_series(term: Callable, size: int, min_terms: int = 0, limit: int = _MAX
             if not live.any():
                 break
     s, last, pos = kept
-    return s, n, last, pos, converged
+    return s, n, last, pos, converged & np.isfinite(s)
 
 
 def _pass_result(pref, s, n, last, pos, converged):
@@ -279,6 +282,12 @@ def _check_gamma0(gamma0: float) -> float:
     return gamma0
 
 
+def snr_rho(k: float, gamma0):
+    """rho = (1+K)/gamma0 in long double, the one form in which the SNR-domain
+    passes take gamma0 (a float or an array): finite (below 4e631) at every input."""
+    return (1 + _LD(k)) / _LD(gamma0)
+
+
 def _raise_lost(results: list) -> list:
     """results, unless a point did not converge: then its error."""
     for res in results:
@@ -335,7 +344,7 @@ def _miller_ladder(x, start, nu_max: int) -> list:
 
 def _ive_ladder(x, nu_max: int):
     """exp(-x) I_nu(x) for nu = 0..nu_max at every entry of the array x in
-    [0, 1e7].
+    [0, _IVE_MAX_X].
 
     Row nu of the result holds ive_nu at every x.  Below x = 0.5 a power
     series per order; above, the downward recurrence I_{k-1} = I_{k+1} +
@@ -345,7 +354,8 @@ def _ive_ladder(x, nu_max: int):
     working precision.
     """
     xb = np.asarray(x, dtype=_LD)
-    xf = _grid(xb, lambda v: (v >= 0) & (v <= 1e7), "bessel argument must be in [0, 1e7]")
+    xf = _grid(xb, lambda v: (v >= 0) & (v <= _IVE_MAX_X),
+               f"bessel argument must be in [0, {_IVE_MAX_X:g}]")
     out = np.zeros((nu_max + 1, len(xb)), dtype=_LD)
     out[0, xb == 0] = 1
     small = (xb > 0) & (xf < 0.5)
@@ -383,7 +393,10 @@ def coef_series(p, u, factor: Callable, size: int, pref):
         c = c * q / (m + 1)
         return t
 
-    s, n, last, pos, ok = _sum_series(term, size, min_terms=term_hump_guard(p.k, p.gamma))
+    # at K past about 1e12, c_m overflows long double within the term budget
+    # and the sum goes inf - inf: such a point does not converge
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, n, last, pos, ok = _sum_series(term, size, min_terms=term_hump_guard(p.k, p.gamma))
     return _pass_result(pref, s, n, last, pos, ok)
 
 

@@ -301,7 +301,7 @@ def scalar_series(terms, min_terms=0, max_terms=None):
     """Scalar reference for the series engine: Kahan sums of the terms and
     of their magnitudes under the stopping rule of specfun (_CONSEC_BELOW
     small, falling terms in a row), within max_terms terms (default
-    specfun._MAX_TERMS).
+    specfun._MAX_TERMS); a sum that is not finite did not converge.
 
     Returns (sum, terms_used, |last term|, sum |t|, converged).
     """
@@ -323,7 +323,7 @@ def scalar_series(terms, min_terms=0, max_terms=None):
         if n >= guard and abs(t) <= specfun._REL_TOL * abs(total) and falling:
             below += 1
             if below >= specfun._CONSEC_BELOW:
-                return total, n, last, pos, True
+                return total, n, last, pos, abs(total) < math.inf
         else:
             below = 0
         if n >= limit:
@@ -583,8 +583,8 @@ def mgf_pass_scalar(p, gamma0: float, s_arg: float):
     LD = np.longdouble
     g2 = LD(p.gamma) ** 2
     a = LD(p.k) / (1 + g2)
-    den = 1 + LD(p.k) - LD(gamma0) * LD(s_arg)
-    q = a * ((1 + LD(p.k)) / den - 1)
+    rho, s = (1 + LD(p.k)) / LD(gamma0), LD(s_arg)
+    q = a * (s / (rho - s))
 
     def terms():
         cm = LD(1.0)
@@ -592,8 +592,8 @@ def mgf_pass_scalar(p, gamma0: float, s_arg: float):
             yield cm * leg
             cm = cm * q / (m + 1)
 
-    s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
-    return _finish((1 + LD(p.k)) / den, s, n, last, pos)
+    total, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+    return _finish(rho / (rho - s), total, n, last, pos)
 
 
 def bracket_row(x, y, v, v_next, b):
@@ -619,17 +619,16 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     LD = np.longdouble
     K, g2 = LD(p.k), LD(p.gamma) ** 2
     a = K / (1 + g2)
-    x0, g0 = LD(sin2_pim), LD(gamma0)
+    x0, rho = LD(sin2_pim), (1 + K) / LD(gamma0)
     sp = np.sqrt(x0)
-    lam, y0_abs = float((1 + K) / (g0 * x0)), float((1 + K) / g0)
+    lam = rho / x0
     c_bracket = 3 * _PI / (2 * sp * x0)
 
-    s = np.sqrt(1 + LD(lam))
-    f2f1 = bracket_row(LD(1), LD(lam), 2 / (s * (1 + s)), 1 / (s * s * s), LD(0))
+    s = np.sqrt(1 + lam)
+    f2f1 = bracket_row(LD(1), lam, 2 / (s * (1 + s)), 1 / (s * s * s), LD(0))
     if sin2_pim < 1.0:
-        y = LD(y0_abs)
-        (v,), (v_next,) = _f1_seeds(sin2_pim, np.array([y0_abs]))
-        f1 = bracket_row(x0, y, v, v_next, 1.5 * np.sqrt(1 - x0) / ((1 + y) * (1 + y)))
+        (v,), (v_next,) = _f1_seeds(sin2_pim, np.array([rho]))
+        f1 = bracket_row(x0, rho, v, v_next, 1.5 * np.sqrt(1 - x0) / ((1 + rho) * (1 + rho)))
     else:
         with mp.workprec(87):  # the family's bits for long double: 63 + 24
             to_f1 = ld_from_mpf(3 * mp.pi / 4)
@@ -642,7 +641,7 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
             cm = cm * (-a) / (m + 1)
 
     s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
-    return _finish(sp * (1 + K) / (3 * _PI * g0), s, n, last, pos)
+    return _finish(sp * rho / (3 * _PI), s, n, last, pos)
 
 
 # ---------------------------------------------------------------------------

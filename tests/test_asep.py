@@ -113,17 +113,19 @@ class TestF1Seeds:
 
     theta = arcsin sqrt(x0), phi = arcsin sqrt(b/(1+y0)), b = x0 + y0, in
     mpmath at 60 + |log10 y0| digits: J_1 cancels by about 1/y0 at small y0,
-    and phi's argument lies within about 1/y0 of 1 at large y0."""
+    and phi's argument lies within about 1/y0 of 1 at large y0.  y0 = 1e330,
+    past the double range, is (1+K)/gamma0 at a subnormal gamma0."""
 
-    Y0 = (1e-300, 1e-30, *(10.0 ** e for e in range(-12, 13)), 1e30, 1e300)
+    Y0 = (1e-300, 1e-30, *(10.0 ** e for e in range(-12, 13)), 1e30, 1e300,
+          np.longdouble("1e330"))
 
     @pytest.mark.parametrize("m_order", [3, 4, 8, 16, 64, 1024])
     def test_against_closed_forms(self, m_order):
         x0 = ModulationSpec(m_order).sin2_pim
-        j1, j2 = asep._f1_seeds(x0, np.array(self.Y0))
+        j1, j2 = asep._f1_seeds(x0, np.array(self.Y0, dtype=np.longdouble))
         for i, y0 in enumerate(self.Y0):
-            with mp.workdps(60 + abs(int(math.log10(y0)))):
-                x, y = mp.mpf(x0), mp.mpf(y0)
+            with mp.workdps(60 + abs(int(mp.log10(to_mpf(y0))))):
+                x, y = mp.mpf(x0), to_mpf(y0)
                 b = x + y
                 f = mp.asin(mp.sqrt(b / (1 + y))) / mp.sqrt(b)
                 want = (3 * (mp.asin(mp.sqrt(x)) / mp.sqrt(x) - f) / y,
@@ -366,19 +368,32 @@ class TestDiagnostics:
         v = asep_quadrature(p, ModulationSpec(2), 10.0)
         assert 0.0 < v < 0.5
 
+    def test_quadrature_at_huge_k(self):
+        # K = 1e300 is AWGN: the MGF's u = g0 s/(1+K - g0 s) keeps its
+        # relative accuracy however small it is
+        p = TwdpParams(k=1e300, gamma=0.0)
+        assert asep_quadrature(p, ModulationSpec(2), 10.0) == pytest.approx(
+            0.5 * math.erfc(math.sqrt(10.0)), rel=1e-8, abs=0)
+        assert asep_quadrature(p, ModulationSpec(4), 10.0) == pytest.approx(
+            asep_oracle(p, 4, 10.0), rel=1e-8, abs=0)
+
     def test_invalid_gamma0(self):
         with pytest.raises(InvalidParameterError):
             asep_exact(TwdpParams(k=1.0, gamma=0.0), ModulationSpec(2), 0.0)
 
     @pytest.mark.parametrize("m_order", [2, 16])
     def test_bracket_argument_past_double_range(self, m_order):
-        # (1+K)/(gamma0 sin^2(pi/M)) overflows a double at gamma0 = 1e-320:
-        # that point alone gets its error, and no pass runs on it
-        p, mod = TwdpParams(k=3.0, gamma=0.5), ModulationSpec(m_order)
-        lost, kept = asep_exact_grid(p, mod, [1e-320, 1.0])
-        assert isinstance(lost, SeriesDivergenceError) and lost.terms_used == 0
-        assert "overflows double" in str(lost)
-        assert kept == asep_exact(p, mod, 1.0)
+        # (1+K)/(gamma0 sin^2(pi/M)) is past the double range at the
+        # subnormal gamma0 = 1e-320 and 1e-310, not the long double one:
+        # both are summed, every symbol a guess, (M-1)/M
+        mod = ModulationSpec(m_order)
+        for k, tier in ((3.0, "longdouble"), (1e3, "mixture")):
+            p = TwdpParams(k=k, gamma=0.5)
+            *low, kept = asep_exact_grid(p, mod, [1e-320, 1e-310, 1.0])
+            for res in low:
+                assert res.tier == tier
+                assert res.value == pytest.approx((m_order - 1) / m_order, rel=1e-15, abs=0)
+            assert kept == asep_exact(p, mod, 1.0)
 
 
 class TestRescueTiers:

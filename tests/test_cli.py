@@ -14,10 +14,10 @@ import pytest
 
 import twdp
 from twdp import ModulationSpec, TwdpParams, asep_quadrature, cdf, pdf
-from twdp.cli import _MAX_POINTS, _parse_snr_range, _sweep, main
+from twdp.cli import _MAX_POINTS, _parse_snr_range, _snr_axis, _sweep, main
 from twdp.errors import InvalidParameterError
 
-from conftest import phase_average_cdf, rayleigh_bpsk
+from conftest import asep_oracle, phase_average_cdf, rayleigh_bpsk
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -60,6 +60,16 @@ class TestConvert:
         code, _, err = run_cli(capsys, "convert", "--gamma", "0.5", "--delta", "0.5")
         assert code == 2
         assert "exactly one" in err
+
+    @pytest.mark.parametrize("flags", [("--gamma", "0.5", "--k-rice", "nan"),
+                                       ("--gamma", "0.5", "--k-rice", "inf"),
+                                       ("--gamma", "1", "--k-rice", "1e308"),
+                                       ("--delta", "1", "--k-rice", "1e308")])
+    def test_non_finite_k_is_usage_error(self, capsys, flags):
+        # a non-finite K_rice, and one whose K overflows double
+        code, out, err = run_cli(capsys, "convert", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestCurveCommands:
@@ -245,6 +255,20 @@ class TestSweepValidation:
         assert (code, out) == (2, "")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("step", ["0", "nan", "1e-20"])
+    def test_figures_snr_step_error_names_the_flag(self, capsys, tmp_path, step):
+        code, _, err = run_cli(capsys, "figures", "--outdir", str(tmp_path / "figs"),
+                               "--snr-step", step)
+        assert code == 2 and "--snr-step" in err
+
+    @pytest.mark.parametrize("step", [2, 0.5, 5, 0.3, 0.1, 3, 7, 40, 1.5, 0.7, 0.01])
+    def test_figures_snr_axis_is_the_sweep_rule(self, step):
+        # the figures' SNR axis comes from the --snr-db rule, and is the
+        # np.arange(0, 40 + 1e-9, step) axis that it replaced
+        axis = _snr_axis(0.0, 40.0, step, "--snr-step")
+        assert np.array_equal(axis, _parse_snr_range(f"0:40:{step!r}"))
+        assert np.array_equal(axis, np.arange(0.0, 40.0 + 1e-9, step))
+
 
 class TestNegativeValues:
     """A value starting with `-` may follow its flag as a separate token."""
@@ -417,6 +441,14 @@ class TestExitCodes:
         assert code == 3
         assert "did not converge in 5000 terms" in err
 
+    def test_pdf_past_the_bessel_ladder_exit(self, capsys):
+        # b1 r = 2e10 at r = 1 is past the ladder's 1e7: a valid input that
+        # no series can sum
+        code, out, err = run_cli(capsys, "pdf", "--k", "1e10", "--gamma", "0", "--rmax", "1",
+                                 "--points", "2")
+        assert (code, out) == (3, "")
+        assert "cannot be summed" in err
+
     def test_cdf_past_the_paper_term_budget(self, capsys):
         # r/sqrt(Omega) <= 0.3 at K = 90, Gamma = 1 climbs to a hump past the
         # paper's 500 terms; the mixture gives the whole curve
@@ -460,6 +492,36 @@ class TestExitCodes:
             assert row[4] == "quadrature-fallback"
             assert row[1] == row[3]
 
+    def test_asep_at_huge_k_falls_back_without_warnings(self, capsys):
+        # the paper's coefficients overflow long double within its 500
+        # terms at K = 1e13: unconverged, past the mixture's budget, so
+        # quadrature, which sees the MGF at its full accuracy (and holds
+        # each value to 1e-13 absolute: 1.04e-45 at 20 dB)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "asep", "--k", "1e13", "--gamma", "0",
+                                   "--snr-db", "10:20:10", "--method", "exact")
+        assert code == 0
+        _, rows = parse_csv(out)
+        p = TwdpParams(k=1e13, gamma=0.0)
+        for row in rows:
+            assert row[2] == "quadrature-fallback"
+            assert float(row[1]) == pytest.approx(
+                asep_oracle(p, 2, 10.0 ** (float(row[0]) / 10.0)), rel=1e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("k", ["1e10", "1e13", "1e300"])
+    @pytest.mark.parametrize("gamma", ["0", "1"])
+    @pytest.mark.parametrize("argv", [("pdf", "--points", "5"), ("cdf", "--points", "5"),
+                                      ("mgf", "--points", "3"),
+                                      ("asep", "--method", "all", "--snr-db", "0:20:10")])
+    def test_domain_edge_exits_cleanly(self, capsys, argv, k, gamma):
+        # at huge K a subcommand gives its values, or says that a series
+        # cannot give them (exit 3); it never crashes or warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv, "--k", k, "--gamma", gamma)
+        assert code in (0, 3), err
+
     def test_asep_past_the_paper_term_budget_is_exact(self, capsys):
         # the paper's series runs out of terms at K = 90, Gamma = 1 and 0 dB;
         # the mixture gives every row
@@ -473,8 +535,9 @@ class TestExitCodes:
             ref = asep_quadrature(p, mod, 10.0 ** (float(row[0]) / 10.0))
             assert float(row[1]) == pytest.approx(ref, rel=1e-9, abs=0)
 
-    def test_asep_at_subnormal_snr_falls_back(self, capsys):
-        # (1+K)/gamma0 overflows a double at gamma0 = 1e-320
+    def test_asep_at_subnormal_snr_is_summed(self, capsys):
+        # (1+K)/gamma0 is past the double range at gamma0 = 1e-320, not the
+        # long double one: the series sums it
         code, out, _ = run_cli(capsys, "asep", "--k", "3", "--gamma", "0.5",
                                "--mod-order", "16", "--snr-db=-3200:-3199:1",
                                "--method=exact")
@@ -482,7 +545,7 @@ class TestExitCodes:
         _, rows = parse_csv(out)
         assert len(rows) == 2
         for row in rows:
-            assert row[2] == "quadrature-fallback"
+            assert row[2] == "exact"
             assert float(row[1]) == pytest.approx(15 / 16, rel=0, abs=1e-8)
 
     @pytest.mark.parametrize("method", ["asymptotic", "all"])

@@ -88,6 +88,13 @@ class TestPdf:
                                match="cannot be summed: its prefactor overflows long double"):
                 pdf(TwdpParams(k=1e4, gamma=1.0), 1.0)
 
+    def test_bessel_argument_past_the_ladder_cannot_be_summed(self):
+        # b1 r = 2e10 is past the ladder's 1e7, and so past the mixture's
+        # budget: a valid input that no series can sum, not a usage error
+        with pytest.raises(SeriesDivergenceError,
+                           match="cannot be summed: a Bessel argument exceeds 1e\\+07"):
+            pdf(TwdpParams(k=1e10, gamma=0.0), 1.0)
+
 
 class TestCdf:
     def test_rayleigh_closed_form(self):

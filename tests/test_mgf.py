@@ -12,9 +12,10 @@ from twdp import (
     cdf_snr,
     mgf_closed,
     mgf_series,
+    mgf_series_grid,
 )
 
-from conftest import FIGURE_SETS, rician_mgf
+from conftest import FIGURE_SETS, mgf_mp, rician_mgf
 
 
 class TestMgfSeries:
@@ -66,6 +67,17 @@ class TestMgfSeries:
         assert (res.tier, res.passes, res.cancellation_ratio) == ("mixture", 2, 1.0)
         assert res.value == pytest.approx(mgf_closed(p, gamma0, s), rel=1e-11, abs=0)
 
+    @pytest.mark.parametrize("k,gamma", [(14.0, 1.0), (40.0, 0.0), (90.0, 1.0), (300.0, 0.5)])
+    def test_far_left_tail_against_mpmath(self, k, gamma):
+        # a = 1 + u = (1+K)/(1+K - g0 s) is formed as rho/(rho - s), which
+        # does not cancel as s -> -inf
+        p = TwdpParams(k=k, gamma=gamma)
+        for gamma0 in (10.0, 1e3):
+            s = [-1e3, -1e6, -1e9, -1e12]
+            for res, v in zip(mgf_series_grid(p, gamma0, s), s):
+                want = float(mgf_mp(p, gamma0, v, 50))
+                assert res.value == pytest.approx(want, rel=1e-11, abs=0)
+
     def test_positive_s_rejected(self):
         p = TwdpParams(k=1.0, gamma=0.0)
         gamma0 = 1.0
@@ -104,6 +116,15 @@ class TestMgfClosed:
         gamma0 = 10.0
         v = mgf_closed(p, gamma0, -1e300)
         assert v >= 0.0 and math.isfinite(v)
+
+    @pytest.mark.parametrize("k", [1e10, 1e15, 1e20, 1e300])
+    def test_huge_k_against_mpmath(self, k):
+        # u = s/(rho - s) keeps its relative accuracy however small it is
+        for gamma in (0.0, 0.5, 1.0):
+            p = TwdpParams(k=k, gamma=gamma)
+            for gamma0, s in ((10.0, -1.0), (1e3, -0.3), (0.1, -1e3)):
+                want = float(mgf_mp(p, gamma0, s, 50))
+                assert mgf_closed(p, gamma0, s) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_identity_link_to_scaled_bessel(self):
         # series sum equals exp(a(1+b)) I0(2|a| sqrt(b)) with

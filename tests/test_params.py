@@ -126,6 +126,13 @@ class TestKForms:
         assert all(b > a for a, b in zip(via_delta, via_delta[1:]))
         assert all(b > a for a, b in zip(via_gamma, via_gamma[1:]))
 
+    @pytest.mark.parametrize("convert", [k_from_rice_gamma, k_from_rice_delta])
+    @pytest.mark.parametrize("k_rice,ratio", [(math.nan, 0.5), (math.inf, 0.5), (1e308, 1.0)])
+    def test_non_finite_k_rejected(self, convert, k_rice, ratio):
+        # a non-finite K_rice, and one whose K overflows double
+        with pytest.raises(InvalidParameterError):
+            convert(k_rice, ratio)
+
 
 class TestTwdpParams:
     def test_default_sigma2_normalizes_power(self):

@@ -1,6 +1,7 @@
 """The series against independent oracles over random parameters:
-pdf_grid and cdf_grid against the phase-average oracle of conftest, and
-mgf_series_grid against mgf_closed.
+pdf_grid and cdf_grid against the phase-average oracle of conftest,
+mgf_series_grid against mgf_closed and, far into s < 0, against mpmath,
+and mgf_closed against mpmath up to K = 1e300.
 
 Every draw either agrees to 1e-11 relative, with no absolute floor however
 small the value, or raises SeriesDivergenceError: the accuracy contract of
@@ -25,7 +26,7 @@ from twdp import (
     pdf_grid,
 )
 
-from conftest import phase_average_cdf, phase_average_pdf
+from conftest import mgf_mp, phase_average_cdf, phase_average_pdf
 
 REL = 1e-11
 DRAWS = settings(max_examples=25)
@@ -67,6 +68,27 @@ def test_cdf_grid_against_phase_average(p, rn):
 def test_mgf_series_grid_against_closed(p, gamma0, ss):
     assert_contract(lambda: mgf_series_grid(p, gamma0, ss),
                     [mgf_closed(p, gamma0, s) for s in ss])
+
+
+@DRAWS
+@given(params, st.floats(-1.0, 4.0), st.lists(st.floats(-3.0, 12.0), min_size=3, max_size=3))
+def test_mgf_series_grid_far_left_against_mpmath(p, db10, log_s):
+    # gamma0 up to 40 dB and s down to -1e12, where a = (1+K)/(1+K - g0 s)
+    # is far below 1
+    gamma0, ss = 10.0 ** db10, [-(10.0 ** e) for e in log_s]
+    assert_contract(lambda: mgf_series_grid(p, gamma0, ss),
+                    [float(mgf_mp(p, gamma0, s, 50)) for s in ss])
+
+
+@DRAWS
+@given(st.floats(-2.0, 300.0), st.floats(0.0, 1.0), st.floats(-1.0, 4.0), st.floats(-3.0, 2.8))
+def test_mgf_closed_against_mpmath(log_k, gamma, db10, log_x):
+    # K log-uniform up to 1e300; s from x = -g0 s, so that the value,
+    # above (1+K)/(1+K+x) e^-x, stays normal
+    p, gamma0 = TwdpParams(k=10.0 ** log_k, gamma=gamma), 10.0 ** db10
+    s = -(10.0 ** log_x) / gamma0
+    assert mgf_closed(p, gamma0, s) == pytest.approx(float(mgf_mp(p, gamma0, s, 50)),
+                                                     rel=1e-13, abs=0)
 
 
 # envelope values r / sqrt(Omega) from the left tail past the right
