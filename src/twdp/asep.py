@@ -349,7 +349,7 @@ def asep_quadrature(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
             points.append(w)
             w *= 8.0
     out = scipy.integrate.quad(
-        integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-10, limit=200 + len(points),
+        integrand, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=200 + len(points),
         points=points or None, full_output=1,
     )
     val, err = out[0], out[1]

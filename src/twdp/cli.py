@@ -51,6 +51,8 @@ def _sweep(start: float, stop: float, points: int) -> np.ndarray:
     """points evenly spaced values from start to stop, both included."""
     if not 2 <= points <= _MAX_POINTS:
         raise InvalidParameterError(f"points must be in [2, {_MAX_POINTS}], got {points}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise InvalidParameterError(f"grid bounds must be finite, got {start} and {stop}")
     if not start < stop:
         raise InvalidParameterError("grid start must be below stop")
     return np.linspace(start, stop, points)
@@ -135,6 +137,9 @@ def _curve(p: TwdpParams, which: str, xs, normalized: bool) -> list:
     """(value, terms_used) of the envelope pdf or cdf at each x of xs; when
     normalized, x is r/sqrt(Omega) and the pdf is rescaled to that axis."""
     scale = math.sqrt(p.omega) if normalized else 1.0
+    if not math.isfinite(float(xs[-1]) * scale):  # a float product overflows silently
+        raise InvalidParameterError(
+            f"--rmax {float(xs[-1]):g} times sqrt(Omega) = {scale:g} leaves the double range")
     if which == "pdf":
         return [(res.value * scale, res.terms_used) for res in dist.pdf_grid(p, xs * scale)]
     return [(res.value, res.terms_used) for res in dist.cdf_grid(p, xs * scale)]

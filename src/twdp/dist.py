@@ -27,7 +27,7 @@ large; sums run on 80-bit long doubles, and a point whose recorded
 cancellation would push the result past its accuracy target, ~1e-11
 relative however small the value, tails included, or whose series does not
 converge within its term budget, 49 terms for the density (one 48-order
-Bessel ladder per argument) and 500 for the distribution function, is
+Bessel ladder over its arguments) and 500 for the distribution function, is
 summed again as a positive mixture (specfun.mixture_series):
 
     f_R(r) = (r/sigma^2) sum_j w_j pi_j(x),    F_R(r) = sum_{j>=1} W_(j-1) pi_j(x),
@@ -96,17 +96,18 @@ def _pdf_args(p: TwdpParams, rb):
 
 def _pdf_pass(p: TwdpParams, r, ps):
     """The pdf at the envelope values r[ps.points] (all > 0), in the tier
-    ps.name.  The long-double pass takes one _PDF_ORDERS-order ladder per
-    Bessel argument and so at most _PDF_ORDERS + 1 terms; a point it has not
-    stopped by then is reported unconverged."""
+    ps.name.  The long-double pass takes one _PDF_ORDERS-order ladder over
+    its distinct Bessel arguments and so at most _PDF_ORDERS + 1 terms; a
+    point it has not stopped by then is reported unconverged."""
     rb = r[ps.points].astype(_LD)
     if ps.name == "mixture":
         return _pdf_mixture(p, rb)
     x1, x2, c, pref = _pdf_args(p, rb)
-    # c rides along as one more point of the first ladder
-    iv = _ive_ladder(np.append(x1, c), _PDF_ORDERS)
-    iv1, iv3 = iv[:, :-1], iv[:, -1]
-    iv2 = iv1 if p.gamma == 1.0 else _ive_ladder(x2, _PDF_ORDERS)  # x2 = Gamma x1
+    # one ladder over the distinct arguments: x2 = x1 at Gamma = 1, x2 = c = 0 at Gamma = 0
+    args, at = np.unique(np.concatenate([x1, x2, [c]]), return_inverse=True)
+    iv = _ive_ladder(args, _PDF_ORDERS)[:, at]
+    n = len(rb)
+    iv1, iv2, iv3 = iv[:, :n], iv[:, n:2 * n], iv[:, -1]
 
     def term(m):
         t = iv1[m] * iv2[m] * iv3[m]

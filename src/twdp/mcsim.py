@@ -36,6 +36,9 @@ from .params import TwdpParams
 from .specfun import _check_gamma0
 
 BLOCK = 1 << 16
+# the most worker threads one simulation may start: far above a machine's
+# useful count, and a larger one is refused before any pool exists
+_MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,9 @@ class SimConfig:
             raise InvalidParameterError(f"n_samples must be >= 1, got {self.n_samples}")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidParameterError("seed must fit in 64 bits")
-        if self.workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= _MAX_WORKERS:
+            raise InvalidParameterError(
+                f"workers must be in [1, {_MAX_WORKERS}], got {self.workers}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 distribution and error-rate code.
 
 * Modified Bessel functions are always exponentially scaled, ive(nu, x) =
-  exp(-x) I_nu(x), produced by a downward Miller recurrence normalized with
+  exp(-x) I_nu(x), produced at every x in [0, 1e7] by one downward Miller
+  loop over the ratios I_k/I_(k-1), each in [0, 1), normalized with
   ive_0(x) + 2 sum_k ive_k(x) = 1.  Only ratios enter, so the ladder cannot
   overflow, and callers assemble exponents symbolically and exponentiate once.
 * coef_series sums the cdf, MGF and error-rate series, which share one
@@ -300,72 +301,35 @@ def _raise_lost(results: list) -> list:
 # scaled modified Bessel ladder
 
 
-def _ive_small_x(x, nu_max: int) -> np.ndarray:
-    """Power series per order at the points x < 0.5, where the ladder start
-    offset would dwarf the work: rows nu = 0..nu_max, all orders and points
-    at once, each stopping its series on its own."""
-    half = x / 2
-    h2 = half * half
-    m = np.arange(nu_max + 1)[:, None]
-    # (x/2)^m / m!, both by running products over the orders
-    powm = np.cumprod(np.vstack([x * 0 + 1] + [half] * nu_max), axis=0)
-    term = powm / np.cumprod(np.maximum(m, 1).astype(_LD), axis=0)
-    s = term
-    live = np.ones(term.shape, dtype=bool)
-    k = 0
-    while live.any():
-        k += 1
-        term = np.where(live, term * h2 / (k * (m + k)), term)
-        s = np.where(live, s + term, s)
-        live &= ~((abs(term) <= abs(s) * _LD_EPS) | (k > 60))
-    return s * np.exp(-x)
-
-
-def _miller_ladder(x, start, nu_max: int) -> list:
-    """Rows nu = 0..nu_max of the normalized downward recurrence at x >= 0.5.
-
-    One loop runs down from the largest seed order over every point; point
-    i is seeded when k reaches its own start[i].  Above that order its rows
-    are exact zeros, which add exactly 0 to the compensated normalization.
-    """
-    ip1, ik, norm, comp = (x * 0 for _ in range(4))
-    ladder = [None] * (nu_max + 1)
-    for k in range(int(start.max()), 0, -1):
-        ik[start == k] = 1e-12  # every seed lies above the rows kept
-        im1 = ip1 + (2 * k / x) * ik
-        if k - 1 <= nu_max:
-            ladder[k - 1] = im1
-        # orders k >= 1 enter the normalization twice
-        norm, comp = _kahan_add(norm, comp, 2 * ik)
-        ip1, ik = ik, im1
-    total, _ = _kahan_add(norm, comp, ik)  # the k = 0 value enters once
-    return [v / total for v in ladder]
-
-
 def _ive_ladder(x, nu_max: int):
     """exp(-x) I_nu(x) for nu = 0..nu_max at every entry of the array x in
     [0, _IVE_MAX_X].
 
-    Row nu of the result holds ive_nu at every x.  Below x = 0.5 a power
-    series per order; above, the downward recurrence I_{k-1} = I_{k+1} +
-    (2k/x) I_k, normalized via sum_k eps_k ive_k = 1, from each x's own seed
-    order nu_max + ceil(sqrt(2.6 max(x, 1) ln(1/eps))) + 14, far enough above
-    max(nu_max, x) that the contamination of the minimal solution is below
-    working precision.
+    Row nu of the result holds ive_nu at every x.  Miller's algorithm in
+    ratio form (Gautschi, SIAM Review 9(1), 1967): the ratios q_k =
+    I_k/I_(k-1) = x/(2k + x q_(k+1)), all in [0, 1), and their tail sums T_k
+    = q_k (1 + T_(k+1)) = sum_(j>=k) I_j/I_(k-1) run down from q = T = 0 at
+    each x's own seed order nu_max + ceil(sqrt(2.6 max(x, 1) ln(1/eps))) +
+    14, far enough above max(nu_max, x) that the start's error is below
+    working precision.  Then ive_0 = 1/(1 + 2 T_1), from sum_k eps_k ive_k =
+    1, and ive_nu = ive_0 q_1 ... q_nu.  A point below its seed order keeps
+    q = T = 0 exactly, so its rows do not depend on the other points.
     """
     xb = np.asarray(x, dtype=_LD)
     xf = _grid(xb, lambda v: (v >= 0) & (v <= _IVE_MAX_X),
                f"bessel argument must be in [0, {_IVE_MAX_X:g}]")
-    out = np.zeros((nu_max + 1, len(xb)), dtype=_LD)
-    out[0, xb == 0] = 1
-    small = (xb > 0) & (xf < 0.5)
-    if small.any():
-        out[:, small] = _ive_small_x(xb[small], nu_max)
-    big = xf >= 0.5
-    if big.any():
-        seed = np.ceil(np.sqrt(2.6 * np.maximum(xf[big], 1.0) * -math.log(_LD_EPS)))
-        out[:, big] = _miller_ladder(xb[big], nu_max + seed.astype(np.int64) + 14, nu_max)
-    return out
+    seed = np.ceil(np.sqrt(2.6 * np.maximum(xf, 1.0) * -math.log(_LD_EPS)))
+    start = nu_max + seed.astype(np.int64) + 14
+    rows = np.ones((nu_max + 1, len(xb)), dtype=_LD)
+    q = tail = xb * 0
+    for k in range(int(start.max()), 0, -1):
+        xk = np.where(start >= k, xb, 0)
+        q = xk / (2 * k + xk * q)
+        tail = q * (1 + tail)
+        if k <= nu_max:
+            rows[k] = q
+    rows[0] = 1 / (1 + 2 * tail)
+    return np.cumprod(rows, axis=0)
 
 
 # ----------------------------------------------------------------------------

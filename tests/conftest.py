@@ -468,44 +468,21 @@ def ld_from_mpf(x):
 
 def ive_ladder_scalar(x, nu_max: int):
     """exp(-x) I_nu(x), nu = 0..nu_max, at one x >= 0 in long double: the
-    scalar Miller ladder with its small-x power series."""
+    scalar Miller loop over the ratios q_k = I_k/I_(k-1) and their tail sums."""
     LD = np.longdouble
     eps = float(np.finfo(LD).eps)
-    xf = float(x)
-    if xf == 0.0:
-        return [LD(1.0)] + [LD(0.0)] * nu_max
-    if xf < 0.5:
-        out = []
-        half, damp = LD(x) / 2, np.exp(-LD(x))
-        h2, fact, powm = half * half, LD(1.0), LD(1.0)
-        for m in range(nu_max + 1):
-            if m > 0:
-                fact, powm = fact * m, powm * half
-            term = s = powm / fact
-            k = 0
-            while True:
-                k += 1
-                term = term * h2 / (k * (m + k))
-                s = s + term
-                if abs(term) <= abs(s) * eps or k > 60:
-                    break
-            out.append(s * damp)
-        return out
-    start = nu_max + int(math.ceil(math.sqrt(2.6 * max(xf, 1.0) * -math.log(eps)))) + 14
-    xb, ip1, ik = LD(x), LD(0.0), LD(1e-12)
-    ladder = [LD(0.0)] * (nu_max + 1)
-    norm = comp = LD(0.0)
+    start = nu_max + int(math.ceil(math.sqrt(2.6 * max(float(x), 1.0) * -math.log(eps)))) + 14
+    xb, q, tail = LD(x), LD(0.0), LD(0.0)
+    ratios = [LD(1.0)] * (nu_max + 1)
     for k in range(start, 0, -1):
-        im1 = ip1 + (2 * k / xb) * ik
-        if k - 1 <= nu_max:
-            ladder[k - 1] = im1
-        y = 2 * ik - comp
-        s = norm + y
-        comp, norm = (s - norm) - y, s
-        ip1, ik = ik, im1
-    y = ik - comp
-    total = norm + y
-    return [v / total for v in ladder]
+        q = xb / (2 * k + xb * q)
+        tail = q * (1 + tail)
+        if k <= nu_max:
+            ratios[k] = q
+    out = [1 / (1 + 2 * tail)]
+    for q in ratios[1:]:
+        out.append(out[-1] * q)
+    return out
 
 
 def paper_pdf_pass(p, r):

@@ -54,12 +54,12 @@ from conftest import (
 
 FAST = settings(max_examples=40)
 
-# both sides of the small-x branch at 0.5, and far up the ladder
+# zero, subnormal and tiny arguments, and far up the ladder
 ladder_args = st.one_of(
     st.just(0.0),
-    st.floats(1e-6, 0.5, exclude_max=True),
-    st.floats(0.5, 2.0),
-    st.floats(2.0, 600.0),
+    st.floats(0.0, 2.2e-308, allow_subnormal=True),
+    st.floats(1e-300, 2.0),
+    st.floats(2.0, 1e4),
 )
 params = st.builds(TwdpParams, k=st.floats(0.0, 20.0), gamma=st.floats(0.0, 1.0))
 
@@ -457,14 +457,17 @@ class TestDoubleLongdoubleRescue:
             "rerunning in the mixture" for v in r]
 
     def test_ladder_against_50_digit_mpmath(self):
-        # both sides of the small-x branch, and far up the ladder
-        x = np.array([0.0, 1e-3, 0.3, 0.5, 2.0, 30.0, 300.0])
-        rows = _ive_ladder(x, 20)
+        # from zero and a subnormal double up to 1e5, and far up the ladder;
+        # below the long double's normal range only its absolute spacing holds
+        x = np.array([0.0, 5e-324, 1e-300, 1e-30, 1e-3, 0.3, 0.5, 2.0, 30.0, 300.0, 1e3, 1e5])
+        rows = _ive_ladder(x, 48)
+        tiny = to_mpf(np.finfo(np.longdouble).smallest_normal)
         with mp.workdps(50):
-            for nu in range(21):
+            for nu in range(49):
                 for j, v in enumerate(x):
                     want = mp.besseli(nu, v) * mp.exp(-v)
-                    assert abs(to_mpf(rows[nu, j]) - want) <= 64 * 2.0**-64 * want
+                    bound = 64 * 2.0**-64 * max(want, tiny)
+                    assert abs(to_mpf(rows[nu, j]) - want) <= bound
 
     def test_k14_needs_no_mpmath(self, monkeypatch):
         def unavailable(*args):

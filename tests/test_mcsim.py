@@ -210,6 +210,10 @@ class TestSimConfig:
             SimConfig(n_samples=0)
         with pytest.raises(InvalidParameterError):
             SimConfig(workers=0)
+        # a bound far above any machine's useful count, checked before any pool
+        assert SimConfig(workers=mcsim._MAX_WORKERS).workers == 64
+        with pytest.raises(InvalidParameterError, match="workers"):
+            SimConfig(workers=65)
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=-1)
 
