@@ -29,7 +29,7 @@ from .asep import (
     asep_exact_grid,
     asep_quadrature,
 )
-from .mcsim import SerEstimate, SimConfig, simulate_psk_ser
+from .mcsim import SerEstimate, SimConfig, simulate_psk_ser, simulate_psk_ser_grid
 
 __version__ = "0.1.0"
 
@@ -60,4 +60,5 @@ __all__ = [
     "pdf",
     "pdf_grid",
     "simulate_psk_ser",
+    "simulate_psk_ser_grid",
 ]

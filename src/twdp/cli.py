@@ -160,9 +160,7 @@ def _asep_exact_with_fallback(p, mod, gamma0s):
 
 def _simulate(p, mod, snrs, cfg, min_errors=None) -> list:
     """The Monte Carlo SerEstimate at each average SNR of snrs (dB)."""
-    gamma0s = [_snr_linear(db) for db in snrs]
-    return [mcsim.simulate_psk_ser(p, mod, gamma0, cfg, min_errors=min_errors)
-            for gamma0 in gamma0s]
+    return mcsim.simulate_psk_ser_grid(p, mod, [_snr_linear(db) for db in snrs], cfg, min_errors)
 
 
 # ----------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _pdf_mixture(p: TwdpParams, rb):
     x = rb * rb / (2 * _LD(p.sigma2))
     step = lambda j: x / (j + 1)  # pi_(j+1)(x) / pi_j(x), falling in j
     return mixture_series(p, len(x), running_product(np.exp(-x), step), step, rb / _LD(p.sigma2),
-                          j_peak=math.sqrt(k_top(p.k, p.gamma) * float(x.max())))
+                          j_peak=np.sqrt(k_top(p.k, p.gamma) * x.astype(float)))
 
 
 def pdf(p: TwdpParams, r: float) -> SeriesResult:
@@ -188,7 +188,7 @@ def _cdf_mixture(p: TwdpParams, xb):
     pi_(j+1)(x), whose terms peak below max(K', x)."""
     step = lambda j: xb / (j + 2)  # pi_(j+2)(x) / pi_(j+1)(x), falling in j
     return mixture_series(p, len(xb), running_product(xb * np.exp(-xb), step), step, 1,
-                          j_peak=float(xb.max()), cumulative=True)
+                          j_peak=xb.astype(float), cumulative=True)
 
 
 def _cdf_grid_x(p: TwdpParams, x) -> list[SeriesResult]:

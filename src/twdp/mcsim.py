@@ -17,9 +17,11 @@ is an error when |atan2(w_im, sqrt(2 gamma0) r/sqrt(Omega) + w_re)| >= pi/M.
 Randomness is counter-based for reproducibility: the trials are cut into
 fixed blocks of 65536 and block i uses Philox(key=seed, counter=i << 64).
 Its draws are theta for each trial, then 4 x n standard normals: diffuse
-re, diffuse im, noise re and noise im, a row of n each.  Blocks are mapped
-across a thread pool and reduced in block order, so results are
-bit-identical for any worker count.
+re, diffuse im, noise re and noise im, a row of n each.  They depend on the
+seed and i alone, not on gamma0, so an SNR sweep draws each block once and
+every point of the sweep reads it (common random numbers across SNR).
+Blocks are mapped across a thread pool and reduced in block order, so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -91,61 +93,58 @@ def _envelope_block(p: TwdpParams, n: int, rng: np.random.Generator) -> np.ndarr
     return np.hypot(re, im, out=re)
 
 
-def _ser_block(
-    p: TwdpParams, mod: ModulationSpec, gamma0: float, n: int, rng: np.random.Generator
-) -> int:
-    """Errors among n trials of symbol 0; the noise (re, im) is a (2, n)
-    unit normal draw after the envelope's."""
-    # scale the fading amplitude, not the noise: sqrt(2 gamma0) stays finite
-    # over the whole double range of gamma0, 1/sqrt(2 gamma0) does not
-    a = _envelope_block(p, n, rng)
-    a *= math.sqrt(2.0) * math.sqrt(gamma0) / math.sqrt(p.omega)
-    w_re, w_im = rng.standard_normal(size=(2, n))
-    a += w_re
-    phase = np.abs(np.arctan2(w_im, a, out=a), out=a)
-    return int(np.count_nonzero(phase >= math.pi / mod.m_order))
+def simulate_psk_ser_grid(p: TwdpParams, mod: ModulationSpec, gamma0s, cfg: SimConfig,
+                          min_errors: int | None = None) -> list[SerEstimate]:
+    """Simulated M-PSK symbol error rate at each average SNR of gamma0s
+    (linear), every point read from the same blocks, each drawn once.
 
-
-def simulate_psk_ser(
-    p: TwdpParams,
-    mod: ModulationSpec,
-    gamma0: float,
-    cfg: SimConfig,
-    min_errors: int | None = None,
-) -> SerEstimate:
-    """Simulated M-PSK symbol error rate at average SNR gamma0 (linear).
-
-    Runs cfg.n_samples trials, or, when min_errors is given, adds whole
-    blocks (in block order, so the result stays deterministic for any
-    worker count) until min_errors error events or cfg.n_samples trials;
-    min_errors below 1 raises InvalidParameterError.
+    Runs cfg.n_samples trials per point, or, when min_errors is given, adds
+    whole blocks to a point (in block order, so the result stays
+    deterministic for any worker count) until min_errors error events or
+    cfg.n_samples trials; a stopped point sits out later waves of blocks.
+    Each gamma0, and min_errors >= 1, is checked before any draw.
     """
-    _check_gamma0(gamma0)
+    gamma0s = [_check_gamma0(g) for g in gamma0s]
     if min_errors is not None and min_errors < 1:
         raise InvalidParameterError(f"min_errors must be >= 1, got {min_errors}")
-    errors = 0
-    trials = 0
-    next_block = 0
+    goal = math.inf if min_errors is None else min_errors
+    # scale the fading amplitude, not the noise: sqrt(2 gamma0) stays finite
+    # over the whole double range of gamma0, 1/sqrt(2 gamma0) does not
+    scales = [math.sqrt(2.0) * math.sqrt(g) / math.sqrt(p.omega) for g in gamma0s]
+    errors, trials = [0] * len(scales), [0] * len(scales)
 
-    def one(i: int) -> tuple[int, int]:
+    def one(i: int, points: list) -> tuple[list, int]:
+        # errors at each of the points; the (2, n) unit noise follows the envelope's draws
         size = min(BLOCK, cfg.n_samples - i * BLOCK)
-        return _ser_block(p, mod, gamma0, size, _block_rng(cfg.seed, i)), size
+        rng = _block_rng(cfg.seed, i)
+        env = _envelope_block(p, size, rng)
+        w_re, w_im = rng.standard_normal(size=(2, size))
+        a, counts = np.empty_like(env), []
+        for k in points:
+            np.multiply(env, scales[k], out=a)
+            a += w_re
+            phase = np.abs(np.arctan2(w_im, a, out=a), out=a)
+            counts.append(int(np.count_nonzero(phase >= math.pi / mod.m_order)))
+        return counts, size
 
-    n_blocks_total = (cfg.n_samples + BLOCK - 1) // BLOCK
+    n_blocks = (cfg.n_samples + BLOCK - 1) // BLOCK
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        while next_block < n_blocks_total:
-            wave = range(next_block, min(next_block + cfg.workers, n_blocks_total))
-            done = False
-            for e, n in pool.map(one, wave):
-                errors += e
-                trials += n
-                if min_errors is not None and errors >= min_errors:
-                    done = True
-                    break
-            next_block = wave.stop
-            if done:
+        for first in range(0, n_blocks, cfg.workers):
+            points = [k for k, e in enumerate(errors) if e < goal]
+            if not points:
                 break
+            wave = range(first, min(first + cfg.workers, n_blocks))
+            for counts, size in pool.map(lambda i: one(i, points), wave):
+                for k, e in zip(points, counts):
+                    if errors[k] < goal:
+                        errors[k] += e
+                        trials[k] += size
 
-    ser = errors / trials
-    ci = 1.96 * math.sqrt(max(ser * (1.0 - ser), 0.0) / trials)
-    return SerEstimate(errors=errors, trials=trials, ser=ser, ci95_halfwidth=ci)
+    return [SerEstimate(e, n, e / n, 1.96 * math.sqrt(max(e / n * (1.0 - e / n), 0.0) / n))
+            for e, n in zip(errors, trials)]
+
+
+def simulate_psk_ser(p: TwdpParams, mod: ModulationSpec, gamma0: float, cfg: SimConfig,
+                     min_errors: int | None = None) -> SerEstimate:
+    """Simulated M-PSK symbol error rate at average SNR gamma0 (a one-point grid)."""
+    return simulate_psk_ser_grid(p, mod, [gamma0], cfg, min_errors)[0]

@@ -48,7 +48,8 @@ largest K(theta): w_(k+1) <= K'/(k+1) w_k.  That bounds the remainder of
 every mixture sum by its last term times a geometric factor, which is the
 mixture's stopping rule and its truncation estimate.  A mixture pass needs
 about J + 10 sqrt(J) + 40 terms, J the order of its largest term
-(mixture_series); past _MIX_MAX_TERMS it gives its points up.
+(mixture_series); past _MIX_MAX_TERMS it gives up the points that need more
+on their own.
 """
 
 from __future__ import annotations
@@ -426,15 +427,20 @@ def mixture_series(p, size: int, factor: Callable, factor_ratio: Callable, pref,
     factor(i) for every i >= m.  As w_(i+1) <= K'/(i+1) w_i, the terms after
     order m sum to at most t rho/(1-rho), with t the order-m term and rho =
     K'/(m+1) factor_ratio(m), or, when cumulative (W <= 1), t the order-m
-    factor and rho = factor_ratio(m).  The pass takes mixture_terms(p,
-    j_peak) weights; past _MIX_MAX_TERMS it sums nothing and none of its
-    points converges.
+    factor and rho = factor_ratio(m).  j_peak, one value or one per point,
+    is the order near which a point's largest term lies, and the pass takes
+    mixture_terms(p, j_peak) weights for the largest; past _MIX_MAX_TERMS it
+    gives up the points past it on their own, which do not converge.
     """
-    limit = mixture_terms(p, j_peak)
-    if limit > _MIX_MAX_TERMS:  # nothing summed, and no point converged
+    peak = np.broadcast_to(np.asarray(j_peak, dtype=float), (size,))
+    lost = np.zeros(size, dtype=bool)
+    if mixture_terms(p, peak.max()) > _MIX_MAX_TERMS:
+        lost = np.array([mixture_terms(p, j) > _MIX_MAX_TERMS for j in peak.tolist()])
+    if lost.all():  # nothing summed, and no point converged
         none = np.zeros(size, dtype=_LD)
         return _pass_result(1, none, np.full(size, _MIX_MAX_TERMS), none + np.inf, none,
                             np.zeros(size, dtype=bool))
+    limit = mixture_terms(p, peak[~lost].max())
     c = mixture_weights(p, limit)
     if cumulative:
         c = np.cumsum(c)
@@ -455,6 +461,7 @@ def mixture_series(p, size: int, factor: Callable, factor_ratio: Callable, pref,
             return np.where(rho < 1, t * rho / (1 - rho), np.inf)
 
     s, n, last, pos, ok = _sum_series(term, size, limit=limit, rest=rest)
+    n[lost], ok[lost] = _MIX_MAX_TERMS, False
     return _pass_result(pref, s, n, last, pos, ok)
 
 

@@ -15,7 +15,7 @@ import pytest
 import twdp
 from twdp import ModulationSpec, TwdpParams, asep_quadrature, cdf, pdf
 from twdp.cli import _MAX_POINTS, _parse_snr_range, _snr_axis, _sweep, main
-from twdp.errors import InvalidParameterError
+from twdp.errors import InvalidParameterError, SeriesDivergenceError
 
 from conftest import asep_oracle, phase_average_cdf, rayleigh_bpsk
 
@@ -466,6 +466,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "cdf", "--k", "3000", "--gamma", "1", "--points", "6")
         assert code == 3
         assert "did not converge in 5000 terms" in err
+
+    def test_pdf_failure_names_a_point_that_fails_alone(self, capsys):
+        # at K = 1000, Gamma = 1 only r/sqrt(Omega) near 3.04-3.07 is past
+        # the mixture's budget on its own; the points rescued with it sum
+        code, out, err = run_cli(capsys, "pdf", "--k", "1000", "--gamma", "1")
+        assert (code, out) == (3, "")
+        r = float(re.search(r"envelope pdf at r=(\S+) did not converge in 5000 terms", err)[1])
+        assert 3.0 < r < 3.1
+        with pytest.raises(SeriesDivergenceError, match="did not converge in 5000 terms"):
+            pdf(TwdpParams(k=1000.0, gamma=1.0), r)
 
     def test_pdf_past_the_bessel_ladder_exit(self, capsys):
         # b1 r = 2e10 at r = 1 is past the ladder's 1e7: a valid input that

@@ -15,7 +15,10 @@ from twdp import (
     cdf_grid,
     cdf_snr,
     pdf,
+    pdf_grid,
 )
+from twdp.dist import _pdf_pass
+from twdp.specfun import run_with_rescue
 
 from conftest import (
     FIGURE_SETS,
@@ -94,6 +97,19 @@ class TestPdf:
         with pytest.raises(SeriesDivergenceError,
                            match="cannot be summed: a Bessel argument exceeds 1e\\+07"):
             pdf(TwdpParams(k=1e10, gamma=0.0), 1.0)
+
+    def test_a_point_past_the_mixture_budget_gives_up_only_itself(self):
+        # sized by r = 3.06 the mixture pass would need more than its 5,000
+        # terms; r = 0.00875 needs 13, and keeps its scalar result bit for bit
+        p = TwdpParams(k=1000.0, gamma=1.0)
+        r = np.array([0.00875, 3.06])
+        out = run_with_rescue(lambda ps: _pdf_pass(p, r, ps), [None, None])
+        assert out[0] == pdf(p, 0.00875)
+        assert out[0].tier == "mixture"
+        assert isinstance(out[1], SeriesDivergenceError)
+        for rs in ([3.06], r):
+            with pytest.raises(SeriesDivergenceError, match="r=3.06 did not converge in 5000"):
+                pdf_grid(p, rs)
 
 
 class TestCdf:

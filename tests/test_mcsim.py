@@ -9,11 +9,13 @@ from scipy import interpolate, stats
 from twdp import (
     InvalidParameterError,
     ModulationSpec,
+    SerEstimate,
     SimConfig,
     TwdpParams,
     asep_quadrature,
     cdf_grid,
     simulate_psk_ser,
+    simulate_psk_ser_grid,
 )
 
 from twdp import mcsim
@@ -88,14 +90,14 @@ class TestPhaseDifferenceKernel:
         # block draws: theta, then 4 x n normals (diffuse re, diffuse im,
         # noise re, noise im); symbol 0 sent, nearest-phase detection
         p, gamma0, n = TwdpParams(k=8.0, gamma=0.5), 10.0, 5000
-        rng = mcsim._block_rng(7, 3)
+        rng = mcsim._block_rng(7, 0)
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
         z = rng.standard_normal(size=(4, n))
         h = p.v1 + p.v2 * np.exp(1j * theta) + math.sqrt(p.sigma2) * (z[0] + 1j * z[1])
         y = np.abs(h) / math.sqrt(p.omega) + (z[2] + 1j * z[3]) / math.sqrt(2 * gamma0)
         detected = np.floor(np.angle(y) * m_order / (2 * math.pi) + 0.5).astype(int) % m_order
-        got = mcsim._ser_block(p, ModulationSpec(m_order), gamma0, n, mcsim._block_rng(7, 3))
-        assert got == np.count_nonzero(detected)
+        got = simulate_psk_ser(p, ModulationSpec(m_order), gamma0, SimConfig(n_samples=n, seed=7))
+        assert got.errors == np.count_nonzero(detected)
 
 
 class TestHistogram:
@@ -202,6 +204,75 @@ class TestSimulatePskSer:
         assert 0 < est.errors < est.trials
         assert est.ci95_halfwidth > 0
         assert est.ser == est.errors / est.trials
+
+
+def serial_ser(p, mod, gamma0, cfg, min_errors=None):
+    """The estimate at one point, one block at a time in block order: the
+    reference of the grid, with its detector arithmetic written out."""
+    errors = trials = 0
+    for i in range(-(-cfg.n_samples // mcsim.BLOCK)):
+        n = min(mcsim.BLOCK, cfg.n_samples - i * mcsim.BLOCK)
+        rng = mcsim._block_rng(cfg.seed, i)
+        a = mcsim._envelope_block(p, n, rng) * (
+            math.sqrt(2.0) * math.sqrt(gamma0) / math.sqrt(p.omega))
+        w_re, w_im = rng.standard_normal(size=(2, n))
+        errors += int(np.count_nonzero(np.abs(np.arctan2(w_im, a + w_re)) >= math.pi / mod.m_order))
+        trials += n
+        if min_errors is not None and errors >= min_errors:
+            break
+    ser = errors / trials
+    return SerEstimate(errors, trials, ser, 1.96 * math.sqrt(max(ser * (1.0 - ser), 0.0) / trials))
+
+
+class TestSimulateGrid:
+    """One draw of each block, read by every SNR point of a sweep."""
+
+    P, MOD = TwdpParams(k=8.0, gamma=0.5), ModulationSpec(4)
+    # 0-30 dB: under min_errors=100 these stop after blocks 0, 0, 0, 1 and
+    # 3, and the last runs all 6; at 2 workers, in the first wave, in the
+    # second, and never
+    GAMMA0S = [10.0 ** (db / 10.0) for db in (0, 15, 20, 25, 28, 30)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    @pytest.mark.parametrize("min_errors", [None, 1, 100, 1000])
+    def test_equals_the_per_point_loop(self, workers, min_errors):
+        cfg = SimConfig(n_samples=5 * mcsim.BLOCK + 1234, seed=4, workers=workers)
+        grid = simulate_psk_ser_grid(self.P, self.MOD, self.GAMMA0S, cfg, min_errors)
+        loop = [simulate_psk_ser(self.P, self.MOD, g, cfg, min_errors) for g in self.GAMMA0S]
+        assert grid == loop == [serial_ser(self.P, self.MOD, g, cfg, min_errors)
+                                for g in self.GAMMA0S]
+        if min_errors == 100:
+            assert len({est.trials for est in grid}) >= 3
+
+    def test_one_draw_per_block(self, monkeypatch, capsys):
+        # 4 SNR points over 4 blocks draw 4 blocks, not 16
+        drawn = []
+        block_rng = mcsim._block_rng
+
+        def counting(seed, i):
+            drawn.append(i)
+            return block_rng(seed, i)
+
+        monkeypatch.setattr(mcsim, "_block_rng", counting)
+        assert main(["simulate", "--k", "8", "--gamma", "0.5", "--snr-db", "0:15:5",
+                     "--samples", str(3 * mcsim.BLOCK + 5), "--workers", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert sorted(drawn) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("gamma0s", [[10.0, 0.0], [10.0, math.nan], [math.inf], [-1.0, 10.0]])
+    def test_every_point_checked_before_any_draw(self, monkeypatch, gamma0s):
+        def no_draw(seed, i):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(mcsim, "_block_rng", no_draw)
+        with pytest.raises(InvalidParameterError, match="gamma0 must be positive and finite"):
+            simulate_psk_ser_grid(self.P, self.MOD, gamma0s, SimConfig(n_samples=1000))
+
+    def test_cli_sweep_below_the_double_range(self, capsys):
+        # -4000 dB is 0.0 in double: the sweep's first point is refused
+        assert main(["simulate", "--k", "1", "--snr-db=-4000:0:2000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "gamma0 must be positive and finite" in err
 
 
 class TestSimConfig:

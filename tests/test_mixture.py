@@ -13,7 +13,7 @@ from twdp import ModulationSpec, TwdpParams
 from twdp.asep import _asep_pass
 from twdp.dist import _cdf_pass, _pdf_pass
 from twdp.mgf import _mgf_series_pass
-from twdp.specfun import Pass, k_top, mixture_terms, mixture_weights
+from twdp.specfun import _MIX_MAX_TERMS, Pass, k_top, mixture_terms, mixture_weights
 
 from conftest import asep_oracle, mgf_mp, phase_average_cdf, phase_average_pdf, to_mpf
 
@@ -99,3 +99,16 @@ class TestAgainstOracles:
         g0 = 10.0 ** (np.array([-10.0, 0.0, 20.0, 40.0]) / 10.0)
         got = mixture(lambda ps: _asep_pass(p, mod, g0, ps), len(g0))
         assert got == pytest.approx([asep_oracle(p, m_order, v) for v in g0], rel=REL, abs=0)
+
+
+def test_cdf_point_past_the_budget_gives_up_only_itself():
+    # K' = 2000: x = 5000 alone needs more than the 5,000 terms (the clamp
+    # takes such a point first on a grid), x = 1 needs far fewer and keeps
+    # what a pass of its own gives
+    p = TwdpParams(k=1000.0, gamma=1.0)
+    x = np.array([1.0, 5000.0], dtype=np.longdouble)
+    assert mixture_terms(p, 5000.0) > _MIX_MAX_TERMS >= mixture_terms(p, 1.0)
+    value, _, n, _, _, converged = _cdf_pass(p, x, Pass("mixture", np.arange(2)))
+    alone = _cdf_pass(p, x[:1], Pass("mixture", np.arange(1)))
+    assert converged.tolist() == [True, False] and n[1] == _MIX_MAX_TERMS
+    assert value[0] == alone[0][0] and n[0] == alone[2][0]
