@@ -73,6 +73,7 @@ _LD = np.longdouble
 # the ladder orders of the pdf pass, one term each: a point the pass has not
 # stopped within them reruns in the mixture
 _PDF_ORDERS = 48
+_TINY = np.finfo(_LD).smallest_normal  # not subnormal: those are slow on x87
 
 
 # ----------------------------------------------------------------------------
@@ -108,6 +109,7 @@ def _pdf_pass(p: TwdpParams, r, ps):
     iv = _ive_ladder(args, _PDF_ORDERS)[:, at]
     n = len(rb)
     iv1, iv2, iv3 = iv[:, :n], iv[:, n:2 * n], iv[:, -1]
+    prev = None
 
     def term(m):
         t = iv1[m] * iv2[m] * iv3[m]
@@ -117,7 +119,15 @@ def _pdf_pass(p: TwdpParams, r, ps):
                 t = -t
         return t
 
-    return _pass_result(pref, *_sum_series(term, len(rb), limit=_PDF_ORDERS + 1))
+    def rest(m, a):
+        # rho = |t_m/t_(m-1)| (halved at m = 1: eps_0 = 1) is the product of
+        # the ratios I_m/I_(m-1), which fall with m (Turan's inequality): the
+        # rest is at most a rho/(1-rho) = a^2/(|t_(m-1)| - a), 0 after a 0 term
+        nonlocal prev
+        last, prev = prev, (2 * a if m == 0 else a)
+        return a * a / np.maximum(last - a, _TINY) if m else np.full_like(a, np.inf)
+
+    return _pass_result(pref, *_sum_series(term, len(rb), rest, _PDF_ORDERS + 1))
 
 
 def _pdf_mixture(p: TwdpParams, rb):
@@ -180,7 +190,10 @@ def _cdf_pass(p: TwdpParams, x, ps):
         lag_prev, lag = lag, ((2 * m - xb) * lag - (m - 1) * lag_prev) / (m + 1)
         return h1
 
-    return coef_series(p, -1, laguerre, len(xb), xb * np.exp(-xb))
+    # |1F1(1-m; 2; x)| = |L_(m-1)^(1)(x)|/m <= e^(x/2) at m >= 1 (Szego,
+    # Orthogonal Polynomials, 7.21.3)
+    half = np.exp(xb / 2)
+    return coef_series(p, -1, laguerre, lambda m: half, len(xb), xb * np.exp(-xb))
 
 
 def _cdf_mixture(p: TwdpParams, xb):

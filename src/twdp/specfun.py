@@ -16,8 +16,9 @@ distribution and error-rate code.
 
 Every series in the package is summed by one engine, _sum_series, over an
 array of points on 80-bit long doubles: each point keeps its own sum and
-stops on its own under one fixed stopping rule, which no caller sets.  The
-paper's envelope/SNR series alternate and can cancel by many orders of
+stops on its own under one fixed stopping rule, which no caller sets: once a
+proven, geometric bound on the rest of its terms is below 2^-63 of its sum.
+The paper's envelope/SNR series alternate and can cancel by many orders of
 magnitude for strong specular power, so their pass sums with compensated
 (Kahan) adds and reports the cancellation ratio sum|t_m| / |sum t_m| of
 every point.  run_with_rescue, one loop over a grid's result list, sends
@@ -44,10 +45,10 @@ Poisson(a) law convolved with the weights v of Poisson(z c), c arcsine on
 run backward (Miller's algorithm; Gautschi, SIAM Review 9(1), 1967) and
 normalized by sum v_j = 1.  Every weight falls at least as fast as the
 Poisson(K') law beyond any order, K' = K (1+Gamma)^2/(1+Gamma^2) the
-largest K(theta): w_(k+1) <= K'/(k+1) w_k.  That bounds the remainder of
-every mixture sum by its last term times a geometric factor, which is the
-mixture's stopping rule and its truncation estimate.  A mixture pass needs
-about J + 10 sqrt(J) + 40 terms, J the order of its largest term
+largest K(theta): w_(k+1) <= K'/(k+1) w_k, and so does the paper's
+coefficient: |c_(m+1)| <= K'/(m+1) |c_m|.  That bounds the remainder of
+every mixture sum by its last term times a geometric factor.  A mixture
+pass needs about J + 10 sqrt(J) + 40 terms, J the order of its largest term
 (mixture_series); past _MIX_MAX_TERMS it gives up the points that need more
 on their own.
 """
@@ -72,14 +73,9 @@ _PI = _LD("3.141592653589793238462643383279502884")
 _ERR_SAFETY = 4.0
 # the accuracy every series value is held to
 _REL_TARGET = 1e-11
-# the stopping rule of the alternating series: a sum stops after
-# _CONSEC_BELOW consecutive terms with |t_m| <= _REL_TOL |partial sum|, each
-# no larger than the one before (the series alternate, so one small term is
-# no safe stop, and a small term on the rising side of a hump is none
-# either); a point that has not stopped after _MAX_TERMS terms did not
-# converge
-_REL_TOL = 1e-12
-_CONSEC_BELOW = 3
+# a sum stops once a proven bound on the rest of its terms is below
+# _STOP_TOL |partial sum|; one that has not after _MAX_TERMS did not converge
+_STOP_TOL = _LD_EPS
 _MAX_TERMS = 500
 # the most terms a mixture pass takes: the domain edge of the package
 _MIX_MAX_TERMS = 5000
@@ -93,14 +89,14 @@ _log = logging.getLogger("twdp")
 class SeriesResult:
     """Outcome of a truncated series evaluation.
 
-    trunc_estimate is |last included term| / |value| for the paper's
-    series, and a bound on the omitted remainder relative to the value for
-    the mixture; cancellation_ratio is sum|t_m| / |sum t_m| and equals 1 for
-    series with single-signed terms, the mixture's among them.  tier names
-    the pass that gave the value: "longdouble" (the paper's series),
-    "mixture", or "none" where no series was summed; passes counts the
-    passes that summed the series at this point (0 for such a shortcut, 1
-    for the long-double pass alone, 2 after the mixture).
+    trunc_estimate is a proven bound on the omitted remainder relative to
+    the value, in every tier, and at most 2^-63 where the series converged;
+    cancellation_ratio is sum|t_m| / |sum t_m| and equals 1 for series with
+    single-signed terms, the mixture's among them.  tier names the pass that
+    gave the value: "longdouble" (the paper's series), "mixture", or "none"
+    where no series was summed; passes counts the passes that summed the
+    series at this point (0 for such a shortcut, 1 for the long-double pass
+    alone, 2 after the mixture).
     """
 
     value: float
@@ -125,38 +121,23 @@ def _kahan_add(total, comp, x):
     return t, (t - total) - y
 
 
-def _sum_series(term: Callable, size: int, min_terms: int = 0, limit: int = _MAX_TERMS,
-                rest: Callable | None = None):
+def _sum_series(term: Callable, size: int, rest: Callable, limit: int = _MAX_TERMS):
     """Sum term(0) + term(1) + ... at every one of `size` points.
 
-    term(m) returns the m-th terms of all points as one long-double array;
-    it is called for m = 0, 1, 2, ... in order, so it may advance
-    recurrences, and it runs on at every point until the last one stops.
-    Every point keeps a compensated sum of its terms and of their magnitudes
-    and stops on its own; its sums are kept as they are at the term where it
-    stops, so its result does not depend on the other points of the grid.
-    A point that has not stopped after `limit` terms, or whose sum is not
-    finite, did not converge.
+    term(m) returns the m-th terms of all points as one long-double array,
+    for m = 0, 1, 2, ... in order (so it may advance recurrences) until the
+    last point stops; rest(m, a), called right after it returned t, a =
+    |t|, bounds |sum of the later terms| at every point (inf where none is
+    known).  Every point keeps compensated sums of its terms and of their
+    magnitudes and stops on its own, once that bound is below _STOP_TOL
+    times its partial sum (never at a zero sum, which a sum of underflowed
+    terms may be), with its sums as they are then, so its result does not
+    depend on the other points.  A point that has not stopped after `limit`
+    terms, or whose sum is not finite, did not converge.
 
-    Without `rest`, the stopping rule above applies.  `min_terms` disarms it
-    for the first terms: the alternating sums here have envelopes that dip
-    right after the leading term and only then climb through a hump near
-    m = K (1+Gamma)^2 / (1+Gamma^2); without the guard the
-    consecutive-small-term rule can fire inside that dip and drop the entire
-    hump.  Terms still rising never count toward a stop, which covers the
-    humps the guard misses (the cdf's moves out with x: at K=8, Gamma=0,
-    x=58.6 it peaks at m=14).
-
-    With `rest`, a series of positive terms, rest(m, t) bounds the sum of
-    the terms after term m (t), and a point stops once that bound is within
-    a long double's rounding of its partial sum, which must be positive (a
-    sum of underflowed terms is no value); the bound takes the place of
-    |last term| below.
-
-    Returns arrays (sum, terms_used, |last term|, sum |t_m|, converged).
+    Returns arrays (sum, terms_used, remainder bound, sum |t_m|, converged).
     """
-    guard = min(min_terms, limit)
-    n, below = np.zeros((2, size), dtype=np.int64)
+    n = np.zeros(size, dtype=np.int64)
     live, converged = np.ones(size, dtype=bool), np.zeros(size, dtype=bool)
     for m in range(limit):
         t = term(m)
@@ -167,37 +148,37 @@ def _sum_series(term: Callable, size: int, min_terms: int = 0, limit: int = _MAX
             kept = [t * 0, t_abs * 0, t_abs * 0]
         s, comp = _kahan_add(s, comp, t)
         pos, pos_comp = _kahan_add(pos, pos_comp, t_abs)
-        if rest is None:
-            falling = m == 0 or t_abs <= last
-            last = t_abs
-            small = m + 1 >= guard and (t_abs <= abs(s) * _REL_TOL) & falling
-            below = np.where(small, below + 1, 0)
-            done = live & (below >= _CONSEC_BELOW)
-        else:
-            last = rest(m, t)
-            done = live & (last <= s * _LD_EPS) & (s > 0)
-        converged |= done
-        stop = np.flatnonzero(live if m + 1 == limit else done)
+        bound = rest(m, t_abs)
+        done = live & (bound < abs(s) * _STOP_TOL)
+        stop = (live if m + 1 == limit else done).nonzero()[0]
         if stop.size:
-            for k, v in zip(kept, (s, last, pos)):
+            converged[stop] = done[stop]
+            for k, v in zip(kept, (s, bound, pos)):
                 k[stop] = v[stop]
             n[stop] = m + 1
             live[stop] = False
             if not live.any():
                 break
-    s, last, pos = kept
-    return s, n, last, pos, converged & np.isfinite(s)
+    s, bound, pos = kept
+    return s, n, bound, pos, converged & np.isfinite(s)
 
 
-def _pass_result(pref, s, n, last, pos, converged):
+def _geometric_rest(t, rho):
+    """t rho/(1 - rho) where rho < 1, else inf, with no arithmetic on an inf
+    (30 times slower in long double): the rest after t of terms falling by rho."""
+    return np.divide(t * rho, 1 - rho, out=np.full_like(t, np.inf), where=rho < 1)
+
+
+def _pass_result(pref, s, n, bound, pos, converged):
     """A pass's return value from its sums: (value, terms, terms_used,
     trunc, ratio, converged), see run_with_rescue; a quantity past the
-    double range (an unconverged partial sum) becomes inf without a warning."""
+    double range, or inf/inf (a point that did not converge), comes back
+    without a warning."""
     s_abs = abs(s)
     nonzero = s_abs > 0
     safe = np.where(nonzero, s_abs, 1)
-    with np.errstate(over="ignore"):
-        trunc = np.where(nonzero, (last / safe).astype(float), math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trunc = np.where(nonzero, (bound / safe).astype(float), math.inf)
         ratio = np.where(nonzero, (pos / safe).astype(float), math.inf)
         return (pref * s).astype(float), int(n.sum()), n, trunc, ratio, converged
 
@@ -205,15 +186,6 @@ def _pass_result(pref, s, n, last, pos, converged):
 def k_top(k: float, gamma: float) -> float:
     """K' = K (1+Gamma)^2 / (1+Gamma^2), the largest specular power K(theta)."""
     return k * (1.0 + gamma) ** 2 / (1.0 + gamma * gamma)
-
-
-def term_hump_guard(k: float, gamma: float) -> int:
-    """Stopping-rule guard for the alternating envelope/SNR/error-rate series.
-
-    Their term magnitudes peak near m = K'; the stopping rule must not
-    engage before that hump has been crossed.
-    """
-    return int(math.ceil(k_top(k, gamma))) + 3
 
 
 def needs_rescue(ratio):
@@ -337,32 +309,42 @@ def _ive_ladder(x, nu_max: int):
 # the TWDP coefficient series
 
 
-def coef_series(p, u, factor: Callable, size: int, pref):
+def coef_series(p, u, factor: Callable, factor_bound: Callable, size: int, pref):
     """A pass (see _pass_result) of pref sum_m factor(m) c_m F_m at `size`
     points: c_m = (K u/(1+Gamma^2))^m / m!, u = -1 (cdf, error rate) or the
     MGF's SNR ratio per point, and F_m = 2F1(-m, -m; 1; b) = (1-b)^m
     P_m((1+b)/(1-b)), b = Gamma^2, on the Legendre recurrence F_{m+1} =
     ((2m+1)(1+b) F_m - m (1-b)^2 F_{m-1})/(m+1), F_0 = 1, F_{-1} = 0, which
     tracks the dominant solution and so is stable upward.  factor(m) is
-    called for m = 0, 1, ... in order: it may advance recurrences."""
+    called for m = 0, 1, ... in order: it may advance recurrences.  As c_m
+    F_m = u^m E[K(theta)^m]/m! and 0 <= K(theta) <= K' (module docstring),
+    the terms after order m sum to at most factor_bound(m) |c_m F_m|
+    rho/(1-rho) once rho = K'|u|/(m+1) < 1, factor_bound(m) bounding
+    |factor(j)| at every j > m."""
     g = _LD(p.gamma)
     b = g * g
     q = _LD(p.k) / (1 + b) * u
     bp, bm2 = 1 + b, (1 - b) * (1 - b)
     f_prev, f, c = _LD(0.0), _LD(1.0), u * 0 + 1
+    kt_u = _LD(k_top(p.k, p.gamma)) * abs(u)
+    kt_top = np.max(kt_u)
 
     def term(m):
         nonlocal f_prev, f, c
-        t = factor(m) * c * f
-        f_prev, f = f, ((2 * m + 1) * bp * f - m * bm2 * f_prev) / (m + 1)
-        c = c * q / (m + 1)
-        return t
+        if m:
+            f_prev, f = f, ((2 * m - 1) * bp * f - (m - 1) * bm2 * f_prev) / m
+            c = c * q / m
+        return factor(m) * c * f
+
+    def rest(m, a):
+        t, rho = factor_bound(m) * abs(c * f), kt_u / (m + 1)
+        # past the last point's hump every rho < 1, and no mask is needed
+        return t * rho / (1 - rho) if m + 1 > kt_top else _geometric_rest(t, rho)
 
     # at K past about 1e12, c_m overflows long double within the term budget
     # and the sum goes inf - inf: such a point does not converge
     with np.errstate(over="ignore", invalid="ignore"):
-        s, n, last, pos, ok = _sum_series(term, size, min_terms=term_hump_guard(p.k, p.gamma))
-    return _pass_result(pref, s, n, last, pos, ok)
+        return _pass_result(pref, *_sum_series(term, size, rest))
 
 
 # ----------------------------------------------------------------------------
@@ -457,12 +439,11 @@ def mixture_series(p, size: int, factor: Callable, factor_ratio: Callable, pref,
             t, rho = f, factor_ratio(m)
         else:
             rho = kt / (m + 1) * factor_ratio(m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(rho < 1, t * rho / (1 - rho), np.inf)
+        return _geometric_rest(t, rho)
 
-    s, n, last, pos, ok = _sum_series(term, size, limit=limit, rest=rest)
+    s, n, bound, pos, ok = _sum_series(term, size, rest, limit)
     n[lost], ok[lost] = _MIX_MAX_TERMS, False
-    return _pass_result(pref, s, n, last, pos, ok)
+    return _pass_result(pref, s, n, bound, pos, ok)
 
 
 # ----------------------------------------------------------------------------

@@ -40,9 +40,9 @@ def figure_params():
 
 @pytest.fixture
 def rel_tol_1e6(monkeypatch):
-    """The series stopping rule at a 1e-6 relative tail, the one the paper's
-    truncation counts refer to."""
-    monkeypatch.setattr(specfun, "_REL_TOL", 1e-6)
+    """The series stopping rule at a proven 1e-6 relative remainder, the
+    tail the paper's truncation counts refer to."""
+    monkeypatch.setattr(specfun, "_STOP_TOL", 1e-6)
 
 
 def rayleigh_bpsk(gamma0: float) -> float:
@@ -297,19 +297,19 @@ def appell_f1_double_series(m: int, x: float, y: float) -> float:
 # test-only special functions (oracles for the kernel and the series)
 
 
-def scalar_series(terms, min_terms=0, max_terms=None):
+def scalar_series(terms, max_terms=None):
     """Scalar reference for the series engine: Kahan sums of the terms and
-    of their magnitudes under the stopping rule of specfun (_CONSEC_BELOW
-    small, falling terms in a row), within max_terms terms (default
-    specfun._MAX_TERMS); a sum that is not finite did not converge.
+    of their magnitudes under the stopping rule of specfun, within max_terms
+    terms (default specfun._MAX_TERMS).  terms yields pairs (t_m, rest_m),
+    rest_m a bound on the magnitude of the sum of the terms after t_m; a sum
+    stops once rest_m < specfun._STOP_TOL |sum|, and one that is not finite
+    did not converge.
 
-    Returns (sum, terms_used, |last term|, sum |t|, converged).
+    Returns (sum, terms_used, remainder bound, sum |t|, converged).
     """
     limit = specfun._MAX_TERMS if max_terms is None else max_terms
-    guard = min(min_terms, limit)
-    total = comp = pos = pos_comp = last = None
-    below = 0
-    for n, t in enumerate(terms, start=1):
+    total = comp = pos = pos_comp = None
+    for n, (t, rest) in enumerate(terms, start=1):
         if total is None:
             total = comp = pos = pos_comp = t * 0
         y = t - comp
@@ -318,17 +318,23 @@ def scalar_series(terms, min_terms=0, max_terms=None):
         y = abs(t) - pos_comp
         s = pos + y
         pos_comp, pos = (s - pos) - y, s
-        falling = last is None or abs(t) <= last
-        last = abs(t)
-        if n >= guard and abs(t) <= specfun._REL_TOL * abs(total) and falling:
-            below += 1
-            if below >= specfun._CONSEC_BELOW:
-                return total, n, last, pos, abs(total) < math.inf
-        else:
-            below = 0
+        if rest < abs(total) * specfun._STOP_TOL:
+            return total, n, rest, pos, abs(total) < math.inf
         if n >= limit:
-            return total, n, last, pos, False
+            return total, n, rest, pos, False
     raise InvalidParameterError("series generator produced no terms")
+
+
+def geometric_rest(t, rho):
+    """specfun._geometric_rest at one point: t rho/(1 - rho) where rho < 1,
+    else inf."""
+    return t * rho / (1 - rho) if rho < 1 else math.inf
+
+
+def coef_rest(p, u, bound, cf, m):
+    """The remainder bound of specfun.coef_series after order m at one
+    point: bound on the later factors, cf = |c_m F_m|."""
+    return geometric_rest(bound * cf, np.longdouble(specfun.k_top(p.k, p.gamma)) * abs(u) / (m + 1))
 
 
 def legendre_2f1(b):
@@ -380,14 +386,14 @@ def hyp2f1_poly(m: int, b: float) -> float:
     return float(hyp2f1_neg_mm(int(m), np.longdouble(b)))
 
 
-def hyp2f1_3half(m: int, z: float, max_terms: int | None = None) -> SeriesResult:
+def hyp2f1_3half(m: int, z: float, max_terms: int = 2000) -> SeriesResult:
     """Gauss hypergeometric 2F1(3/2, 1+m; 2; z) for z <= 0.
 
     Evaluated through the Pfaff transform 2F1(a, b; c; z) = (1-z)^(-b)
     2F1(c-a, b; c; z/(z-1)) so the series argument lies in [0, 1); every
     transformed term is positive, so there is no cancellation, only slow
-    convergence as z -> -inf.  max_terms is the term budget (default
-    specfun._MAX_TERMS).
+    convergence as z -> -inf.  max_terms is the term budget: a stop within
+    a long double's rounding takes 578 terms at z = -10, m = 5.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise InvalidParameterError(f"m must be a nonnegative integer, got {m}")
@@ -399,10 +405,12 @@ def hyp2f1_3half(m: int, z: float, max_terms: int | None = None) -> SeriesResult
     w = zb / (zb - 1)
 
     def terms():
+        # the ratio of terms j+1 and j, w (2j+1)(j+1+m) / (2 (j+2)(j+1)), is
+        # at most w max(1, (j+1+m)/(j+2)) from order j on
         t = np.longdouble(1.0)
         j = 0
         while True:
-            yield t
+            yield t, geometric_rest(t, w * max(1, np.longdouble(j + 1 + m) / (j + 2)))
             t = t * w * (2 * j + 1) * (j + 1 + m) / ((j + 2) * (j + 1) * 2)
             j += 1
 
@@ -522,7 +530,12 @@ def pdf_pass_scalar(p, r: float):
                 t = 2 * t
                 if m & 1:
                     t = -t
-            yield t
+            a = abs(t)
+            if m == 0:
+                yield t, math.inf
+            else:
+                yield t, a * a / max(last - a, np.finfo(np.longdouble).smallest_normal)
+            last = 2 * a if m == 0 else a
 
     s, n, last, pos, ok = scalar_series(terms(), max_terms=nu + 1)
     pref = rb / s2 * np.exp(-rb * rb / (2 * s2) - K + (b1 + b2) * rb + c)
@@ -531,12 +544,11 @@ def pdf_pass_scalar(p, r: float):
 
 def cdf_pass_scalar(p, x):
     """The long-double cdf pass at one x in (0, 600]."""
-    from twdp.specfun import term_hump_guard
-
     LD = np.longdouble
     K, G, xb = LD(p.k), LD(p.gamma), LD(x)
     g2 = G * G
     a = K / (1 + g2)
+    half = np.exp(xb / 2)
 
     def terms():
         cm, gm1, gm = LD(1.0), LD(0.0), LD(1.0)
@@ -546,30 +558,29 @@ def cdf_pass_scalar(p, x):
             else:
                 h1 = gm
                 gm1, gm = gm, ((2 * m - xb) * gm - (m - 1) * gm1) / (m + 1)
-            yield cm * h1 * leg
+            yield cm * h1 * leg, coef_rest(p, -1, half, abs(cm * leg), m)
             cm = cm * (-a) / (m + 1)
 
-    s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+    s, n, last, pos, _ = scalar_series(terms())
     return _finish(xb * np.exp(-xb), s, n, last, pos)
 
 
 def mgf_pass_scalar(p, gamma0: float, s_arg: float):
     """The long-double series MGF pass at one s <= 0."""
-    from twdp.specfun import term_hump_guard
-
     LD = np.longdouble
     g2 = LD(p.gamma) ** 2
     a = LD(p.k) / (1 + g2)
     rho, s = (1 + LD(p.k)) / LD(gamma0), LD(s_arg)
-    q = a * (s / (rho - s))
+    u = s / (rho - s)
+    q = a * u
 
     def terms():
         cm = LD(1.0)
         for m, leg in enumerate(legendre_2f1(g2)):
-            yield cm * leg
+            yield cm * leg, coef_rest(p, u, 1, abs(cm * leg), m)
             cm = cm * q / (m + 1)
 
-    total, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+    total, n, last, pos, _ = scalar_series(terms())
     return _finish(rho / (rho - s), total, n, last, pos)
 
 
@@ -591,7 +602,7 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     bracket factors from the recurrence of asep._bracket_family run one
     point at a time."""
     from twdp.asep import _f1_seeds
-    from twdp.specfun import _PI, term_hump_guard
+    from twdp.specfun import _PI
 
     LD = np.longdouble
     K, g2 = LD(p.k), LD(p.gamma) ** 2
@@ -614,10 +625,12 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
         cm = LD(1.0)
         for m, leg in enumerate(legendre_2f1(g2)):
             t1 = next(f2f1)
-            yield (c_bracket * t1 - (next(f1) if sin2_pim < 1.0 else to_f1 * t1)) * cm * leg
+            f1_m = next(f1) if sin2_pim < 1.0 else to_f1 * t1
+            t1 = c_bracket * t1
+            yield (t1 - f1_m) * cm * leg, coef_rest(p, -1, max(t1, f1_m), abs(cm * leg), m)
             cm = cm * (-a) / (m + 1)
 
-    s, n, last, pos, _ = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+    s, n, last, pos, _ = scalar_series(terms())
     return _finish(sp * rho / (3 * _PI), s, n, last, pos)
 
 
@@ -629,13 +642,13 @@ def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
 def cdf_series_mp(p, r: float, dps: int = 50) -> float:
     """Envelope distribution function at one r > 0: the paper's cdf series,
     the terms of cdf_pass_scalar, summed in mpmath at dps digits under the
-    stopping rule of specfun."""
-    from twdp.specfun import term_hump_guard
-
+    stopping rule of specfun and its remainder bound."""
     with mp.workdps(dps):
         g2 = mp.mpf(p.gamma) ** 2
         a = mp.mpf(p.k) / (1 + g2)
+        kt = mp.mpf(p.k) * (1 + mp.mpf(p.gamma)) ** 2 / (1 + g2)
         x = mp.mpf(r) ** 2 / (2 * mp.mpf(p.sigma2))
+        half = mp.exp(x / 2)
 
         def terms():
             cm, gm1, gm = mp.mpf(1), mp.mpf(0), mp.mpf(1)
@@ -645,10 +658,10 @@ def cdf_series_mp(p, r: float, dps: int = 50) -> float:
                 else:
                     h1 = gm
                     gm1, gm = gm, ((2 * m - x) * gm - (m - 1) * gm1) / (m + 1)
-                yield cm * h1 * leg
+                yield cm * h1 * leg, geometric_rest(half * abs(cm * leg), kt / (m + 1))
                 cm = cm * (-a) / (m + 1)
 
-        s, *_, ok = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+        s, *_, ok = scalar_series(terms())
         assert ok
         return float(x * mp.exp(-x) * s)
 
@@ -656,16 +669,16 @@ def cdf_series_mp(p, r: float, dps: int = 50) -> float:
 def asep_series_mp(p, m_order: int, gamma0: float, dps: int = 50) -> float:
     """M-PSK symbol error probability: the paper's exact series, the terms
     of asep_pass_scalar, summed in mpmath at dps digits under the stopping
-    rule of specfun.  The bracket factors run the recurrence of
-    bracket_row from their closed-form seeds, taken with 30 more digits
-    for the cancellation in J_1 and J_2 at small y."""
+    rule of specfun and its remainder bound.  The bracket factors run the
+    recurrence of bracket_row from their closed-form seeds, taken with 30
+    more digits for the cancellation in J_1 and J_2 at small y."""
     from twdp.asep import ModulationSpec
-    from twdp.specfun import term_hump_guard
 
     sin2_pim = ModulationSpec(m_order).sin2_pim
     with mp.workdps(dps):
         K, g2 = mp.mpf(p.k), mp.mpf(p.gamma) ** 2
         a = K / (1 + g2)
+        kt = K * (1 + mp.mpf(p.gamma)) ** 2 / (1 + g2)
         x0, g0 = mp.mpf(sin2_pim), mp.mpf(gamma0)
         sp = mp.sqrt(x0)
         lam, y = (1 + K) / (g0 * x0), (1 + K) / g0
@@ -685,10 +698,12 @@ def asep_series_mp(p, m_order: int, gamma0: float, dps: int = 50) -> float:
             for m, leg in enumerate(legendre_2f1(g2)):
                 t1 = next(f2f1)
                 f1_m = next(f1) if sin2_pim < 1.0 else 3 * mp.pi / 4 * t1
-                yield (c_bracket * t1 - f1_m) * cm * leg
+                t1 = c_bracket * t1
+                yield ((t1 - f1_m) * cm * leg,
+                       geometric_rest(max(t1, f1_m) * abs(cm * leg), kt / (m + 1)))
                 cm = cm * (-a) / (m + 1)
 
-        total, *_, ok = scalar_series(terms(), term_hump_guard(p.k, p.gamma))
+        total, *_, ok = scalar_series(terms())
         assert ok
         return float(sp * (1 + K) / (3 * mp.pi * g0) * total)
 

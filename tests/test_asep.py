@@ -336,8 +336,8 @@ class TestOrderings:
 
 class TestDiagnostics:
     def test_truncation_below_1e6_within_measured_budget(self, rel_tol_1e6):
-        # the figure-grid worst case lands at 89 terms (see decisions notes);
-        # guard against regressions past that
+        # the figure-grid worst case lands at 75 terms (acceptance criterion
+        # 2d); guard this point against regressions past 92
         p = TwdpParams(k=14.0, gamma=1.0)
         res = asep_exact(p, ModulationSpec(2), 10 ** 3.5)
         assert res.trunc_estimate < 1e-6

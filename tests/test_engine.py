@@ -40,6 +40,7 @@ from twdp.specfun import Pass, _ive_ladder
 
 from conftest import (
     asep_pass_scalar,
+    asep_series_mp,
     cdf_pass_scalar,
     cdf_series_mp,
     ive_ladder_scalar,
@@ -137,9 +138,58 @@ def test_non_finite_sum_does_not_converge():
     assert not ok.any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        one = np.ones(1, dtype=np.longdouble)
         *_, ok = specfun.coef_series(TwdpParams(k=1e13, gamma=0.0), -1,
-                                     lambda m: np.ones(1, dtype=np.longdouble), 1, 1)
+                                     lambda m: one, lambda m: one, 1, 1)
     assert not ok.any()
+
+
+def long_double_pass(kind, p):
+    """The long-double pass of one series kind over a grid that runs from
+    the terms' hump into their tails: the pdf and cdf up to r/sqrt(Omega)
+    = 3.5, the MGF down to s = -100 at g0 = 10, the error rate at M = 16
+    over 0:40:10 dB."""
+    if kind == "pdf":
+        r = np.linspace(0.1, 3.5, 8) * math.sqrt(p.omega)
+        return _pdf_pass(p, r, every("longdouble", len(r)))
+    if kind == "cdf":
+        x = (np.linspace(0.1, 3.5, 8) * math.sqrt(p.omega)) ** 2 / (2 * p.sigma2)
+        return _cdf_pass(p, x.astype(np.longdouble), every("longdouble", len(x)))
+    if kind == "mgf":
+        s = np.array([-100.0, -30.0, -10.0, -3.0, -1.0, -0.1])
+        return _mgf_series_pass(p, 10.0, s, every("longdouble", len(s)))
+    g0 = 10.0 ** (np.arange(0.0, 41.0, 10.0) / 10.0)
+    return _asep_pass(p, ModulationSpec(16), g0, every("longdouble", len(g0)))
+
+
+@pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf", "asep"])
+@pytest.mark.parametrize("k,gamma", [(8.0, 0.0), (8.0, 0.5), (14.0, 1.0)])
+def test_remainder_bound_covers_every_later_term(kind, k, gamma, monkeypatch):
+    # at every order m of a pass, on the rising side of the hump as past
+    # it, the bound on the rest of the sum is at least the sum of the
+    # magnitudes of the later terms the pass computes; |t_m| alone is not
+    # (the pdf's terms fall by more than half per order at large r, the
+    # others climb their hump by more than that)
+    terms, bounds = [], []
+    run = specfun._sum_series
+
+    def traced(term, size, rest, limit=specfun._MAX_TERMS):
+        def t(m):
+            v = term(m)
+            terms.append(abs(v))
+            return v
+
+        def r(m, v):
+            bounds.append(rest(m, v))
+            return v * 0 + np.inf  # record every order up to the budget
+
+        return run(t, size, r, limit)
+
+    monkeypatch.setattr(specfun, "_sum_series", traced)
+    monkeypatch.setattr(dist, "_sum_series", traced)
+    long_double_pass(kind, TwdpParams(k=k, gamma=gamma))
+    later = np.cumsum(np.array(terms)[::-1], axis=0)[::-1] - np.array(terms)
+    assert (later <= np.array(bounds) * (1 + 1e-15)).all()
 
 
 class TestScalarIsGridOfOne:
@@ -383,10 +433,14 @@ class TestShortcutPoints:
 
 
 def rescue_case(kind, p):
-    """A grid of points whose long-double sums cannot be trusted: the public
-    grid evaluation on it, and mpmath values at its points, at 50 digits
-    (64 in the pdf's upper tail): the pdf's phase average, the paper's cdf
-    series and the MGF's closed form."""
+    """A grid of points whose long-double sums cannot be trusted from K = 14
+    on: the public grid evaluation on it, and mpmath values at its points,
+    at 50 digits (64 in the pdf's upper tail): the pdf's phase average, the
+    paper's cdf and error-rate series (M = 16) and the MGF's closed form."""
+    if kind == "asep":
+        g0 = 10.0 ** (np.arange(0.0, 41.0, 10.0) / 10.0)
+        return (lambda: asep_exact_grid(p, ModulationSpec(16), g0),
+                [asep_series_mp(p, 16, v) for v in g0])
     if kind == "mgf":
         gamma0 = 10.0
         s = np.linspace(-10.0, -3.0, 6)
@@ -432,15 +486,22 @@ class TestDoubleLongdoubleRescue:
                 assert res.tier == "mixture"
             assert res.value == pytest.approx(want, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("kind", ["pdf", "pdf-tail", "cdf", "mgf"])
-    def test_truncation_estimate_bounds_the_error(self, kind):
-        # a mixture point's trunc_estimate bounds its omitted remainder, and
-        # it stops within a long double's rounding of its value
-        grid, refs = rescue_case(kind, TwdpParams(k=20.0, gamma=1.0))
-        for res, want in zip(grid(), refs):
-            if res.tier == "mixture":
-                assert res.trunc_estimate <= np.finfo(np.longdouble).eps
-                assert abs(res.value - want) <= (res.trunc_estimate + 1e-12) * want
+    KINDS = ["pdf", "pdf-tail", "cdf", "mgf", "asep"]
+
+    @pytest.mark.parametrize(
+        "kind,k,gamma,tier",
+        [(kind, 20.0, 1.0, "mixture") for kind in KINDS]
+        + [(kind, 8.0, 0.5, "longdouble") for kind in KINDS],
+        ids=KINDS + [f"{kind}-k8" for kind in KINDS])
+    def test_truncation_estimate_bounds_the_error(self, kind, k, gamma, tier):
+        # in either tier, a point's trunc_estimate bounds its omitted
+        # remainder, and it stops within a long double's rounding of its value
+        grid, refs = rescue_case(kind, TwdpParams(k=k, gamma=gamma))
+        results = grid()
+        assert tier in {res.tier for res in results}
+        for res, want in zip(results, refs):
+            assert res.trunc_estimate <= np.finfo(np.longdouble).eps
+            assert abs(res.value - want) <= (res.trunc_estimate + 1e-12) * abs(want)
 
     def test_pdf_past_its_49_terms_goes_to_the_mixture(self, caplog):
         # the pdf pass stops at the end of its 48-order ladders
@@ -495,8 +556,8 @@ class TestDoubleLongdoubleRescue:
 
 def test_stop_waits_out_a_rising_hump():
     # at K=8, Gamma=0, x = 58.6 the cdf terms climb through 1e-12 of the sum
-    # to a hump at m = 14, past the hump guard of 11 terms; a stop on that
-    # rising edge dropped 7e-12 of the value
+    # to a hump at m = 14; the e^(x/2) bound on the Laguerre factor keeps the
+    # stop past it (with 1 in its place the value came out 7e-12 high)
     p = TwdpParams(k=8.0, gamma=0.0)
     r = 2.551568472546093
     res = cdf(p, r)
