@@ -204,17 +204,14 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ps):
     c_bracket = 3 * _PI / (2 * sp * x0)  # 3 pi / (2 sin^3)
 
     next_order = _bracket_family(mod.sin2_pim, rho / x0, rho)
-    top = None
 
     def bracket(m):
         # both parts are positive and fall with m: the larger bounds later ones
-        nonlocal top
         t1, f1 = next_order()
         t1 = t1 * c_bracket
-        top = np.maximum(t1, f1)
-        return t1 - f1
+        return t1 - f1, np.maximum(t1, f1)
 
-    return coef_series(p, -1, bracket, lambda m: top, len(rho), sp * rho / (3 * _PI))
+    return coef_series(p, -1, bracket, len(rho), sp * rho / (3 * _PI))
 
 
 def _asep_mixture(p: TwdpParams, mod: ModulationSpec, g):

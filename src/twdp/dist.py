@@ -56,6 +56,7 @@ from .specfun import (
     SeriesResult,
     _IVE_MAX_X,
     _check_gamma0,
+    _geometric_rest,
     _ive_ladder,
     _grid,
     _pass_result,
@@ -121,11 +122,11 @@ def _pdf_pass(p: TwdpParams, r, ps):
 
     def rest(m, a):
         # rho = |t_m/t_(m-1)| (halved at m = 1: eps_0 = 1) is the product of
-        # the ratios I_m/I_(m-1), which fall with m (Turan's inequality): the
-        # rest is at most a rho/(1-rho) = a^2/(|t_(m-1)| - a), 0 after a 0 term
+        # the ratios I_m/I_(m-1), which fall with m (Turan's inequality), and
+        # bounds every later ratio; 0 after a 0 term
         nonlocal prev
         last, prev = prev, (2 * a if m == 0 else a)
-        return a * a / np.maximum(last - a, _TINY) if m else np.full_like(a, np.inf)
+        return _geometric_rest(a, a / np.maximum(last, _TINY)) if m else np.full_like(a, np.inf)
 
     return _pass_result(pref, *_sum_series(term, len(rb), rest, _PDF_ORDERS + 1))
 
@@ -182,18 +183,19 @@ def _cdf_pass(p: TwdpParams, x, ps):
     # form cancels completely for m beyond ~45 where x < 4m
     lag_prev, lag = xb * 0, xb * 0 + 1
 
+    # |1F1(1-m; 2; x)| = |L_(m-1)^(1)(x)|/m <= e^(x/2) at m >= 1 (Szego,
+    # Orthogonal Polynomials, 7.21.3) bounds every later factor
+    half = np.exp(xb / 2)
+
     def laguerre(m):
         nonlocal lag_prev, lag
         if m == 0:
-            return np.expm1(xb) / xb
+            return np.expm1(xb) / xb, half
         h1 = lag
         lag_prev, lag = lag, ((2 * m - xb) * lag - (m - 1) * lag_prev) / (m + 1)
-        return h1
+        return h1, half
 
-    # |1F1(1-m; 2; x)| = |L_(m-1)^(1)(x)|/m <= e^(x/2) at m >= 1 (Szego,
-    # Orthogonal Polynomials, 7.21.3)
-    half = np.exp(xb / 2)
-    return coef_series(p, -1, laguerre, lambda m: half, len(xb), xb * np.exp(-xb))
+    return coef_series(p, -1, laguerre, len(xb), xb * np.exp(-xb))
 
 
 def _cdf_mixture(p: TwdpParams, xb):

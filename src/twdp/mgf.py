@@ -59,7 +59,7 @@ def _mgf_series_pass(p: TwdpParams, gamma0: float, s, ps):
     with factors a^(k+1), a = 1 + u."""
     u, a = _snr_ratio(p.k, gamma0, s[ps.points])
     if ps.name == "longdouble":
-        return coef_series(p, u, lambda m: 1, lambda m: 1, len(u), a)
+        return coef_series(p, u, lambda m: (1, 1), len(u), a)
     return mixture_series(p, len(a), running_product(a, lambda k: a), lambda k: a, 1)
 
 

@@ -309,37 +309,36 @@ def _ive_ladder(x, nu_max: int):
 # the TWDP coefficient series
 
 
-def coef_series(p, u, factor: Callable, factor_bound: Callable, size: int, pref):
+def coef_series(p, u, factor: Callable, size: int, pref):
     """A pass (see _pass_result) of pref sum_m factor(m) c_m F_m at `size`
     points: c_m = (K u/(1+Gamma^2))^m / m!, u = -1 (cdf, error rate) or the
     MGF's SNR ratio per point, and F_m = 2F1(-m, -m; 1; b) = (1-b)^m
     P_m((1+b)/(1-b)), b = Gamma^2, on the Legendre recurrence F_{m+1} =
     ((2m+1)(1+b) F_m - m (1-b)^2 F_{m-1})/(m+1), F_0 = 1, F_{-1} = 0, which
     tracks the dominant solution and so is stable upward.  factor(m) is
-    called for m = 0, 1, ... in order: it may advance recurrences.  As c_m
-    F_m = u^m E[K(theta)^m]/m! and 0 <= K(theta) <= K' (module docstring),
-    the terms after order m sum to at most factor_bound(m) |c_m F_m|
-    rho/(1-rho) once rho = K'|u|/(m+1) < 1, factor_bound(m) bounding
-    |factor(j)| at every j > m."""
+    called for m = 0, 1, ... in order (it may advance recurrences) and
+    returns the order-m factors and a bound B_m on |factor(j)| at every j >
+    m.  As c_m F_m = u^m E[K(theta)^m]/m! and 0 <= K(theta) <= K' (module
+    docstring), the terms after order m sum to at most B_m |c_m F_m|
+    rho/(1-rho) once rho = K'|u|/(m+1) < 1."""
     g = _LD(p.gamma)
     b = g * g
     q = _LD(p.k) / (1 + b) * u
     bp, bm2 = 1 + b, (1 - b) * (1 - b)
     f_prev, f, c = _LD(0.0), _LD(1.0), u * 0 + 1
     kt_u = _LD(k_top(p.k, p.gamma)) * abs(u)
-    kt_top = np.max(kt_u)
+    bound = None
 
     def term(m):
-        nonlocal f_prev, f, c
+        nonlocal f_prev, f, c, bound
         if m:
             f_prev, f = f, ((2 * m - 1) * bp * f - (m - 1) * bm2 * f_prev) / m
             c = c * q / m
-        return factor(m) * c * f
+        h, bound = factor(m)
+        return h * c * f
 
     def rest(m, a):
-        t, rho = factor_bound(m) * abs(c * f), kt_u / (m + 1)
-        # past the last point's hump every rho < 1, and no mask is needed
-        return t * rho / (1 - rho) if m + 1 > kt_top else _geometric_rest(t, rho)
+        return _geometric_rest(bound * abs(c * f), kt_u / (m + 1))
 
     # at K past about 1e12, c_m overflows long double within the term budget
     # and the sum goes inf - inf: such a point does not converge

@@ -534,7 +534,7 @@ def pdf_pass_scalar(p, r: float):
             if m == 0:
                 yield t, math.inf
             else:
-                yield t, a * a / max(last - a, np.finfo(np.longdouble).smallest_normal)
+                yield t, geometric_rest(a, a / max(last, np.finfo(np.longdouble).smallest_normal))
             last = 2 * a if m == 0 else a
 
     s, n, last, pos, ok = scalar_series(terms(), max_terms=nu + 1)

@@ -140,7 +140,7 @@ def test_non_finite_sum_does_not_converge():
         warnings.simplefilter("error")
         one = np.ones(1, dtype=np.longdouble)
         *_, ok = specfun.coef_series(TwdpParams(k=1e13, gamma=0.0), -1,
-                                     lambda m: one, lambda m: one, 1, 1)
+                                     lambda m: (one, one), 1, 1)
     assert not ok.any()
 
 
