@@ -38,16 +38,17 @@ over the model's Poisson mixing weights w_k: given the phases, TWDP is
 Rician, a Poisson mixture of Nakagami-(k+1) fading, and (1/pi) E_(k+1) is
 M-PSK's error rate over Nakagami-(k+1) fading (Simon & Alouini, Digital
 Communication over Fading Channels, 2nd ed., ch. 8).  _nakagami_orders gives
-E_n from a recurrence in n.  A point whose mixture needs more than
-specfun._MIX_MAX_TERMS terms gets a SeriesDivergenceError in place of its
-result; callers (the CLI does this) can substitute asep_quadrature there,
-and asep_exact raises it.  Every pass runs on long doubles, the bracket
-family's seeds (_f1_seeds) included, and takes the average SNR as rho =
-(1+K)/g0 (specfun.snr_rho), finite at every double g0, subnormals included.
+E_n from a recurrence in n.  A point the mixture does not converge at gets
+a SeriesDivergenceError in place of its result; callers (the CLI does this)
+can substitute asep_quadrature there, and asep_exact raises it.  Every pass
+runs on long doubles, the bracket family's seeds (_f1_seeds) included, and
+takes the average SNR as rho = (1+K)/g0 (specfun.snr_rho), finite at every
+double g0, subnormals included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,11 +59,11 @@ from .errors import InvalidParameterError, QuadratureError
 from .mgf import mgf_closed
 from .params import TwdpParams
 from .specfun import (
-    _MIX_MAX_TERMS,
     _PI,
     SeriesResult,
     _check_gamma0,
     _exp_i0,
+    _grid,
     _raise_lost,
     coef_series,
     mixture_series,
@@ -217,10 +218,11 @@ def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ps):
 def _asep_mixture(p: TwdpParams, mod: ModulationSpec, g):
     """The mixture error rate (1/pi) sum_k w_k E_(k+1) at g = sin^2(pi/M)
     g0/(1+K) per point; E_(n+1) <= E_n/(1+g), since h <= 1/(1+g)."""
-    n = mixture_terms(p)
-    # past the term budget mixture_series sums nothing
-    e = np.array([_nakagami_orders(v, mod, n) for v in g]) if n <= _MIX_MAX_TERMS else None
-    return mixture_series(p, len(g), lambda k: e[:, k], lambda k: 1 / (1 + g), 1 / _PI)
+    @functools.cache
+    def table():  # built on the first factor call, which only a pass that sums makes
+        return np.array([_nakagami_orders(v, mod, mixture_terms(p)) for v in g])
+
+    return mixture_series(p, len(g), lambda k: table()[:, k], lambda k: 1 / (1 + g), 1 / _PI)
 
 
 def _tails(terms, rho, total):
@@ -297,7 +299,7 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
     mixture converges within its term budget (callers such as the CLI
     substitute asep_quadrature there).
     """
-    g0 = np.array([_check_gamma0(v) for v in np.asarray(gamma0s, dtype=float).ravel()])
+    g0 = _grid(gamma0s, lambda v: (v > 0) & np.isfinite(v), "gamma0 must be positive and finite")
 
     def what(i):
         return f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}"

@@ -36,11 +36,11 @@ with pi_j(x) = e^{-x} x^j/j!, the mixing weights w_j and their running sums
 W_j.  The CDF is 1 wherever its complement is below 2^-53: given the phases
 the envelope is Rician with specular power at most K' = K (1+Gamma)^2 /
 (1+Gamma^2) (in units of 2 sigma^2), and Q1(a, b) <= exp(-(b-a)^2/2), b > a,
-bounds the complement by exp(-(sqrt(x) - sqrt(K'))^2).  The density is 0
-wherever its prefactor, which bounds it, is below 2^-1076.  A point whose
-prefactor (density) or e^x (distribution function) overflows long double,
-or one with a Bessel argument past the ladder's 1e7 (density), cannot be
-summed: SeriesDivergenceError.
+bounds the complement by exp(-(sqrt(x) - sqrt(K'))^2).  Likewise I_0(y) <=
+e^y bounds the density by (r/sigma^2) exp(-d^2), d the distance of sqrt(x)
+from [sqrt(a), sqrt(K')], a = K (1-Gamma)^2/(1+Gamma^2): the density is 0
+where that is below 2^-1076.  A point whose prefactor or e^x (cdf) overflows
+long double, or with a Bessel argument past 1e7, raises SeriesDivergenceError.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ _TINY = np.finfo(_LD).smallest_normal  # not subnormal: those are slow on x87
 
 
 def _pdf_args(p: TwdpParams, rb):
-    """(b1 r, b2 r, c, prefactor) of the pdf series at the long-double
-    values rb.  The prefactor bounds the density: |sum| <= sum_m eps_m
-    ive_m(b1 r) = 1."""
+    """(b1 r, b2 r, c, prefactor, Rician bound) of the pdf series at the
+    long-double values rb.  Both bound the density (|sum| <= sum_m eps_m
+    ive_m(b1 r) = 1); the Rician bound (module docstring) is never looser."""
     K = _LD(p.k)
     G = _LD(p.gamma)
     s2 = _LD(p.sigma2)
@@ -93,7 +93,9 @@ def _pdf_args(p: TwdpParams, rb):
     b2 = G * b1
     c = 2 * K * G / (1 + g2)
     expo = -rb * rb / (2 * s2) - K + rb * (b1 + b2) + c
-    return rb * b1, rb * b2, c, rb / s2 * np.exp(expo)
+    sx = rb / np.sqrt(2 * s2)  # sqrt(x), clipped to [sqrt(a), sqrt(K')] below
+    d = np.clip(sx, (1 - G) * np.sqrt(K / (1 + g2)), (1 + G) * np.sqrt(K / (1 + g2))) - sx
+    return rb * b1, rb * b2, c, rb / s2 * np.exp(expo), rb / s2 * np.exp(-d * d)
 
 
 def _pdf_pass(p: TwdpParams, r, ps):
@@ -104,7 +106,7 @@ def _pdf_pass(p: TwdpParams, r, ps):
     rb = r[ps.points].astype(_LD)
     if ps.name == "mixture":
         return _pdf_mixture(p, rb)
-    x1, x2, c, pref = _pdf_args(p, rb)
+    x1, x2, c, pref, _ = _pdf_args(p, rb)
     # one ladder over the distinct arguments: x2 = x1 at Gamma = 1, x2 = c = 0 at Gamma = 0
     args, at = np.unique(np.concatenate([x1, x2, [c]]), return_inverse=True)
     iv = _ive_ladder(args, _PDF_ORDERS)[:, at]
@@ -148,19 +150,19 @@ def pdf(p: TwdpParams, r: float) -> SeriesResult:
 def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     """Envelope probability density along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
-    # r = 0 and a tail whose bound rounds to 0 in double need no series; the
-    # prefactor's exponent, -(sqrt(x) - sqrt(K'))^2 + 2c, overflows, and a
-    # Bessel argument leaves the ladder's range, only past the mixture's budget
+    # r = 0 and a tail whose Rician bound rounds to 0 in double need no series;
+    # the prefactor, exp(-(sqrt(x) - sqrt(K'))^2 + 2c), overflows, and a Bessel
+    # argument leaves the ladder's range, only past the mixture's budget
     with np.errstate(over="ignore"):
-        x1, _, c, pref = _pdf_args(p, r.astype(_LD))
+        x1, _, c, pref, bound = _pdf_args(p, r.astype(_LD))
     why = np.where(~np.isfinite(pref), "its prefactor overflows long double",
                    np.where(np.maximum(x1, c) > _IVE_MAX_X,
                             f"a Bessel argument exceeds {_IVE_MAX_X:g}", ""))
     zero = SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)
-    out = [zero if not summed
+    out = [zero if tiny
            else SeriesDivergenceError(f"envelope pdf at r={ri} cannot be summed: {w}", 0) if w
            else None
-           for ri, summed, w in zip(r.tolist(), pref >= np.ldexp(_LD(1), -1076), why.tolist())]
+           for ri, tiny, w in zip(r.tolist(), bound < np.ldexp(_LD(1), -1076), why.tolist())]
     return _raise_lost(run_with_rescue(
         lambda ps: _pdf_pass(p, r, ps),
         out,

@@ -35,7 +35,7 @@ import numpy as np
 from .asep import ModulationSpec
 from .errors import InvalidParameterError
 from .params import TwdpParams
-from .specfun import _check_gamma0
+from .specfun import _grid
 
 BLOCK = 1 << 16
 # the most worker threads one simulation may start: far above a machine's
@@ -104,7 +104,8 @@ def simulate_psk_ser_grid(p: TwdpParams, mod: ModulationSpec, gamma0s, cfg: SimC
     cfg.n_samples trials; a stopped point sits out later waves of blocks.
     Each gamma0, and min_errors >= 1, is checked before any draw.
     """
-    gamma0s = [_check_gamma0(g) for g in gamma0s]
+    gamma0s = _grid(gamma0s, lambda v: (v > 0) & np.isfinite(v),
+                    "gamma0 must be positive and finite").tolist()
     if min_errors is not None and min_errors < 1:
         raise InvalidParameterError(f"min_errors must be >= 1, got {min_errors}")
     goal = math.inf if min_errors is None else min_errors

@@ -47,10 +47,10 @@ normalized by sum v_j = 1.  Every weight falls at least as fast as the
 Poisson(K') law beyond any order, K' = K (1+Gamma)^2/(1+Gamma^2) the
 largest K(theta): w_(k+1) <= K'/(k+1) w_k, and so does the paper's
 coefficient: |c_(m+1)| <= K'/(m+1) |c_m|.  That bounds the remainder of
-every mixture sum by its last term times a geometric factor.  A mixture
-pass needs about J + 10 sqrt(J) + 40 terms, J the order of its largest term
-(mixture_series); past _MIX_MAX_TERMS it gives up the points that need more
-on their own.
+every mixture sum by its last term times a geometric factor, and only that
+bound says whether a point converged.  A mixture pass takes J + 10 sqrt(J) +
+40 terms, J the order of its largest term, but at most _MIX_MAX_TERMS
+(mixture_series), and sums none at K' above about 4,300.
 """
 
 from __future__ import annotations
@@ -249,11 +249,10 @@ def _grid(values, valid: Callable, what: str) -> np.ndarray:
     return v
 
 
-def _check_gamma0(gamma0: float) -> float:
-    """gamma0, if it is a valid average SNR (linear): positive and finite."""
+def _check_gamma0(gamma0: float) -> None:
+    """Raise unless gamma0 is a valid average SNR (linear): positive and finite."""
     if not (gamma0 > 0 and math.isfinite(gamma0)):
         raise InvalidParameterError(f"gamma0 must be positive and finite, got {gamma0}")
-    return gamma0
 
 
 def snr_rho(k: float, gamma0):
@@ -410,18 +409,15 @@ def mixture_series(p, size: int, factor: Callable, factor_ratio: Callable, pref,
     K'/(m+1) factor_ratio(m), or, when cumulative (W <= 1), t the order-m
     factor and rho = factor_ratio(m).  j_peak, one value or one per point,
     is the order near which a point's largest term lies, and the pass takes
-    mixture_terms(p, j_peak) weights for the largest; past _MIX_MAX_TERMS it
-    gives up the points past it on their own, which do not converge.
+    mixture_terms(p, j_peak) weights for the largest, at most _MIX_MAX_TERMS;
+    a point the bound has not stopped within them did not converge.
     """
-    peak = np.broadcast_to(np.asarray(j_peak, dtype=float), (size,))
-    lost = np.zeros(size, dtype=bool)
-    if mixture_terms(p, peak.max()) > _MIX_MAX_TERMS:
-        lost = np.array([mixture_terms(p, j) > _MIX_MAX_TERMS for j in peak.tolist()])
-    if lost.all():  # nothing summed, and no point converged
+    # the one refusal, of the whole pass: Miller's start is accurate only past mixture_terms(p),
+    # and on wrong weights a small-x pdf point (tiny factor ratio) could stop with a wrong value
+    if mixture_terms(p) > _MIX_MAX_TERMS:
         none = np.zeros(size, dtype=_LD)
-        return _pass_result(1, none, np.full(size, _MIX_MAX_TERMS), none + np.inf, none,
-                            np.zeros(size, dtype=bool))
-    limit = mixture_terms(p, peak[~lost].max())
+        return _pass_result(1, none, np.full(size, _MIX_MAX_TERMS), none + np.inf, none, none > 0)
+    limit = min(mixture_terms(p, float(np.max(j_peak))), _MIX_MAX_TERMS)
     c = mixture_weights(p, limit)
     if cumulative:
         c = np.cumsum(c)
@@ -440,9 +436,7 @@ def mixture_series(p, size: int, factor: Callable, factor_ratio: Callable, pref,
             rho = kt / (m + 1) * factor_ratio(m)
         return _geometric_rest(t, rho)
 
-    s, n, bound, pos, ok = _sum_series(term, size, rest, limit)
-    n[lost], ok[lost] = _MIX_MAX_TERMS, False
-    return _pass_result(pref, s, n, bound, pos, ok)
+    return _pass_result(pref, *_sum_series(term, size, rest, limit))
 
 
 # ----------------------------------------------------------------------------

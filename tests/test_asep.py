@@ -378,8 +378,14 @@ class TestDiagnostics:
             asep_oracle(p, 4, 10.0), rel=1e-8, abs=0)
 
     def test_invalid_gamma0(self):
-        with pytest.raises(InvalidParameterError):
-            asep_exact(TwdpParams(k=1.0, gamma=0.0), ModulationSpec(2), 0.0)
+        p, mod = TwdpParams(k=1.0, gamma=0.0), ModulationSpec(2)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^gamma0 must be positive and finite, got 0\.0$"):
+            asep_exact(p, mod, 0.0)
+        # a sweep names its first bad point in the same words
+        with pytest.raises(InvalidParameterError,
+                           match=r"^gamma0 must be positive and finite, got nan$"):
+            asep_exact_grid(p, mod, [10.0, math.nan, -1.0])
 
     @pytest.mark.parametrize("m_order", [2, 16])
     def test_bracket_argument_past_double_range(self, m_order):

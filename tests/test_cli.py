@@ -468,14 +468,14 @@ class TestExitCodes:
         assert "did not converge in 5000 terms" in err
 
     def test_pdf_failure_names_a_point_that_fails_alone(self, capsys):
-        # at K = 1000, Gamma = 1 only r/sqrt(Omega) near 3.04-3.07 is past
+        # at K = 1600, Gamma = 1 only r/sqrt(Omega) near 2.02-2.10 is past
         # the mixture's budget on its own; the points rescued with it sum
-        code, out, err = run_cli(capsys, "pdf", "--k", "1000", "--gamma", "1")
+        code, out, err = run_cli(capsys, "pdf", "--k", "1600", "--gamma", "1")
         assert (code, out) == (3, "")
         r = float(re.search(r"envelope pdf at r=(\S+) did not converge in 5000 terms", err)[1])
-        assert 3.0 < r < 3.1
+        assert 2.0 < r < 2.1
         with pytest.raises(SeriesDivergenceError, match="did not converge in 5000 terms"):
-            pdf(TwdpParams(k=1000.0, gamma=1.0), r)
+            pdf(TwdpParams(k=1600.0, gamma=1.0), r)
 
     def test_pdf_past_the_bessel_ladder_exit(self, capsys):
         # b1 r = 2e10 at r = 1 is past the ladder's 1e7: a valid input that

@@ -18,7 +18,7 @@ from twdp import (
     pdf_grid,
 )
 from twdp.dist import _pdf_pass
-from twdp.specfun import run_with_rescue
+from twdp.specfun import _MIX_MAX_TERMS, k_top, mixture_terms, run_with_rescue
 
 from conftest import (
     FIGURE_SETS,
@@ -99,17 +99,42 @@ class TestPdf:
             pdf(TwdpParams(k=1e10, gamma=0.0), 1.0)
 
     def test_a_point_past_the_mixture_budget_gives_up_only_itself(self):
-        # sized by r = 3.06 the mixture pass would need more than its 5,000
-        # terms; r = 0.00875 needs 13, and keeps its scalar result bit for bit
-        p = TwdpParams(k=1000.0, gamma=1.0)
-        r = np.array([0.00875, 3.06])
+        # at K' = 3,200 the proven bound does not stop r = 2.06 within the
+        # mixture's 5,000 terms; r = 0.00875, summed in the same pass, keeps
+        # its scalar result bit for bit
+        p = TwdpParams(k=1600.0, gamma=1.0)
+        r = np.array([0.00875, 2.06])
         out = run_with_rescue(lambda ps: _pdf_pass(p, r, ps), [None, None])
         assert out[0] == pdf(p, 0.00875)
         assert out[0].tier == "mixture"
         assert isinstance(out[1], SeriesDivergenceError)
-        for rs in ([3.06], r):
-            with pytest.raises(SeriesDivergenceError, match="r=3.06 did not converge in 5000"):
+        for rs in ([2.06], r):
+            with pytest.raises(SeriesDivergenceError, match="r=2.06 did not converge in 5000"):
                 pdf_grid(p, rs)
+
+    def test_a_point_past_its_own_estimate_is_summed_under_the_bound(self):
+        # r = 3.06 at K = 1000, Gamma = 1 estimates 5,028 terms for itself,
+        # past the 5,000-term cap, but the proven bound stops it at 4,756,
+        # alone and in a grid alike
+        p = TwdpParams(k=1000.0, gamma=1.0)
+        x = 3.06 ** 2 / (2 * p.sigma2)
+        assert mixture_terms(p, math.sqrt(k_top(p.k, p.gamma) * x)) == 5028 > _MIX_MAX_TERMS
+        alone = run_with_rescue(lambda ps: _pdf_pass(p, np.array([3.06]), ps), [None])
+        grid = run_with_rescue(lambda ps: _pdf_pass(p, np.array([0.00875, 3.06]), ps),
+                               [None, None])
+        assert (alone[0].tier, alone[0].terms_used) == ("mixture", 4756)
+        assert grid[1] == alone[0]
+        # pdf itself returns 0 there without a pass; at K = 1500 the point
+        # r = 2.03 sqrt(Omega) (estimate 5,005) has a nonzero value
+        p = TwdpParams(k=1500.0, gamma=1.0)
+        res = pdf(p, 2.03 * math.sqrt(p.omega))
+        assert (res.tier, res.terms_used) == ("mixture", 4732) and res.value > 0
+
+    def test_a_pass_whose_weights_need_more_than_the_budget_raises(self):
+        # K' = 5,000: the mixture's weights alone need more than its 5,000
+        # terms, so the pass sums nothing, not even r = 0.00875
+        with pytest.raises(SeriesDivergenceError, match="r=0.00875 did not converge in 5000"):
+            pdf(TwdpParams(k=2500.0, gamma=1.0), 0.00875)
 
 
 class TestCdf:

@@ -25,6 +25,7 @@ from twdp import (
     mgf_series_grid,
     pdf_grid,
 )
+from twdp.dist import _pdf_args
 
 from conftest import mgf_mp, phase_average_cdf, phase_average_pdf
 
@@ -107,3 +108,18 @@ def test_high_k_against_phase_average(which, k, gamma):
     r = np.array(HIGH_K_R) * math.sqrt(p.omega)
     for res, ref in zip(series(p, r), oracle(p, r)):
         assert res.value == pytest.approx(ref, rel=REL, abs=0)
+
+
+@DRAWS
+@given(st.builds(TwdpParams, k=st.floats(0.0, 1e3), gamma=st.floats(0.0, 1.0),
+                 sigma2=st.one_of(st.none(), st.floats(0.05, 5.0))),
+       st.floats(0.0, 4.0))
+def test_pdf_rician_bound_within_prefactor_bound(p, rn):
+    # the zero shortcut's bound (r/sigma^2) exp(-d^2) is never looser than
+    # the prefactor (r/sigma^2) exp(-(sqrt(x) - sqrt(K'))^2 + 2c), up to the
+    # prefactor exponent's rounding, and it bounds the density itself
+    r = rn * math.sqrt(p.omega)
+    _, _, _, pref, bound = _pdf_args(p, np.array([r], dtype=np.longdouble))
+    x = np.longdouble(r) ** 2 / (2 * np.longdouble(p.sigma2))
+    assert bound[0] <= pref[0] * np.exp(np.longdouble(1e-17) * (1 + x + p.k))
+    assert phase_average_pdf(p, np.array([r]))[0] <= float(bound[0]) * (1 + 1e-11)
