@@ -13,15 +13,18 @@ Three routes:
                                2F1(3/2, 1+m; 2; -(1+K)/(g0 sin^2(pi/M)))
                                - F1(3/2; 1/2, 1+m; 5/2; sin^2(pi/M), -(1+K)/g0) ]
 
-  Both bracket factors are Euler integrals over t in (0, 1) whose integrands
-  differ across m only through a power (1 + y t)^{-(1+m)}, and integrating
-  by parts ties three consecutive orders together: a three-term recurrence
-  in m (see _bracket_family) gives each further order in O(1) operations
-  per point, at working-precision relative accuracy, which the outer
+  It comes from putting the MGF series into the first route's integral,
+  so each order's bracket is one angle integral: with g = sin^2(pi/M)/rho,
+  rho = (1+K)/g0, and h = sin^2 phi/(sin^2 phi + g),
+
+    (sin(pi/M) rho/3) [ ... ]_m = B_m = int_0^{pi - pi/M} h (1-h)^m dphi,
+
+  and P = (1/pi) sum_m (1/m!) (-K/(1+Gamma^2))^m 2F1(-m,-m;1;Gamma^2) B_m.
+  _bracket_family gives B_m on a forward recurrence of positive terms,
+  seeded by the closed forms of _angle_seeds, in O(1) operations per order
+  and point at working-precision relative accuracy, which the outer
   alternating sum needs because its terms grow far past the result before
-  decaying.  The 2F1 argument uses sin^2(pi/M): substituting th = pi/2 into
-  the indefinite integral fixes the power, and the quadrature route
-  confirms it numerically (the sin^1 variant misses by ~1e-2 relative).
+  decaying.  As 0 <= 1-h <= 1, B_m bounds every later order.
 * asep_asymptotic: the large-g0 closed form
   (1+K)/(2 pi g0) (pi - pi/M + sin(2 pi/M)/2)/sin^2(pi/M) e^{-K} I_0(2 Gamma K/(1+Gamma^2)).
 
@@ -38,12 +41,12 @@ over the model's Poisson mixing weights w_k: given the phases, TWDP is
 Rician, a Poisson mixture of Nakagami-(k+1) fading, and (1/pi) E_(k+1) is
 M-PSK's error rate over Nakagami-(k+1) fading (Simon & Alouini, Digital
 Communication over Fading Channels, 2nd ed., ch. 8).  _nakagami_orders gives
-E_n from a recurrence in n.  A point the mixture does not converge at gets
-a SeriesDivergenceError in place of its result; callers (the CLI does this)
-can substitute asep_quadrature there, and asep_exact raises it.  Every pass
-runs on long doubles, the bracket family's seeds (_f1_seeds) included, and
-takes the average SNR as rho = (1+K)/g0 (specfun.snr_rho), finite at every
-double g0, subnormals included.
+E_n from a second positive recurrence in n, on the same seeds.  A point the
+mixture does not converge at gets a SeriesDivergenceError in place of its
+result; callers (the CLI does this) can substitute asep_quadrature there,
+and asep_exact raises it.  Every pass runs on long doubles, the seeds
+included, and takes the average SNR as rho = (1+K)/g0 (specfun.snr_rho),
+finite at every double g0, subnormals included.
 """
 
 from __future__ import annotations
@@ -73,8 +76,6 @@ from .specfun import (
 )
 
 _LD = np.longdouble
-# 3 pi/4, the F1 factor over the 2F1 one at M = 2, as the nearest long double
-_THREE_PI_4 = _LD("2.356194490192344928846982537459627163")
 
 
 @dataclass(frozen=True)
@@ -93,101 +94,53 @@ class ModulationSpec:
         object.__setattr__(self, "sin2_pim", s * s)
 
 
-def _minus_sin(z):
-    """z - sin z at 0 <= z <= pi, by its power series."""
-    acc = 1
-    for j in range(17, 0, -1):
-        acc = 1 - z * z / ((2 * j + 2) * (2 * j + 3)) * acc
-    return z ** 3 / 6 * acc
+def _angle_seeds(x0: float, g):
+    """A_1 = int_0^Phi (1-h) dphi and B_0 = int_0^Phi h dphi at x0 =
+    sin^2(pi/M) and long double g > 0 (one value or an array), with X =
+    cot(pi/M) = sqrt((1-x0)/x0), 0 at M = 2.  With beta = 1+g, r =
+    sqrt(g/beta), 1-r = 1/(beta (1+r)) and w = pi/2 + atan(r X), both are
+    sums of positive terms:
+
+        A_1 = r w,   B_0 = (1-r) w + atan((1-r) X/(1 + r X^2)),
+
+    and A_1 + B_0 = pi/2 + atan X = Phi.  Returns (A_1, B_0, X)."""
+    x0 = _LD(x0)
+    cot = np.sqrt((1 - x0) / x0)
+    beta = 1 + g
+    r = np.sqrt(g / beta)
+    r1 = 1 / (beta * (1 + r))
+    w = _PI / 2 + np.arctan(r * cot)
+    return r * w, r1 * w + np.arctan(r1 * cot / (1 + r * cot * cot)), cot
 
 
-def _minus_atan(z):
-    """z - atan z at z >= 0: its power series below 3/4, directly (>= z/7) above."""
-    w, acc = np.minimum(z, 0.75) ** 2, 0
-    for j in range(72, 0, -1):
-        acc = 1 / _LD(2 * j + 1) - w * acc
-    return np.where(z < 0.75, z ** 3 * acc, z - np.arctan(z))
+def _bracket_family(x0: float, g):
+    """B_m = int_0^Phi h (1-h)^m dphi for m = 0, 1, ... at every entry of
+    the long double array g, x0 = sin^2(pi/M).
 
+    Returns next_order(): its m-th call gives B_m over all points.  Each
+    point's recurrence is its own, so a point runs on unchanged after its
+    outer sum has stopped (_sum_series keeps that sum).  With A_n =
+    int_0^Phi (1-h)^n dphi and kappa = 1 - h(Phi) = g/(x0+g), integrating
+    d/dphi [(1-h)^n sin phi cos phi] over (0, Phi) gives
 
-def _f1_seeds(x: float, y):
-    """1.5 J_1(x, y) and 1.5 J_2(x, y) at x < 1 and every y > 0, as long
-    doubles, from sums of positive terms.  t = sin^2 phi/x gives J_(m+1) =
-    (2g/x^(3/2)) int_0^alpha h (1-h)^m dphi, alpha = arcsin sqrt(x), g =
-    x/y, h = sin^2 phi/(sin^2 phi + g).  With T^2 = x/(1-x), kappa =
-    sqrt(1+1/g), d = kappa-1 = 1/(g(kappa+1)), z = dT/(1+kappa T^2), b =
-    x+y and psi = atan sqrt(b/(1-x)), int_0^alpha h dphi = f/kappa, and
+        B_n = (A_n + 2g (n-1) B_(n-1) + kappa^n sin(pi/M) cos(pi/M)) / (2n beta),
+        A_(n+1) = A_n - B_n,
 
-        f = kappa alpha - atan(kappa T) = z - atan z
-            + d ((alpha - sin alpha cos alpha)(1+T^2) + alpha d T^2)/(1+kappa T^2),
-        1.5 J_1 = 3 f/(kappa y sqrt(x)),  1.5 J_2 = 0.75 (2 psi - sin 2 psi)/b^(3/2).
+    from the seeds A_1 and B_0 of _angle_seeds.  Every term of B_n is
+    positive; an order costs O(1) operations per point.
     """
-    x, y = _LD(x), y.astype(_LD)
-    t2 = x / (1 - x)
-    alpha, kappa = np.arctan(np.sqrt(t2)), np.sqrt(1 + y / x)
-    d, den = y / (x * (kappa + 1)), 1 + kappa * t2
-    f = (d * (_minus_sin(2 * alpha) / 2 * (1 + t2) + alpha * d * t2) / den
-         + _minus_atan(d * np.sqrt(t2) / den))
-    b = x + y
-    psi = np.arctan(np.sqrt(b / (1 - x)))
-    return 3 * f / (kappa * y * np.sqrt(x)), 0.75 * _minus_sin(2 * psi) / (b * np.sqrt(b))
-
-
-def _bracket_family(x0: float, lam, y0_abs):
-    """The factors 2F1(3/2,1+m;2;-lam) and F1(3/2;1/2,1+m;5/2;x0,-y0_abs)
-    for m = 0, 1, ... at every entry of lam and y0_abs, in long double.
-
-    Returns next_order(): its m-th call gives the order-m factors as a pair
-    (2F1 factors, F1 factors) of arrays over all points.  Each point's
-    recurrence is its own, so a point runs on unchanged after its outer sum
-    has stopped (_sum_series keeps that sum).  Both factors are multiples
-    c J_n(x, y) of
-
-        J_n(x, y) = int_0^1 sqrt(t) (1 - x t)^(-1/2) (1 + y t)^(-n) dt
-
-    at n = m + 1: the 2F1 one with c = 2/pi at x = 1, y = lam, the F1 one
-    with c = 3/2 at x = x0, y = y0_abs.  For M = 2 (x0 = 1, so lam = y0_abs)
-    one row serves both.  Integrating d/dt [t^(3/2) (1-xt)^(1/2) (1+yt)^(-n)]
-    over (0, 1) gives a three-term recurrence in n (at x = 1 Gauss's
-    contiguous relation in b, DLMF 15.5.E12), run here on the differences
-    D_n = V_n - V_{n+1} of the row values V_n = c J_n:
-
-        n (x + y) D_n = y (3/2 V_n - b_n) + (n - 2) x D_{n-1},
-        b_n = c sqrt(1 - x) (1 + y)^(-n).
-
-    J_n decays algebraically in n and the other solution like (x/(x+y))^n,
-    so the forward recursion is stable (Gil, Segura & Temme, Numerical
-    Methods for Special Functions, SIAM 2007, ch. 4).  As y -> 0 both
-    solutions flatten, and the three-term form itself loses digits at a rate
-    that grows with n (3.5e4 u after 500 orders at y = 1e-8, u the unit
-    roundoff); on the differences the rounding stays within about 130 u
-    over 500 orders for M up to 64.
-    The term in D_1 vanishes at n = 2, so J_1 and J_2 seed it: at x = 1,
-    2/pi J_1 = 2/(s (1 + s)) and 2/pi J_2 = s^-3 with s = sqrt(1 + lam);
-    at x0 < 1 the closed forms of _f1_seeds, in long double too.  An order
-    costs O(1) operations per point.
-    """
-    rows = 1 if x0 == 1.0 else 2
-    x = np.array([1.0, x0][:rows], dtype=_LD)[:, None]
-    y = np.array([lam, y0_abs][:rows], dtype=_LD)
-    v, v_next = np.zeros((2, rows, len(lam)), dtype=_LD)
-    s = np.sqrt(1 + y[0])
-    v[0], v_next[0] = 2 / (s * (1 + s)), 1 / (s * s * s)
-    b = v * 0
-    if rows == 2:
-        v[1], v_next[1] = _f1_seeds(x0, y0_abs)
-        b[1] = 1.5 * np.sqrt(1 - x[1]) / ((1 + y[1]) * (1 + y[1]))
-    g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
-    d = v * 0
-    n = 2
+    a, b, cot = _angle_seeds(x0, g)
+    x0 = _LD(x0)
+    beta, kappa, sc = 1 + g, g / (x0 + g), x0 * cot
+    kn, n = g * 0 + 1, 0
 
     def next_order():
-        nonlocal v, v_next, b, d, n
-        # at x0 = 1 the F1 factor is 3 pi/4 times the 2F1 one
-        out = v[0], v[1] if rows == 2 else _THREE_PI_4 * v[0]
-        d = (q * (1.5 * v_next - b) + (n - 2) * (r * d)) / n
-        v, v_next = v_next, v_next - d
-        b = b * g
+        nonlocal a, b, kn, n
+        out = b
         n += 1
+        kn = kn * kappa
+        b = (a + 2 * g * (n - 1) * b + kn * sc) / (2 * n * beta)
+        a = a - b
         return out
 
     return next_order
@@ -195,24 +148,19 @@ def _bracket_family(x0: float, lam, y0_abs):
 
 def _asep_pass(p: TwdpParams, mod: ModulationSpec, gamma0, ps):
     """The error rate at the average SNRs gamma0[ps.points] in the tier
-    ps.name: coef_series with u = -1, or the mixture, at rho = (1+K)/g0:
-    lam = rho/sin^2(pi/M), y0_abs = rho and g = sin^2(pi/M)/rho."""
-    x0 = _LD(mod.sin2_pim)
-    rho = snr_rho(p.k, gamma0[ps.points])
+    ps.name: coef_series with u = -1 on the factors B_m of _bracket_family,
+    or the mixture, at g = sin^2(pi/M)/rho, rho = (1+K)/g0."""
+    g = _LD(mod.sin2_pim) / snr_rho(p.k, gamma0[ps.points])
     if ps.name == "mixture":
-        return _asep_mixture(p, mod, x0 / rho)
-    sp = np.sqrt(x0)
-    c_bracket = 3 * _PI / (2 * sp * x0)  # 3 pi / (2 sin^3)
-
-    next_order = _bracket_family(mod.sin2_pim, rho / x0, rho)
+        return _asep_mixture(p, mod, g)
+    next_order = _bracket_family(mod.sin2_pim, g)
 
     def bracket(m):
-        # both parts are positive and fall with m: the larger bounds later ones
-        t1, f1 = next_order()
-        t1 = t1 * c_bracket
-        return t1 - f1, np.maximum(t1, f1)
+        # 0 <= 1-h <= 1, so B_m bounds every later B_j
+        b = next_order()
+        return b, b
 
-    return coef_series(p, -1, bracket, len(rho), sp * rho / (3 * _PI))
+    return coef_series(p, -1, bracket, len(g), 1 / _PI)
 
 
 def _asep_mixture(p: TwdpParams, mod: ModulationSpec, g):
@@ -239,46 +187,29 @@ def _nakagami_orders(g, mod: ModulationSpec, n: int):
     """E_1..E_n, E_m = int_0^{pi-pi/M} h^m dphi with h = sin^2 phi /
     (sin^2 phi + g), at one long double g > 0.
 
-    With beta = 1+g and H = sin^2(pi/M)/(sin^2(pi/M) + g), the substitution
-    h(phi) maps [0, pi/2] onto [0, 1/beta] and [pi/2, pi-pi/M] back onto
-    [H, 1/beta], so
+    With beta = 1+g and kappa = g/(sin^2(pi/M) + g), P_m = E_m - E_(m+1) =
+    int_0^Phi h^m (1-h) dphi satisfies, by integrating d/dphi [h^m cot phi],
 
-        E_m - E_(m+1) = P_m = (sqrt(g)/2) (2 Q_m(1/beta) - Q_m(H)),
-        Q_m(H) = int_0^H h^(m-1/2) (1 - beta h)^(-1/2) dh,
+        P_m = ((2m-1) P_(m-1) + g X (1-kappa)^m) / (2m beta),  P_0 = A_1,
 
-    and integrating d/dh [h^(m+1/2) (1 - beta h)^(1/2)] gives (m+1/2) Q_m -
-    beta (m+1) Q_(m+1) = H^(m+1/2) (1 - beta H)^(1/2), Q_0(H) =
-    2 arcsin(sqrt(beta H))/sqrt(beta).  At H = 1/beta the right side
-    vanishes: Q_m(1/beta) = pi/sqrt(beta) L_m, L_m = prod_{i<m} (i+1/2) /
-    (beta (i+1)).  Below it the recurrence, solved backward, is a sum of
-    positive terms: Q_m(H) = L_m sum_{j>=m} r_j, r_0 = 2 sqrt(H (1 - beta
-    H)), r_(j+1)/r_j = beta H (j+1)/(j+3/2).  E_m = sum_{j>=m} P_j, whose
-    terms fall by 1/beta or faster.  Each tail (_tails) sums its terms over
-    a window past the orders needed, long enough for them to fall by e^-46,
-    but at most 8 times those orders: where that cuts it short, the terms
-    fall so slowly that taking the rest as the total less the window's sum
-    loses under 6 bits.  At M = 2, H = 1/beta and P_m = (sqrt(g)/2)
-    Q_m(1/beta).
+    X and A_1 from _angle_seeds, whose solution is the positive product-sum
+    P_m = L_m (A_1 + sum_{i<=m} g X C_i/(2i beta)), L_m = prod_{i<=m}
+    (2i-1)/(2i beta), C_i = prod_{l<=i} 2l beta (1-kappa)/(2l-1); as beta
+    (1-kappa) < 1 at M > 2 (X = 0 at M = 2), C_i stays below sqrt(pi (i+1)).
+    E_m = sum_{j>=m} P_j, whose terms fall by 1/beta or faster.  Its tail
+    (_tails) sums the terms over a window past the orders needed, long
+    enough for them to fall by e^-46, but at most 8 times those orders:
+    where that cuts it short, the terms fall so slowly that taking the rest
+    as the total less the window's sum loses under 6 bits.
     """
-    def window(rate, m):
-        return m + math.ceil(min(46 / rate if rate > 0 else math.inf, 8 * m + 64))
-
-    beta = 1 + g
-    n_p = window(float(np.log1p(g)), n + 1)
+    beta, rate = 1 + g, float(np.log1p(g))
+    n_p = n + 1 + math.ceil(min(46 / rate if rate > 0 else math.inf, 8 * n + 72))
+    a1, _, cot = _angle_seeds(mod.sin2_pim, g)
+    s = _LD(mod.sin2_pim)
     i = np.arange(1, n_p, dtype=_LD)
     lm = np.cumprod(np.append(_LD(1), (i - _LD(0.5)) / (beta * i)))
-    q_top = _PI / np.sqrt(beta) * lm
-    if mod.m_order == 2:
-        p_m = np.sqrt(g) / 2 * q_top
-    else:
-        s = _LD(mod.sin2_pim)
-        bh = beta * s / (s + g)
-        n_q = window(float(np.log1p(g / s) - np.log1p(g)), n_p)
-        j = np.arange(1, n_q, dtype=_LD)
-        r = (2 * np.sqrt(s / (s + g) * (g * (1 - s) / (s + g)))
-             * np.cumprod(np.append(_LD(1), bh * j / (j + _LD(0.5)))))
-        q_h = lm * _tails(r, bh, 2 * np.arcsin(np.sqrt(bh)) / np.sqrt(beta))[:n_p]
-        p_m = np.sqrt(g) / 2 * (2 * q_top - q_h)
+    c = np.cumprod(beta * s / (s + g) * i / (i - _LD(0.5)))
+    p_m = lm * (a1 + np.cumsum(np.append(_LD(0), g * cot * c / (2 * beta * i))))
     return _tails(p_m, 1 / beta, _PI - _PI / mod.m_order)[1:n + 1]
 
 

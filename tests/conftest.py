@@ -467,13 +467,6 @@ def to_mpf(x):
     return mp.mpf((int(np.ldexp(man, 64)), int(exp) - 64))
 
 
-def ld_from_mpf(x):
-    """The long double nearest to an mpf value."""
-    with mp.workprec(64):
-        man, exp = (+x).man_exp
-        return np.ldexp(np.longdouble(-man if x < 0 else man), exp)
-
-
 def ive_ladder_scalar(x, nu_max: int):
     """exp(-x) I_nu(x), nu = 0..nu_max, at one x >= 0 in long double: the
     scalar Miller loop over the ratios q_k = I_k/I_(k-1) and their tail sums."""
@@ -585,9 +578,13 @@ def mgf_pass_scalar(p, gamma0: float, s_arg: float):
 
 
 def bracket_row(x, y, v, v_next, b):
-    """The row values V_n of one bracket factor of asep._bracket_family, n =
-    1, 2, ..., from its seeds V_1, V_2 and b = b_2, by the recurrence on the
-    differences D_n = V_n - V_{n+1}, in the arithmetic of its arguments."""
+    """The row values V_n = c J_n(x, y), n = 1, 2, ..., of one of the paper's
+    bracket factors, J_n(x, y) = int_0^1 sqrt(t) (1 - x t)^(-1/2) (1 + y
+    t)^(-n) dt: the 2F1 one is c = 2/pi at x = 1, y = rho/sin^2(pi/M), the
+    F1 one c = 3/2 at x = sin^2(pi/M), y = rho.  Integrating d/dt [t^(3/2)
+    (1-xt)^(1/2) (1+yt)^(-n)] gives a three-term recurrence, run from the
+    seeds V_1, V_2 and b = b_2 = c sqrt(1-x) (1+y)^(-2) on the differences
+    D_n = V_n - V_{n+1}, in the arithmetic of its arguments."""
     g, q, r = 1 / (1 + y), y / (x + y), x / (x + y)
     d, n = v * 0, 2
     while True:
@@ -599,39 +596,32 @@ def bracket_row(x, y, v, v_next, b):
 
 def asep_pass_scalar(p, sin2_pim: float, gamma0: float):
     """The long-double exact M-PSK error-rate pass at one average SNR, its
-    bracket factors from the recurrence of asep._bracket_family run one
-    point at a time."""
-    from twdp.asep import _f1_seeds
+    factors B_m from the recurrence of asep._bracket_family run one point
+    at a time."""
+    from twdp.asep import _angle_seeds
     from twdp.specfun import _PI
 
     LD = np.longdouble
     K, g2 = LD(p.k), LD(p.gamma) ** 2
     a = K / (1 + g2)
-    x0, rho = LD(sin2_pim), (1 + K) / LD(gamma0)
-    sp = np.sqrt(x0)
-    lam = rho / x0
-    c_bracket = 3 * _PI / (2 * sp * x0)
-
-    s = np.sqrt(1 + lam)
-    f2f1 = bracket_row(LD(1), lam, 2 / (s * (1 + s)), 1 / (s * s * s), LD(0))
-    if sin2_pim < 1.0:
-        (v,), (v_next,) = _f1_seeds(sin2_pim, np.array([rho]))
-        f1 = bracket_row(x0, rho, v, v_next, 1.5 * np.sqrt(1 - x0) / ((1 + rho) * (1 + rho)))
-    else:
-        with mp.workprec(87):  # the family's bits for long double: 63 + 24
-            to_f1 = ld_from_mpf(3 * mp.pi / 4)
+    x0 = LD(sin2_pim)
+    g = x0 / ((1 + K) / LD(gamma0))
+    a_n, b_n, cot = _angle_seeds(sin2_pim, g)
+    beta, kappa, sc = 1 + g, g / (x0 + g), x0 * cot
 
     def terms():
-        cm = LD(1.0)
+        nonlocal a_n, b_n
+        cm, kn = LD(1.0), LD(1.0)
         for m, leg in enumerate(legendre_2f1(g2)):
-            t1 = next(f2f1)
-            f1_m = next(f1) if sin2_pim < 1.0 else to_f1 * t1
-            t1 = c_bracket * t1
-            yield (t1 - f1_m) * cm * leg, coef_rest(p, -1, max(t1, f1_m), abs(cm * leg), m)
+            if m:
+                kn = kn * kappa
+                b_n = (a_n + 2 * g * (m - 1) * b_n + kn * sc) / (2 * m * beta)
+                a_n = a_n - b_n
+            yield b_n * cm * leg, coef_rest(p, -1, b_n, abs(cm * leg), m)
             cm = cm * (-a) / (m + 1)
 
     s, n, last, pos, _ = scalar_series(terms())
-    return _finish(sp * rho / (3 * _PI), s, n, last, pos)
+    return _finish(1 / _PI, s, n, last, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +657,10 @@ def cdf_series_mp(p, r: float, dps: int = 50) -> float:
 
 
 def asep_series_mp(p, m_order: int, gamma0: float, dps: int = 50) -> float:
-    """M-PSK symbol error probability: the paper's exact series, the terms
-    of asep_pass_scalar, summed in mpmath at dps digits under the stopping
-    rule of specfun and its remainder bound.  The bracket factors run the
+    """M-PSK symbol error probability: the paper's exact series in its own
+    2F1/F1 form, the sum of asep_pass_scalar without its angle-integral
+    factors, summed in mpmath at dps digits under the stopping rule of
+    specfun and its remainder bound.  The bracket factors run the
     recurrence of bracket_row from their closed-form seeds, taken with 30
     more digits for the cancellation in J_1 and J_2 at small y."""
     from twdp.asep import ModulationSpec

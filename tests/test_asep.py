@@ -9,6 +9,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
 from twdp import asep
@@ -50,17 +51,18 @@ class TestModulationSpec:
 
 
 @functools.cache
-def bracket_reference(m_order: int, y0: float, m: int) -> tuple:
+def bracket_reference(m_order: int, y0, m: int) -> tuple:
     """The order-m bracket factors at 50 digits: 2F1(3/2, 1+m; 2; -y0/x0) by
     mpmath's hyp2f1, and F1(3/2; 1/2, 1+m; 5/2; x0, -y0) as 3/2 times its
-    Euler integral by mp.quad, x0 = sin^2(pi/M).  The integral is taken in
-    s = sqrt(1 - t), which removes the endpoint singularity at t = 1 for
-    M = 2, with breakpoints down to the scale of the integrand's peak near
-    t = 0."""
+    Euler integral by mp.quad, x0 = sin^2(pi/M), both at the same exact y0
+    (a float or an mpf).
+    The integral is taken in s = sqrt(1 - t), which removes the endpoint
+    singularity at t = 1 for M = 2, with breakpoints down to the scale of
+    the integrand's peak near t = 0."""
     x0 = ModulationSpec(m_order).sin2_pim
     with mp.workdps(60):
         x, y = mp.mpf(x0), mp.mpf(y0)
-        f2f1 = mp.hyp2f1(1.5, 1 + m, 2, -mp.mpf(y0 / x0))
+        f2f1 = mp.hyp2f1(1.5, 1 + m, 2, -y / x)
         pts, c = [mp.mpf(1)], 1 / ((1 + m) * y)
         while c < 1:
             pts.append(mp.sqrt(1 - c))
@@ -77,8 +79,9 @@ def bracket_reference(m_order: int, y0: float, m: int) -> tuple:
 
 
 class TestBracketFamily:
-    """The error-rate bracket factors against 50-digit mpmath values
-    computed without the recurrence."""
+    """The error-rate factors B_m against the paper's bracket, (sin(pi/M)
+    rho/3) (3 pi/(2 sin^3(pi/M)) 2F1 - F1), from 50-digit mpmath values
+    computed without the recurrence, at rho = y0 as the code takes it."""
 
     ORDERS = (0, 1, 2, 10, 100, 499)
     Y0 = (1e-8, 1e-6, 1e-3, 1.0, 1e4, 1e30)
@@ -87,51 +90,75 @@ class TestBracketFamily:
     @pytest.mark.parametrize("tier", ["longdouble"])
     @pytest.mark.parametrize("m_order", [2, 3, 4, 8, 16])
     def test_against_50_digit_mpmath(self, tier, m_order):
-        # within 256 units of the long double's last place, u = 2^-64; the
-        # recurrence's rounding grows to about 130 u over 500 orders.  At
-        # y0 = 1e30, 1 - (x0+y0)/(1+y0) is about 1e-30: a seed through
-        # arcsin sqrt of that ratio misses by thousands of u there
+        # within 256 units of the long double's last place, u = 2^-64
         x0 = ModulationSpec(m_order).sin2_pim
-        y0 = np.array(self.Y0)
-        next_order = asep._bracket_family(x0, y0 / x0, y0)
-        with mp.workdps(48):
+        g = np.longdouble(x0) / np.array(self.Y0, dtype=np.longdouble)
+        next_order = asep._bracket_family(x0, g)
+        with mp.workdps(60):
+            x = mp.mpf(x0)
             for m in range(max(self.ORDERS) + 1):
-                t1, f1 = next_order()
+                b = next_order()
                 if m not in self.ORDERS:
                     continue
                 for i, y in enumerate(self.Y0):
-                    for got, want in zip((t1[i], f1[i]), bracket_reference(m_order, y, m)):
-                        assert abs(to_mpf(got) / want - 1) <= 256 * 2.0**-64, (m, y)
+                    # the g the code ran at, and the rho it stands for
+                    rho = x / to_mpf(g[i])
+                    f2f1, f1 = bracket_reference(m_order, rho, m)
+                    want = mp.sqrt(x) * rho / 3 * (3 * mp.pi / (2 * x * mp.sqrt(x)) * f2f1 - f1)
+                    assert abs(to_mpf(b[i]) / want - 1) <= 256 * 2.0**-64, (m, y)
 
 
 class TestF1Seeds:
-    """The bracket family's long-double seeds 1.5 J_1 and 1.5 J_2 at x0 < 1
-    against their closed forms in arcsin,
+    """The seeds of both recurrences, A_1 = int_0^Phi (1-h) dphi and B_0 =
+    int_0^Phi h dphi, which take the place of the F1 factor's closed-form
+    seeds, against the paper's bracket at m = 0 in closed form,
 
-        J_1 = 2 (theta/sqrt(x0) - phi/sqrt(b))/y0,
-        J_2 = (phi/sqrt(b) - sqrt(1-x0)/(1+y0))/b,
+        B_0 = (sqrt(x0) rho/3) (3 pi/(x0^(3/2) s (1+s)) - 3 (theta/sqrt(x0) - psi/sqrt(b))/rho),
 
-    theta = arcsin sqrt(x0), phi = arcsin sqrt(b/(1+y0)), b = x0 + y0, in
-    mpmath at 60 + |log10 y0| digits: J_1 cancels by about 1/y0 at small y0,
-    and phi's argument lies within about 1/y0 of 1 at large y0.  y0 = 1e330,
-    past the double range, is (1+K)/gamma0 at a subnormal gamma0."""
+    s = sqrt(1 + rho/x0), theta = arcsin sqrt(x0), psi = arcsin sqrt(b/(1+rho)),
+    b = x0 + rho, and A_1 = pi - theta - B_0, in mpmath at 60 + |log10 rho|
+    digits: B_0 cancels by about rho at small rho, and A_1 by about
+    1/sqrt(rho) at large rho.  rho = 1e330, past the double range, is
+    (1+K)/gamma0 at a subnormal gamma0."""
 
-    Y0 = (1e-300, 1e-30, *(10.0 ** e for e in range(-12, 13)), 1e30, 1e300,
-          np.longdouble("1e330"))
+    RHO = (1e-300, 1e-30, *(10.0 ** e for e in range(-12, 13)), 1e30, 1e300,
+           np.longdouble("1e330"))
 
-    @pytest.mark.parametrize("m_order", [3, 4, 8, 16, 64, 1024])
+    @pytest.mark.parametrize("m_order", [2, 3, 4, 8, 16, 64, 1024])
     def test_against_closed_forms(self, m_order):
         x0 = ModulationSpec(m_order).sin2_pim
-        j1, j2 = asep._f1_seeds(x0, np.array(self.Y0, dtype=np.longdouble))
-        for i, y0 in enumerate(self.Y0):
-            with mp.workdps(60 + abs(int(mp.log10(to_mpf(y0))))):
-                x, y = mp.mpf(x0), to_mpf(y0)
+        g = np.longdouble(x0) / np.array(self.RHO, dtype=np.longdouble)
+        a1, b0, _ = asep._angle_seeds(x0, g)
+        for i, rho in enumerate(self.RHO):
+            with mp.workdps(60 + abs(int(mp.log10(to_mpf(rho))))):
+                x = mp.mpf(x0)
+                y = x / to_mpf(g[i])  # the rho of the g the code ran at
+                s, theta = mp.sqrt(1 + y / x), mp.asin(mp.sqrt(x))
                 b = x + y
-                f = mp.asin(mp.sqrt(b / (1 + y))) / mp.sqrt(b)
-                want = (3 * (mp.asin(mp.sqrt(x)) / mp.sqrt(x) - f) / y,
-                        1.5 * (f - mp.sqrt(1 - x) / (1 + y)) / b)
-                for got, ref in zip((j1[i], j2[i]), want):
-                    assert abs(to_mpf(got) / ref - 1) <= 16 * 2.0**-64, y0
+                psi = mp.asin(mp.sqrt(b / (1 + y)))
+                want_b0 = mp.sqrt(x) * y / 3 * (3 * mp.pi / (x * mp.sqrt(x) * s * (1 + s))
+                                                - 3 * (theta / mp.sqrt(x) - psi / mp.sqrt(b)) / y)
+                want = (mp.pi - theta - want_b0, want_b0)
+                for got, ref in zip((a1[i], b0[i]), want):
+                    assert abs(to_mpf(got) / ref - 1) <= 16 * 2.0**-64, rho
+
+
+@settings(max_examples=40)
+@given(st.floats(-12.0, 12.0), st.sampled_from([2, 3, 4, 5, 8, 16, 64, 1024]))
+def test_bracket_family_and_nakagami_orders_agree(log_g, m_order):
+    # B_0 from the seeds and E_1 from the mixture's tail sum are two routes
+    # to int_0^Phi h dphi; the seeds split Phi; and B_m is positive and
+    # non-increasing, which the error-rate remainder bound relies on
+    mod = ModulationSpec(m_order)
+    g = np.longdouble(10.0 ** log_g)
+    a1, b0, _ = asep._angle_seeds(mod.sin2_pim, g)
+    e1 = asep._nakagami_orders(g, mod, 50)[0]
+    assert abs(e1 / b0 - 1) <= 1e-16
+    phi = specfun._PI - specfun._PI / m_order
+    assert abs((a1 + b0) / phi - 1) <= 1e-16
+    next_order = asep._bracket_family(mod.sin2_pim, np.array([g]))
+    b = np.array([next_order()[0] for _ in range(500)])
+    assert (b > 0).all() and (np.diff(b) <= 0).all()
 
 
 @functools.cache
