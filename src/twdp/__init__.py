@@ -21,13 +21,14 @@ from .dist import (
     pdf,
     pdf_grid,
 )
-from .mgf import mgf_closed, mgf_series, mgf_series_grid
+from .mgf import mgf_closed, mgf_closed_grid, mgf_series, mgf_series_grid
 from .asep import (
     ModulationSpec,
     asep_asymptotic,
     asep_exact,
     asep_exact_grid,
     asep_quadrature,
+    asep_quadrature_grid,
 )
 from .mcsim import SerEstimate, SimConfig, simulate_psk_ser, simulate_psk_ser_grid
 
@@ -47,6 +48,7 @@ __all__ = [
     "asep_exact",
     "asep_exact_grid",
     "asep_quadrature",
+    "asep_quadrature_grid",
     "cdf",
     "cdf_grid",
     "cdf_snr",
@@ -55,6 +57,7 @@ __all__ = [
     "k_from_rice_delta",
     "k_from_rice_gamma",
     "mgf_closed",
+    "mgf_closed_grid",
     "mgf_series",
     "mgf_series_grid",
     "pdf",

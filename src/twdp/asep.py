@@ -3,9 +3,8 @@
 Three routes:
 
 * asep_quadrature: (1/pi) int_0^{pi - pi/M} M(-sin^2(pi/M)/sin^2 th) dth with
-  the closed-form MGF.  Unambiguous, treated as ground truth by the tests.
-  At low g0 the integrand rises within a layer at th = 0 of width
-  sqrt(sin^2(pi/M) g0/(1+K)); geometric breakpoints resolve a thin one.
+  the closed-form MGF, by adaptive bisection in array passes over a whole
+  sweep (asep_quadrature_grid).  Treated as ground truth by the tests.
 * asep_exact: the explicit series
 
     P = sin(pi/M) (1+K)/(3 pi g0) sum_m (1/m!) (-K/(1+Gamma^2))^m
@@ -43,8 +42,8 @@ M-PSK's error rate over Nakagami-(k+1) fading (Simon & Alouini, Digital
 Communication over Fading Channels, 2nd ed., ch. 8).  _nakagami_orders gives
 E_n from a second positive recurrence in n, on the same seeds.  A point the
 mixture does not converge at gets a SeriesDivergenceError in place of its
-result; callers (the CLI does this) can substitute asep_quadrature there,
-and asep_exact raises it.  Every pass runs on long doubles, the seeds
+result; callers (the CLI does this) can substitute asep_quadrature_grid
+there, and asep_exact raises it.  Every pass runs on long doubles, the seeds
 included, and takes the average SNR as rho = (1+K)/g0 (specfun.snr_rho),
 finite at every double g0, subnormals included.
 """
@@ -56,10 +55,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # scipy.integrate loads on first use, not at import
 
 from .errors import InvalidParameterError, QuadratureError
-from .mgf import mgf_closed
+from .mgf import _closed_mgf
 from .params import TwdpParams
 from .specfun import (
     _PI,
@@ -76,6 +74,9 @@ from .specfun import (
 )
 
 _LD = np.longdouble
+
+# the quadrature's relative target, its panel budget, and the points of one batch
+_QUAD_REL, _PANEL_LIMIT, _QUAD_CHUNK = 1e-10, 200, 256
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
     Returns a SeriesResult per point, or in its place the
     SeriesDivergenceError of a point where neither the series nor its
     mixture converges within its term budget (callers such as the CLI
-    substitute asep_quadrature there).
+    substitute asep_quadrature_grid there).
     """
     g0 = _grid(gamma0s, lambda v: (v > 0) & np.isfinite(v), "gamma0 must be positive and finite")
 
@@ -255,39 +256,72 @@ def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     if not math.isfinite(value):
         raise InvalidParameterError(
             f"the asymptotic error rate at gamma0={gamma0} overflows double")
-    return value
+    return float(value)
+
+
+@functools.cache  # numpy.polynomial loads on the first quadrature, not at import
+def _gauss_parts():
+    """Gauss-Legendre nodes as fractions of a panel's width, and weights: on it, then its halves."""
+    x, w = np.polynomial.legendre.leggauss(10)
+    return np.r_[(1 + x) / 2, (1 + x) / 4, (3 + x) / 4], np.r_[w / 2, w / 4, w / 4]
 
 
 def asep_quadrature(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:
     """M-PSK symbol error probability by adaptive quadrature of the MGF integral."""
-    _check_gamma0(gamma0)
-    c = mod.sin2_pim
+    return float(asep_quadrature_grid(p, mod, [gamma0])[0])
 
-    def integrand(theta: float) -> float:
-        st = math.sin(theta)
-        st2 = st * st
-        if st2 <= 0.0:  # theta = 0, or sin^2 underflows in the breakpoints' reach
-            return 0.0
-        s = -c / st2
-        if not math.isfinite(s):
-            return 0.0
-        return mgf_closed(p, gamma0, s)
 
-    upper = math.pi - math.pi / mod.m_order
-    # at low SNR the integrand climbs from 0 to about 1 within a layer of
-    # width w = sqrt(sin^2(pi/M) gamma0 / (1+K)) at theta = 0, too thin for
-    # quad to find unaided; geometric breakpoints w 8^j lead it there
-    w = math.sqrt(c) * math.sqrt(gamma0 / (1.0 + p.k))
-    points = []
-    if 0.0 < w < 0.01 * upper:
-        while w < upper / 2:
-            points.append(w)
+def asep_quadrature_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> np.ndarray:
+    """asep_quadrature along a sweep of SNRs, each value bit for bit its one-point
+    call, by adaptive bisection of all their panels.  Breakpoints w 8^j lead into
+    the layer of width w = sqrt(sin^2(pi/M) g0/(1+K)) at th = 0 where the integrand
+    climbs at low SNR.  A pair of halves is accepted when |left + right - panel| <=
+    tol = _QUAD_REL width/Phi times its point's estimate and its parent pair was within
+    1e6 tol, what a halving gains on a smooth panel: past a rough one it may pass by chance.
+    QuadratureError names a point needing over _PANEL_LIMIT panels past its breakpoints."""
+    g0 = _grid(gamma0s, lambda v: (v > 0) & np.isfinite(v), "gamma0 must be positive and finite")
+    if not 0 < len(g0) <= _QUAD_CHUNK:  # batches bound the node arrays
+        return np.concatenate([np.empty(0)] + [asep_quadrature_grid(p, mod, g0[i:i + _QUAD_CHUNK])
+                                               for i in range(0, len(g0), _QUAD_CHUNK)])
+    c, upper, n = mod.sin2_pim, math.pi - math.pi / mod.m_order, len(g0)
+    pt, lo, hi = [], [], []
+    for i, gamma0 in enumerate(g0):
+        at, w = [0.0], math.sqrt(c) * math.sqrt(float(gamma0) / (1.0 + p.k))
+        while 0.0 < w < (0.01 if len(at) == 1 else 0.5) * upper:  # a thin layer only
+            at.append(w)
             w *= 8.0
-    out = scipy.integrate.quad(
-        integrand, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=200 + len(points),
-        points=points or None, full_output=1,
-    )
-    val, err = out[0], out[1]
-    if len(out) > 3:  # ier != 0 message appended
-        raise QuadratureError(f"asep quadrature failed: {out[3]}", err)
-    return val / math.pi
+        pt += [i] * len(at)
+        lo += at
+        hi += at[1:] + [upper]
+    pt, lo, rho = np.array(pt, dtype=np.intp), np.array(lo), snr_rho(p.k, g0)
+    width = np.array(hi) - lo
+
+    def rule(frac, weight):  # a column per part of each panel; 0 where sin th = 0
+        st = _LD(np.sin(lo[:, None] + width[:, None] * frac))
+        f = np.where(st > 0, _closed_mgf(p, rho[pt, None], -c / np.where(st > 0, st * st, 1)), 0)
+        # summed elementwise, so that a panel's value never depends on the batch
+        return (f * weight).reshape(len(lo), -1, 10).sum(axis=2) * width[:, None]
+
+    frac, weight = _gauss_parts()
+    first, passed = rule(frac, weight), np.zeros(len(pt), bool)
+    val, halves, done, added = first[:, 0], first[:, 1:], np.zeros(n), np.zeros(n, int)
+    while True:
+        both = halves[:, 0] + halves[:, 1]
+        gap = np.abs(both - val)
+        tol = _QUAD_REL / upper * (done + np.bincount(pt, both, minlength=n))[pt] * width
+        fine = gap <= tol
+        ok = fine & passed
+        done += np.bincount(pt[ok], both[ok], minlength=n)
+        added += np.bincount(pt[~fine], minlength=n)
+        if (added >= _PANEL_LIMIT).any():
+            i = np.argmax(added >= _PANEL_LIMIT)
+            raise QuadratureError(
+                f"asep quadrature at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])} needs more"
+                f" than {_PANEL_LIMIT} panels past its breakpoints", gap[pt == i].sum() / math.pi)
+        keep = np.flatnonzero(~ok)
+        if not len(keep):
+            return done / math.pi
+        val, twice = halves[keep].ravel(), np.repeat(keep, 2)
+        pt, lo, width, passed = pt[twice], lo[twice], width[twice] / 2, (gap <= 1e6 * tol)[twice]
+        lo[1::2] += width[1::2]
+        halves = rule(frac[10:], weight[10:])

@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from . import dist, mcsim, params
-from .asep import ModulationSpec, asep_asymptotic, asep_exact_grid, asep_quadrature
+from .asep import ModulationSpec, asep_asymptotic, asep_exact_grid, asep_quadrature_grid
 from .errors import InvalidParameterError, QuadratureError, SeriesDivergenceError
-from .mgf import mgf_closed, mgf_series_grid
+from .mgf import mgf_closed_grid, mgf_series_grid
 from .params import TwdpParams
 
 EXIT_OK = 0
@@ -149,13 +149,11 @@ def _asep_exact_with_fallback(p, mod, gamma0s):
     """(value, terms, tag) per average SNR; substitutes quadrature at the
     points where the series cannot be summed or its mixture would pass its
     term budget."""
-    out = []
-    for gamma0, res in zip(gamma0s, asep_exact_grid(p, mod, gamma0s)):
-        if isinstance(res, SeriesDivergenceError):
-            out.append((asep_quadrature(p, mod, gamma0), 0, "quadrature-fallback"))
-        else:
-            out.append((res.value, res.terms_used, "exact"))
-    return out
+    results = asep_exact_grid(p, mod, gamma0s)
+    lost = [i for i, res in enumerate(results) if isinstance(res, SeriesDivergenceError)]
+    quad = dict(zip(lost, asep_quadrature_grid(p, mod, [gamma0s[i] for i in lost])))
+    return [(quad[i], 0, "quadrature-fallback") if i in quad
+            else (res.value, res.terms_used, "exact") for i, res in enumerate(results)]
 
 
 def _simulate(p, mod, snrs, cfg, min_errors=None) -> list:
@@ -189,8 +187,8 @@ def _cmd_mgf(args, out) -> int:
             row += [res.value, res.terms_used]
     if args.method in ("closed", "both"):
         header += ["mgf_closed"]
-        for row, s in zip(rows, xs):
-            row.append(mgf_closed(p, gamma0, float(s)))
+        for row, value in zip(rows, mgf_closed_grid(p, gamma0, xs)):
+            row.append(value)
     _write_csv(header, rows, out)
     return EXIT_OK
 
@@ -207,8 +205,8 @@ def _cmd_asep(args, out) -> int:
             exact = _asep_exact_with_fallback(p, mod, gamma0s)
             cols.append([value for value, _terms, _tag in exact])
         else:
-            fn = asep_asymptotic if m == "asymptotic" else asep_quadrature
-            cols.append([fn(p, mod, gamma0) for gamma0 in gamma0s])
+            cols.append(asep_quadrature_grid(p, mod, gamma0s) if m == "quadrature"
+                        else [asep_asymptotic(p, mod, gamma0) for gamma0 in gamma0s])
     if "exact" in methods:
         header.append("method_tag")
         cols.append([tag for _value, _terms, tag in exact])

@@ -443,10 +443,10 @@ def mixture_series(p, size: int, factor: Callable, factor_ratio: Callable, pref,
 # exp * I0 products
 
 
-def _exp_i0(pref, lin, x) -> float:
-    """pref exp(lin) I_0(x) for x >= 0, from long doubles pref, lin and x.
+def _exp_i0(pref, lin, x):
+    """pref exp(lin) I_0(x) in double for x >= 0, from long doubles (arrays too).
 
     Evaluated as (pref exp(lin + x)) ive_0(x) with scipy.special.i0e, one
     exponentiation, so I_0 itself never overflows.
     """
-    return float((pref * np.exp(lin + x)) * scipy.special.i0e(float(x)))
+    return np.float64((pref * np.exp(lin + x)) * scipy.special.i0e(np.float64(x)))

@@ -16,12 +16,14 @@ from twdp import asep
 from twdp import (
     InvalidParameterError,
     ModulationSpec,
+    QuadratureError,
     SeriesDivergenceError,
     TwdpParams,
     asep_asymptotic,
     asep_exact,
     asep_exact_grid,
     asep_quadrature,
+    asep_quadrature_grid,
     pdf,
 )
 
@@ -253,6 +255,50 @@ def test_rician_quadrature_oracle_at_low_snr(m_order):
             rayleigh_mpsk(m_order, g0), rel=1e-11, abs=0)
 
 
+class TestQuadratureGrid:
+    """The quadrature of a whole SNR sweep: one adaptive bisection over the
+    panels of all its points, each point's value its own."""
+
+    SNR_DB = np.arange(-200.0, 61.0, 20.0)
+
+    @pytest.mark.parametrize("k", [0.0, 8.0, 14.0, 60.0, 130.0, 1e13, 1e300])
+    def test_grid_is_its_one_point_calls_and_meets_the_oracle(self, k):
+        g0 = 10.0 ** (self.SNR_DB / 10.0)
+        for gamma in (0.0, 0.5, 1.0):
+            p = TwdpParams(k=k, gamma=gamma)
+            for m_order in (2, 4, 16, 64):
+                mod = ModulationSpec(m_order)
+                values = asep_quadrature_grid(p, mod, g0)
+                # bit for bit, whatever else the sweep holds
+                assert values.tolist() == [asep_quadrature(p, mod, g) for g in g0]
+                assert values[::-3].tolist() == asep_quadrature_grid(p, mod, g0[::-3]).tolist()
+                for g, v in zip(g0, values):
+                    assert v == pytest.approx(asep_oracle(p, m_order, g), rel=1e-10, abs=0), (
+                        gamma, m_order, g)
+
+    def test_batches_hold_every_point(self, monkeypatch):
+        # a sweep runs in batches of _QUAD_CHUNK points, which only bound
+        # the node arrays
+        p, mod = TwdpParams(k=8.0, gamma=0.5), ModulationSpec(4)
+        g0 = 10.0 ** (np.linspace(-10.0, 40.0, 11) / 10.0)
+        whole = asep_quadrature_grid(p, mod, g0)
+        monkeypatch.setattr(asep, "_QUAD_CHUNK", 3)
+        assert asep_quadrature_grid(p, mod, g0).tolist() == whole.tolist()
+        assert asep_quadrature_grid(p, mod, []).shape == (0,)
+
+    def test_panel_budget_raises_and_names_the_point(self, monkeypatch):
+        # near the singularity at theta = 0 these points' partitions grow by
+        # more than 5 panels past their breakpoints' ones, though not by 200;
+        # the sweep names its first such point
+        p, mod = TwdpParams(k=1e13, gamma=0.5), ModulationSpec(64)
+        asep_quadrature_grid(p, mod, [1.0, 10.0])
+        monkeypatch.setattr(asep, "_PANEL_LIMIT", 5)
+        want = r"gamma0=1\.0 needs more than 5 panels past its breakpoints$"
+        with pytest.raises(QuadratureError, match=want) as err:
+            asep_quadrature_grid(p, mod, [1.0, 10.0])
+        assert err.value.achieved > 0
+
+
 class TestExactVsQuadrature:
     def test_spec_example_point(self):
         p = TwdpParams(k=8.0, gamma=0.5)
@@ -413,6 +459,13 @@ class TestDiagnostics:
         with pytest.raises(InvalidParameterError,
                            match=r"^gamma0 must be positive and finite, got nan$"):
             asep_exact_grid(p, mod, [10.0, math.nan, -1.0])
+        # and so does the quadrature, one point or a sweep
+        with pytest.raises(InvalidParameterError,
+                           match=r"^gamma0 must be positive and finite, got 0\.0$"):
+            asep_quadrature(p, mod, 0.0)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^gamma0 must be positive and finite, got nan$"):
+            asep_quadrature_grid(p, mod, [10.0, math.nan, -1.0])
 
     @pytest.mark.parametrize("m_order", [2, 16])
     def test_bracket_argument_past_double_range(self, m_order):

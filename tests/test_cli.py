@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import twdp
+from twdp import asep
 from twdp import ModulationSpec, TwdpParams, asep_quadrature, cdf, pdf
 from twdp.cli import _MAX_POINTS, _parse_snr_range, _snr_axis, _sweep, main
 from twdp.errors import InvalidParameterError, SeriesDivergenceError
@@ -467,6 +468,15 @@ class TestExitCodes:
         assert code == 3
         assert "did not converge in 5000 terms" in err
 
+    def test_quadrature_failure_exit(self, capsys, monkeypatch):
+        # a point whose partition would pass the quadrature's panel budget
+        monkeypatch.setattr(asep, "_PANEL_LIMIT", 5)
+        code, out, err = run_cli(capsys, "asep", "--k", "1e13", "--gamma", "0.5",
+                                 "--mod-order", "64", "--snr-db", "0:0:1", "--method", "quadrature")
+        assert (code, out) == (4, "")
+        assert err == ("error: asep quadrature at K=10000000000000.0, Gamma=0.5, gamma0=1.0 "
+                       "needs more than 5 panels past its breakpoints\n")
+
     def test_pdf_failure_names_a_point_that_fails_alone(self, capsys):
         # at K = 1600, Gamma = 1 only r/sqrt(Omega) near 2.02-2.10 is past
         # the mixture's budget on its own; the points rescued with it sum
@@ -695,7 +705,8 @@ _PARAMS = ["--k", "8", "--gamma", "0.5"]
 
 
 class TestLazyScipy:
-    """Only the commands that use scipy.special or scipy.integrate load them.
+    """Only the commands that use scipy.special load it, and none loads
+    scipy.integrate.
 
     Checked in a fresh interpreter, since the test modules import scipy.
     """
@@ -716,7 +727,7 @@ class TestLazyScipy:
     ]
     HEAVY = [
         (["mgf", *_PARAMS, "--points", "11", "--method", "closed"], [True, False]),
-        (["asep", *_PARAMS, "--snr-db", "0:20:10", "--method", "quadrature"], [True, True]),
+        (["asep", *_PARAMS, "--snr-db", "0:20:10", "--method", "quadrature"], [True, False]),
     ]
 
     def test_scipy_submodules_load_on_first_use(self, capsys):
@@ -735,6 +746,7 @@ class TestLazyScipy:
         for argv, want in self.HEAVY:
             code, loaded, out = report.pop(" ".join(argv))
             assert (code, loaded) == (0, want), argv
+            assert not loaded[1], f"{argv} loads scipy.integrate"
             # the same bytes as a run in this process, where scipy is loaded
             assert out == run_cli(capsys, *argv)[1]
         assert not report

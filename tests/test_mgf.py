@@ -11,6 +11,7 @@ from twdp import (
     TwdpParams,
     cdf_snr,
     mgf_closed,
+    mgf_closed_grid,
     mgf_series,
     mgf_series_grid,
 )
@@ -110,6 +111,29 @@ class TestMgfClosed:
                                 epsabs=1e-13, epsrel=1e-11)
         ref = -s * val
         assert mgf_closed(p, gamma0, s) == pytest.approx(ref, rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("k", [0.0, 8.0, 14.0, 1e13, 1e300])
+    def test_grid_is_the_scalar_long_double_form(self, k):
+        # each value bit for bit that of the closed form evaluated alone, in
+        # this operation order: u = s/(rho - s), a = rho/(rho - s), x = 2
+        # Gamma K (-u)/(1+Gamma^2), then (a exp(K u + x)) i0e(x)
+        ld = np.longdouble
+        s = np.concatenate([-np.logspace(-300.0, 300.0, 41), [-1.0, -0.37, 0.0]])
+        for gamma in (0.0, 0.5, 1.0):
+            p = TwdpParams(k=k, gamma=gamma)
+            for gamma0 in (1e-300, 1e-3, 10.0, 1e6):
+                values = mgf_closed_grid(p, gamma0, s)
+                assert values.tolist() == [mgf_closed(p, gamma0, v) for v in s]
+                for v, got in zip(s, values):
+                    rho = (1 + ld(k)) / ld(gamma0)
+                    u, a = ld(v) / (rho - ld(v)), rho / (rho - ld(v))
+                    x = 2 * ld(gamma) * ld(k) * (-u) / (1 + ld(gamma) * ld(gamma))
+                    assert got == float((a * np.exp(ld(k) * u + x)) * special.i0e(float(x)))
+
+    def test_grid_rejects_positive_s(self):
+        p = TwdpParams(k=1.0, gamma=0.0)
+        with pytest.raises(InvalidParameterError, match=r"^s must be finite and <= 0, got 0\.5$"):
+            mgf_closed_grid(p, 1.0, [-1.0, 0.5, math.inf])
 
     def test_extreme_s_is_stable(self):
         p = TwdpParams(k=8.0, gamma=0.5)
