@@ -27,9 +27,9 @@ Three routes:
 * asep_asymptotic: the large-g0 closed form
   (1+K)/(2 pi g0) (pi - pi/M + sin(2 pi/M)/2)/sin^2(pi/M) e^{-K} I_0(2 Gamma K/(1+Gamma^2)).
 
-asep_exact_grid sums the sweep in specfun.run_with_rescue's one loop, like
-the other alternating series.  The first pass runs on long doubles over the
-whole SNR sweep.  The points whose cancellation calls for more digits, or
+asep_exact_grid sums the sweep into one SeriesGrid (specfun.run_with_rescue),
+like the other alternating series.  The first pass runs on long doubles over
+the whole SNR sweep.  The points whose cancellation calls for more digits, or
 whose series does not converge within specfun._MAX_TERMS terms, rerun
 together as the positive mixture
 
@@ -41,9 +41,9 @@ Rician, a Poisson mixture of Nakagami-(k+1) fading, and (1/pi) E_(k+1) is
 M-PSK's error rate over Nakagami-(k+1) fading (Simon & Alouini, Digital
 Communication over Fading Channels, 2nd ed., ch. 8).  _nakagami_orders gives
 E_n from a second positive recurrence in n, on the same seeds.  A point the
-mixture does not converge at gets a SeriesDivergenceError in place of its
-result; callers (the CLI does this) can substitute asep_quadrature_grid
-there, and asep_exact raises it.  Every pass runs on long doubles, the seeds
+mixture does not converge at is lost: the grid's `lost` holds its error,
+callers (the CLI does this) can substitute asep_quadrature_grid there, and
+asep_exact raises it.  Every pass runs on long doubles, the seeds
 included, and takes the average SNR as rho = (1+K)/g0 (specfun.snr_rho),
 finite at every double g0, subnormals included.
 """
@@ -61,11 +61,11 @@ from .mgf import _closed_mgf
 from .params import TwdpParams
 from .specfun import (
     _PI,
+    SeriesGrid,
     SeriesResult,
     _check_gamma0,
     _exp_i0,
     _grid,
-    _raise_lost,
     coef_series,
     mixture_series,
     mixture_terms,
@@ -220,23 +220,25 @@ def asep_exact(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> SeriesResul
     Raises SeriesDivergenceError where neither the series nor its mixture
     converges within its term budget.
     """
-    return _raise_lost(asep_exact_grid(p, mod, [gamma0]))[0]
+    grid = asep_exact_grid(p, mod, [gamma0])
+    if grid.lost:
+        raise grid.lost[0]
+    return grid[0]
 
 
-def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> list:
+def asep_exact_grid(p: TwdpParams, mod: ModulationSpec, gamma0s) -> SeriesGrid:
     """Exact M-PSK symbol error probability along a sweep of average SNRs.
 
-    Returns a SeriesResult per point, or in its place the
-    SeriesDivergenceError of a point where neither the series nor its
-    mixture converges within its term budget (callers such as the CLI
-    substitute asep_quadrature_grid there).
+    Its `lost` holds the SeriesDivergenceError of each point where neither
+    the series nor its mixture converges within its term budget (callers
+    such as the CLI substitute asep_quadrature_grid there).
     """
     g0 = _grid(gamma0s, lambda v: (v > 0) & np.isfinite(v), "gamma0 must be positive and finite")
 
     def what(i):
         return f"asep series at K={p.k}, Gamma={p.gamma}, gamma0={float(g0[i])}"
 
-    return run_with_rescue(lambda ps: _asep_pass(p, mod, g0, ps), [None] * len(g0), what)
+    return run_with_rescue(lambda ps: _asep_pass(p, mod, g0, ps), np.full(len(g0), np.nan), what)
 
 
 def asep_asymptotic(p: TwdpParams, mod: ModulationSpec, gamma0: float) -> float:

@@ -13,6 +13,7 @@ mixture's term budget, or one no series can sum), 4 quadrature failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -133,27 +134,26 @@ def _snr_linear(db) -> float:
 # one column builder per quantity, shared by its subcommand and `figures`
 
 
-def _curve(p: TwdpParams, which: str, xs, normalized: bool) -> list:
-    """(value, terms_used) of the envelope pdf or cdf at each x of xs; when
-    normalized, x is r/sqrt(Omega) and the pdf is rescaled to that axis."""
+def _curve(p: TwdpParams, which: str, xs, normalized: bool) -> tuple:
+    """The columns (value, terms_used) of the envelope pdf or cdf along xs;
+    when normalized, x is r/sqrt(Omega) and the pdf is rescaled to that axis."""
     scale = math.sqrt(p.omega) if normalized else 1.0
     if not math.isfinite(float(xs[-1]) * scale):  # a float product overflows silently
         raise InvalidParameterError(
             f"--rmax {float(xs[-1]):g} times sqrt(Omega) = {scale:g} leaves the double range")
-    if which == "pdf":
-        return [(res.value * scale, res.terms_used) for res in dist.pdf_grid(p, xs * scale)]
-    return [(res.value, res.terms_used) for res in dist.cdf_grid(p, xs * scale)]
+    grid = (dist.pdf_grid if which == "pdf" else dist.cdf_grid)(p, xs * scale)
+    return grid.value * (scale if which == "pdf" else 1.0), grid.terms_used
 
 
-def _asep_exact_with_fallback(p, mod, gamma0s):
-    """(value, terms, tag) per average SNR; substitutes quadrature at the
-    points where the series cannot be summed or its mixture would pass its
-    term budget."""
-    results = asep_exact_grid(p, mod, gamma0s)
-    lost = [i for i, res in enumerate(results) if isinstance(res, SeriesDivergenceError)]
-    quad = dict(zip(lost, asep_quadrature_grid(p, mod, [gamma0s[i] for i in lost])))
-    return [(quad[i], 0, "quadrature-fallback") if i in quad
-            else (res.value, res.terms_used, "exact") for i, res in enumerate(results)]
+def _asep_exact_with_fallback(p, mod, gamma0s) -> tuple:
+    """The columns (value, terms, fallback) along the average SNRs gamma0s:
+    quadrature, 0 terms and True at the points where the series cannot be
+    summed or its mixture would pass its term budget."""
+    grid = asep_exact_grid(p, mod, gamma0s)
+    lost = list(grid.lost)
+    value, terms = grid.value.copy(), grid.terms_used.copy()
+    value[lost], terms[lost] = asep_quadrature_grid(p, mod, np.asarray(gamma0s)[lost]), 0
+    return value, terms, np.isin(np.arange(len(value)), lost)
 
 
 def _simulate(p, mod, snrs, cfg, min_errors=None) -> list:
@@ -168,8 +168,8 @@ def _simulate(p, mod, snrs, cfg, min_errors=None) -> list:
 def _cmd_curve(args, out) -> int:
     p = _params_from_args(args)
     xs = _sweep(0.0, args.rmax, args.points)
-    rows = [(x, *cell) for x, cell in zip(xs, _curve(p, args.command, xs, args.normalized))]
-    _write_csv(["x", "y", "terms_used"], rows, out)
+    value, terms = _curve(p, args.command, xs, args.normalized)
+    _write_csv(["x", "y", "terms_used"], zip(xs, value, terms), out)
     return EXIT_OK
 
 
@@ -179,17 +179,15 @@ def _cmd_mgf(args, out) -> int:
     if args.smin >= args.smax or args.smax > 0:
         raise InvalidParameterError("mgf sweep requires smin < smax <= 0")
     xs = _sweep(args.smin, args.smax, args.points)
-    rows = [[float(s)] for s in xs]
-    header = ["s"]
+    header, cols = ["s"], [xs]
     if args.method in ("series", "both"):
+        grid = mgf_series_grid(p, gamma0, xs)
         header += ["mgf_series", "terms_used"]
-        for row, res in zip(rows, mgf_series_grid(p, gamma0, xs)):
-            row += [res.value, res.terms_used]
+        cols += [grid.value, grid.terms_used]
     if args.method in ("closed", "both"):
         header += ["mgf_closed"]
-        for row, value in zip(rows, mgf_closed_grid(p, gamma0, xs)):
-            row.append(value)
-    _write_csv(header, rows, out)
+        cols.append(mgf_closed_grid(p, gamma0, xs))
+    _write_csv(header, zip(*cols), out)
     return EXIT_OK
 
 
@@ -202,14 +200,14 @@ def _cmd_asep(args, out) -> int:
     header, cols = ["snr_db", *methods], [snrs]
     for m in methods:
         if m == "exact":
-            exact = _asep_exact_with_fallback(p, mod, gamma0s)
-            cols.append([value for value, _terms, _tag in exact])
+            exact, _, fallback = _asep_exact_with_fallback(p, mod, gamma0s)
+            cols.append(exact)
         else:
             cols.append(asep_quadrature_grid(p, mod, gamma0s) if m == "quadrature"
                         else [asep_asymptotic(p, mod, gamma0) for gamma0 in gamma0s])
     if "exact" in methods:
         header.append("method_tag")
-        cols.append([tag for _value, _terms, tag in exact])
+        cols.append(np.where(fallback, "quadrature-fallback", "exact"))
     _write_csv(header, zip(*cols), out)
     return EXIT_OK
 
@@ -281,9 +279,9 @@ def _cmd_figures(args, out) -> int:
     for which, fname in (("pdf", "fig3a.csv"), ("cdf", "fig3b.csv")):
         curves = [_curve(p, which, r_norm, True) for p, _ in sets]
         emit(fname, ["r_norm"] + [f"{which}_{tag}" for tag in tags],
-             [(x, *(value for value, _ in cells)) for x, *cells in zip(r_norm, *curves)],
+             zip(r_norm, *(value for value, _ in curves)),
              {"sets": tags, "points": args.points,
-              "max_terms_used": max(terms for curve in curves for _, terms in curve)})
+              "max_terms_used": max(int(terms.max()) for _, terms in curves)})
 
     # exact / asymptotic / simulated symbol error rate, one file per PSK order
     gamma0s = [_snr_linear(db) for db in snrs]
@@ -292,23 +290,20 @@ def _cmd_figures(args, out) -> int:
         header = ["snr_db"] + [f"{col}_{tag}" for tag in tags
                                for col in ("exact", "asym", "sim", "sim_ci95")]
         exact = [_asep_exact_with_fallback(p, mod, gamma0s) for p, _ in sets]
-        sim = [_simulate(p, mod, snrs, sim_cfg) for p, _ in sets]
-        rows, fallbacks = [], []
-        for i, (db, gamma0) in enumerate(zip(snrs, gamma0s)):
-            row = [float(db)]
-            for (p, tag), ex, est in zip(sets, exact, sim):
-                value, _terms, how = ex[i]
-                if how != "exact":
-                    fallbacks.append({"snr_db": float(db), "set": tag})
-                row += [value, asep_asymptotic(p, mod, gamma0), est[i].ser, est[i].ci95_halfwidth]
-            rows.append(row)
-        emit(fname, header, rows, {
+        cols = [snrs]
+        for (p, _), (value, _, _) in zip(sets, exact):
+            est = _simulate(p, mod, snrs, sim_cfg)
+            cols += [value, [asep_asymptotic(p, mod, gamma0) for gamma0 in gamma0s],
+                     [e.ser for e in est], [e.ci95_halfwidth for e in est]]
+        fell = np.column_stack([fallback for _, _, fallback in exact])
+        emit(fname, header, zip(*cols), {
             "m_order": m_order,
             "sets": tags,
             "seed": args.seed,
             "samples_per_point": args.samples,
-            "max_terms_used": max(terms for ex in exact for _, terms, _ in ex),
-            "quadrature_fallbacks": fallbacks,
+            "max_terms_used": max(int(terms.max()) for _, terms, _ in exact),
+            "quadrature_fallbacks": [{"snr_db": float(snrs[i]), "set": tags[j]}
+                                     for i, j in np.argwhere(fell)],
         })
 
     # binary PSK error-rate families against the legacy and revised parameter
@@ -319,13 +314,11 @@ def _cmd_figures(args, out) -> int:
         ("fig6a.csv", delta_family, "delta"),
         ("fig6b.csv", gamma_family, "gamma"),
     ):
-        cols = []
+        cols = [snrs]
         for v in values:
             gamma = params.gamma_from_delta(v) if flavor == "delta" else v
-            exact = _asep_exact_with_fallback(TwdpParams(k=6.0, gamma=gamma), mod2, gamma0s)
-            cols.append([value for value, _terms, _tag in exact])
-        emit(fname, ["snr_db"] + [f"asep_{flavor}_{v:g}" for v in values],
-             [[float(db), *vals] for db, *vals in zip(snrs, *cols)],
+            cols.append(_asep_exact_with_fallback(TwdpParams(k=6.0, gamma=gamma), mod2, gamma0s)[0])
+        emit(fname, ["snr_db"] + [f"asep_{flavor}_{v:g}" for v in values], zip(*cols),
              {"k": 6.0, "m_order": 2, flavor: values})
 
     manifest_path = os.path.join(outdir, "manifest.json")
@@ -340,6 +333,7 @@ def _cmd_figures(args, out) -> int:
 # parser / entry point
 
 
+@functools.cache  # built once per process: it costs twenty times its parse
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="twdp",
@@ -442,7 +436,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SeriesDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "; --method closed gives the closed form there" if args.command == "mgf" else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_SERIES
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,13 +46,13 @@ long double, or with a Bessel argument past 1e7, raises SeriesDivergenceError.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import InvalidParameterError, SeriesDivergenceError
 from .params import TwdpParams
 from .specfun import (
+    SeriesGrid,
     SeriesResult,
     _IVE_MAX_X,
     _check_gamma0,
@@ -60,7 +60,6 @@ from .specfun import (
     _ive_ladder,
     _grid,
     _pass_result,
-    _raise_lost,
     _sum_series,
     coef_series,
     k_top,
@@ -147,7 +146,7 @@ def pdf(p: TwdpParams, r: float) -> SeriesResult:
     return pdf_grid(p, [r])[0]
 
 
-def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
+def pdf_grid(p: TwdpParams, rs) -> SeriesGrid:
     """Envelope probability density along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
     # r = 0 and a tail whose Rician bound rounds to 0 in double need no series;
@@ -155,19 +154,21 @@ def pdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
     # argument leaves the ladder's range, only past the mixture's budget
     with np.errstate(over="ignore"):
         x1, _, c, pref, bound = _pdf_args(p, r.astype(_LD))
-    why = np.where(~np.isfinite(pref), "its prefactor overflows long double",
-                   np.where(np.maximum(x1, c) > _IVE_MAX_X,
-                            f"a Bessel argument exceeds {_IVE_MAX_X:g}", ""))
-    zero = SeriesResult(0.0, 0, 0.0, 1.0, "none", 0)
-    out = [zero if tiny
-           else SeriesDivergenceError(f"envelope pdf at r={ri} cannot be summed: {w}", 0) if w
-           else None
-           for ri, tiny, w in zip(r.tolist(), bound < np.ldexp(_LD(1), -1076), why.tolist())]
-    return _raise_lost(run_with_rescue(
+    zero = bound < np.ldexp(_LD(1), -1076)
+    overflow, wide = ~np.isfinite(pref), np.maximum(x1, c) > _IVE_MAX_X
+    if (~zero & (overflow | wide)).any():
+        i = np.argmax(~zero & (overflow | wide))
+        why = ("its prefactor overflows long double" if overflow[i]
+               else f"a Bessel argument exceeds {_IVE_MAX_X:g}")
+        raise SeriesDivergenceError(f"envelope pdf at r={float(r[i])} cannot be summed: {why}", 0)
+    grid = run_with_rescue(
         lambda ps: _pdf_pass(p, r, ps),
-        out,
+        np.where(zero, 0.0, np.nan),
         what=lambda i: f"envelope pdf at r={float(r[i])}",
-    ))
+    )
+    if grid.lost:
+        raise grid.lost[min(grid.lost)]
+    return grid
 
 
 # ----------------------------------------------------------------------------
@@ -208,30 +209,30 @@ def _cdf_mixture(p: TwdpParams, xb):
                           j_peak=xb.astype(float), cumulative=True)
 
 
-def _cdf_grid_x(p: TwdpParams, x) -> list[SeriesResult]:
+def _cdf_grid_x(p: TwdpParams, x) -> SeriesGrid:
     """The cdf series along long-double values x = r^2 / (2 sigma^2) >= 0."""
     # the clamp's complement bound and the series' e^x: see the module docstring
     gap = np.sqrt(x) - math.sqrt(k_top(p.k, p.gamma))
     one = (gap > 0) & (np.exp(-gap * gap) < 2.0**-53)
     with np.errstate(over="ignore"):
-        summable = np.isfinite(np.expm1(x))
-    out = [SeriesResult(float(c), 0, 0.0, 1.0, "none", 0) if xi == 0 or c
-           else None if ok
-           else SeriesDivergenceError(
-               f"envelope cdf at x={float(xi)} cannot be summed: e^x overflows long double", 0)
-           for xi, c, ok in zip(x, one, summable)]
-    results = _raise_lost(run_with_rescue(
+        unsummable = (x > 0) & ~one & ~np.isfinite(np.expm1(x))
+    if unsummable.any():
+        raise SeriesDivergenceError(f"envelope cdf at x={float(x[np.argmax(unsummable)])} cannot be"
+                                    " summed: e^x overflows long double", 0)
+    grid = run_with_rescue(
         lambda ps: _cdf_pass(p, x, ps),
-        out,
+        np.where((x == 0) | one, one, np.nan),
         what=lambda i: f"envelope cdf at x={float(x[i])}",
-    ))
-    for i, res in enumerate(results):
-        if not -1e-9 <= res.value <= 1.0 + 1e-9:
-            raise ArithmeticError(
-                f"cdf value {res.value} at x={float(x[i])} lies outside [0, 1]")
-        if not 0.0 < res.value <= 1.0:
-            results[i] = replace(res, value=min(1.0, max(0.0, res.value)))
-    return results
+    )
+    if grid.lost:
+        raise grid.lost[min(grid.lost)]
+    outside = (grid.value < -1e-9) | (grid.value > 1.0 + 1e-9)
+    if outside.any():
+        i = np.argmax(outside)
+        raise ArithmeticError(
+            f"cdf value {float(grid.value[i])} at x={float(x[i])} lies outside [0, 1]")
+    np.clip(grid.value, 0.0, 1.0, out=grid.value)
+    return grid
 
 
 def cdf(p: TwdpParams, r: float) -> SeriesResult:
@@ -247,7 +248,7 @@ def cdf_snr(p: TwdpParams, gamma0: float, gamma: float) -> SeriesResult:
     return _cdf_grid_x(p, _LD(gamma) * snr_rho(p.k, [gamma0]))[0]
 
 
-def cdf_grid(p: TwdpParams, rs) -> list[SeriesResult]:
+def cdf_grid(p: TwdpParams, rs) -> SeriesGrid:
     """Envelope distribution function along a grid of envelope values."""
     r = _grid(rs, lambda v: np.isfinite(v) & (v >= 0), "r must be finite and >= 0")
     x = r.astype(_LD) ** 2 / (2 * _LD(p.sigma2))

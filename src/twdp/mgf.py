@@ -29,11 +29,11 @@ import numpy as np
 
 from .params import TwdpParams
 from .specfun import (
+    SeriesGrid,
     SeriesResult,
     _check_gamma0,
     _exp_i0,
     _grid,
-    _raise_lost,
     coef_series,
     mixture_series,
     run_with_rescue,
@@ -75,15 +75,18 @@ def mgf_series(p: TwdpParams, gamma0: float, s: float) -> SeriesResult:
     return mgf_series_grid(p, gamma0, [s])[0]
 
 
-def mgf_series_grid(p: TwdpParams, gamma0: float, ss) -> list[SeriesResult]:
+def mgf_series_grid(p: TwdpParams, gamma0: float, ss) -> SeriesGrid:
     """SNR MGF at average SNR gamma0 in series form along a grid of s <= 0."""
     _check_gamma0(gamma0)
     s = _grid(ss, lambda v: np.isfinite(v) & (v <= 0), "s must be finite and <= 0")
-    return _raise_lost(run_with_rescue(
+    grid = run_with_rescue(
         lambda ps: _mgf_series_pass(p, gamma0, s, ps),
-        [None] * len(s),
+        np.full(len(s), np.nan),
         what=lambda i: f"mgf series at s={float(s[i])}",
-    ))
+    )
+    if grid.lost:
+        raise grid.lost[min(grid.lost)]
+    return grid
 
 
 def mgf_closed(p: TwdpParams, gamma0: float, s: float) -> float:

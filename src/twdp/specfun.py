@@ -21,11 +21,12 @@ proven, geometric bound on the rest of its terms is below 2^-63 of its sum.
 The paper's envelope/SNR series alternate and can cancel by many orders of
 magnitude for strong specular power, so their pass sums with compensated
 (Kahan) adds and reports the cancellation ratio sum|t_m| / |sum t_m| of
-every point.  run_with_rescue, one loop over a grid's result list, sends
-the points whose ratio, times the pass's rounding bound, would breach the
-relative accuracy target (needs_rescue), and those that did not converge
-within the pass's term budget (_MAX_TERMS; 49 for the pdf), to one mixture
-pass, whose terms are all positive and so cannot cancel.
+every point.  run_with_rescue fills a grid's SeriesGrid, one array per
+result field, by masked assignment: it sends the points whose ratio, times
+the pass's rounding bound, would breach the relative accuracy target
+(needs_rescue), and those that did not converge within the pass's term
+budget (_MAX_TERMS; 49 for the pdf), to one mixture pass, whose terms are
+all positive and so cannot cancel.
 
 The mixture.  Given the phase difference theta of its two rays, TWDP is
 Rician with specular power K(theta) = K (1 + Gamma^2 + 2 Gamma cos theta) /
@@ -92,19 +93,44 @@ class SeriesResult:
     trunc_estimate is a proven bound on the omitted remainder relative to
     the value, in every tier, and at most 2^-63 where the series converged;
     cancellation_ratio is sum|t_m| / |sum t_m| and equals 1 for series with
-    single-signed terms, the mixture's among them.  tier names the pass that
-    gave the value: "longdouble" (the paper's series), "mixture", or "none"
-    where no series was summed; passes counts the passes that summed the
-    series at this point (0 for such a shortcut, 1 for the long-double pass
-    alone, 2 after the mixture).
+    single-signed terms, the mixture's among them.  passes counts the passes
+    that summed the series at this point: 0 for a shortcut, 1 for the
+    long-double pass (the paper's series) alone, 2 after the mixture.
     """
 
     value: float
     terms_used: int
     trunc_estimate: float
     cancellation_ratio: float = 1.0
-    tier: str = "longdouble"
     passes: int = 1
+
+    @property
+    def tier(self) -> str:
+        """The pass that gave the value: "longdouble", "mixture", or "none"."""
+        return ("none", "longdouble", "mixture")[self.passes]
+
+
+@dataclass(frozen=True, eq=False)
+class SeriesGrid:
+    """A series along a grid: one array per SeriesResult field, and `lost`, the
+    SeriesDivergenceError of each point it could not be summed at (value NaN),
+    by index.  grid[i] and iteration give each point's SeriesResult or error."""
+
+    value: np.ndarray
+    terms_used: np.ndarray
+    trunc_estimate: np.ndarray
+    cancellation_ratio: np.ndarray
+    passes: np.ndarray
+    lost: dict
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return self.lost.get(i) or SeriesResult(
+            float(self.value[i]), int(self.terms_used[i]), float(self.trunc_estimate[i]),
+            float(self.cancellation_ratio[i]), int(self.passes[i]))
 
 
 class Pass(NamedTuple):
@@ -196,48 +222,43 @@ def needs_rescue(ratio):
     return _ERR_SAFETY * _LD_EPS * ratio > _REL_TARGET
 
 
-def run_with_rescue(pass_fn: Callable, out: list, what: Callable = str) -> list:
-    """Fill a grid's result list `out`: sum a series at its None entries,
-    rerunning the untrustworthy ones as a positive mixture.
+def run_with_rescue(pass_fn: Callable, value, what: Callable = str) -> SeriesGrid:
+    """The SeriesGrid of a series summed at the NaN entries of the array
+    `value`; its other entries, shortcut points, keep their values, with 0
+    terms and 0 passes.
 
-    Its other entries are the results or errors of shortcut points, which
-    no pass sees.  pass_fn(Pass(tier, points)) sums the series at the grid
-    points `points` in the tier's form, "longdouble" (the paper's series)
-    or "mixture" (mixture_series), and returns (value, terms, terms_used,
-    trunc, ratio, converged): `terms` is the number of terms summed over
-    those points (the work of the pass, which the per-layer tracer in
-    bench/tracing.py counts), the rest are arrays over them.  A point whose
-    long-double pass fails needs_rescue, or did not converge within its term
-    budget, reruns in the one mixture pass, together with the other such
-    points; each rerun is logged at DEBUG level on the "twdp" logger, with
-    the long-double cancellation ratio, under the name what(i) of grid
-    point i.
-
-    Returns `out` with, at each None entry, a SeriesResult carrying the tier
-    of the point's last pass and its number of passes, or in its place a
-    SeriesDivergenceError for a point the mixture did not converge at within
-    its term budget.
+    pass_fn(Pass(tier, points)) sums the series at the grid points `points`
+    in the tier's form, "longdouble" (the paper's series) or "mixture"
+    (mixture_series), and returns (value, terms, terms_used, trunc, ratio,
+    converged): `terms` is the number of terms summed over those points (the
+    work of the pass, which the per-layer tracer in bench/tracing.py counts),
+    the rest are arrays over them.  The points whose long-double pass fails
+    needs_rescue, or did not converge within its term budget, rerun in one
+    mixture pass, each logged at DEBUG level on the "twdp" logger under the
+    name what(i) of grid point i; one the mixture does not converge at is lost.
     """
-    todo = np.flatnonzero([res is None for res in out])
-    for passes, tier in enumerate(("longdouble", "mixture"), start=1):
+    value = np.array(value, dtype=float)
+    terms = np.zeros(len(value), dtype=np.int64)
+    trunc, ratio, passes = np.zeros(len(value)), np.ones(len(value)), terms.copy()
+    todo = np.flatnonzero(np.isnan(value))
+    for count, tier in enumerate(("longdouble", "mixture"), start=1):
         if not todo.size:
             break
-        value, _, n, trunc, ratio, ok = pass_fn(Pass(tier, todo))
-        rerun = ((~ok | needs_rescue(ratio)) if tier == "longdouble"
-                 else np.zeros(len(todo), dtype=bool))
-        for j, i in enumerate(todo):
-            if rerun[j]:
-                how = (f"cancellation ratio {ratio[j]:.3g}" if ok[j]
+        # the mixture pass overwrites what the long-double pass left at its points
+        v, _, n, t, r, ok = pass_fn(Pass(tier, todo))
+        value[todo] = np.where(ok, v, np.nan)
+        terms[todo], trunc[todo], ratio[todo], passes[todo] = n, t, r, count
+        rerun = ~ok | needs_rescue(r)
+        if tier == "longdouble" and _log.isEnabledFor(logging.DEBUG):
+            for j in np.flatnonzero(rerun):
+                how = (f"cancellation ratio {r[j]:.3g}" if ok[j]
                        else f"no convergence in {n[j]} terms")
-                _log.debug("%s: %s in the longdouble pass; rerunning in the mixture", what(i), how)
-            elif ok[j]:
-                out[i] = SeriesResult(float(value[j]), int(n[j]), float(trunc[j]),
-                                      float(ratio[j]), tier, passes)
-            else:
-                out[i] = SeriesDivergenceError(f"{what(i)} did not converge in {n[j]} terms",
-                                               int(n[j]))
+                _log.debug("%s: %s in the longdouble pass; rerunning in the mixture",
+                           what(todo[j]), how)
         todo = todo[rerun]
-    return out
+    return SeriesGrid(value, terms, trunc, ratio, passes, {
+        int(i): SeriesDivergenceError(f"{what(i)} did not converge in {terms[i]} terms",
+                                      int(terms[i])) for i in np.flatnonzero(np.isnan(value))})
 
 
 def _grid(values, valid: Callable, what: str) -> np.ndarray:
@@ -259,14 +280,6 @@ def snr_rho(k: float, gamma0):
     """rho = (1+K)/gamma0 in long double, the one form in which the SNR-domain
     passes take gamma0 (a float or an array): finite (below 4e631) at every input."""
     return (1 + _LD(k)) / _LD(gamma0)
-
-
-def _raise_lost(results: list) -> list:
-    """results, unless a point did not converge: then its error."""
-    for res in results:
-        if isinstance(res, SeriesDivergenceError):
-            raise res
-    return results
 
 
 # ----------------------------------------------------------------------------

@@ -543,7 +543,7 @@ class TestRescueTiers:
             ok = np.ones(n, dtype=bool)
             return size[pts], n, np.ones(n, dtype=np.int64), np.zeros(n), ratio[pts], ok
 
-        out = run_with_rescue(pass_fn, [None] * 6)
+        out = run_with_rescue(pass_fn, np.full(6, np.nan))
         assert seen == [("longdouble", [0, 1, 2, 3, 4, 5]), ("mixture", [1, 2, 3, 4])]
         assert [res.value for res in out] == size.tolist()
         assert [(res.tier, res.passes) for res in out] == [
@@ -566,7 +566,7 @@ class TestRescueTiers:
                              else specfun._MIX_MAX_TERMS)
             return np.ones(n), int(terms.sum()), terms, np.zeros(n), ratio[pts], ok
 
-        out = run_with_rescue(pass_fn, [None] * 4, what=lambda i: f"point {i}")
+        out = run_with_rescue(pass_fn, np.full(4, np.nan), what=lambda i: f"point {i}")
         assert seen == [("longdouble", [0, 1, 2, 3]), ("mixture", [1, 2, 3])]
         assert [type(res).__name__ for res in out] == [
             "SeriesResult", "SeriesResult", "SeriesDivergenceError", "SeriesResult"]
@@ -574,6 +574,11 @@ class TestRescueTiers:
         assert out[2].terms_used == specfun._MIX_MAX_TERMS
         assert [(res.tier, res.terms_used) for res in (out[0], out[1], out[3])] == [
             ("longdouble", 7), ("mixture", 7), ("mixture", 7)]
+        # the columns: the lost point's value is NaN, its terms and passes its last pass's
+        assert list(out.lost) == [2] and out.lost[2] is out[2]
+        assert np.isnan(out.value[2]) and out.value[[0, 1, 3]].tolist() == [1.0] * 3
+        assert out.terms_used.tolist() == [7, 7, specfun._MIX_MAX_TERMS, 7]
+        assert out.passes.tolist() == [1, 2, 2, 2]
 
     def test_result_reports_tier_and_passes(self):
         rayleigh = pdf(TwdpParams(k=0.0, gamma=0.0), 1.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import twdp
-from twdp import asep
+from twdp import asep, cli, specfun
 from twdp import ModulationSpec, TwdpParams, asep_quadrature, cdf, pdf
 from twdp.cli import _MAX_POINTS, _parse_snr_range, _snr_axis, _sweep, main
 from twdp.errors import InvalidParameterError, SeriesDivergenceError
@@ -160,6 +160,27 @@ class TestCurveCommands:
         code, out, err = run_cli(capsys, "pdf", "--k", "1", "--gamma", "0",
                                  "--points", "3", "--sigma2=-1")
         assert code == 2 and out == "" and "sigma2" in err
+
+
+class TestParser:
+    """main builds its parser once per process, and the parser carries
+    nothing from one call to the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_alternating_calls_print_what_fresh_calls_print(self, capsys):
+        argvs = [("cdf", "--k", "6", "--gamma", "0.5", "--points", "4"),
+                 ("cdf", "--k", "6", "--delta", "0.3", "--points", "4"),
+                 ("pdf", "--k", "8", "--sigma2", "2", "--points", "4", "--no-normalized"),
+                 ("pdf", "--k", "8", "--sigma2", "2", "--points", "4")]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert len({out for _, out, _ in fresh}) == len(argvs)
+        for _ in range(2):
+            assert [run_cli(capsys, *argv) for argv in argvs] == fresh
 
 
 class TestAsepCommand:
@@ -391,6 +412,40 @@ class TestFigures:
             integral = np.trapezoid(data[:, col], x)
             assert integral == pytest.approx(1.0, abs=1e-3)
 
+    def test_quadrature_fallbacks_by_snr_then_set(self, tmp_path, capsys, monkeypatch):
+        # with the mixture's budget cut to 10 terms inside the error-rate
+        # grids, every point they rescue falls back: the manifest lists each
+        # one, by SNR and then by set, and its exact cell holds the quadrature
+        real = cli.asep_exact_grid
+
+        def tight(p, mod, gamma0s):
+            with monkeypatch.context() as m:
+                m.setattr(specfun, "_MIX_MAX_TERMS", 10)
+                return real(p, mod, gamma0s)
+
+        monkeypatch.setattr(cli, "asep_exact_grid", tight)
+        # two sets that fall back, around one that does not
+        monkeypatch.setattr(cli, "FIGURE_SETS", ((14.0, 1.0, "k14_g1"), (0.0, 0.0, "k0_g0"),
+                                                 (20.0, 1.0, "k20_g1")))
+        code, _, _ = run_cli(capsys, "figures", "--outdir", str(tmp_path), "--points", "11",
+                             "--samples", "2000", "--snr-step", "10")
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        snrs = [0.0, 10.0, 20.0, 30.0, 40.0]
+        for m_order, fname in ((2, "fig4a.csv"), (16, "fig4d.csv")):
+            mod, gamma0s = ModulationSpec(m_order), [10.0 ** (db / 10.0) for db in snrs]
+            grids = [tight(TwdpParams(k=k, gamma=g), mod, gamma0s) for k, g, _ in cli.FIGURE_SETS]
+            want = [{"snr_db": db, "set": tag} for i, db in enumerate(snrs)
+                    for (_, _, tag), grid in zip(cli.FIGURE_SETS, grids) if i in grid.lost]
+            assert {fell["set"] for fell in want} == {"k14_g1", "k20_g1"}
+            assert manifest["figures"][fname]["quadrature_fallbacks"] == want
+            _, rows = parse_csv((tmp_path / fname).read_text())
+            for j, ((k, g, _), grid) in enumerate(zip(cli.FIGURE_SETS, grids)):
+                for i, (row, gamma0) in enumerate(zip(rows, gamma0s)):
+                    want = (asep_quadrature(TwdpParams(k=k, gamma=g), mod, gamma0)
+                            if i in grid.lost else grid[i].value)
+                    assert row[1 + 4 * j] == "%.12e" % want
+
     def test_fig6_delta_curves_cluster(self, bundle):
         lines = (bundle / "fig6a.csv").read_text().splitlines()
         header = lines[0].split(",")
@@ -487,6 +542,21 @@ class TestExitCodes:
         with pytest.raises(SeriesDivergenceError, match="did not converge in 5000 terms"):
             pdf(TwdpParams(k=1600.0, gamma=1.0), r)
 
+    def test_mgf_series_past_its_budget_points_to_the_closed_form(self, capsys):
+        # --method both (the default) needs the series at every point: past
+        # the mixture's budget it exits 3, and the message names --method
+        # closed, which gives the closed form there
+        argv = ("mgf", "--k", "1e10", "--gamma", "0", "--points", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: mgf series at s=-10.0 did not converge in 5000 terms; "
+                       "--method closed gives the closed form there\n")
+        code, out, err = run_cli(capsys, *argv, "--method", "closed")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header == ["s", "mgf_closed"] and len(rows) == 3
+        assert rows[0][1] == "3.720079696099e-44"
+
     def test_pdf_past_the_bessel_ladder_exit(self, capsys):
         # b1 r = 2e10 at r = 1 is past the ladder's 1e7: a valid input that
         # no series can sum
@@ -537,6 +607,26 @@ class TestExitCodes:
         for row in rows:
             assert row[4] == "quadrature-fallback"
             assert row[1] == row[3]
+
+    def test_asep_sweep_mixes_exact_and_fallback_rows(self, capsys, monkeypatch):
+        # with the mixture's budget cut to 10 terms, the points the
+        # long-double pass cannot vouch for fall back, each on its own row
+        monkeypatch.setattr(specfun, "_MIX_MAX_TERMS", 10)
+        p, mod = TwdpParams(k=14.0, gamma=1.0), ModulationSpec(16)
+        snrs = [0.0, 10.0, 20.0, 30.0, 40.0]
+        lost = asep.asep_exact_grid(p, mod, [10.0 ** (db / 10.0) for db in snrs]).lost
+        code, out, _ = run_cli(capsys, "asep", "--k", "14", "--gamma", "1", "--mod-order", "16",
+                               "--snr-db", "0:40:10")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert sorted(lost) == [1, 2, 3, 4]
+        assert [row[4] for row in rows] == [
+            "quadrature-fallback" if i in lost else "exact" for i in range(5)]
+        for i, row in enumerate(rows):
+            if i in lost:
+                assert row[1] == row[3]
+            else:
+                assert float(row[1]) == pytest.approx(float(row[3]), rel=1e-8, abs=0)
 
     def test_asep_at_huge_k_falls_back_without_warnings(self, capsys):
         # the paper's coefficients overflow long double within its 500

@@ -104,10 +104,10 @@ class TestPdf:
         # its scalar result bit for bit
         p = TwdpParams(k=1600.0, gamma=1.0)
         r = np.array([0.00875, 2.06])
-        out = run_with_rescue(lambda ps: _pdf_pass(p, r, ps), [None, None])
+        out = run_with_rescue(lambda ps: _pdf_pass(p, r, ps), np.full(2, np.nan))
         assert out[0] == pdf(p, 0.00875)
         assert out[0].tier == "mixture"
-        assert isinstance(out[1], SeriesDivergenceError)
+        assert isinstance(out[1], SeriesDivergenceError) and list(out.lost) == [1]
         for rs in ([2.06], r):
             with pytest.raises(SeriesDivergenceError, match="r=2.06 did not converge in 5000"):
                 pdf_grid(p, rs)
@@ -119,9 +119,9 @@ class TestPdf:
         p = TwdpParams(k=1000.0, gamma=1.0)
         x = 3.06 ** 2 / (2 * p.sigma2)
         assert mixture_terms(p, math.sqrt(k_top(p.k, p.gamma) * x)) == 5028 > _MIX_MAX_TERMS
-        alone = run_with_rescue(lambda ps: _pdf_pass(p, np.array([3.06]), ps), [None])
+        alone = run_with_rescue(lambda ps: _pdf_pass(p, np.array([3.06]), ps), np.full(1, np.nan))
         grid = run_with_rescue(lambda ps: _pdf_pass(p, np.array([0.00875, 3.06]), ps),
-                               [None, None])
+                               np.full(2, np.nan))
         assert (alone[0].tier, alone[0].terms_used) == ("mixture", 4756)
         assert grid[1] == alone[0]
         # pdf itself returns 0 there without a pass; at K = 1500 the point

@@ -223,7 +223,7 @@ class TestRescuedTogether:
         rs = np.linspace(0.2, 0.9, 8)
         grid = pdf_grid(self.P, rs)
         assert sum(res.tier == "mixture" for res in grid) >= 4
-        assert grid == [pdf(self.P, float(r)) for r in rs]
+        assert list(grid) == [pdf(self.P, float(r)) for r in rs]
 
     def test_cdf_grid(self):
         # a curve value does not depend on the curve: before, the grid's
@@ -231,20 +231,20 @@ class TestRescuedTogether:
         rs = np.linspace(0.2, 3.0, 8)
         grid = cdf_grid(self.P, rs)
         assert sum(res.tier == "mixture" for res in grid) >= 2
-        assert grid == [cdf(self.P, float(r)) for r in rs]
+        assert list(grid) == [cdf(self.P, float(r)) for r in rs]
 
     def test_mgf_series_grid(self):
         gamma0 = 1e3
         ss = [-100.0, -60.0, -30.0, -10.0]
         grid = mgf_series_grid(self.P, gamma0, ss)
-        assert grid == [mgf_series(self.P, gamma0, s) for s in ss]
+        assert list(grid) == [mgf_series(self.P, gamma0, s) for s in ss]
 
     def test_asep_exact_grid(self):
         mod = ModulationSpec(2)
         g0s = [1e3, 2e3, 1e4]
         grid = asep_exact_grid(self.P, mod, g0s)
         assert all(res.tier == "mixture" for res in grid)
-        assert grid == [asep_exact(self.P, mod, g0) for g0 in g0s]
+        assert list(grid) == [asep_exact(self.P, mod, g0) for g0 in g0s]
 
     def test_asep_exact_grid_in_one_mixture_pass(self, monkeypatch):
         # at K=30 all three points rerun, in one mixture pass
@@ -253,7 +253,7 @@ class TestRescuedTogether:
         passes = TestShortcutPoints.trace_passes(monkeypatch)
         grid = asep_exact_grid(p, mod, g0s)
         assert passes == [("longdouble", [0, 1, 2]), ("mixture", [0, 1, 2])]
-        assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
+        assert list(grid) == [asep_exact(p, mod, g0) for g0 in g0s]
 
     def test_asep_exact_grid_over_a_rescued_sweep(self):
         # K=30: every point of the sweep reruns in the mixture
@@ -262,7 +262,7 @@ class TestRescuedTogether:
         grid = asep_exact_grid(p, mod, g0s)
         assert {(res.tier, res.passes, res.cancellation_ratio) for res in grid} == {
             ("mixture", 2, 1.0)}
-        assert grid == [asep_exact(p, mod, g0) for g0 in g0s]
+        assert list(grid) == [asep_exact(p, mod, g0) for g0 in g0s]
 
     def test_asep_mixture_pass_does_not_depend_on_the_sweep(self):
         # K=90, gamma0 = 10: the mixture pass sums the same value in the
@@ -282,12 +282,12 @@ class TestRescuedTogether:
         rs = [0.01, 0.02, 0.05, 0.1, 0.2, 1.3]
         grid = cdf_grid(p, rs)
         assert {res.tier for res in grid} == {"longdouble", "mixture"}
-        assert grid == [cdf(p, r) for r in rs]
+        assert list(grid) == [cdf(p, r) for r in rs]
         gamma0 = 10.0
         ss = [-100.0, -30.0, -10.0, -8.0]
         grid = mgf_series_grid(p, gamma0, ss)
         assert any(res.tier == "mixture" for res in grid)
-        assert grid == [mgf_series(p, gamma0, s) for s in ss]
+        assert list(grid) == [mgf_series(p, gamma0, s) for s in ss]
 
 
 class TestGridIndependence:
@@ -327,7 +327,7 @@ class TestGridIndependence:
         grid, alone = self.evaluate(kind, TwdpParams(k=k, gamma=gamma))
         assert tier in {res.tier for res in grid}
         assert len({res.terms_used for res in grid}) > 1
-        assert grid == alone
+        assert list(grid) == alone
 
     @pytest.mark.parametrize("kind", ["cdf-left", "mgf-k40"])
     def test_mpmath(self, kind):
@@ -336,7 +336,7 @@ class TestGridIndependence:
         p = TwdpParams(k=40.0, gamma=0.0)
         grid, alone = self.evaluate(kind, p)
         assert {res.tier for res in grid} == {"longdouble", "mixture"}
-        assert grid == alone
+        assert list(grid) == alone
         refs = ([cdf_series_mp(p, r) for r in self.GRIDS[kind]] if kind == "cdf-left" else
                 [float(mgf_mp(p, self.GAMMA0, s, 50)) for s in self.GRIDS[kind]])
         assert [res.value for res in grid] == pytest.approx(refs, rel=1e-12, abs=0)
@@ -373,11 +373,11 @@ class TestShortcutPoints:
         """The (tier, points) of every pass the series modules run."""
         passes = []
 
-        def run_with_rescue(pass_fn, out, what=str):
+        def run_with_rescue(pass_fn, value, what=str):
             def traced(ps):
                 passes.append((ps.name, ps.points.tolist()))
                 return pass_fn(ps)
-            return specfun.run_with_rescue(traced, out, what)
+            return specfun.run_with_rescue(traced, value, what)
 
         for module in (dist, asep):
             monkeypatch.setattr(module, "run_with_rescue", run_with_rescue)
@@ -394,31 +394,38 @@ class TestShortcutPoints:
                     np.ones(n, dtype=bool))
         return pass_fn
 
-    def test_entries_come_back_as_the_same_objects(self):
+    def test_shortcut_entries_keep_their_values(self):
         # points 2 and 4 cancel past long double's bound; points 1 and 3
-        # are shortcuts
-        done = SeriesResult(0.5, 0, 0.0, 1.0, "none", 0)
-        lost = SeriesDivergenceError("cannot be summed", 0)
+        # are shortcuts, whose given values no pass touches
         ratio = np.array([1.0, 0.0, 1e15, 0.0, 1e24])
         seen = []
-        out = [None, done, None, lost, None]
-        assert specfun.run_with_rescue(self.stub_pass(ratio, seen), out) is out
-        assert out[1] is done and out[3] is lost
+        value = np.array([math.nan, 0.5, math.nan, 0.0, math.nan])
+        grid = specfun.run_with_rescue(self.stub_pass(ratio, seen), value)
         assert seen == [("longdouble", [0, 2, 4]), ("mixture", [2, 4])]
-        assert [(res.tier, res.passes) for res in out[::2]] == [
+        assert grid.value.tolist() == [1.0, 0.5, 1.0, 0.0, 1.0] and not grid.lost
+        assert np.isnan(value[::2]).all()  # the caller's array is not written
+        entries = list(grid)
+        assert entries[1::2] == [SeriesResult(0.5, 0, 0.0, 1.0, 0),
+                                 SeriesResult(0.0, 0, 0.0, 1.0, 0)]
+        assert [res.tier for res in entries[1::2]] == ["none", "none"]
+        assert [(res.tier, res.passes) for res in entries[::2]] == [
             ("longdouble", 1), ("mixture", 2), ("mixture", 2)]
 
     def test_all_shortcut_grid_runs_no_pass(self, monkeypatch):
         seen = []
-        out = [SeriesResult(0.0, 0, 0.0, 1.0, "none", 0), SeriesDivergenceError("lost", 0)]
-        entries = list(out)
-        assert specfun.run_with_rescue(self.stub_pass(np.ones(2), seen), out) is out
-        assert seen == [] and all(a is b for a, b in zip(out, entries))
+        grid = specfun.run_with_rescue(self.stub_pass(np.ones(2), seen), np.array([0.0, 1.0]))
+        assert seen == [] and not grid.lost
+        assert list(grid) == [SeriesResult(0.0, 0, 0.0, 1.0, 0), SeriesResult(1.0, 0, 0.0, 1.0, 0)]
         passes = self.trace_passes(monkeypatch)
         for kind in ("pdf", "cdf"):
             p, xs = self.GRIDS[kind]
             grid = self.evaluate(kind, p, [xs[i] for i in self.SHORTCUTS[kind]])
             assert all(res.passes == 0 for res in grid)
+        # a point no series can sum raises before any pass, wherever it lies
+        with pytest.raises(SeriesDivergenceError, match="r=1.0 cannot be summed"):
+            pdf_grid(TwdpParams(k=1e10, gamma=0.0), [0.0, 0.5, 1.0])
+        with pytest.raises(SeriesDivergenceError, match="cannot be summed"):
+            cdf_grid(TwdpParams(k=1e6, gamma=0.0), [0.0, 1e-3, 0.5])
         assert passes == []
 
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "asep"])
@@ -430,6 +437,64 @@ class TestShortcutPoints:
         assert passes[0][1] == [i for i in range(len(xs)) if i not in self.SHORTCUTS[kind]]
         assert [outcome(res) for res in grid] == [
             outcome(self.evaluate(kind, p, [x])[0]) for x in xs]
+
+
+class TestGridColumns:
+    """A SeriesGrid holds one array per SeriesResult field: at every point,
+    shortcut, long-double, mixture or lost, each column equals the field of
+    its entry, and a lost point's entry is its error."""
+
+    CASES = {
+        # r = 0, long-double and mixture points, and a tail past the zero bound
+        "pdf": lambda: pdf_grid(TwdpParams(k=14.0, gamma=1.0), [0.0, 0.05, 0.2, 0.7, 3.0, 1e6]),
+        # r = 0, the left tail in the mixture, the bulk, and the clamp at r = 5
+        "cdf": lambda: cdf_grid(TwdpParams(k=40.0, gamma=0.0), [0.0, 0.01, 0.2, 0.5, 1.3, 5.0]),
+        "mgf": lambda: mgf_series_grid(TwdpParams(k=40.0, gamma=0.0), 10.0,
+                                       [-100.0, -30.0, -10.0, -8.0, -4.0, -1.0, 0.0]),
+        "asep": lambda: asep_exact_grid(TwdpParams(k=14.0, gamma=1.0), ModulationSpec(16),
+                                        [1e-310, 1.0, 10.0, 1e3, 1e4]),
+        # past the mixture's budget: every point is lost
+        "asep-lost": lambda: asep_exact_grid(TwdpParams(k=1e4, gamma=0.0), ModulationSpec(2),
+                                             [1.0, 10.0]),
+    }
+    PASSES = {
+        "pdf": [0, 1, 1, 2, 2, 0],
+        "cdf": [0, 2, 2, 2, 1, 0],
+        "mgf": [2, 2, 2, 2, 2, 1, 1],
+        "asep": [1, 1, 2, 2, 2],
+        "asep-lost": [2, 2],
+    }
+
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_columns_are_the_entries_fields(self, kind):
+        grid = self.CASES[kind]()
+        entries = list(grid)
+        assert len(entries) == len(grid) == len(grid.value)
+        assert grid.passes.tolist() == self.PASSES[kind]
+        for i, res in enumerate(entries):
+            if i in grid.lost:
+                assert grid.lost[i] is res and isinstance(res, SeriesDivergenceError)
+                assert math.isnan(grid.value[i]) and grid.terms_used[i] == res.terms_used
+                continue
+            assert (grid.value[i], grid.terms_used[i], grid.trunc_estimate[i],
+                    grid.cancellation_ratio[i], grid.passes[i]) == (
+                res.value, res.terms_used, res.trunc_estimate, res.cancellation_ratio, res.passes)
+            assert res.tier == ("none", "longdouble", "mixture")[res.passes]
+        assert sorted(grid.lost) == [i for i, res in enumerate(entries)
+                                     if isinstance(res, SeriesDivergenceError)]
+        assert (kind == "asep-lost") == bool(grid.lost)
+        # negative indices count from the end, as in a list
+        assert outcome(grid[-1]) == outcome(entries[-1])
+
+    def test_shortcut_columns(self):
+        # r = 0 and the zero bound give 0, the clamp 1: no terms, no passes,
+        # no truncation and a ratio of 1
+        for grid, at, want in ((self.CASES["pdf"](), [0, 5], [0.0, 0.0]),
+                               (self.CASES["cdf"](), [0, 5], [0.0, 1.0])):
+            assert grid.value[at].tolist() == want
+            assert grid.terms_used[at].tolist() == grid.passes[at].tolist() == [0, 0]
+            assert grid.trunc_estimate[at].tolist() == [0.0, 0.0]
+            assert grid.cancellation_ratio[at].tolist() == [1.0, 1.0]
 
 
 def rescue_case(kind, p):
